@@ -302,62 +302,27 @@ impl Default for AxiBridge {
 
 mod persist_impls {
     use super::{AxiBridge, BridgeConfig, BridgeStats};
-    use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+    use sim::persist::PersistError;
 
-    impl PersistValue for BridgeConfig {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.latency);
-            w.put_usize(self.addr_capacity);
-            w.put_usize(self.data_capacity);
-            w.put_usize(self.resp_capacity);
+    sim::persist_fields!(BridgeConfig {
+        latency,
+        addr_capacity,
+        data_capacity,
+        resp_capacity
+    });
+    sim::persist_fields!(BridgeStats {
+        beats_down,
+        beats_up
+    });
+    // A bridge serializes whole (config, staged beats, counters).
+    // Sharded runs reunite their split halves before any snapshot is
+    // taken, so the in-flight shard-mirror state never needs to cross a
+    // snapshot boundary.
+    sim::persist_fields!(AxiBridge { config, stage, stats } check |bridge| {
+        if (bridge.config.latency > 0) != bridge.stage.is_some() {
+            return Err(PersistError::Corrupt("bridge stage/latency mismatch"));
         }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                latency: r.take_u64()?,
-                addr_capacity: r.take_usize()?,
-                data_capacity: r.take_usize()?,
-                resp_capacity: r.take_usize()?,
-            })
-        }
-    }
-
-    impl PersistValue for BridgeStats {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.beats_down);
-            w.put_u64(self.beats_up);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                beats_down: r.take_u64()?,
-                beats_up: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for AxiBridge {
-        /// A bridge serializes whole (config, staged beats, counters).
-        /// Sharded runs reunite their split halves before any snapshot
-        /// is taken, so the in-flight shard-mirror state never needs to
-        /// cross a snapshot boundary.
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.config.save_value(w);
-            self.stage.save_value(w);
-            self.stats.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let config = BridgeConfig::load_value(r)?;
-            let stage = Option::load_value(r)?;
-            let stats = BridgeStats::load_value(r)?;
-            if (config.latency > 0) != stage.is_some() {
-                return Err(PersistError::Corrupt("bridge stage/latency mismatch"));
-            }
-            Ok(Self {
-                config,
-                stage,
-                stats,
-            })
-        }
-    }
+    });
 }
 
 impl AxiBridge {

@@ -499,106 +499,26 @@ mod persist_impls {
         }
     }
 
-    impl PersistValue for Violation {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.cycle);
-            self.port.save_value(w);
-            self.kind.save_value(w);
-            w.put_str(&self.detail);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                cycle: r.take_u64()?,
-                port: Option::load_value(r)?,
-                kind: ViolationKind::load_value(r)?,
-                detail: r.take_str()?,
-            })
-        }
-    }
-
-    impl PersistValue for ProtocolError {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.cycle);
-            w.put_str(&self.message);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                cycle: r.take_u64()?,
-                message: r.take_str()?,
-            })
-        }
-    }
-
-    impl PersistValue for PendingRead {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.ar.save_value(w);
-            w.put_u32(self.beats_seen);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                ar: ArBeat::load_value(r)?,
-                beats_seen: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for PendingWrite {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.aw.save_value(w);
-            w.put_u32(self.beats_seen);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                aw: AwBeat::load_value(r)?,
-                beats_seen: r.take_u32()?,
-            })
-        }
-    }
-
-    fn save_deque<T: PersistValue>(q: &VecDeque<T>, w: &mut SnapshotWriter) {
-        w.put_usize(q.len());
-        for item in q {
-            item.save_value(w);
-        }
-    }
-
-    fn load_deque<T: PersistValue>(
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<VecDeque<T>, PersistError> {
-        let len = r.take_usize()?;
-        let mut q = VecDeque::with_capacity(len.min(4096));
-        for _ in 0..len {
-            q.push_back(T::load_value(r)?);
-        }
-        Ok(q)
-    }
-
-    impl PersistValue for ProtocolMonitor {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            save_deque(&self.reads, w);
-            save_deque(&self.writes, w);
-            save_deque(&self.awaiting_b, w);
-            self.errors.save_value(w);
-            self.violations.save_value(w);
-            self.counters.save_value(w);
-            self.port.save_value(w);
-            w.put_u64(self.reads_completed);
-            w.put_u64(self.writes_completed);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                reads: load_deque(r)?,
-                writes: load_deque(r)?,
-                awaiting_b: load_deque(r)?,
-                errors: Vec::load_value(r)?,
-                violations: Vec::load_value(r)?,
-                counters: CounterBank::load_value(r)?,
-                port: Option::load_value(r)?,
-                reads_completed: r.take_u64()?,
-                writes_completed: r.take_u64()?,
-            })
-        }
-    }
+    sim::persist_fields!(Violation {
+        cycle,
+        port,
+        kind,
+        detail
+    });
+    sim::persist_fields!(ProtocolError { cycle, message });
+    sim::persist_fields!(PendingRead { ar, beats_seen });
+    sim::persist_fields!(PendingWrite { aw, beats_seen });
+    sim::persist_fields!(ProtocolMonitor {
+        reads,
+        writes,
+        awaiting_b,
+        errors,
+        violations,
+        counters,
+        port,
+        reads_completed,
+        writes_completed,
+    });
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@
 //! scheduler (that is the fast-forward contract), so the draw sequence
 //! — and therefore the injected fault pattern — is scheduler-invariant.
 
-use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 use sim::{Cycle, SimRng};
 
 use crate::port::AxiPort;
@@ -206,68 +205,35 @@ impl FaultyBridge {
     }
 }
 
-impl PersistValue for FaultyBridgeConfig {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.seed);
-        w.put_u64(self.flip_r.to_bits());
-        w.put_u64(self.drop_r.to_bits());
-        w.put_u64(self.stall.to_bits());
-        w.put_u64(self.stall_len);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            seed: r.take_u64()?,
-            flip_r: f64::from_bits(r.take_u64()?),
-            drop_r: f64::from_bits(r.take_u64()?),
-            stall: f64::from_bits(r.take_u64()?),
-            stall_len: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for FaultyBridgeStats {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.flipped_beats);
-        w.put_u64(self.dropped_beats);
-        w.put_u64(self.stalls);
-        w.put_u64(self.beats_down);
-        w.put_u64(self.beats_up);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            flipped_beats: r.take_u64()?,
-            dropped_beats: r.take_u64()?,
-            stalls: r.take_u64()?,
-            beats_down: r.take_u64()?,
-            beats_up: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for FaultyBridge {
-    /// The RNG state crosses the snapshot, so a forked chaos campaign
-    /// replays the exact same fault pattern on the edge.
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.config.save_value(w);
-        self.rng.save_value(w);
-        self.stats.save_value(w);
-        w.put_u64(self.stalled_until);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            config: FaultyBridgeConfig::load_value(r)?,
-            rng: SimRng::load_value(r)?,
-            stats: FaultyBridgeStats::load_value(r)?,
-            stalled_until: r.take_u64()?,
-        })
-    }
-}
+sim::persist_fields!(FaultyBridgeConfig {
+    seed,
+    flip_r,
+    drop_r,
+    stall,
+    stall_len
+});
+sim::persist_fields!(FaultyBridgeStats {
+    flipped_beats,
+    dropped_beats,
+    stalls,
+    beats_down,
+    beats_up
+});
+// The RNG state crosses the snapshot, so a forked chaos campaign
+// replays the exact same fault pattern on the edge.
+sim::persist_fields!(FaultyBridge {
+    config,
+    rng,
+    stats,
+    stalled_until
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beat::{ArBeat, BBeat, RBeat};
     use crate::types::{AxiId, BurstSize};
+    use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
 
     fn ports() -> (AxiPort, AxiPort) {
         (AxiPort::default(), AxiPort::default())

@@ -755,252 +755,105 @@ impl BoundReport {
 mod persist_impls {
     use super::{
         BoundKind, BoundReport, BoundViolation, ChannelMetrics, Hop, HopStamp, MetricsRegistry,
-        ObsChannel, PortMetrics, RegulatorMetrics, TxnRecord,
+        ObsChannel, ObsEvent, PortMetrics, RegulatorMetrics, TxnRecord,
     };
     use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
     use std::collections::{BTreeMap, VecDeque};
 
-    /// Discriminant tables: index in the array is the wire encoding, so
-    /// the byte stream stays stable as long as new variants are only
-    /// appended.
-    const CHANNELS: [ObsChannel; 5] = [
-        ObsChannel::Ar,
-        ObsChannel::Aw,
-        ObsChannel::W,
-        ObsChannel::R,
-        ObsChannel::B,
-    ];
-    const HOPS: [Hop; 8] = [
-        Hop::Issued,
-        Hop::TsAccepted,
-        Hop::TsStaged,
-        Hop::ExbarGranted,
-        Hop::MemVisible,
-        Hop::MemResponded,
-        Hop::Delivered,
-        Hop::Dropped,
-    ];
-    const BOUND_KINDS: [BoundKind; 7] = [
-        BoundKind::ReadService,
-        BoundKind::WriteService,
-        BoundKind::ArPropagation,
-        BoundKind::AwPropagation,
-        BoundKind::WPropagation,
-        BoundKind::RPropagation,
-        BoundKind::BPropagation,
-    ];
+    // Variant lists are wire codes: append new variants only.
+    sim::persist_enum!(ObsChannel, "obs channel discriminant", [Ar, Aw, W, R, B]);
+    sim::persist_enum!(
+        Hop,
+        "hop discriminant",
+        [
+            Issued,
+            TsAccepted,
+            TsStaged,
+            ExbarGranted,
+            MemVisible,
+            MemResponded,
+            Delivered,
+            Dropped,
+        ]
+    );
+    sim::persist_enum!(
+        BoundKind,
+        "bound kind discriminant",
+        [
+            ReadService,
+            WriteService,
+            ArPropagation,
+            AwPropagation,
+            WPropagation,
+            RPropagation,
+            BPropagation,
+        ]
+    );
 
-    impl PersistValue for ObsChannel {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let idx = CHANNELS.iter().position(|c| c == self).expect("in table");
-            w.put_u8(idx as u8);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let idx = r.take_u8()? as usize;
-            CHANNELS
-                .get(idx)
-                .copied()
-                .ok_or(PersistError::Corrupt("obs channel discriminant"))
-        }
-    }
-
-    impl PersistValue for Hop {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let idx = HOPS.iter().position(|h| h == self).expect("in table");
-            w.put_u8(idx as u8);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let idx = r.take_u8()? as usize;
-            HOPS.get(idx)
-                .copied()
-                .ok_or(PersistError::Corrupt("hop discriminant"))
-        }
-    }
-
-    impl PersistValue for BoundKind {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let idx = BOUND_KINDS
-                .iter()
-                .position(|k| k == self)
-                .expect("in table");
-            w.put_u8(idx as u8);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let idx = r.take_u8()? as usize;
-            BOUND_KINDS
-                .get(idx)
-                .copied()
-                .ok_or(PersistError::Corrupt("bound kind discriminant"))
-        }
-    }
-
-    impl PersistValue for HopStamp {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.hop.save_value(w);
-            self.channel.save_value(w);
-            w.put_u64(self.cycle);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                hop: Hop::load_value(r)?,
-                channel: ObsChannel::load_value(r)?,
-                cycle: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for super::ObsEvent {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.uid);
-            self.port.save_value(w);
-            self.channel.save_value(w);
-            self.hop.save_value(w);
-            w.put_u64(self.cycle);
-            w.put_u64(self.ref_cycle);
-            w.put_u64(self.bytes);
-            w.put_bool(self.sub_end);
-            w.put_bool(self.txn_end);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                uid: r.take_u64()?,
-                port: Option::load_value(r)?,
-                channel: ObsChannel::load_value(r)?,
-                hop: Hop::load_value(r)?,
-                cycle: r.take_u64()?,
-                ref_cycle: r.take_u64()?,
-                bytes: r.take_u64()?,
-                sub_end: r.take_bool()?,
-                txn_end: r.take_bool()?,
-            })
-        }
-    }
-
-    impl PersistValue for TxnRecord {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.uid);
-            w.put_usize(self.port);
-            w.put_bool(self.is_write);
-            w.put_u64(self.issued_at);
-            self.completed_at.save_value(w);
-            w.put_u64(self.bytes);
-            self.hops.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                uid: r.take_u64()?,
-                port: r.take_usize()?,
-                is_write: r.take_bool()?,
-                issued_at: r.take_u64()?,
-                completed_at: Option::load_value(r)?,
-                bytes: r.take_u64()?,
-                hops: Vec::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for ChannelMetrics {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.latency.save_value(w);
-            self.histogram.save_value(w);
-            self.bandwidth.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                latency: PersistValue::load_value(r)?,
-                histogram: PersistValue::load_value(r)?,
-                bandwidth: PersistValue::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for RegulatorMetrics {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.throttle_events);
-            self.read_credits.save_value(w);
-            self.write_credits.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                throttle_events: r.take_u64()?,
-                read_credits: PersistValue::load_value(r)?,
-                write_credits: PersistValue::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for PortMetrics {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.ar.save_value(w);
-            self.aw.save_value(w);
-            self.w.save_value(w);
-            self.r.save_value(w);
-            self.b.save_value(w);
-            self.read_txns.save_value(w);
-            self.write_txns.save_value(w);
-            self.efifo_occupancy.save_value(w);
-            self.regulator.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                ar: PersistValue::load_value(r)?,
-                aw: PersistValue::load_value(r)?,
-                w: PersistValue::load_value(r)?,
-                r: PersistValue::load_value(r)?,
-                b: PersistValue::load_value(r)?,
-                read_txns: PersistValue::load_value(r)?,
-                write_txns: PersistValue::load_value(r)?,
-                efifo_occupancy: PersistValue::load_value(r)?,
-                regulator: Option::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for BoundViolation {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.kind.save_value(w);
-            w.put_usize(self.port);
-            w.put_u64(self.uid);
-            w.put_u64(self.observed);
-            w.put_u64(self.bound);
-            w.put_u64(self.cycle);
-            self.hops.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                kind: BoundKind::load_value(r)?,
-                port: r.take_usize()?,
-                uid: r.take_u64()?,
-                observed: r.take_u64()?,
-                bound: r.take_u64()?,
-                cycle: r.take_u64()?,
-                hops: Vec::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for BoundReport {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.checked_reads);
-            w.put_u64(self.checked_writes);
-            w.put_u64(self.violations);
-            w.put_u64(self.read_bound);
-            w.put_u64(self.write_bound);
-            w.put_u64(self.worst_read);
-            w.put_u64(self.worst_write);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                checked_reads: r.take_u64()?,
-                checked_writes: r.take_u64()?,
-                violations: r.take_u64()?,
-                read_bound: r.take_u64()?,
-                write_bound: r.take_u64()?,
-                worst_read: r.take_u64()?,
-                worst_write: r.take_u64()?,
-            })
-        }
-    }
+    sim::persist_fields!(HopStamp {
+        hop,
+        channel,
+        cycle
+    });
+    sim::persist_fields!(ObsEvent {
+        uid,
+        port,
+        channel,
+        hop,
+        cycle,
+        ref_cycle,
+        bytes,
+        sub_end,
+        txn_end,
+    });
+    sim::persist_fields!(TxnRecord {
+        uid,
+        port,
+        is_write,
+        issued_at,
+        completed_at,
+        bytes,
+        hops,
+    });
+    sim::persist_fields!(ChannelMetrics {
+        latency,
+        histogram,
+        bandwidth
+    });
+    sim::persist_fields!(RegulatorMetrics {
+        throttle_events,
+        read_credits,
+        write_credits
+    });
+    sim::persist_fields!(PortMetrics {
+        ar,
+        aw,
+        w,
+        r,
+        b,
+        read_txns,
+        write_txns,
+        efifo_occupancy,
+        regulator,
+    });
+    sim::persist_fields!(BoundViolation {
+        kind,
+        port,
+        uid,
+        observed,
+        bound,
+        cycle,
+        hops,
+    });
+    sim::persist_fields!(BoundReport {
+        checked_reads,
+        checked_writes,
+        violations,
+        read_bound,
+        write_bound,
+        worst_read,
+        worst_write,
+    });
 
     impl PersistValue for MetricsRegistry {
         /// The in-flight table is a `BTreeMap`, so iteration (and hence

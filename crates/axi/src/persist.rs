@@ -16,58 +16,14 @@ use crate::payload::Payload;
 use crate::port::AxiPort;
 use crate::types::{AxiId, AxiVersion, BurstKind, BurstSize, PortId, Resp};
 
-impl PersistValue for PortId {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.0);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self(r.take_usize()?))
-    }
-}
+sim::persist_fields!(PortId { 0 });
+sim::persist_fields!(AxiId { 0 });
+sim::persist_enum!(AxiVersion, "AxiVersion discriminant", [Axi3, Axi4]);
+sim::persist_enum!(BurstKind, "BurstKind discriminant", [Fixed, Incr, Wrap]);
+sim::persist_enum!(Resp, "Resp discriminant", [Okay, ExOkay, SlvErr, DecErr]);
 
-impl PersistValue for AxiId {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u16(self.0);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self(r.take_u16()?))
-    }
-}
-
-impl PersistValue for AxiVersion {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            AxiVersion::Axi3 => 0,
-            AxiVersion::Axi4 => 1,
-        });
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(AxiVersion::Axi3),
-            1 => Ok(AxiVersion::Axi4),
-            _ => Err(PersistError::Corrupt("AxiVersion discriminant")),
-        }
-    }
-}
-
-impl PersistValue for BurstKind {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            BurstKind::Fixed => 0,
-            BurstKind::Incr => 1,
-            BurstKind::Wrap => 2,
-        });
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(BurstKind::Fixed),
-            1 => Ok(BurstKind::Incr),
-            2 => Ok(BurstKind::Wrap),
-            _ => Err(PersistError::Corrupt("BurstKind discriminant")),
-        }
-    }
-}
-
+/// Stored as the AXI `AxSIZE` encoding (log2 of the beat bytes), not a
+/// variant index.
 impl PersistValue for BurstSize {
     fn save_value(&self, w: &mut SnapshotWriter) {
         w.put_u8(self.encoding());
@@ -81,26 +37,7 @@ impl PersistValue for BurstSize {
     }
 }
 
-impl PersistValue for Resp {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Resp::Okay => 0,
-            Resp::ExOkay => 1,
-            Resp::SlvErr => 2,
-            Resp::DecErr => 3,
-        });
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(Resp::Okay),
-            1 => Ok(Resp::ExOkay),
-            2 => Ok(Resp::SlvErr),
-            3 => Ok(Resp::DecErr),
-            _ => Err(PersistError::Corrupt("Resp discriminant")),
-        }
-    }
-}
-
+/// Stored as length-prefixed bytes, whatever the inline/spill layout.
 impl PersistValue for Payload {
     fn save_value(&self, w: &mut SnapshotWriter) {
         w.put_bytes(self.as_slice());
@@ -110,143 +47,54 @@ impl PersistValue for Payload {
     }
 }
 
-impl PersistValue for ArBeat {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.id.save_value(w);
-        w.put_u64(self.addr);
-        w.put_u32(self.len);
-        self.size.save_value(w);
-        self.burst.save_value(w);
-        w.put_u8(self.qos);
-        w.put_u64(self.tag);
-        w.put_u64(self.issued_at);
-        w.put_u64(self.uid);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            id: AxiId::load_value(r)?,
-            addr: r.take_u64()?,
-            len: r.take_u32()?,
-            size: BurstSize::load_value(r)?,
-            burst: BurstKind::load_value(r)?,
-            qos: r.take_u8()?,
-            tag: r.take_u64()?,
-            issued_at: r.take_u64()?,
-            uid: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for AwBeat {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.id.save_value(w);
-        w.put_u64(self.addr);
-        w.put_u32(self.len);
-        self.size.save_value(w);
-        self.burst.save_value(w);
-        w.put_u8(self.qos);
-        w.put_u64(self.tag);
-        w.put_u64(self.issued_at);
-        w.put_u64(self.uid);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            id: AxiId::load_value(r)?,
-            addr: r.take_u64()?,
-            len: r.take_u32()?,
-            size: BurstSize::load_value(r)?,
-            burst: BurstKind::load_value(r)?,
-            qos: r.take_u8()?,
-            tag: r.take_u64()?,
-            issued_at: r.take_u64()?,
-            uid: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for WBeat {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.data.save_value(w);
-        w.put_u128(self.strb);
-        w.put_bool(self.last);
-        w.put_u64(self.tag);
-        w.put_u64(self.issued_at);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            data: Payload::load_value(r)?,
-            strb: r.take_u128()?,
-            last: r.take_bool()?,
-            tag: r.take_u64()?,
-            issued_at: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for RBeat {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.id.save_value(w);
-        self.data.save_value(w);
-        self.resp.save_value(w);
-        w.put_bool(self.last);
-        w.put_u64(self.tag);
-        w.put_u64(self.issued_at);
-        w.put_u64(self.uid);
-        w.put_u64(self.hopped_at);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            id: AxiId::load_value(r)?,
-            data: Payload::load_value(r)?,
-            resp: Resp::load_value(r)?,
-            last: r.take_bool()?,
-            tag: r.take_u64()?,
-            issued_at: r.take_u64()?,
-            uid: r.take_u64()?,
-            hopped_at: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for BBeat {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.id.save_value(w);
-        self.resp.save_value(w);
-        w.put_u64(self.tag);
-        w.put_u64(self.issued_at);
-        w.put_u64(self.uid);
-        w.put_u64(self.hopped_at);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            id: AxiId::load_value(r)?,
-            resp: Resp::load_value(r)?,
-            tag: r.take_u64()?,
-            issued_at: r.take_u64()?,
-            uid: r.take_u64()?,
-            hopped_at: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for AxiPort {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.ar.save_value(w);
-        self.aw.save_value(w);
-        self.w.save_value(w);
-        self.r.save_value(w);
-        self.b.save_value(w);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            ar: PersistValue::load_value(r)?,
-            aw: PersistValue::load_value(r)?,
-            w: PersistValue::load_value(r)?,
-            r: PersistValue::load_value(r)?,
-            b: PersistValue::load_value(r)?,
-        })
-    }
-}
+sim::persist_fields!(ArBeat {
+    id,
+    addr,
+    len,
+    size,
+    burst,
+    qos,
+    tag,
+    issued_at,
+    uid
+});
+sim::persist_fields!(AwBeat {
+    id,
+    addr,
+    len,
+    size,
+    burst,
+    qos,
+    tag,
+    issued_at,
+    uid
+});
+sim::persist_fields!(WBeat {
+    data,
+    strb,
+    last,
+    tag,
+    issued_at
+});
+sim::persist_fields!(RBeat {
+    id,
+    data,
+    resp,
+    last,
+    tag,
+    issued_at,
+    uid,
+    hopped_at
+});
+sim::persist_fields!(BBeat {
+    id,
+    resp,
+    tag,
+    issued_at,
+    uid,
+    hopped_at
+});
+sim::persist_fields!(AxiPort { ar, aw, w, r, b });
 
 #[cfg(test)]
 mod tests {

@@ -28,8 +28,6 @@
 //! transaction may exhaust `max_attempts` and surface a hard error —
 //! which is the quarantine path's job, not the retry path's.
 
-use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-
 /// Capped-exponential retry policy for transient error responses.
 ///
 /// Backoff after `f` observed failures is
@@ -93,24 +91,16 @@ impl RetryPolicy {
     }
 }
 
-impl PersistValue for RetryPolicy {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.max_attempts);
-        w.put_u64(self.backoff_base);
-        w.put_u64(self.backoff_cap);
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            max_attempts: r.take_u32()?,
-            backoff_base: r.take_u64()?,
-            backoff_cap: r.take_u64()?,
-        })
-    }
-}
+sim::persist_fields!(RetryPolicy {
+    max_attempts,
+    backoff_base,
+    backoff_cap
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn backoff_doubles_then_caps() {

@@ -121,48 +121,24 @@ impl RouteQueue {
     }
 }
 
-impl sim::persist::PersistValue for RouteEntry {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_usize(self.port);
-        w.put_bool(self.final_sub);
-        w.put_u64(self.tag);
-        w.put_u64(self.uid);
+sim::persist_fields!(RouteEntry {
+    port,
+    final_sub,
+    tag,
+    uid
+});
+sim::persist_fields!(RouteQueue { capacity, entries } check |queue| {
+    if queue.capacity == 0 {
+        return Err(sim::persist::PersistError::Corrupt(
+            "route queue capacity zero",
+        ));
     }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            port: r.take_usize()?,
-            final_sub: r.take_bool()?,
-            tag: r.take_u64()?,
-            uid: r.take_u64()?,
-        })
+    if queue.entries.len() > queue.capacity {
+        return Err(sim::persist::PersistError::Corrupt(
+            "route queue over capacity",
+        ));
     }
-}
-
-impl sim::persist::PersistValue for RouteQueue {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_usize(self.capacity);
-        self.entries.save_value(w);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        let capacity = r.take_usize()?;
-        if capacity == 0 {
-            return Err(sim::persist::PersistError::Corrupt(
-                "route queue capacity zero",
-            ));
-        }
-        let entries = Ring::load_value(r)?;
-        if entries.len() > capacity {
-            return Err(sim::persist::PersistError::Corrupt(
-                "route queue over capacity",
-            ));
-        }
-        Ok(Self { entries, capacity })
-    }
-}
+});
 
 #[cfg(test)]
 mod tests {

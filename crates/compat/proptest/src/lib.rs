@@ -11,7 +11,12 @@
 //! - generation is **deterministic**: case `i` of every test draws from
 //!   a fixed per-case seed, so failures reproduce without a persistence
 //!   file (`proptest-regressions` files are kept but unused);
-//! - there is **no shrinking**: a failing case reports its panic as-is.
+//! - shrinking is **minimal**: a failing case is shrunk greedily on the
+//!   generated value itself — integers halve toward their range's low
+//!   bound, vectors truncate, tuples and vector elements shrink one
+//!   component at a time — and reported with its case seed. Values that
+//!   pass through `prop_map`, `prop_flat_map` or `prop_oneof!` do not
+//!   shrink (there is no value tree to map back through).
 
 pub mod test_runner;
 
@@ -28,6 +33,13 @@ pub mod strategy {
 
         /// Draws one value.
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
+
+        /// Simpler variants of a failing `value`, most aggressive first.
+        /// The runner keeps the first variant that still fails and asks
+        /// again. The default offers none.
+        fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+            Vec::new()
+        }
 
         /// Maps generated values through `f`.
         fn prop_map<O, F>(self, f: F) -> Map<Self, F>
@@ -62,12 +74,16 @@ pub mod strategy {
     trait DynStrategy {
         type Value;
         fn generate_dyn(&self, rng: &mut TestRng) -> Self::Value;
+        fn shrink_dyn(&self, value: &Self::Value) -> Vec<Self::Value>;
     }
 
     impl<S: Strategy> DynStrategy for S {
         type Value = S::Value;
         fn generate_dyn(&self, rng: &mut TestRng) -> S::Value {
             self.generate(rng)
+        }
+        fn shrink_dyn(&self, value: &S::Value) -> Vec<S::Value> {
+            self.shrink(value)
         }
     }
 
@@ -84,6 +100,9 @@ pub mod strategy {
         type Value = V;
         fn generate(&self, rng: &mut TestRng) -> V {
             self.0.generate_dyn(rng)
+        }
+        fn shrink(&self, value: &V) -> Vec<V> {
+            self.0.shrink_dyn(value)
         }
     }
 
@@ -170,6 +189,27 @@ pub mod strategy {
         }
     }
 
+    /// Shrink candidates for an integer `v` drawn from a domain starting
+    /// at `lo`: the bound itself, the midpoint, then one step down.
+    macro_rules! halve_toward {
+        ($lo:expr, $v:expr) => {{
+            let (lo, v) = ($lo, $v);
+            let mut out = Vec::new();
+            if v > lo {
+                let mid = lo + (v - lo) / 2;
+                out.push(lo);
+                if mid > lo {
+                    out.push(mid);
+                }
+                if v - 1 > mid {
+                    out.push(v - 1);
+                }
+            }
+            out
+        }};
+    }
+    pub(crate) use halve_toward;
+
     macro_rules! int_range_strategy {
         ($($ty:ty),*) => {$(
             impl Strategy for std::ops::Range<$ty> {
@@ -178,6 +218,9 @@ pub mod strategy {
                     assert!(self.start < self.end, "empty range strategy");
                     let span = (self.end - self.start) as u64;
                     self.start + rng.below(span) as $ty
+                }
+                fn shrink(&self, value: &$ty) -> Vec<$ty> {
+                    halve_toward!(self.start, *value)
                 }
             }
             impl Strategy for std::ops::RangeInclusive<$ty> {
@@ -191,6 +234,9 @@ pub mod strategy {
                     }
                     lo + rng.below(span + 1) as $ty
                 }
+                fn shrink(&self, value: &$ty) -> Vec<$ty> {
+                    halve_toward!(*self.start(), *value)
+                }
             }
         )*};
     }
@@ -198,23 +244,38 @@ pub mod strategy {
     int_range_strategy!(u8, u16, u32, u64, usize);
 
     macro_rules! tuple_strategy {
-        ($(($($name:ident),+);)*) => {$(
-            impl<$($name: Strategy),+> Strategy for ($($name,)+) {
+        ($(($($name:ident $idx:tt),+);)*) => {$(
+            impl<$($name: Strategy),+> Strategy for ($($name,)+)
+            where
+                $($name::Value: Clone),+
+            {
                 type Value = ($($name::Value,)+);
                 #[allow(non_snake_case)]
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)
                 }
+                fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                    let mut out = Vec::new();
+                    $(
+                        for candidate in self.$idx.shrink(&value.$idx) {
+                            let mut next = value.clone();
+                            next.$idx = candidate;
+                            out.push(next);
+                        }
+                    )+
+                    out
+                }
             }
         )*};
     }
 
     tuple_strategy! {
-        (A, B);
-        (A, B, C);
-        (A, B, C, D);
-        (A, B, C, D, E);
+        (A 0);
+        (A 0, B 1);
+        (A 0, B 1, C 2);
+        (A 0, B 1, C 2, D 3);
+        (A 0, B 1, C 2, D 3, E 4);
     }
 }
 
@@ -249,6 +310,9 @@ pub mod arbitrary {
                 fn generate(&self, rng: &mut TestRng) -> $ty {
                     rng.next_u64() as $ty
                 }
+                fn shrink(&self, value: &$ty) -> Vec<$ty> {
+                    crate::strategy::halve_toward!(0, *value)
+                }
             }
         )*};
     }
@@ -259,6 +323,13 @@ pub mod arbitrary {
         type Value = bool;
         fn generate(&self, rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
+        }
+        fn shrink(&self, value: &bool) -> Vec<bool> {
+            if *value {
+                vec![false]
+            } else {
+                Vec::new()
+            }
         }
     }
 }
@@ -273,10 +344,16 @@ pub mod collection {
     pub trait SizeRange: Clone {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
+
+        /// The shortest length the range allows (shrinking stops here).
+        fn min(&self) -> usize;
     }
 
     impl SizeRange for usize {
         fn pick(&self, _rng: &mut TestRng) -> usize {
+            *self
+        }
+        fn min(&self) -> usize {
             *self
         }
     }
@@ -286,6 +363,9 @@ pub mod collection {
             assert!(self.start < self.end, "empty size range");
             self.start + rng.below((self.end - self.start) as u64) as usize
         }
+        fn min(&self) -> usize {
+            self.start
+        }
     }
 
     impl SizeRange for std::ops::RangeInclusive<usize> {
@@ -293,6 +373,9 @@ pub mod collection {
             let (lo, hi) = (*self.start(), *self.end());
             assert!(lo <= hi, "empty size range");
             lo + rng.below((hi - lo + 1) as u64) as usize
+        }
+        fn min(&self) -> usize {
+            *self.start()
         }
     }
 
@@ -308,11 +391,35 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    impl<S: Strategy, R: SizeRange> Strategy for VecStrategy<S, R> {
+    impl<S: Strategy, R: SizeRange> Strategy for VecStrategy<S, R>
+    where
+        S::Value: Clone,
+    {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let len = self.size.pick(rng);
             (0..len).map(|_| self.element.generate(rng)).collect()
+        }
+
+        /// Truncations first (to the minimum length, to half, minus the
+        /// last element), then one element shrunk at a time.
+        fn shrink(&self, value: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
+            let (len, min) = (value.len(), self.size.min());
+            let mut keeps = vec![min, (len / 2).max(min), len.saturating_sub(1)];
+            keeps.retain(|&keep| keep < len);
+            keeps.dedup();
+            let mut out: Vec<Vec<S::Value>> = keeps
+                .into_iter()
+                .map(|keep| value[..keep].to_vec())
+                .collect();
+            for (i, element) in value.iter().enumerate() {
+                for candidate in self.element.shrink(element) {
+                    let mut next = value.clone();
+                    next[i] = candidate;
+                    out.push(next);
+                }
+            }
+            out
         }
     }
 }
@@ -350,7 +457,8 @@ pub mod prelude {
 
 /// Defines `#[test]` functions whose arguments are drawn from
 /// strategies, running each body over `config.cases` deterministic
-/// cases.
+/// cases. A failing case is shrunk and reported with its minimal input
+/// and seed (see [`test_runner::run_case`]).
 #[macro_export]
 macro_rules! proptest {
     (@run ($cfg:expr) $(
@@ -360,16 +468,9 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
+            let strategy = ($($strat,)+);
             for case in 0..config.cases {
-                let mut proptest_case_rng =
-                    $crate::test_runner::TestRng::deterministic(case as u64);
-                $(
-                    let $arg = $crate::strategy::Strategy::generate(
-                        &($strat),
-                        &mut proptest_case_rng,
-                    );
-                )+
-                $body
+                $crate::test_runner::run_case(&strategy, case, |($($arg,)+)| $body);
             }
         }
     )*};
@@ -444,6 +545,41 @@ mod tests {
             }
             prop_assert!(a < 4 && (8..16).contains(&b));
         }
+    }
+
+    #[test]
+    fn planted_failure_shrinks_to_minimal_input() {
+        use crate::test_runner::run_case;
+        // Fails whenever x >= 37 and the vec has at least two elements:
+        // the unique minimal failing input is (37, [0, 0]).
+        let strategy = (0u64..1000, crate::collection::vec(0u32..100, 0..10));
+        let property = |(x, v): (u64, Vec<u32>)| assert!(x < 37 || v.len() < 2, "planted");
+        let failing_case = (0..64)
+            .find(|&case| std::panic::catch_unwind(|| run_case(&strategy, case, property)).is_err())
+            .expect("the planted failure is reachable");
+        let payload = std::panic::catch_unwind(|| run_case(&strategy, failing_case, property))
+            .expect_err("the failing case fails again");
+        let report = payload.downcast_ref::<String>().expect("formatted report");
+        assert!(
+            report.contains("minimal failing input: (37, [0, 0])"),
+            "{report}"
+        );
+        assert!(
+            report.contains(&format!("seed TestRng::deterministic({failing_case})")),
+            "{report}"
+        );
+        assert!(report.contains("failure: planted"), "{report}");
+    }
+
+    #[test]
+    fn integers_halve_toward_the_low_bound() {
+        assert_eq!((10u32..100).shrink(&50), vec![10, 30, 49]);
+        assert_eq!((10u32..100).shrink(&11), vec![10]);
+        assert!((10u32..100).shrink(&10).is_empty());
+        assert_eq!(
+            crate::collection::vec(0u8..4, 1..9).shrink(&vec![0, 0, 0, 0]),
+            vec![vec![0], vec![0, 0], vec![0, 0, 0]]
+        );
     }
 
     #[test]

@@ -1,6 +1,16 @@
-//! The deterministic per-case RNG behind the [`proptest!`] macro.
+//! The deterministic per-case RNG and the case runner behind the
+//! [`proptest!`] macro.
 //!
 //! [`proptest!`]: crate::proptest
+
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use crate::strategy::Strategy;
+
+/// Test executions spent shrinking one failure before reporting the
+/// smallest failing input found so far.
+const SHRINK_BUDGET: usize = 1024;
 
 /// A self-contained xoshiro256++ generator seeded per test case.
 ///
@@ -62,6 +72,71 @@ impl TestRng {
                 return (wide >> 64) as u64;
             }
         }
+    }
+}
+
+/// Runs `test` on `value`, turning a panic into its message.
+fn run_one<V>(test: &impl Fn(V), value: V) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| test(value))).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+/// Greedily shrinks a failing `value`: repeatedly replaces it with the
+/// first of `strategy`'s shrink candidates that still fails, until no
+/// candidate fails (or the budget runs out). Returns the smallest
+/// failing value found with its failure message.
+pub fn minimize<S: Strategy>(
+    strategy: &S,
+    value: S::Value,
+    message: String,
+    test: &impl Fn(S::Value),
+) -> (S::Value, String)
+where
+    S::Value: Clone,
+{
+    let mut best = (value, message);
+    let mut budget = SHRINK_BUDGET;
+    'shrink: while budget > 0 {
+        for candidate in strategy.shrink(&best.0) {
+            if budget == 0 {
+                break 'shrink;
+            }
+            budget -= 1;
+            if let Err(message) = run_one(test, candidate.clone()) {
+                best = (candidate, message);
+                continue 'shrink;
+            }
+        }
+        break;
+    }
+    best
+}
+
+/// Runs case number `case` of a property: draws the case's value from
+/// its fixed seed and runs `test` on it. A failure is shrunk with
+/// [`minimize`] and re-raised as a panic naming the case seed, the
+/// minimal failing input and its failure message.
+///
+/// # Panics
+///
+/// Panics when the property fails.
+pub fn run_case<S: Strategy>(strategy: &S, case: u32, test: impl Fn(S::Value))
+where
+    S::Value: Clone + Debug,
+{
+    let value = strategy.generate(&mut TestRng::deterministic(u64::from(case)));
+    if let Err(message) = run_one(&test, value.clone()) {
+        let (minimal, message) = minimize(strategy, value, message, &test);
+        panic!(
+            "property failed at case {case} (seed TestRng::deterministic({case}))\n\
+             minimal failing input: {minimal:?}\n\
+             failure: {message}"
+        );
     }
 }
 

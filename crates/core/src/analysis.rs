@@ -412,28 +412,14 @@ pub fn period_capacity_txns(period: u64, nominal_beats: u32, mem_latency: u64) -
     (period.saturating_sub(mem_latency) / nominal_beats as u64) as u32
 }
 
-impl sim::persist::PersistValue for ServiceModel {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_usize(self.num_ports);
-        w.put_u32(self.nominal_beats);
-        w.put_u64(self.mem_latency);
-        w.put_u64(self.write_resp_latency);
-        w.put_u32(self.rr_granularity);
-        w.put_u32(self.max_outstanding);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            num_ports: r.take_usize()?,
-            nominal_beats: r.take_u32()?,
-            mem_latency: r.take_u64()?,
-            write_resp_latency: r.take_u64()?,
-            rr_granularity: r.take_u32()?,
-            max_outstanding: r.take_u32()?,
-        })
-    }
-}
+sim::persist_fields!(ServiceModel {
+    num_ports,
+    nominal_beats,
+    mem_latency,
+    write_resp_latency,
+    rr_granularity,
+    max_outstanding,
+});
 
 #[cfg(test)]
 mod tests {

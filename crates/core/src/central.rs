@@ -101,20 +101,10 @@ impl Default for CentralUnit {
     }
 }
 
-impl sim::persist::PersistValue for CentralUnit {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u64(self.next_boundary);
-        w.put_u64(self.periods_elapsed);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            next_boundary: r.take_u64()?,
-            periods_elapsed: r.take_u64()?,
-        })
-    }
-}
+sim::persist_fields!(CentralUnit {
+    next_boundary,
+    periods_elapsed
+});
 
 #[cfg(test)]
 mod tests {

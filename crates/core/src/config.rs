@@ -95,28 +95,11 @@ impl Default for HcConfig {
     }
 }
 
-impl sim::persist::PersistValue for ArbitrationPolicy {
-    // Discriminant table: array index = wire byte, append-only.
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        const TABLE: [ArbitrationPolicy; 2] = [
-            ArbitrationPolicy::RoundRobin,
-            ArbitrationPolicy::FixedPriority,
-        ];
-        let idx = TABLE.iter().position(|p| p == self).expect("in table");
-        w.put_u8(idx as u8);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        match r.take_u8()? {
-            0 => Ok(ArbitrationPolicy::RoundRobin),
-            1 => Ok(ArbitrationPolicy::FixedPriority),
-            _ => Err(sim::persist::PersistError::Corrupt(
-                "arbitration policy discriminant",
-            )),
-        }
-    }
-}
+sim::persist_enum!(
+    ArbitrationPolicy,
+    "arbitration policy discriminant",
+    [RoundRobin, FixedPriority]
+);
 
 #[cfg(test)]
 mod tests {

@@ -154,25 +154,14 @@ impl EFifo {
     }
 }
 
-impl sim::persist::PersistValue for EFifo {
-    /// The eFIFO reconstructs fully from its serialized [`AxiPort`]
-    /// (which carries its own queue capacities and latency), the
-    /// decouple flag and the dropped-response counter.
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.port.save_value(w);
-        w.put_bool(self.decoupled);
-        w.put_u64(self.dropped_responses);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            port: axi::AxiPort::load_value(r)?,
-            decoupled: r.take_bool()?,
-            dropped_responses: r.take_u64()?,
-        })
-    }
-}
+// The eFIFO reconstructs fully from its serialized `AxiPort` (which
+// carries its own queue capacities and latency), the decouple flag and
+// the dropped-response counter.
+sim::persist_fields!(EFifo {
+    port,
+    decoupled,
+    dropped_responses
+});
 
 #[cfg(test)]
 mod tests {

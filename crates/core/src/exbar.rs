@@ -424,81 +424,39 @@ impl Exbar {
 
 mod persist_impls {
     use super::{Exbar, ExbarStats, WRoute};
-    use crate::config::ArbitrationPolicy;
-    use axi::routing::RouteQueue;
-    use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-    use sim::ring::Ring;
-    use sim::TimedFifo;
+    use sim::persist::PersistError;
 
-    impl PersistValue for WRoute {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_usize(self.port);
-            w.put_u32(self.beats);
-            w.put_usize(self.bytes);
-            w.put_u32(self.moved);
+    sim::persist_fields!(WRoute {
+        port,
+        beats,
+        bytes,
+        moved
+    });
+    sim::persist_fields!(ExbarStats {
+        ar_grants,
+        aw_grants
+    });
+    // The routing rings are serialized in logical (grant) order; the
+    // buffered observability events ride along so a snapshot taken
+    // mid-tick-sequence loses no hop attribution.
+    sim::persist_fields!(Exbar {
+        policy,
+        ar_rr,
+        aw_rr,
+        ar_stage,
+        aw_stage,
+        read_routes,
+        b_routes,
+        w_routes,
+        firewall_beats,
+        stats,
+        obs_enabled,
+        obs_events,
+    } check |exbar| {
+        if exbar.stats.ar_grants.len() != exbar.stats.aw_grants.len() {
+            return Err(PersistError::Corrupt("exbar grant counter shape"));
         }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                port: r.take_usize()?,
-                beats: r.take_u32()?,
-                bytes: r.take_usize()?,
-                moved: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for ExbarStats {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.ar_grants.save_value(w);
-            self.aw_grants.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                ar_grants: Vec::load_value(r)?,
-                aw_grants: Vec::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for Exbar {
-        /// The routing rings are serialized in logical (grant) order;
-        /// the buffered observability events ride along so a snapshot
-        /// taken mid-tick-sequence loses no hop attribution.
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.policy.save_value(w);
-            w.put_usize(self.ar_rr);
-            w.put_usize(self.aw_rr);
-            self.ar_stage.save_value(w);
-            self.aw_stage.save_value(w);
-            self.read_routes.save_value(w);
-            self.b_routes.save_value(w);
-            self.w_routes.save_value(w);
-            w.put_u64(self.firewall_beats);
-            self.stats.save_value(w);
-            w.put_bool(self.obs_enabled);
-            self.obs_events.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let exbar = Self {
-                policy: ArbitrationPolicy::load_value(r)?,
-                ar_rr: r.take_usize()?,
-                aw_rr: r.take_usize()?,
-                ar_stage: TimedFifo::load_value(r)?,
-                aw_stage: TimedFifo::load_value(r)?,
-                read_routes: RouteQueue::load_value(r)?,
-                b_routes: RouteQueue::load_value(r)?,
-                w_routes: Ring::load_value(r)?,
-                firewall_beats: r.take_u64()?,
-                stats: ExbarStats::load_value(r)?,
-                obs_enabled: r.take_bool()?,
-                obs_events: Vec::load_value(r)?,
-            };
-            if exbar.stats.ar_grants.len() != exbar.stats.aw_grants.len() {
-                return Err(PersistError::Corrupt("exbar grant counter shape"));
-            }
-            Ok(exbar)
-        }
-    }
+    });
 }
 
 #[cfg(test)]

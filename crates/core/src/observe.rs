@@ -379,58 +379,36 @@ impl BoundMonitor {
     }
 }
 
-impl sim::persist::PersistValue for BoundMonitor {
-    /// The analytic model and derived global bounds are persisted along
-    /// with the live matching state, so a restored monitor files the
-    /// same verdicts against the same bounds as the uninterrupted one.
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.model.save_value(w);
-        w.put_u64(self.read_bound);
-        w.put_u64(self.write_bound);
-        self.port_read_bounds.save_value(w);
-        self.port_write_bounds.save_value(w);
-        self.pending_reads.save_value(w);
-        self.pending_writes.save_value(w);
-        self.w_ready.save_value(w);
-        self.violations.save_value(w);
-        w.put_u64(self.checked_reads);
-        w.put_u64(self.checked_writes);
-        w.put_u64(self.worst_read);
-        w.put_u64(self.worst_write);
+// The analytic model and derived global bounds are persisted along with
+// the live matching state, so a restored monitor files the same verdicts
+// against the same bounds as the uninterrupted one.
+sim::persist_fields!(BoundMonitor {
+    model,
+    read_bound,
+    write_bound,
+    port_read_bounds,
+    port_write_bounds,
+    pending_reads,
+    pending_writes,
+    w_ready,
+    violations,
+    checked_reads,
+    checked_writes,
+    worst_read,
+    worst_write,
+} check |monitor| {
+    let n = monitor.model.num_ports;
+    if monitor.port_read_bounds.len() != n
+        || monitor.port_write_bounds.len() != n
+        || monitor.pending_reads.len() != n
+        || monitor.pending_writes.len() != n
+        || monitor.w_ready.len() != n
+    {
+        return Err(sim::persist::PersistError::Corrupt(
+            "bound monitor port shape",
+        ));
     }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        let model = ServiceModel::load_value(r)?;
-        let monitor = Self {
-            model,
-            read_bound: r.take_u64()?,
-            write_bound: r.take_u64()?,
-            port_read_bounds: Vec::load_value(r)?,
-            port_write_bounds: Vec::load_value(r)?,
-            pending_reads: Vec::load_value(r)?,
-            pending_writes: Vec::load_value(r)?,
-            w_ready: Vec::load_value(r)?,
-            violations: Vec::load_value(r)?,
-            checked_reads: r.take_u64()?,
-            checked_writes: r.take_u64()?,
-            worst_read: r.take_u64()?,
-            worst_write: r.take_u64()?,
-        };
-        let n = monitor.model.num_ports;
-        if monitor.port_read_bounds.len() != n
-            || monitor.port_write_bounds.len() != n
-            || monitor.pending_reads.len() != n
-            || monitor.pending_writes.len() != n
-            || monitor.w_ready.len() != n
-        {
-            return Err(sim::persist::PersistError::Corrupt(
-                "bound monitor port shape",
-            ));
-        }
-        Ok(monitor)
-    }
-}
+});
 
 #[cfg(test)]
 mod tests {

@@ -478,88 +478,42 @@ pub mod offsets {
     pub const PORT_ERR_TOTAL: u64 = super::PORT_ERR_TOTAL;
 }
 
-impl sim::persist::PersistValue for PortRegs {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.budget);
-        w.put_bool(self.enabled);
-        w.put_u32(self.max_outstanding);
-        w.put_u32(self.txn_this_period);
-        w.put_u64(self.txn_total);
-        w.put_u32(self.violations);
-        w.put_u32(self.outstanding);
-        w.put_bool(self.quiesce_requested);
-        w.put_bool(self.drained);
-        w.put_bool(self.force_flushed);
-        w.put_u32(self.dropped_txns);
-        w.put_u32(self.rate);
-        w.put_u32(self.reg_burst);
-        w.put_u32(self.out_cap);
-        w.put_u64(self.throttle_events);
-        w.put_bool(self.throttle_clear);
-        w.put_u32(self.read_credits);
-        w.put_u32(self.write_credits);
-        w.put_u64(self.err_total);
+sim::persist_fields!(PortRegs {
+    budget,
+    enabled,
+    max_outstanding,
+    txn_this_period,
+    txn_total,
+    violations,
+    outstanding,
+    quiesce_requested,
+    drained,
+    force_flushed,
+    dropped_txns,
+    rate,
+    reg_burst,
+    out_cap,
+    throttle_events,
+    throttle_clear,
+    read_credits,
+    write_credits,
+    err_total,
+});
+// Persisting the generation counter verbatim keeps config-mutation
+// fingerprints and the interconnect's fast-path cache (`seen_cfg_gen`)
+// coherent across a snapshot/restore boundary.
+sim::persist_fields!(RegFile {
+    enabled,
+    period,
+    nominal_burst,
+    reg_window,
+    ports,
+    generation,
+} check |rf| {
+    if rf.ports.is_empty() {
+        return Err(sim::persist::PersistError::Corrupt("regfile with no ports"));
     }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            budget: r.take_u32()?,
-            enabled: r.take_bool()?,
-            max_outstanding: r.take_u32()?,
-            txn_this_period: r.take_u32()?,
-            txn_total: r.take_u64()?,
-            violations: r.take_u32()?,
-            outstanding: r.take_u32()?,
-            quiesce_requested: r.take_bool()?,
-            drained: r.take_bool()?,
-            force_flushed: r.take_bool()?,
-            dropped_txns: r.take_u32()?,
-            rate: r.take_u32()?,
-            reg_burst: r.take_u32()?,
-            out_cap: r.take_u32()?,
-            throttle_events: r.take_u64()?,
-            throttle_clear: r.take_bool()?,
-            read_credits: r.take_u32()?,
-            write_credits: r.take_u32()?,
-            err_total: r.take_u64()?,
-        })
-    }
-}
-
-impl sim::persist::PersistValue for RegFile {
-    /// Persisting the generation counter verbatim keeps config-mutation
-    /// fingerprints and the interconnect's fast-path cache (`seen_cfg_gen`)
-    /// coherent across a snapshot/restore boundary.
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_bool(self.enabled);
-        w.put_u32(self.period);
-        w.put_u32(self.nominal_burst);
-        w.put_u32(self.reg_window);
-        self.ports.save_value(w);
-        w.put_u64(self.generation);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        let enabled = r.take_bool()?;
-        let period = r.take_u32()?;
-        let nominal_burst = r.take_u32()?;
-        let reg_window = r.take_u32()?;
-        let ports: Vec<PortRegs> = Vec::load_value(r)?;
-        if ports.is_empty() {
-            return Err(sim::persist::PersistError::Corrupt("regfile with no ports"));
-        }
-        Ok(Self {
-            enabled,
-            period,
-            nominal_burst,
-            reg_window,
-            ports,
-            generation: r.take_u64()?,
-        })
-    }
-}
+});
 
 #[cfg(test)]
 mod tests {

@@ -296,50 +296,23 @@ impl CreditRegulator {
     }
 }
 
-impl sim::persist::PersistValue for RegulatorConfig {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.rate);
-        w.put_u32(self.burst);
-        w.put_u32(self.out_cap);
-        w.put_u32(self.window);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            rate: r.take_u32()?,
-            burst: r.take_u32()?,
-            out_cap: r.take_u32()?,
-            window: r.take_u32()?,
-        })
-    }
-}
-
-impl sim::persist::PersistValue for CreditRegulator {
-    /// Effective credits are derived purely from the stored anchor
-    /// values and the cycle counter, so persisting the anchor state is
-    /// enough for the restored regulator to extrapolate identically.
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.cfg.save_value(w);
-        w.put_u32(self.read_credits);
-        w.put_u32(self.write_credits);
-        w.put_u64(self.anchor_window);
-        w.put_u64(self.throttle_events);
-        w.put_bool(self.throttled);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            cfg: RegulatorConfig::load_value(r)?,
-            read_credits: r.take_u32()?,
-            write_credits: r.take_u32()?,
-            anchor_window: r.take_u64()?,
-            throttle_events: r.take_u64()?,
-            throttled: r.take_bool()?,
-        })
-    }
-}
+sim::persist_fields!(RegulatorConfig {
+    rate,
+    burst,
+    out_cap,
+    window
+});
+// Effective credits are derived purely from the stored anchor values and
+// the cycle counter, so persisting the anchor state is enough for the
+// restored regulator to extrapolate identically.
+sim::persist_fields!(CreditRegulator {
+    cfg,
+    read_credits,
+    write_credits,
+    anchor_window,
+    throttle_events,
+    throttled,
+});
 
 #[cfg(test)]
 mod tests {

@@ -847,147 +847,57 @@ impl TransactionSupervisor {
 
 mod persist_impls {
     use super::{SubAr, SubAw, TransactionSupervisor, TsRuntime, TsStats};
-    use crate::regulate::{CreditRegulator, RegulatorConfig};
-    use axi::beat::{ArBeat, AwBeat};
-    use axi::checker::Violation;
-    use axi::types::Resp;
-    use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-    use sim::ring::Ring;
-    use sim::stats::LatencyStat;
-    use sim::TimedFifo;
 
-    impl PersistValue for SubAr {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.beat.save_value(w);
-            w.put_bool(self.final_sub);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                beat: ArBeat::load_value(r)?,
-                final_sub: r.take_bool()?,
-            })
-        }
-    }
-
-    impl PersistValue for SubAw {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.beat.save_value(w);
-            w.put_bool(self.final_sub);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                beat: AwBeat::load_value(r)?,
-                final_sub: r.take_bool()?,
-            })
-        }
-    }
-
-    impl PersistValue for TsRuntime {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.nominal);
-            w.put_u32(self.max_outstanding);
-            w.put_bool(self.enabled);
-            w.put_bool(self.quiesced);
-            self.regulator.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                nominal: r.take_u32()?,
-                max_outstanding: r.take_u32()?,
-                enabled: r.take_bool()?,
-                quiesced: r.take_bool()?,
-                regulator: RegulatorConfig::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for TsStats {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.reads_completed);
-            w.put_u64(self.writes_completed);
-            w.put_u64(self.bytes_read);
-            w.put_u64(self.bytes_written);
-            w.put_u64(self.subs_issued);
-            w.put_u64(self.budget_stall_cycles);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                reads_completed: r.take_u64()?,
-                writes_completed: r.take_u64()?,
-                bytes_read: r.take_u64()?,
-                bytes_written: r.take_u64()?,
-                subs_issued: r.take_u64()?,
-                budget_stall_cycles: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for TransactionSupervisor {
-        /// Every field is captured, including the observability buffer
-        /// (hop events emitted this tick but not yet drained) and the
-        /// uid sequence, so restored runs keep allocating the exact
-        /// same transaction uids the uninterrupted run would.
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.ar_split.save_value(w);
-            self.ar_stage.save_value(w);
-            w.put_u32(self.read_outstanding);
-            self.aw_split.save_value(w);
-            self.aw_stage.save_value(w);
-            self.w_sublens.save_value(w);
-            w.put_u32(self.w_current_left);
-            self.w_orig_lens.save_value(w);
-            w.put_u32(self.w_orig_left);
-            w.put_u32(self.w_starved);
-            self.w_stage.save_value(w);
-            w.put_u32(self.write_outstanding);
-            self.regulator.save_value(w);
-            self.budget_left.save_value(w);
-            w.put_u32(self.txn_this_period);
-            w.put_u64(self.txn_total);
-            w.put_bool(self.overrun_reported);
-            self.r_sub_resp.save_value(w);
-            self.b_merged_resp.save_value(w);
-            self.stats.save_value(w);
-            self.read_latency.save_value(w);
-            self.write_latency.save_value(w);
-            self.violations.save_value(w);
-            self.obs_port.save_value(w);
-            w.put_u64(self.uid_seq);
-            self.obs_events.save_value(w);
-            w.put_u64(self.err_total);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                ar_split: Ring::load_value(r)?,
-                ar_stage: TimedFifo::load_value(r)?,
-                read_outstanding: r.take_u32()?,
-                aw_split: Ring::load_value(r)?,
-                aw_stage: TimedFifo::load_value(r)?,
-                w_sublens: Ring::load_value(r)?,
-                w_current_left: r.take_u32()?,
-                w_orig_lens: Ring::load_value(r)?,
-                w_orig_left: r.take_u32()?,
-                w_starved: r.take_u32()?,
-                w_stage: TimedFifo::load_value(r)?,
-                write_outstanding: r.take_u32()?,
-                regulator: CreditRegulator::load_value(r)?,
-                budget_left: Option::load_value(r)?,
-                txn_this_period: r.take_u32()?,
-                txn_total: r.take_u64()?,
-                overrun_reported: r.take_bool()?,
-                r_sub_resp: Resp::load_value(r)?,
-                b_merged_resp: Resp::load_value(r)?,
-                stats: TsStats::load_value(r)?,
-                read_latency: LatencyStat::load_value(r)?,
-                write_latency: LatencyStat::load_value(r)?,
-                violations: Vec::<Violation>::load_value(r)?,
-                obs_port: Option::load_value(r)?,
-                uid_seq: r.take_u64()?,
-                obs_events: Vec::load_value(r)?,
-                err_total: r.take_u64()?,
-            })
-        }
-    }
+    sim::persist_fields!(SubAr { beat, final_sub });
+    sim::persist_fields!(SubAw { beat, final_sub });
+    sim::persist_fields!(TsRuntime {
+        nominal,
+        max_outstanding,
+        enabled,
+        quiesced,
+        regulator
+    });
+    sim::persist_fields!(TsStats {
+        reads_completed,
+        writes_completed,
+        bytes_read,
+        bytes_written,
+        subs_issued,
+        budget_stall_cycles,
+    });
+    // Every field is captured, including the observability buffer (hop
+    // events emitted this tick but not yet drained) and the uid
+    // sequence, so restored runs keep allocating the exact same
+    // transaction uids the uninterrupted run would.
+    sim::persist_fields!(TransactionSupervisor {
+        ar_split,
+        ar_stage,
+        read_outstanding,
+        aw_split,
+        aw_stage,
+        w_sublens,
+        w_current_left,
+        w_orig_lens,
+        w_orig_left,
+        w_starved,
+        w_stage,
+        write_outstanding,
+        regulator,
+        budget_left,
+        txn_this_period,
+        txn_total,
+        overrun_reported,
+        r_sub_resp,
+        b_merged_resp,
+        stats,
+        read_latency,
+        write_latency,
+        violations,
+        obs_port,
+        uid_seq,
+        obs_events,
+        err_total,
+    });
 }
 
 #[cfg(test)]

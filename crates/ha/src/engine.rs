@@ -341,91 +341,47 @@ impl WriteEngine {
     }
 }
 
-impl sim::persist::PersistValue for ReadEngine {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.id.save_value(w);
-        w.put_u64(self.base);
-        w.put_u64(self.total_beats);
-        w.put_u32(self.burst_beats);
-        self.size.save_value(w);
-        w.put_u32(self.max_outstanding);
-        w.put_u64(self.issued_beats);
-        w.put_u64(self.received_beats);
-        w.put_u32(self.outstanding);
-        w.put_u64(self.next_tag);
-        self.started_at.save_value(w);
-        self.finished_at.save_value(w);
-        self.txn_latency.save_value(w);
-        self.last_data.save_value(w);
-    }
-
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            id: AxiId::load_value(r)?,
-            base: r.take_u64()?,
-            total_beats: r.take_u64()?,
-            burst_beats: r.take_u32()?,
-            size: BurstSize::load_value(r)?,
-            max_outstanding: r.take_u32()?,
-            issued_beats: r.take_u64()?,
-            received_beats: r.take_u64()?,
-            outstanding: r.take_u32()?,
-            next_tag: r.take_u64()?,
-            started_at: Option::load_value(r)?,
-            finished_at: Option::load_value(r)?,
-            txn_latency: LatencyStat::load_value(r)?,
-            last_data: Payload::load_value(r)?,
-        })
-    }
-}
+sim::persist_fields!(ReadEngine {
+    id,
+    base,
+    total_beats,
+    burst_beats,
+    size,
+    max_outstanding,
+    issued_beats,
+    received_beats,
+    outstanding,
+    next_tag,
+    started_at,
+    finished_at,
+    txn_latency,
+    last_data,
+});
 
 /// The fill closure cannot be serialized, so the [`WriteEngine`]
 /// restores in place: every plain field is overlaid from the snapshot
 /// and the engine keeps the closure it was constructed with (models are
 /// required to rebuild with the same configuration before restoring).
 impl sim::persist::Persist for WriteEngine {
-    fn save(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::PersistValue;
-        self.id.save_value(w);
-        w.put_u64(self.base);
-        w.put_u64(self.total_beats);
-        w.put_u32(self.burst_beats);
-        self.size.save_value(w);
-        w.put_u32(self.max_outstanding);
-        w.put_u64(self.issued_beats);
-        self.w_backlog.save_value(w);
-        w.put_u64(self.acked_bursts);
-        w.put_u64(self.issued_bursts);
-        w.put_u32(self.outstanding);
-        w.put_u64(self.next_tag);
-        self.started_at.save_value(w);
-        self.finished_at.save_value(w);
-        self.txn_latency.save_value(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::PersistValue;
-        self.id = AxiId::load_value(r)?;
-        self.base = r.take_u64()?;
-        self.total_beats = r.take_u64()?;
-        self.burst_beats = r.take_u32()?;
-        self.size = BurstSize::load_value(r)?;
-        self.max_outstanding = r.take_u32()?;
-        self.issued_beats = r.take_u64()?;
-        self.w_backlog = sim::ring::Ring::load_value(r)?;
-        self.acked_bursts = r.take_u64()?;
-        self.issued_bursts = r.take_u64()?;
-        self.outstanding = r.take_u32()?;
-        self.next_tag = r.take_u64()?;
-        self.started_at = Option::load_value(r)?;
-        self.finished_at = Option::load_value(r)?;
-        self.txn_latency = LatencyStat::load_value(r)?;
-        Ok(())
+    sim::persist_state! {
+        WriteEngine as save, restore {
+            id,
+            base,
+            total_beats,
+            burst_beats,
+            size,
+            max_outstanding,
+            issued_beats,
+            w_backlog,
+            acked_bursts,
+            issued_bursts,
+            outstanding,
+            next_tag,
+            started_at,
+            finished_at,
+            txn_latency,
+        }
+        skip "a closure, rebuilt by the owning model's constructor" { fill }
     }
 }
 

@@ -147,28 +147,19 @@ impl Accelerator for RogueReader {
         self.cured = !self.permanent;
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.outstanding);
-        w.put_u64(self.next_tag);
-        w.put_u64(self.bursts_completed);
-        w.put_u64(self.error_responses);
-        w.put_bool(self.permanent);
-        w.put_bool(self.cured);
-        w.put_u64(self.resets);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.outstanding = r.take_u32()?;
-        self.next_tag = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        self.error_responses = r.take_u64()?;
-        self.permanent = r.take_bool()?;
-        self.cured = r.take_bool()?;
-        self.resets = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        RogueReader {
+            outstanding,
+            next_tag,
+            bursts_completed,
+            error_responses,
+            permanent,
+            cured,
+            resets,
+        }
+        skip "construction-time configuration" {
+            name, rogue_base, burst_beats, size, max_outstanding
+        }
     }
 }
 
@@ -274,26 +265,9 @@ impl Accelerator for BoundaryViolator {
         self.cured = !self.permanent;
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.outstanding);
-        w.put_u64(self.next_tag);
-        w.put_u64(self.bursts_completed);
-        w.put_bool(self.permanent);
-        w.put_bool(self.cured);
-        w.put_u64(self.resets);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.outstanding = r.take_u32()?;
-        self.next_tag = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        self.permanent = r.take_bool()?;
-        self.cured = r.take_bool()?;
-        self.resets = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        BoundaryViolator { outstanding, next_tag, bursts_completed, permanent, cured, resets }
+        skip "construction-time configuration" { name, base, burst_beats, size }
     }
 }
 
@@ -418,28 +392,17 @@ impl Accelerator for WlastViolator {
         self.cured = !self.permanent;
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.w_left);
-        w.put_bool(self.in_flight);
-        w.put_u64(self.next_tag);
-        w.put_u64(self.bursts_completed);
-        w.put_bool(self.permanent);
-        w.put_bool(self.cured);
-        w.put_u64(self.resets);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.w_left = r.take_u32()?;
-        self.in_flight = r.take_bool()?;
-        self.next_tag = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        self.permanent = r.take_bool()?;
-        self.cured = r.take_bool()?;
-        self.resets = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        WlastViolator {
+            w_left,
+            in_flight,
+            next_tag,
+            bursts_completed,
+            permanent,
+            cured,
+            resets,
+        }
+        skip "construction-time configuration" { name, base, burst_beats, size }
     }
 }
 
@@ -532,22 +495,9 @@ impl Accelerator for StalledWriter {
         self.cured = !self.permanent;
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_bool(self.posted);
-        w.put_bool(self.permanent);
-        w.put_bool(self.cured);
-        w.put_u64(self.resets);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.posted = r.take_bool()?;
-        self.permanent = r.take_bool()?;
-        self.cured = r.take_bool()?;
-        self.resets = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        StalledWriter { posted, permanent, cured, resets }
+        skip "construction-time configuration" { name, base, burst_beats, size }
     }
 }
 
@@ -661,26 +611,9 @@ impl Accelerator for RunawayMaster {
         self.cured = !self.permanent;
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u64(self.cursor);
-        w.put_u64(self.next_tag);
-        w.put_u64(self.bursts_completed);
-        w.put_bool(self.permanent);
-        w.put_bool(self.cured);
-        w.put_u64(self.resets);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.cursor = r.take_u64()?;
-        self.next_tag = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        self.permanent = r.take_bool()?;
-        self.cured = r.take_bool()?;
-        self.resets = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        RunawayMaster { cursor, next_tag, bursts_completed, permanent, cured, resets }
+        skip "construction-time configuration" { name, base, region_bytes, burst_beats, size }
     }
 }
 

@@ -27,7 +27,7 @@ use axi::beat::{ArBeat, AwBeat, WBeat};
 use axi::retry::RetryPolicy;
 use axi::types::{AxiId, BurstSize, Resp};
 use axi::{AxiPort, Payload};
-use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+use sim::persist::PersistError;
 use sim::{Cycle, SimRng};
 
 use crate::Accelerator;
@@ -73,25 +73,22 @@ enum Phase {
     AwaitR,
 }
 
-impl PersistValue for Phase {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u32(match self {
-            Phase::IssueWrite => 0,
-            Phase::AwaitB => 1,
-            Phase::IssueRead => 2,
-            Phase::AwaitR => 3,
-        });
-    }
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.take_u32()? {
-            0 => Phase::IssueWrite,
-            1 => Phase::AwaitB,
-            2 => Phase::IssueRead,
-            3 => Phase::AwaitR,
-            _ => return Err(PersistError::Corrupt("scoreboard phase out of range")),
-        })
-    }
-}
+sim::persist_fields!(ScoreboardStats {
+    bursts_verified,
+    retries,
+    announced_errors,
+    silent_corruptions,
+    aborted_ops,
+    worst_completion,
+    worst_faults_per_op,
+    verified_after_remap,
+});
+
+sim::persist_enum!(
+    Phase as u32,
+    "scoreboard phase out of range",
+    [IssueWrite, AwaitB, IssueRead, AwaitR]
+);
 
 /// A write-then-verify data-integrity master (see the module docs).
 ///
@@ -114,8 +111,9 @@ pub struct ScoreboardMaster {
     phase: Phase,
     /// Offset (into the span) of the burst the current job targets.
     offset: u64,
-    /// Seed byte mixed into the current job's payload pattern.
-    stamp: u8,
+    /// Seed byte mixed into the current job's payload pattern, held
+    /// widened to its `u32` wire slot (always below 256).
+    stamp: u32,
     /// W beats still to stream for the issued write.
     w_left: u32,
     /// Bytes accumulated from R beats of the in-flight read.
@@ -227,7 +225,7 @@ impl ScoreboardMaster {
 
     /// The payload byte for `addr` under the current job's stamp.
     fn pattern(&self, addr: u64) -> u8 {
-        Self::pattern_at(self.stamp, addr)
+        Self::pattern_at(self.stamp as u8, addr)
     }
 
     /// Registers a failed op attempt; returns whether to retry.
@@ -291,7 +289,7 @@ impl Accelerator for ScoreboardMaster {
                     // Commit the expected bytes: the write reached DRAM.
                     let lo = self.offset as usize;
                     let hi = lo + self.burst_bytes() as usize;
-                    let (base, offset, stamp) = (self.base, self.offset, self.stamp);
+                    let (base, offset, stamp) = (self.base, self.offset, self.stamp as u8);
                     for (i, slot) in self.shadow[lo..hi].iter_mut().enumerate() {
                         *slot = Self::pattern_at(stamp, base + offset + i as u64);
                     }
@@ -347,7 +345,7 @@ impl Accelerator for ScoreboardMaster {
                     // A fresh job: seeded burst-aligned offset + stamp.
                     let slots = self.span / self.burst_bytes();
                     self.offset = self.rng.range_u64(0, slots - 1) * self.burst_bytes();
-                    self.stamp = (self.rng.range_u64(0, 255) as u8) | 1;
+                    self.stamp = (self.rng.range_u64(0, 255) as u32) | 1;
                     self.op_started = now;
                 }
                 port.aw
@@ -422,71 +420,33 @@ impl Accelerator for ScoreboardMaster {
         self.failed = 0;
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.rng.save_value(w);
-        self.shadow.save_value(w);
-        self.phase.save_value(w);
-        w.put_u64(self.offset);
-        w.put_u32(u32::from(self.stamp));
-        w.put_u32(self.w_left);
-        self.rx.save_value(w);
-        self.rx_resp.save_value(w);
-        w.put_u32(self.failed);
-        w.put_u64(self.op_started);
-        w.put_u64(self.wait_until);
-        w.put_u64(self.jobs_completed);
-        let s = &self.stats;
-        w.put_u64(s.bursts_verified);
-        w.put_u64(s.retries);
-        w.put_u64(s.announced_errors);
-        w.put_u64(s.silent_corruptions);
-        w.put_u64(s.aborted_ops);
-        w.put_u64(s.worst_completion);
-        w.put_u32(s.worst_faults_per_op);
-        w.put_u64(s.verified_after_remap);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-        // Decode fully before mutating anything.
-        let rng = SimRng::load_value(r)?;
-        let shadow = Vec::<u8>::load_value(r)?;
-        if shadow.len() != self.span as usize {
-            return Err(PersistError::ShapeMismatch("scoreboard shadow span"));
+    sim::persist_state! {
+        ScoreboardMaster {
+            rng,
+            shadow,
+            phase,
+            offset,
+            stamp,
+            w_left,
+            rx,
+            rx_resp,
+            failed,
+            op_started,
+            wait_until,
+            jobs_completed,
+            stats,
         }
-        let phase = Phase::load_value(r)?;
-        let offset = r.take_u64()?;
-        let stamp = r.take_u32()? as u8;
-        let w_left = r.take_u32()?;
-        let rx = Vec::<u8>::load_value(r)?;
-        let rx_resp = Resp::load_value(r)?;
-        let failed = r.take_u32()?;
-        let op_started = r.take_u64()?;
-        let wait_until = r.take_u64()?;
-        let jobs_completed = r.take_u64()?;
-        let stats = ScoreboardStats {
-            bursts_verified: r.take_u64()?,
-            retries: r.take_u64()?,
-            announced_errors: r.take_u64()?,
-            silent_corruptions: r.take_u64()?,
-            aborted_ops: r.take_u64()?,
-            worst_completion: r.take_u64()?,
-            worst_faults_per_op: r.take_u32()?,
-            verified_after_remap: r.take_u64()?,
-        };
-        self.rng = rng;
-        self.shadow = shadow;
-        self.phase = phase;
-        self.offset = offset;
-        self.stamp = stamp;
-        self.w_left = w_left;
-        self.rx = rx;
-        self.rx_resp = rx_resp;
-        self.failed = failed;
-        self.op_started = op_started;
-        self.wait_until = wait_until;
-        self.jobs_completed = jobs_completed;
-        self.stats = stats;
-        Ok(())
+        skip "construction-time configuration" {
+            name, base, span, burst_beats, size, policy, jobs, gap
+        }
+        check |this| {
+            if shadow.len() != this.span as usize {
+                return Err(PersistError::ShapeMismatch("scoreboard shadow span"));
+            }
+            if stamp > u32::from(u8::MAX) {
+                return Err(PersistError::Corrupt("scoreboard stamp"));
+            }
+        }
     }
 }
 
@@ -494,6 +454,7 @@ impl Accelerator for ScoreboardMaster {
 mod tests {
     use super::*;
     use mem::{MemConfig, MemFaultConfig, MemoryController};
+    use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
 
     fn run(
         sb: &mut ScoreboardMaster,

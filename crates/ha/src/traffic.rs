@@ -104,24 +104,11 @@ impl Accelerator for PeriodicReader {
         }
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::PersistValue;
-        w.put_u64(self.cursor);
-        self.engine.save_value(w);
-        w.put_u64(self.idle_until);
-        w.put_u64(self.bursts_completed);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::PersistValue;
-        self.cursor = r.take_u64()?;
-        self.engine = Option::load_value(r)?;
-        self.idle_until = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        PeriodicReader { cursor, engine, idle_until, bursts_completed }
+        skip "construction-time configuration" {
+            name, base, region_bytes, burst_beats, size, gap_cycles
+        }
     }
 }
 
@@ -231,24 +218,11 @@ impl Accelerator for BandwidthStealer {
         None
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u64(self.cursor);
-        w.put_u32(self.outstanding);
-        w.put_u64(self.next_tag);
-        w.put_u64(self.beats_received);
-        w.put_u64(self.bursts_completed);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        self.cursor = r.take_u64()?;
-        self.outstanding = r.take_u32()?;
-        self.next_tag = r.take_u64()?;
-        self.beats_received = r.take_u64()?;
-        self.bursts_completed = r.take_u64()?;
-        Ok(())
+    sim::persist_state! {
+        BandwidthStealer { cursor, outstanding, next_tag, beats_received, bursts_completed }
+        skip "construction-time configuration" {
+            name, base, region_bytes, burst_beats, size, max_outstanding
+        }
     }
 }
 

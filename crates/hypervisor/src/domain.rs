@@ -106,67 +106,20 @@ impl Domain {
     }
 }
 
-impl sim::persist::PersistValue for DomainId {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u32(self.0);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self(r.take_u32()?))
-    }
-}
-
-/// Criticality wire codes (append-only): array index = wire byte.
-const CRITICALITIES: [Criticality; 3] = [
-    Criticality::BestEffort,
-    Criticality::Mission,
-    Criticality::Safety,
-];
-
-impl sim::persist::PersistValue for Criticality {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        let code = CRITICALITIES
-            .iter()
-            .position(|c| c == self)
-            .expect("criticality in table");
-        w.put_u8(code as u8);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        let code = r.take_u8()? as usize;
-        CRITICALITIES
-            .get(code)
-            .copied()
-            .ok_or(sim::persist::PersistError::Corrupt(
-                "unknown criticality level",
-            ))
-    }
-}
-
-impl sim::persist::PersistValue for Domain {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.id.save_value(w);
-        self.name.save_value(w);
-        self.criticality.save_value(w);
-        self.ports.save_value(w);
-        self.pending_irqs.save_value(w);
-        self.total_irqs.save_value(w);
-    }
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            id: DomainId::load_value(r)?,
-            name: String::load_value(r)?,
-            criticality: Criticality::load_value(r)?,
-            ports: Vec::load_value(r)?,
-            pending_irqs: r.take_u64()?,
-            total_irqs: r.take_u64()?,
-        })
-    }
-}
+sim::persist_fields!(DomainId { 0 });
+sim::persist_enum!(
+    Criticality,
+    "unknown criticality level",
+    [BestEffort, Mission, Safety]
+);
+sim::persist_fields!(Domain {
+    id,
+    name,
+    criticality,
+    ports,
+    pending_irqs,
+    total_irqs,
+});
 
 #[cfg(test)]
 mod tests {

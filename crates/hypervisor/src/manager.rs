@@ -904,346 +904,116 @@ impl Hypervisor {
 
 mod persist_impls {
     use super::*;
-    use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
-    impl PersistValue for MonitorPolicy {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.declared_txns_per_period);
-            w.put_u32(self.violations_allowed);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                declared_txns_per_period: r.take_u32()?,
-                violations_allowed: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for MonitorState {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.consecutive_violations);
-            w.put_bool(self.decoupled_by_monitor);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                consecutive_violations: r.take_u32()?,
-                decoupled_by_monitor: r.take_bool()?,
-            })
-        }
-    }
-
-    impl PersistValue for WatchdogPolicy {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.violations_allowed);
-            self.outstanding_allowed.save_value(w);
-            self.stall_polls_allowed.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                violations_allowed: r.take_u32()?,
-                outstanding_allowed: Option::load_value(r)?,
-                stall_polls_allowed: Option::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for WatchdogState {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_bool(self.decoupled_by_watchdog);
-            w.put_u32(self.violations_baseline);
-            self.last_progress.save_value(w);
-            w.put_u32(self.stalled_polls);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                decoupled_by_watchdog: r.take_bool()?,
-                violations_baseline: r.take_u32()?,
-                last_progress: Option::load_value(r)?,
-                stalled_polls: r.take_u32()?,
-            })
-        }
-    }
-
-    /// Watchdog-reason wire codes (append-only): array index = wire byte.
-    const WATCHDOG_REASONS: [WatchdogReason; 3] = [
-        WatchdogReason::Violations,
-        WatchdogReason::Outstanding,
-        WatchdogReason::Stalled,
-    ];
-
-    impl PersistValue for WatchdogReason {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let code = WATCHDOG_REASONS
-                .iter()
-                .position(|x| x == self)
-                .expect("reason in table");
-            w.put_u8(code as u8);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let code = r.take_u8()? as usize;
-            WATCHDOG_REASONS
-                .get(code)
-                .copied()
-                .ok_or(PersistError::Corrupt("unknown watchdog reason"))
-        }
-    }
-
-    impl PersistValue for WatchdogEvent {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.port.save_value(w);
-            self.reason.save_value(w);
-            w.put_u32(self.violations);
-            w.put_u32(self.outstanding);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                port: PortId::load_value(r)?,
-                reason: WatchdogReason::load_value(r)?,
-                violations: r.take_u32()?,
-                outstanding: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for DecoupleEvent {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.port.save_value(w);
-            w.put_u32(self.observed);
-            w.put_u32(self.declared);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                port: PortId::load_value(r)?,
-                observed: r.take_u32()?,
-                declared: r.take_u32()?,
-            })
-        }
-    }
-
-    /// Recovery-state wire codes (append-only): array index = wire byte.
-    const RECOVERY_STATES: [RecoveryState; 7] = [
-        RecoveryState::Healthy,
-        RecoveryState::Suspect,
-        RecoveryState::Draining,
-        RecoveryState::Decoupled,
-        RecoveryState::Resetting,
-        RecoveryState::Probation,
-        RecoveryState::Quarantined,
-    ];
-
-    impl PersistValue for RecoveryState {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let code = RECOVERY_STATES
-                .iter()
-                .position(|x| x == self)
-                .expect("state in table");
-            w.put_u8(code as u8);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let code = r.take_u8()? as usize;
-            RECOVERY_STATES
-                .get(code)
-                .copied()
-                .ok_or(PersistError::Corrupt("unknown recovery state"))
-        }
-    }
-
-    impl PersistValue for RecoveryPolicy {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.throttle_budget);
-            w.put_u32(self.suspect_polls);
-            w.put_u32(self.reset_polls);
-            w.put_u32(self.probation_polls);
-            w.put_u32(self.backoff_base);
-            w.put_u32(self.backoff_cap);
-            w.put_u32(self.max_recoveries);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                throttle_budget: r.take_u32()?,
-                suspect_polls: r.take_u32()?,
-                reset_polls: r.take_u32()?,
-                probation_polls: r.take_u32()?,
-                backoff_base: r.take_u32()?,
-                backoff_cap: r.take_u32()?,
-                max_recoveries: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for RecoveryTransition {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.port.save_value(w);
-            self.from.save_value(w);
-            self.to.save_value(w);
-            w.put_u32(self.dropped_txns);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                port: PortId::load_value(r)?,
-                from: RecoveryState::load_value(r)?,
-                to: RecoveryState::load_value(r)?,
-                dropped_txns: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for RecoveryPortState {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.state.save_value(w);
-            w.put_u32(self.polls_in_state);
-            w.put_u32(self.failed_recoveries);
-            w.put_u32(self.backoff_left);
-            w.put_u32(self.saved_budget);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                state: RecoveryState::load_value(r)?,
-                polls_in_state: r.take_u32()?,
-                failed_recoveries: r.take_u32()?,
-                backoff_left: r.take_u32()?,
-                saved_budget: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for IntegrityPolicy {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.errors_allowed);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                errors_allowed: r.take_u32()?,
-            })
-        }
-    }
-
-    impl PersistValue for IntegrityState {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u32(self.errors_baseline);
-            w.put_u8(u8::from(self.flagged));
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                errors_baseline: r.take_u32()?,
-                flagged: r.take_u8()? != 0,
-            })
-        }
-    }
-
-    impl PersistValue for IntegrityEvent {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.port.save_value(w);
-            w.put_u32(self.err_total);
-            w.put_u32(self.errors_allowed);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                port: PortId::load_value(r)?,
-                err_total: r.take_u32()?,
-                errors_allowed: r.take_u32()?,
-            })
-        }
-    }
-
-    /// Serializes a port-keyed map sorted by port number, so the byte
-    /// stream does not depend on hash-map iteration order.
-    fn save_port_map<V: PersistValue>(map: &HashMap<usize, V>, w: &mut SnapshotWriter) {
-        let mut keys: Vec<usize> = map.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for k in keys {
-            w.put_usize(k);
-            map[&k].save_value(w);
-        }
-    }
-
-    fn load_port_map<V: PersistValue>(
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<HashMap<usize, V>, PersistError> {
-        let n = r.take_usize()?;
-        if n > r.remaining() {
-            return Err(PersistError::Corrupt("port map count exceeds stream"));
-        }
-        let mut map = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.take_usize()?;
-            map.insert(k, V::load_value(r)?);
-        }
-        Ok(map)
-    }
+    sim::persist_fields!(MonitorPolicy {
+        declared_txns_per_period,
+        violations_allowed
+    });
+    sim::persist_fields!(MonitorState {
+        consecutive_violations,
+        decoupled_by_monitor
+    });
+    sim::persist_fields!(WatchdogPolicy {
+        violations_allowed,
+        outstanding_allowed,
+        stall_polls_allowed
+    });
+    sim::persist_fields!(WatchdogState {
+        decoupled_by_watchdog,
+        violations_baseline,
+        last_progress,
+        stalled_polls
+    });
+    sim::persist_enum!(
+        WatchdogReason,
+        "unknown watchdog reason",
+        [Violations, Outstanding, Stalled]
+    );
+    sim::persist_fields!(WatchdogEvent {
+        port,
+        reason,
+        violations,
+        outstanding
+    });
+    sim::persist_fields!(DecoupleEvent {
+        port,
+        observed,
+        declared
+    });
+    sim::persist_enum!(
+        RecoveryState,
+        "unknown recovery state",
+        [
+            Healthy,
+            Suspect,
+            Draining,
+            Decoupled,
+            Resetting,
+            Probation,
+            Quarantined
+        ]
+    );
+    sim::persist_fields!(RecoveryPolicy {
+        throttle_budget,
+        suspect_polls,
+        reset_polls,
+        probation_polls,
+        backoff_base,
+        backoff_cap,
+        max_recoveries,
+    });
+    sim::persist_fields!(RecoveryTransition {
+        port,
+        from,
+        to,
+        dropped_txns
+    });
+    sim::persist_fields!(RecoveryPortState {
+        state,
+        polls_in_state,
+        failed_recoveries,
+        backoff_left,
+        saved_budget,
+    });
+    sim::persist_fields!(IntegrityPolicy { errors_allowed });
+    sim::persist_fields!(IntegrityState {
+        errors_baseline,
+        flagged
+    });
+    sim::persist_fields!(IntegrityEvent {
+        port,
+        err_total,
+        errors_allowed
+    });
 
     impl Hypervisor {
-        /// Serializes the hypervisor's software state: the domain table,
-        /// port ownership, the monitor/watchdog/recovery policies and
-        /// their per-port state, and the three bounded event logs with
-        /// their dropped counters.
-        ///
-        /// The control bus and the managed device are *not* part of this
-        /// stream — the HyperConnect persists its own register file, and
-        /// the restored hypervisor keeps the bus it was constructed with.
-        pub fn save_state(&self, w: &mut SnapshotWriter) {
-            self.domains.save_value(w);
-            save_port_map(&self.port_owner, w);
-            save_port_map(&self.policies, w);
-            save_port_map(&self.monitor, w);
-            self.decouple_log.save_value(w);
-            w.put_u64(self.decouple_log_dropped);
-            save_port_map(&self.watchdog_policies, w);
-            save_port_map(&self.watchdog, w);
-            self.watchdog_log.save_value(w);
-            w.put_u64(self.watchdog_log_dropped);
-            save_port_map(&self.recovery_policies, w);
-            save_port_map(&self.recovery, w);
-            self.recovery_log.save_value(w);
-            w.put_u64(self.recovery_log_dropped);
-            save_port_map(&self.integrity_policies, w);
-            save_port_map(&self.integrity, w);
-            self.integrity_log.save_value(w);
-            w.put_u64(self.integrity_log_dropped);
-        }
-
-        /// Restores state saved by [`Hypervisor::save_state`]. All
-        /// fields decode before any of them are applied, so a corrupt
-        /// stream leaves the hypervisor untouched.
-        pub fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-            let domains = Vec::load_value(r)?;
-            let port_owner = load_port_map(r)?;
-            let policies = load_port_map(r)?;
-            let monitor = load_port_map(r)?;
-            let decouple_log = Vec::load_value(r)?;
-            let decouple_log_dropped = r.take_u64()?;
-            let watchdog_policies = load_port_map(r)?;
-            let watchdog = load_port_map(r)?;
-            let watchdog_log = Vec::load_value(r)?;
-            let watchdog_log_dropped = r.take_u64()?;
-            let recovery_policies = load_port_map(r)?;
-            let recovery = load_port_map(r)?;
-            let recovery_log = Vec::load_value(r)?;
-            let recovery_log_dropped = r.take_u64()?;
-            let integrity_policies = load_port_map(r)?;
-            let integrity = load_port_map(r)?;
-            let integrity_log = Vec::load_value(r)?;
-            let integrity_log_dropped = r.take_u64()?;
-            self.domains = domains;
-            self.port_owner = port_owner;
-            self.policies = policies;
-            self.monitor = monitor;
-            self.decouple_log = decouple_log;
-            self.decouple_log_dropped = decouple_log_dropped;
-            self.watchdog_policies = watchdog_policies;
-            self.watchdog = watchdog;
-            self.watchdog_log = watchdog_log;
-            self.watchdog_log_dropped = watchdog_log_dropped;
-            self.recovery_policies = recovery_policies;
-            self.recovery = recovery;
-            self.recovery_log = recovery_log;
-            self.recovery_log_dropped = recovery_log_dropped;
-            self.integrity_policies = integrity_policies;
-            self.integrity = integrity;
-            self.integrity_log = integrity_log;
-            self.integrity_log_dropped = integrity_log_dropped;
-            Ok(())
+        // The software state: the domain table, port ownership, the
+        // monitor/watchdog/recovery/integrity policies and their
+        // per-port state, and the bounded event logs with their
+        // dropped counters. Port-keyed maps serialize sorted by port.
+        // The HyperConnect persists its own register file.
+        sim::persist_state! {
+            pub Hypervisor {
+                domains,
+                port_owner,
+                policies,
+                monitor,
+                decouple_log,
+                decouple_log_dropped,
+                watchdog_policies,
+                watchdog,
+                watchdog_log,
+                watchdog_log_dropped,
+                recovery_policies,
+                recovery,
+                recovery_log,
+                recovery_log_dropped,
+                integrity_policies,
+                integrity,
+                integrity_log,
+                integrity_log_dropped,
+            }
+            skip "the control bus stays wired to the live device" { bus, hc_base }
         }
     }
 }
@@ -1961,6 +1731,29 @@ mod tests {
         let mut w2 = SnapshotWriter::new();
         fresh.save_state(&mut w2);
         assert_eq!(bytes, w2.into_bytes(), "re-saved snapshot must match");
+    }
+
+    #[test]
+    fn integrity_flag_rejects_non_bool_bytes() {
+        use sim::persist::{PersistError, PersistValue, SnapshotReader};
+
+        // `errors_baseline` (u32), then the `flagged` byte.
+        let image = |flag: u8| {
+            let mut bytes = 7u32.to_le_bytes().to_vec();
+            bytes.push(flag);
+            bytes
+        };
+        for (flag, flagged) in [(0u8, false), (1, true)] {
+            let state = IntegrityState::load_value(&mut SnapshotReader::new(&image(flag))).unwrap();
+            assert_eq!((state.errors_baseline, state.flagged), (7, flagged));
+        }
+        for flag in [0x02u8, 0xFF] {
+            assert_eq!(
+                IntegrityState::load_value(&mut SnapshotReader::new(&image(flag))).err(),
+                Some(PersistError::Corrupt("bool")),
+                "flag byte {flag:#04x} must not decode as true"
+            );
+        }
     }
 
     #[test]

@@ -739,69 +739,20 @@ mod persist_impls {
     use super::*;
     use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
-    impl PersistValue for MemStats {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.reads_served);
-            w.put_u64(self.writes_served);
-            w.put_u64(self.beats_served);
-            w.put_u64(self.bytes_served);
-            w.put_u64(self.busy_cycles);
-            w.put_u64(self.ps_reads_served);
-            w.put_u64(self.row_hits);
-            w.put_u64(self.row_misses);
-            w.put_u64(self.error_responses);
-            self.error_responses_by_port.save_value(w);
-        }
-
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                reads_served: r.take_u64()?,
-                writes_served: r.take_u64()?,
-                beats_served: r.take_u64()?,
-                bytes_served: r.take_u64()?,
-                busy_cycles: r.take_u64()?,
-                ps_reads_served: r.take_u64()?,
-                row_hits: r.take_u64()?,
-                row_misses: r.take_u64()?,
-                error_responses: r.take_u64()?,
-                error_responses_by_port: <[u64; ERROR_PORT_SLOTS]>::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for RegionRemap {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.lo);
-            w.put_u64(self.hi);
-            w.put_u64(self.spare_base);
-        }
-
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                lo: r.take_u64()?,
-                hi: r.take_u64()?,
-                spare_base: r.take_u64()?,
-            })
-        }
-    }
-
-    /// Wire order of [`Origin`] variants; append-only for compatibility.
-    const ORIGINS: [Origin; 2] = [Origin::Fpga, Origin::Ps];
-
-    impl PersistValue for Origin {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            let code = ORIGINS.iter().position(|o| o == self).expect("in table");
-            w.put_u8(code as u8);
-        }
-
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let code = r.take_u8()? as usize;
-            ORIGINS
-                .get(code)
-                .copied()
-                .ok_or(PersistError::Corrupt("unknown job origin"))
-        }
-    }
+    sim::persist_fields!(MemStats {
+        reads_served,
+        writes_served,
+        beats_served,
+        bytes_served,
+        busy_cycles,
+        ps_reads_served,
+        row_hits,
+        row_misses,
+        error_responses,
+        error_responses_by_port,
+    });
+    sim::persist_fields!(RegionRemap { lo, hi, spare_base });
+    sim::persist_enum!(Origin, "unknown job origin", [Fpga, Ps]);
 
     impl PersistValue for Job {
         fn save_value(&self, w: &mut SnapshotWriter) {
@@ -838,91 +789,44 @@ mod persist_impls {
         }
     }
 
-    impl PersistValue for Active {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.job.save_value(w);
-            w.put_u32(self.beats_done);
-            w.put_bool(self.errored);
-        }
-
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                job: Job::load_value(r)?,
-                beats_done: r.take_u32()?,
-                errored: r.take_bool()?,
-            })
-        }
-    }
+    sim::persist_fields!(Active {
+        job,
+        beats_done,
+        errored
+    });
 
     impl MemoryController {
-        /// Serializes the controller's full dynamic state: backing
-        /// store, service pipeline, assembling writes, response pipe,
-        /// row-buffer state, traces, counters, the fault injector (with
-        /// its RNG position) and quarantine remaps. The spare-assembly
-        /// recycling pool holds only emptied buffers and is not part of
-        /// the observable state, so it is skipped.
-        pub fn save_state(&self, w: &mut SnapshotWriter) {
-            self.memory.save_value(w);
-            self.service.save_value(w);
-            self.open_rows.save_value(w);
-            self.ps_port.save_value(w);
-            self.active.save_value(w);
-            self.aw_pending.save_value(w);
-            self.assembly.save_value(w);
-            self.b_pipe.save_value(w);
-            self.stats.save_value(w);
-            self.monitor.save_value(w);
-            self.ar_trace.save_value(w);
-            self.aw_trace.save_value(w);
-            self.outstanding.save_value(w);
-            w.put_bool(self.prefer_write);
-            self.fault.save_value(w);
-            self.remaps.save_value(w);
-        }
-
-        /// Restores state saved by [`Self::save_state`] into a
-        /// controller built with the same [`MemConfig`]. Decodes the
-        /// whole stream before mutating `self`, so a corrupt snapshot
-        /// leaves the controller unchanged.
-        pub fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-            let memory = SparseMemory::load_value(r)?;
-            let service = DelayQueue::<Job>::load_value(r)?;
-            let open_rows = Vec::<Option<u64>>::load_value(r)?;
-            let ps_port = Option::<AxiPort>::load_value(r)?;
-            let active = Option::<Active>::load_value(r)?;
-            let aw_pending = Ring::<AwBeat>::load_value(r)?;
-            let assembly = Vec::<WBeat>::load_value(r)?;
-            let b_pipe = TimedFifo::<BBeat>::load_value(r)?;
-            let stats = MemStats::load_value(r)?;
-            let monitor = Option::<ProtocolMonitor>::load_value(r)?;
-            let ar_trace = Option::<Vec<(Cycle, u64)>>::load_value(r)?;
-            let aw_trace = Option::<Vec<(Cycle, u64)>>::load_value(r)?;
-            let outstanding = Gauge::load_value(r)?;
-            let prefer_write = r.take_bool()?;
-            let fault = Option::<FaultInjector>::load_value(r)?;
-            let remaps = Vec::<RegionRemap>::load_value(r)?;
-            let banks = self.config.row_policy.map_or(0, |p| p.banks as usize);
-            if open_rows.len() != banks {
-                return Err(PersistError::ShapeMismatch("memory controller bank count"));
+        // Full dynamic state: backing store, service pipeline,
+        // assembling writes, response pipe, row-buffer state, traces,
+        // counters, the fault injector (with its RNG position) and
+        // quarantine remaps.
+        sim::persist_state! {
+            pub MemoryController {
+                memory,
+                service,
+                open_rows,
+                ps_port,
+                active,
+                aw_pending,
+                assembly,
+                b_pipe,
+                stats,
+                monitor,
+                ar_trace,
+                aw_trace,
+                outstanding,
+                prefer_write,
+                fault,
+                remaps,
             }
-            self.memory = memory;
-            self.service = service;
-            self.open_rows = open_rows;
-            self.ps_port = ps_port;
-            self.active = active;
-            self.aw_pending = aw_pending;
-            self.assembly = assembly;
-            self.spare_assemblies.clear();
-            self.b_pipe = b_pipe;
-            self.stats = stats;
-            self.monitor = monitor;
-            self.ar_trace = ar_trace;
-            self.aw_trace = aw_trace;
-            self.outstanding = outstanding;
-            self.prefer_write = prefer_write;
-            self.fault = fault;
-            self.remaps = remaps;
-            Ok(())
+            skip "construction-time configuration" { config }
+            skip "recycled empty buffers, not observable state" { spare_assemblies }
+            check |ctrl| {
+                let banks = ctrl.config.row_policy.map_or(0, |p| p.banks as usize);
+                if open_rows.len() != banks {
+                    return Err(PersistError::ShapeMismatch("memory controller bank count"));
+                }
+            }
         }
     }
 }

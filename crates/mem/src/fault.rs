@@ -38,7 +38,6 @@
 //! exercise them in unit tests instead.
 
 use axi::types::Resp;
-use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 use sim::SimRng;
 
 /// Seeded fault probabilities for a [`FaultInjector`].
@@ -262,76 +261,33 @@ impl FaultInjector {
     }
 }
 
-impl PersistValue for MemFaultConfig {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.seed);
-        w.put_u64(self.spurious_slverr.to_bits());
-        w.put_u64(self.flip_single.to_bits());
-        w.put_u64(self.flip_double.to_bits());
-        w.put_u64(self.drop_r.to_bits());
-        w.put_u64(self.dup_r.to_bits());
-        w.put_bool(self.ecc);
-    }
-
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            seed: r.take_u64()?,
-            spurious_slverr: f64::from_bits(r.take_u64()?),
-            flip_single: f64::from_bits(r.take_u64()?),
-            flip_double: f64::from_bits(r.take_u64()?),
-            drop_r: f64::from_bits(r.take_u64()?),
-            dup_r: f64::from_bits(r.take_u64()?),
-            ecc: r.take_bool()?,
-        })
-    }
-}
-
-impl PersistValue for FaultStats {
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.spurious_errors);
-        w.put_u64(self.single_flips);
-        w.put_u64(self.double_flips);
-        w.put_u64(self.corrected);
-        w.put_u64(self.uncorrectable);
-        w.put_u64(self.dropped_beats);
-        w.put_u64(self.duplicated_beats);
-    }
-
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            spurious_errors: r.take_u64()?,
-            single_flips: r.take_u64()?,
-            double_flips: r.take_u64()?,
-            corrected: r.take_u64()?,
-            uncorrectable: r.take_u64()?,
-            dropped_beats: r.take_u64()?,
-            duplicated_beats: r.take_u64()?,
-        })
-    }
-}
-
-impl PersistValue for FaultInjector {
-    /// The config rides along with the RNG position and counters, so a
-    /// forked chaos campaign restoring this state replays the exact
-    /// same fault sequence without re-arming anything.
-    fn save_value(&self, w: &mut SnapshotWriter) {
-        self.config.save_value(w);
-        self.rng.save_value(w);
-        self.stats.save_value(w);
-    }
-
-    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            config: MemFaultConfig::load_value(r)?,
-            rng: SimRng::load_value(r)?,
-            stats: FaultStats::load_value(r)?,
-        })
-    }
-}
+sim::persist_fields!(MemFaultConfig {
+    seed,
+    spurious_slverr,
+    flip_single,
+    flip_double,
+    drop_r,
+    dup_r,
+    ecc,
+});
+sim::persist_fields!(FaultStats {
+    spurious_errors,
+    single_flips,
+    double_flips,
+    corrected,
+    uncorrectable,
+    dropped_beats,
+    duplicated_beats,
+});
+// The config rides along with the RNG position and counters, so a forked
+// chaos campaign restoring this state replays the exact same fault
+// sequence without re-arming anything.
+sim::persist_fields!(FaultInjector { config, rng, stats });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn spurious_override_only_touches_ok_responses() {

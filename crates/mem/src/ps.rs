@@ -80,35 +80,17 @@ impl PsCpu {
     }
 }
 
-impl sim::persist::PersistValue for PsCpu {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        w.put_u64(self.period);
-        w.put_u32(self.line_beats);
-        self.size.save_value(w);
-        w.put_u64(self.next_issue);
-        self.outstanding.save_value(w);
-        w.put_u32(self.beats_left);
-        w.put_u64(self.addr);
-        self.latency.save_value(w);
-        w.put_u64(self.completed);
-    }
-
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            period: r.take_u64()?,
-            line_beats: r.take_u32()?,
-            size: BurstSize::load_value(r)?,
-            next_issue: r.take_u64()?,
-            outstanding: Option::load_value(r)?,
-            beats_left: r.take_u32()?,
-            addr: r.take_u64()?,
-            latency: LatencyStat::load_value(r)?,
-            completed: r.take_u64()?,
-        })
-    }
-}
+sim::persist_fields!(PsCpu {
+    period,
+    line_beats,
+    size,
+    next_issue,
+    outstanding,
+    beats_left,
+    addr,
+    latency,
+    completed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -94,22 +94,13 @@ impl Default for ClockConfig {
     }
 }
 
-impl crate::persist::PersistValue for ClockConfig {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.put_u64(self.freq_hz);
+crate::persist_fields!(ClockConfig { freq_hz } check |clock| {
+    if clock.freq_hz == 0 {
+        return Err(crate::persist::PersistError::Corrupt(
+            "zero clock frequency",
+        ));
     }
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        let freq_hz = r.take_u64()?;
-        if freq_hz == 0 {
-            return Err(crate::persist::PersistError::Corrupt(
-                "zero clock frequency",
-            ));
-        }
-        Ok(Self { freq_hz })
-    }
-}
+});
 
 impl std::fmt::Display for ClockConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -360,66 +360,34 @@ impl<T> DelayQueue<T> {
     }
 }
 
-impl<T: crate::persist::PersistValue> crate::persist::PersistValue for TimedFifo<T> {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.latency);
-        w.put_u64(self.pushed);
-        w.put_u64(self.popped);
-        w.put_usize(self.max_occupancy);
-        self.entries.save_value(w);
+crate::persist_fields!(impl<T> TimedFifo<T> {
+    capacity,
+    latency,
+    pushed,
+    popped,
+    max_occupancy,
+    entries,
+} check |fifo| {
+    if fifo.capacity == 0 {
+        return Err(crate::persist::PersistError::Corrupt("fifo capacity zero"));
     }
+    if fifo.entries.len() > fifo.capacity {
+        return Err(crate::persist::PersistError::Corrupt(
+            "fifo occupancy exceeds capacity",
+        ));
+    }
+});
 
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        let capacity = r.take_usize()?;
-        if capacity == 0 {
-            return Err(crate::persist::PersistError::Corrupt("fifo capacity zero"));
-        }
-        let latency = r.take_u64()?;
-        let pushed = r.take_u64()?;
-        let popped = r.take_u64()?;
-        let max_occupancy = r.take_usize()?;
-        let entries = Ring::load_value(r)?;
-        if entries.len() > capacity {
-            return Err(crate::persist::PersistError::Corrupt(
-                "fifo occupancy exceeds capacity",
-            ));
-        }
-        Ok(Self {
-            entries,
-            capacity,
-            latency,
-            pushed,
-            popped,
-            max_occupancy,
-        })
+crate::persist_fields!(impl<T> DelayQueue<T> { capacity, entries } check |queue| {
+    if queue.capacity == 0 {
+        return Err(crate::persist::PersistError::Corrupt("queue capacity zero"));
     }
-}
-
-impl<T: crate::persist::PersistValue> crate::persist::PersistValue for DelayQueue<T> {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.put_usize(self.capacity);
-        self.entries.save_value(w);
+    if queue.entries.len() > queue.capacity {
+        return Err(crate::persist::PersistError::Corrupt(
+            "queue occupancy exceeds capacity",
+        ));
     }
-
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        let capacity = r.take_usize()?;
-        if capacity == 0 {
-            return Err(crate::persist::PersistError::Corrupt("queue capacity zero"));
-        }
-        let entries = Ring::load_value(r)?;
-        if entries.len() > capacity {
-            return Err(crate::persist::PersistError::Corrupt(
-                "queue occupancy exceeds capacity",
-            ));
-        }
-        Ok(Self { entries, capacity })
-    }
-}
+});
 
 #[cfg(test)]
 mod tests {

@@ -345,6 +345,282 @@ macro_rules! persist_int {
     };
 }
 
+/// Implements [`PersistValue`] for a plain struct from one field list.
+///
+/// Fields are written and read in the listed order, each through its
+/// own `PersistValue`; the list *is* the wire layout, so new fields are
+/// appended at the end. Loading builds a `Self { .. }` literal, so a
+/// field missing from the list is a compile error. Tuple structs list
+/// their positions (`PortId { 0 }`); generic containers name their type
+/// parameters first (`impl<T> TimedFifo<T> { .. }`), each bound by
+/// `PersistValue`.
+///
+/// An optional `check |value| { .. }` block validates the decoded value
+/// and may `return Err(..)`; it runs after every field is read.
+///
+/// ```
+/// use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     lo: u64,
+///     hi: u64,
+///     label: Option<String>,
+/// }
+///
+/// sim::persist_fields!(Window { lo, hi, label } check |win| {
+///     if win.lo > win.hi {
+///         return Err(PersistError::Corrupt("inverted window"));
+///     }
+/// });
+///
+/// let win = Window { lo: 4, hi: 9, label: None };
+/// let mut w = SnapshotWriter::new();
+/// win.save_value(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(Window::load_value(&mut SnapshotReader::new(&bytes)), Ok(win));
+/// ```
+///
+/// A field left out of the list does not build:
+///
+/// ```compile_fail
+/// struct Window {
+///     lo: u64,
+///     hi: u64,
+/// }
+///
+/// sim::persist_fields!(Window { lo });
+/// ```
+#[macro_export]
+macro_rules! persist_fields {
+    (
+        impl<$($gen:ident),+> $ty:ty { $($field:tt),+ $(,)? }
+        $(check |$value:ident| $check:block)?
+    ) => {
+        $crate::persist_fields!(@impl [$($gen),+] $ty { $($field),+ } $(check |$value| $check)?);
+    };
+    (
+        $ty:ty { $($field:tt),+ $(,)? }
+        $(check |$value:ident| $check:block)?
+    ) => {
+        $crate::persist_fields!(@impl [] $ty { $($field),+ } $(check |$value| $check)?);
+    };
+    (
+        @impl [$($gen:ident),*] $ty:ty { $($field:tt),+ }
+        $(check |$value:ident| $check:block)?
+    ) => {
+        impl<$($gen: $crate::persist::PersistValue),*> $crate::persist::PersistValue for $ty {
+            fn save_value(&self, w: &mut $crate::persist::SnapshotWriter) {
+                $( $crate::persist::PersistValue::save_value(&self.$field, w); )+
+            }
+
+            fn load_value(
+                r: &mut $crate::persist::SnapshotReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::persist::PersistError> {
+                let loaded = Self {
+                    $( $field: $crate::persist::PersistValue::load_value(r)?, )+
+                };
+                $({
+                    let $value = &loaded;
+                    $check
+                })?
+                Ok(loaded)
+            }
+        }
+    };
+}
+
+/// Implements [`PersistValue`] for a fieldless enum as a one-byte code
+/// (or `as u32` etc. for a wider one): a variant's position in the list
+/// is its wire code. The list is append-only — reordering it remaps
+/// every stored snapshot. The save side matches exhaustively, so a
+/// variant added to the enum but not to the list fails to build; an
+/// unknown code on load is `PersistError::Corrupt($err)`.
+///
+/// ```
+/// use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Level {
+///     Low,
+///     High,
+/// }
+///
+/// sim::persist_enum!(Level, "unknown level", [Low, High]);
+///
+/// let mut w = SnapshotWriter::new();
+/// Level::High.save_value(&mut w);
+/// assert_eq!(w.into_bytes(), vec![1]);
+/// assert_eq!(
+///     Level::load_value(&mut SnapshotReader::new(&[2])),
+///     Err(PersistError::Corrupt("unknown level"))
+/// );
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident, $err:literal, [$($variant:ident),+ $(,)?]) => {
+        $crate::persist_enum!($ty as u8, $err, [$($variant),+]);
+    };
+    ($ty:ident as $code:ty, $err:literal, [$($variant:ident),+ $(,)?]) => {
+        impl $crate::persist::PersistValue for $ty {
+            fn save_value(&self, w: &mut $crate::persist::SnapshotWriter) {
+                const TABLE: &[$ty] = &[$($ty::$variant),+];
+                match self {
+                    $($ty::$variant)|+ => {}
+                }
+                let code = TABLE
+                    .iter()
+                    .position(|v| v == self)
+                    .expect("variant in wire table");
+                let code = <$code>::try_from(code).expect("wire code fits its width");
+                $crate::persist::PersistValue::save_value(&code, w);
+            }
+
+            fn load_value(
+                r: &mut $crate::persist::SnapshotReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::persist::PersistError> {
+                const TABLE: &[$ty] = &[$($ty::$variant),+];
+                let code = <$code as $crate::persist::PersistValue>::load_value(r)?;
+                usize::try_from(code)
+                    .ok()
+                    .and_then(|i| TABLE.get(i))
+                    .copied()
+                    .ok_or($crate::persist::PersistError::Corrupt($err))
+            }
+        }
+    };
+}
+
+/// Generates `save_state` / `restore_state` for a component restored in
+/// place (the shape of `ha::Accelerator`, `axi::AxiInterconnect` and
+/// the memory controller / hypervisor inherent methods). The form
+/// `Type as save, restore { .. }` names the two methods instead, e.g. to
+/// implement [`Persist`]. An optional
+/// `shape |this| expr => "what"` clause before the field list writes a
+/// leading shape word (say, a port count) that a restore target must
+/// reproduce, or the restore fails with `PersistError::ShapeMismatch`.
+///
+/// Every field of the struct appears exactly once: either in the
+/// persisted list — written in order through its `PersistValue` — or
+/// in a `skip "reason" { .. }` group, which documents why it is not
+/// state (construction-time configuration, scratch buffers, handles the
+/// caller rebuilds). Both methods destructure `Self`, so a new field
+/// that is neither listed nor skipped fails to build.
+///
+/// Restore is all-or-nothing: every persisted field decodes into a
+/// temporary of the field's own type, then the optional
+/// `check |this| { .. }` block runs — it sees each decoded value under
+/// its field name and the untouched component as `this`, and may
+/// `return Err(..)` — and only then are the fields assigned. A corrupt
+/// or mismatched stream therefore leaves the component unchanged.
+///
+/// ```
+/// use sim::persist::{PersistError, SnapshotReader, SnapshotWriter};
+///
+/// struct Counter {
+///     lanes: usize,
+///     counts: Vec<u64>,
+///     total: u64,
+/// }
+///
+/// impl Counter {
+///     sim::persist_state! {
+///         pub Counter { counts, total }
+///         skip "construction-time configuration" { lanes }
+///         check |this| {
+///             if counts.len() != this.lanes {
+///                 return Err(PersistError::ShapeMismatch("lane count"));
+///             }
+///         }
+///     }
+/// }
+///
+/// let busy = Counter { lanes: 2, counts: vec![3, 4], total: 7 };
+/// let mut w = SnapshotWriter::new();
+/// busy.save_state(&mut w);
+/// let bytes = w.into_bytes();
+///
+/// let mut fresh = Counter { lanes: 2, counts: vec![0, 0], total: 0 };
+/// fresh.restore_state(&mut SnapshotReader::new(&bytes)).unwrap();
+/// assert_eq!((fresh.counts, fresh.total), (vec![3, 4], 7));
+///
+/// let mut narrow = Counter { lanes: 1, counts: vec![0], total: 0 };
+/// let err = narrow.restore_state(&mut SnapshotReader::new(&bytes));
+/// assert_eq!(err, Err(PersistError::ShapeMismatch("lane count")));
+/// assert_eq!(narrow.total, 0, "a rejected restore changes nothing");
+/// ```
+///
+/// A field that is neither persisted nor skipped does not build:
+///
+/// ```compile_fail
+/// struct Counter {
+///     lanes: usize,
+///     total: u64,
+/// }
+///
+/// impl Counter {
+///     sim::persist_state! {
+///         pub Counter { total }
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! persist_state {
+    (
+        @impl [$vis:vis] $save:ident $restore:ident $ty:ident
+        $(shape |$sthis:ident| $shape:expr => $shape_err:literal)?
+        { $($field:ident),+ $(,)? }
+        $(skip $why:literal { $($skip:ident),+ $(,)? })*
+        $(check |$this:ident| $check:block)?
+    ) => {
+        /// Appends the persisted fields, in declaration order.
+        $vis fn $save(&self, w: &mut $crate::persist::SnapshotWriter) {
+            $({
+                let $sthis = self;
+                $crate::persist::PersistValue::save_value(&$shape, w);
+            })?
+            let $ty { $($field,)+ $($($skip: _,)+)* } = self;
+            $( $crate::persist::PersistValue::save_value($field, w); )+
+        }
+
+        /// Restores state written by the matching save into a
+        /// component built with the same configuration. Decodes (and
+        /// checks) everything before assigning anything.
+        $vis fn $restore(
+            &mut self,
+            r: &mut $crate::persist::SnapshotReader<'_>,
+        ) -> ::core::result::Result<(), $crate::persist::PersistError> {
+            fn load_like<T: $crate::persist::PersistValue>(
+                _field: &T,
+                r: &mut $crate::persist::SnapshotReader<'_>,
+            ) -> ::core::result::Result<T, $crate::persist::PersistError> {
+                T::load_value(r)
+            }
+            $({
+                let $sthis = &*self;
+                let expected = $shape;
+                if load_like(&expected, r)? != expected {
+                    return Err($crate::persist::PersistError::ShapeMismatch($shape_err));
+                }
+            })?
+            let $ty { $($field: _,)+ $($($skip: _,)+)* } = self;
+            $( let $field = load_like(&self.$field, r)?; )+
+            $({
+                let $this = &*self;
+                $check
+            })?
+            $( self.$field = $field; )+
+            Ok(())
+        }
+    };
+    ($vis:vis $ty:ident as $save:ident, $restore:ident $($rest:tt)+) => {
+        $crate::persist_state!(@impl [$vis] $save $restore $ty $($rest)+);
+    };
+    ($vis:vis $ty:ident $($rest:tt)+) => {
+        $crate::persist_state!(@impl [$vis] save_state restore_state $ty $($rest)+);
+    };
+}
+
 persist_int!(u8, put_u8, take_u8);
 persist_int!(u16, put_u16, take_u16);
 persist_int!(u32, put_u32, take_u32);
@@ -432,6 +708,39 @@ impl<T: PersistValue> PersistValue for std::collections::VecDeque<T> {
             out.push_back(T::load_value(r)?);
         }
         Ok(out)
+    }
+}
+
+impl<K, V, S> PersistValue for std::collections::HashMap<K, V, S>
+where
+    K: PersistValue + Ord + std::hash::Hash + Eq,
+    V: PersistValue,
+    S: std::hash::BuildHasher + Default,
+{
+    /// Serialized in ascending key order, so the byte stream does not
+    /// depend on hash-map iteration order.
+    fn save_value(&self, w: &mut SnapshotWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.save_value(w);
+            v.save_value(w);
+        }
+    }
+    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+        let len = r.take_usize()?;
+        if len > r.remaining() {
+            return Err(PersistError::Corrupt("map count exceeds stream"));
+        }
+        let mut map = Self::with_capacity_and_hasher(len, S::default());
+        for _ in 0..len {
+            let k = K::load_value(r)?;
+            if map.insert(k, V::load_value(r)?).is_some() {
+                return Err(PersistError::Corrupt("duplicate map key"));
+            }
+        }
+        Ok(map)
     }
 }
 

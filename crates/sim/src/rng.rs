@@ -152,21 +152,7 @@ impl SimRng {
     }
 }
 
-impl crate::persist::PersistValue for SimRng {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        self.state.save_value(w);
-        w.put_u64(self.draws);
-    }
-
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        Ok(Self {
-            state: <[u64; 4]>::load_value(r)?,
-            draws: r.take_u64()?,
-        })
-    }
-}
+crate::persist_fields!(SimRng { state, draws });
 
 #[cfg(test)]
 mod tests {

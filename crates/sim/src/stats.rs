@@ -512,105 +512,24 @@ mod persist_impls {
     //! snapshot/restore bit-exactly.
 
     use super::*;
-    use crate::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+    use crate::persist::PersistError;
 
-    impl PersistValue for Counter {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.value);
+    crate::persist_fields!(Counter { value });
+    crate::persist_fields!(CounterBank { counters });
+    crate::persist_fields!(LatencyStat {
+        count,
+        sum,
+        min,
+        max
+    });
+    crate::persist_fields!(Histogram { bucket_width, buckets, overflow } check |h| {
+        if h.bucket_width == 0 || h.buckets.is_empty() {
+            return Err(PersistError::Corrupt("histogram shape"));
         }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                value: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for CounterBank {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.counters.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                counters: Vec::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for LatencyStat {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.count);
-            w.put_u128(self.sum);
-            self.min.save_value(w);
-            self.max.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                count: r.take_u64()?,
-                sum: r.take_u128()?,
-                min: Option::load_value(r)?,
-                max: Option::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for Histogram {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.bucket_width);
-            self.buckets.save_value(w);
-            w.put_u64(self.overflow);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let bucket_width = r.take_u64()?;
-            let buckets = Vec::load_value(r)?;
-            if bucket_width == 0 || buckets.is_empty() {
-                return Err(PersistError::Corrupt("histogram shape"));
-            }
-            Ok(Self {
-                bucket_width,
-                buckets,
-                overflow: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for BandwidthMeter {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.bytes);
-            self.first.save_value(w);
-            self.last.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                bytes: r.take_u64()?,
-                first: Option::load_value(r)?,
-                last: Option::load_value(r)?,
-            })
-        }
-    }
-
-    impl PersistValue for Gauge {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.current);
-            w.put_u64(self.peak);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                current: r.take_u64()?,
-                peak: r.take_u64()?,
-            })
-        }
-    }
-
-    impl PersistValue for EventLog {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            self.cycles.save_value(w);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                cycles: Vec::load_value(r)?,
-            })
-        }
-    }
+    });
+    crate::persist_fields!(BandwidthMeter { bytes, first, last });
+    crate::persist_fields!(Gauge { current, peak });
+    crate::persist_fields!(EventLog { cycles });
 }
 
 #[cfg(test)]

@@ -152,59 +152,18 @@ impl Default for Tracer {
     }
 }
 
-impl crate::persist::PersistValue for TraceEvent {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.put_u64(self.cycle);
-        w.put_str(&self.source);
-        w.put_str(&self.message);
+crate::persist_fields!(TraceEvent {
+    cycle,
+    source,
+    message
+});
+crate::persist_fields!(Tracer { enabled, capacity, dropped, events } check |t| {
+    if t.enabled && t.capacity == 0 {
+        return Err(crate::persist::PersistError::Corrupt(
+            "enabled tracer with zero capacity",
+        ));
     }
-
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        Ok(Self {
-            cycle: r.take_u64()?,
-            source: r.take_str()?,
-            message: r.take_str()?,
-        })
-    }
-}
-
-impl crate::persist::PersistValue for Tracer {
-    fn save_value(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.put_bool(self.enabled);
-        w.put_usize(self.capacity);
-        w.put_u64(self.dropped);
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            e.save_value(w);
-        }
-    }
-
-    fn load_value(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        let enabled = r.take_bool()?;
-        let capacity = r.take_usize()?;
-        let dropped = r.take_u64()?;
-        let len = r.take_usize()?;
-        let mut events = VecDeque::with_capacity(len.min(4096));
-        for _ in 0..len {
-            events.push_back(TraceEvent::load_value(r)?);
-        }
-        if enabled && capacity == 0 {
-            return Err(crate::persist::PersistError::Corrupt(
-                "enabled tracer with zero capacity",
-            ));
-        }
-        Ok(Self {
-            enabled,
-            capacity,
-            events,
-            dropped,
-        })
-    }
-}
+});
 
 #[cfg(test)]
 mod tests {

@@ -478,25 +478,12 @@ impl SmartConnect {
     }
 }
 
-impl sim::persist::PersistValue for ScStats {
-    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
-        self.ar_grants.save_value(w);
-        self.aw_grants.save_value(w);
-        self.bytes_read.save_value(w);
-        self.bytes_written.save_value(w);
-    }
-
-    fn load_value(
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<Self, sim::persist::PersistError> {
-        Ok(Self {
-            ar_grants: Vec::load_value(r)?,
-            aw_grants: Vec::load_value(r)?,
-            bytes_read: Vec::load_value(r)?,
-            bytes_written: Vec::load_value(r)?,
-        })
-    }
-}
+sim::persist_fields!(ScStats {
+    ar_grants,
+    aw_grants,
+    bytes_read,
+    bytes_written
+});
 
 impl Component for SmartConnect {
     fn tick(&mut self, now: Cycle) -> bool {
@@ -584,104 +571,50 @@ impl AxiInterconnect for SmartConnect {
         self
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::PersistValue;
-        w.put_usize(self.config.num_ports);
-        self.slave_ports.save_value(w);
-        self.ar_pipes.save_value(w);
-        self.aw_pipes.save_value(w);
-        self.w_pipes.save_value(w);
-        self.grant_ar.save_value(w);
-        self.grant_aw.save_value(w);
-        self.r_pipe.save_value(w);
-        self.b_pipe.save_value(w);
-        self.read_routes.save_value(w);
-        self.b_routes.save_value(w);
-        self.w_routes.save_value(w);
-        self.mem_port.save_value(w);
-        w.put_usize(self.ar_rr);
-        w.put_u32(self.ar_grants_left);
-        w.put_usize(self.aw_rr);
-        w.put_u32(self.aw_grants_left);
-        // The RNG carries both its stream state and draw counter, so the
-        // restored arbiter reproduces the exact granularity sequence.
-        self.rng.save_value(w);
-        self.out_reads.save_value(w);
-        self.out_writes.save_value(w);
-        self.stats.save_value(w);
-        self.metrics.save_value(w);
-        self.ar_grant_ports.save_value(w);
-        self.aw_grant_ports.save_value(w);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::{PersistError, PersistValue};
-        // Decode everything first so a corrupt stream leaves `self`
-        // unchanged.
-        let n = r.take_usize()?;
-        if n != self.config.num_ports {
-            return Err(PersistError::ShapeMismatch("smartconnect port count"));
+    // The RNG carries both its stream state and draw counter, so the
+    // restored arbiter reproduces the exact granularity sequence.
+    sim::persist_state! {
+        SmartConnect shape |sc| sc.config.num_ports => "smartconnect port count" {
+            slave_ports,
+            ar_pipes,
+            aw_pipes,
+            w_pipes,
+            grant_ar,
+            grant_aw,
+            r_pipe,
+            b_pipe,
+            read_routes,
+            b_routes,
+            w_routes,
+            mem_port,
+            ar_rr,
+            ar_grants_left,
+            aw_rr,
+            aw_grants_left,
+            rng,
+            out_reads,
+            out_writes,
+            stats,
+            metrics,
+            ar_grant_ports,
+            aw_grant_ports,
         }
-        let slave_ports = Vec::<AxiPort>::load_value(r)?;
-        let ar_pipes = Vec::<TimedFifo<ArBeat>>::load_value(r)?;
-        let aw_pipes = Vec::<TimedFifo<AwBeat>>::load_value(r)?;
-        let w_pipes = Vec::<TimedFifo<axi::WBeat>>::load_value(r)?;
-        let grant_ar = TimedFifo::<ArBeat>::load_value(r)?;
-        let grant_aw = TimedFifo::<AwBeat>::load_value(r)?;
-        let r_pipe = TimedFifo::<RBeat>::load_value(r)?;
-        let b_pipe = TimedFifo::<axi::BBeat>::load_value(r)?;
-        let read_routes = RouteQueue::load_value(r)?;
-        let b_routes = RouteQueue::load_value(r)?;
-        let w_routes = Ring::<usize>::load_value(r)?;
-        let mem_port = AxiPort::load_value(r)?;
-        let ar_rr = r.take_usize()?;
-        let ar_grants_left = r.take_u32()?;
-        let aw_rr = r.take_usize()?;
-        let aw_grants_left = r.take_u32()?;
-        let rng = SimRng::load_value(r)?;
-        let out_reads = Vec::<u32>::load_value(r)?;
-        let out_writes = Vec::<u32>::load_value(r)?;
-        let stats = ScStats::load_value(r)?;
-        let metrics = Option::<MetricsRegistry>::load_value(r)?;
-        let ar_grant_ports = Ring::<usize>::load_value(r)?;
-        let aw_grant_ports = Ring::<usize>::load_value(r)?;
-        if slave_ports.len() != n
-            || ar_pipes.len() != n
-            || aw_pipes.len() != n
-            || w_pipes.len() != n
-            || out_reads.len() != n
-            || out_writes.len() != n
-            || stats.ar_grants.len() != n
-        {
-            return Err(PersistError::ShapeMismatch("smartconnect per-port state"));
+        skip "construction-time configuration" { config }
+        check |sc| {
+            let n = sc.config.num_ports;
+            if slave_ports.len() != n
+                || ar_pipes.len() != n
+                || aw_pipes.len() != n
+                || w_pipes.len() != n
+                || out_reads.len() != n
+                || out_writes.len() != n
+                || stats.ar_grants.len() != n
+            {
+                return Err(sim::persist::PersistError::ShapeMismatch(
+                    "smartconnect per-port state",
+                ));
+            }
         }
-        self.slave_ports = slave_ports;
-        self.ar_pipes = ar_pipes;
-        self.aw_pipes = aw_pipes;
-        self.w_pipes = w_pipes;
-        self.grant_ar = grant_ar;
-        self.grant_aw = grant_aw;
-        self.r_pipe = r_pipe;
-        self.b_pipe = b_pipe;
-        self.read_routes = read_routes;
-        self.b_routes = b_routes;
-        self.w_routes = w_routes;
-        self.mem_port = mem_port;
-        self.ar_rr = ar_rr;
-        self.ar_grants_left = ar_grants_left;
-        self.aw_rr = aw_rr;
-        self.aw_grants_left = aw_grants_left;
-        self.rng = rng;
-        self.out_reads = out_reads;
-        self.out_writes = out_writes;
-        self.stats = stats;
-        self.metrics = metrics;
-        self.ar_grant_ports = ar_grant_ports;
-        self.aw_grant_ports = aw_grant_ports;
-        Ok(())
     }
 }
 

@@ -1473,7 +1473,6 @@ mod persist_impls {
     use sim::persist::{
         Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter,
     };
-    use sim::vcd::VcdWriter;
 
     impl PersistValue for SchedulerMode {
         fn save_value(&self, w: &mut SnapshotWriter) {
@@ -1500,38 +1499,22 @@ mod persist_impls {
         }
     }
 
-    impl PersistValue for ShardRunReport {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            w.put_usize(self.shards);
-            w.put_usize(self.workers);
-            w.put_u64(self.window);
-            w.put_u64(self.rounds);
-            w.put_u64(self.engine_skipped);
-            w.put_u64(self.messages);
-            w.put_u64(self.ambiguous_stalls);
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            Ok(Self {
-                shards: r.take_usize()?,
-                workers: r.take_usize()?,
-                window: r.take_u64()?,
-                rounds: r.take_u64()?,
-                engine_skipped: r.take_u64()?,
-                messages: r.take_u64()?,
-                ambiguous_stalls: r.take_u64()?,
-            })
-        }
-    }
+    sim::persist_fields!(ShardRunReport {
+        shards,
+        workers,
+        window,
+        rounds,
+        engine_skipped,
+        messages,
+        ambiguous_stalls,
+    });
 
     impl Persist for WaveProbe {
-        /// The signal handles are assigned deterministically by
-        /// [`WaveProbe::new`], so only the recorded waveform travels.
-        fn save(&self, w: &mut SnapshotWriter) {
-            self.vcd.save_value(w);
-        }
-        fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-            self.vcd = VcdWriter::load_value(r)?;
-            Ok(())
+        sim::persist_state! {
+            WaveProbe as save, restore { vcd }
+            skip "signal handles, assigned deterministically by `WaveProbe::new`" {
+                ar_valid, ar_addr, aw_valid, w_valid, r_valid, b_valid
+            }
         }
     }
 

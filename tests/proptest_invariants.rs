@@ -192,11 +192,27 @@ fn run_script(ops: Vec<Op>, nominal: u32) -> (ScriptedMaster, ProtocolMonitor) {
 /// pseudo-random latency (0 = wire, up to 4), leaving the port empty,
 /// or attaching an accelerator. Byte strings are the proptest search
 /// space; the interpreter guarantees every produced graph is legal.
-fn topology_from_bytes(bytes: &[u8]) -> SocTopology {
+///
+/// With `faults` set, the memory gets a seeded transient-fault injector
+/// and accelerators are drawn from the whole model zoo — the retrying
+/// scoreboard oracle, random mixed traffic, and the protocol-fault
+/// masters (some behind a dormant arm cycle) — instead of only clean
+/// readers and DMAs.
+fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
     let mut b = TopologyBuilder::new();
-    let mem = b
-        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
-        .unwrap();
+    let mut memory = MemoryController::new(MemConfig::zcu102());
+    if faults {
+        let seed = bytes
+            .iter()
+            .fold(17u64, |h, &x| h.wrapping_mul(31) ^ u64::from(x));
+        memory.attach_fault_injector(
+            mem::MemFaultConfig::new(seed)
+                .spurious_slverr(0.02)
+                .flip_single(0.02)
+                .ecc(true),
+        );
+    }
+    let mem = b.add_memory("ddr", memory).unwrap();
     let root = b
         .add_interconnect("ic0", HyperConnect::new(HcConfig::new(2)))
         .unwrap();
@@ -212,24 +228,77 @@ fn topology_from_bytes(bytes: &[u8]) -> SocTopology {
                       cmd: u8| {
         let name = format!("acc{accs}");
         let base = 0x1000_0000 + *accs as u64 * 0x0080_0000;
-        let acc: Box<dyn ha::Accelerator> = if cmd.is_multiple_of(2) {
-            Box::new(ha::traffic::PeriodicReader::new(
+        let kind = if faults { cmd % 8 } else { cmd % 2 };
+        let acc: Box<dyn ha::Accelerator> = match kind {
+            0 => Box::new(ha::traffic::PeriodicReader::new(
                 name.clone(),
                 base,
                 1 << 19,
                 16,
                 BurstSize::B16,
                 20 + u64::from(cmd) * 3,
-            ))
-        } else {
-            Box::new(ha::dma::Dma::new(
+            )),
+            1 => Box::new(ha::dma::Dma::new(
                 name.clone(),
                 ha::dma::DmaConfig {
                     src_base: base,
                     dst_base: base + 0x0040_0000,
                     ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(2)
                 },
-            ))
+            )),
+            2 => Box::new(
+                ha::scoreboard::ScoreboardMaster::new(
+                    name.clone(),
+                    base,
+                    16 * 256,
+                    16,
+                    BurstSize::B16,
+                    u64::from(cmd),
+                )
+                .policy(axi::retry::RetryPolicy {
+                    max_attempts: 6,
+                    backoff_base: 2,
+                    backoff_cap: 32,
+                })
+                .gap(30),
+            ),
+            3 => Box::new(ha::traffic::RandomTraffic::new(
+                name.clone(),
+                base,
+                1 << 19,
+                BurstSize::B8,
+                32,
+                25,
+                u64::from(cmd),
+            )),
+            4 => Box::new(ha::fault::WlastViolator::new(
+                name.clone(),
+                base,
+                8,
+                BurstSize::B16,
+            )),
+            5 => Box::new(ha::fault::DelayedFault::new(
+                Box::new(ha::fault::StalledWriter::new(
+                    name.clone(),
+                    base,
+                    8,
+                    BurstSize::B16,
+                )),
+                200 + u64::from(cmd) * 7,
+            )),
+            6 => Box::new(ha::fault::RogueReader::new(
+                name.clone(),
+                0xF000_0000,
+                4,
+                BurstSize::B4,
+            )),
+            _ => Box::new(ha::fault::RunawayMaster::new(
+                name.clone(),
+                base,
+                1 << 16,
+                8,
+                BurstSize::B16,
+            )),
         };
         let a = b.add_accelerator(name, acc).unwrap();
         b.attach(a, ic, port).unwrap();
@@ -286,7 +355,7 @@ proptest! {
     fn shard_plans_partition_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
     ) {
-        let topo = topology_from_bytes(&bytes);
+        let topo = topology_from_bytes(&bytes, false);
         let plan = topo.shard_plan();
         let mut seen = std::collections::HashMap::new();
         for (s, shard) in plan.shards.iter().enumerate() {
@@ -320,9 +389,9 @@ proptest! {
         workers in 1usize..5,
     ) {
         const CYCLES: Cycle = 15_000;
-        let mut seq = topology_from_bytes(&bytes);
+        let mut seq = topology_from_bytes(&bytes, false);
         seq.run_for(CYCLES);
-        let mut sharded = topology_from_bytes(&bytes);
+        let mut sharded = topology_from_bytes(&bytes, false);
         sharded.set_scheduler(SchedulerMode::Sharded { workers });
         sharded.run_for(CYCLES);
         prop_assert_eq!(seq.now(), sharded.now());
@@ -330,6 +399,41 @@ proptest! {
         prop_assert_eq!(seq.metrics_snapshot_json(), sharded.metrics_snapshot_json());
         let rep = *sharded.shard_run_report().expect("sharded mode reports");
         prop_assert_eq!(rep.ambiguous_stalls, 0, "could not prove the sequential schedule");
+    }
+
+    /// Save/restore symmetry across every persisted layer: any
+    /// generated topology (fault models, scoreboard and fault injector
+    /// included), frozen at any cycle, restores into a fresh identical
+    /// build that re-saves the same bytes and then runs in lockstep with
+    /// the original to the same final image.
+    #[test]
+    fn snapshot_roundtrip_is_exact_on_any_topology(
+        bytes in proptest::collection::vec(any::<u8>(), 4..48),
+        warm in 1u64..3_000,
+        tail in 1u64..2_000,
+    ) {
+        let mut original = topology_from_bytes(&bytes, true);
+        original.run_for(warm);
+        let image = original.snapshot_bytes();
+        let mut restored = topology_from_bytes(&bytes, true);
+        if let Err(e) = restored.restore_snapshot_bytes(&image) {
+            panic!("restore into an identical build failed: {e:?}");
+        }
+        prop_assert!(
+            restored.snapshot_bytes() == image,
+            "re-saved image differs from the restored one at cycle {}", warm
+        );
+        let mut left = tail;
+        while left > 0 {
+            let step = left.min(250);
+            original.run_for(step);
+            restored.run_for(step);
+            left -= step;
+        }
+        prop_assert!(
+            original.snapshot_bytes() == restored.snapshot_bytes(),
+            "restored copy diverged within {} cycles of cycle {}", tail, warm
+        );
     }
 
     /// End-to-end sequential consistency: reads observe exactly the
