@@ -17,15 +17,15 @@
 //!    its systems under `SchedulerMode::Sharded` (single-interconnect
 //!    plans fall through to the exact fast-forward path, so the numbers
 //!    are unchanged — the sweep exercises the sharded dispatch).
-//! 4. **100-node tree** — the [`bench::tree100`] scenario run under the
-//!    sequential fast-forward oracle and then `SchedulerMode::Sharded`
-//!    at a worker sweep; every sharded run is asserted byte-identical
-//!    (and must report zero ambiguous entry-gate stalls), and
-//!    `parallel_speedup` is the oracle wall time over the best sharded
-//!    wall time at ≥ 2 workers. On few-core hosts the win comes from
-//!    the sharded executor fast-forwarding idle shards *locally* while
-//!    the busy shard pins the global clock — a real algorithmic
-//!    speedup, not a thread-count artifact.
+//! 4. **100-node tree** — the [`bench::tree100`] scenario run under
+//!    naive stepping (the oracle), the sequential region fast-forward
+//!    calendar and `SchedulerMode::Sharded` at a worker sweep. The
+//!    fast-forward run must be byte-identical to the naive one, and
+//!    every sharded run to both (with zero ambiguous entry-gate
+//!    stalls); `parallel_speedup` is the region fast-forward wall time
+//!    over the best sharded wall time at ≥ 2 workers. Both engines win
+//!    the same way — idle regions fast-forward on their own while the
+//!    busy one ticks — so the sweep shows what threads add on top.
 //!
 //! Usage: `perf [--quick | --full] [--out PATH] [--workers N]
 //! [--min-cycles-per-sec N]`
@@ -34,10 +34,10 @@
 //! sharded worker sweep (default: available parallelism, and the
 //! sharded sweep always includes 2 workers).
 //!
-//! Exits non-zero if the Fig. 3(a) goldens regress, a sharded tree run
-//! diverges from the sequential oracle, or the fast-forward idle-heavy
-//! throughput falls below the `--min-cycles-per-sec` floor (the CI
-//! perf-smoke gate).
+//! Exits non-zero if the Fig. 3(a) goldens regress, a fast-forward or
+//! sharded tree run diverges from the naive oracle, or the fast-forward
+//! idle-heavy throughput falls below the `--min-cycles-per-sec` floor
+//! (the CI perf-smoke gate).
 
 #![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
 
@@ -640,16 +640,23 @@ fn main() {
         );
     }
 
-    // 5. The 100-node tree: sequential fast-forward oracle, then the
-    // sharded executor at a worker sweep, byte-identity enforced.
-    let tree_seq = tree100::run(SchedulerMode::FastForward, tree_cycles);
-    let seq_cps = tree_cycles as f64 / (tree_seq.wall_ms / 1e3).max(1e-9);
+    // 5. The 100-node tree: the naive oracle, the region fast-forward
+    // calendar, then the sharded executor at a worker sweep,
+    // byte-identity enforced.
+    let tree_naive = tree100::run(SchedulerMode::Naive, tree_cycles);
+    let tree_cps = |run: &tree100::TreeRun| tree_cycles as f64 / (run.wall_ms / 1e3).max(1e-9);
+    let naive_tree_cps = tree_cps(&tree_naive);
+    let tree_ff = tree100::run(SchedulerMode::FastForward, tree_cycles);
+    let ff_tree_cps = tree_cps(&tree_ff);
+    let mut tree_identical = tree_ff.fingerprint == tree_naive.fingerprint;
     println!(
-        "tree100 ({} nodes, {tree_cycles} cycles): sequential {:.1} ms ({seq_cps:.2e} c/s, \
-         {} skipped)",
+        "tree100 ({} nodes, {tree_cycles} cycles): naive {:.1} ms ({naive_tree_cps:.2e} c/s), \
+         region fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped){}",
         tree100::node_count(),
-        tree_seq.wall_ms,
-        tree_seq.skipped
+        tree_naive.wall_ms,
+        tree_ff.wall_ms,
+        tree_ff.skipped,
+        if tree_identical { "" } else { " — DIVERGED" }
     );
     let mut sweep: Vec<usize> = vec![1, 2, 4];
     if let Some(w) = workers_override {
@@ -658,17 +665,16 @@ fn main() {
         }
     }
     let mut tree_runs: Vec<(usize, tree100::TreeRun)> = Vec::new();
-    let mut tree_identical = true;
     for &workers in &sweep {
         let run = tree100::run(SchedulerMode::Sharded { workers }, tree_cycles);
         let rep = run.report.expect("sharded run reports");
-        let identical = run.fingerprint == tree_seq.fingerprint && rep.ambiguous_stalls == 0;
+        let identical = run.fingerprint == tree_naive.fingerprint && rep.ambiguous_stalls == 0;
         tree_identical &= identical;
         println!(
-            "tree100 sharded w={workers}: {:.1} ms ({:.2}x), {} shards, window {}, \
-             {} rounds, {} engine-skipped, {} msgs, {} stalls{}",
+            "tree100 sharded w={workers}: {:.1} ms ({:.2}x region fast-forward), {} shards, \
+             window {}, {} rounds, {} engine-skipped, {} msgs, {} stalls{}",
             run.wall_ms,
-            tree_seq.wall_ms / run.wall_ms.max(1e-9),
+            tree_ff.wall_ms / run.wall_ms.max(1e-9),
             rep.shards,
             rep.window,
             rep.rounds,
@@ -685,7 +691,7 @@ fn main() {
         .min_by(|a, b| a.1.wall_ms.total_cmp(&b.1.wall_ms))
         .map(|(w, r)| (*w, r.wall_ms))
         .expect("sweep includes a multi-worker run");
-    let tree_speedup = tree_seq.wall_ms / tree_best.max(1e-9);
+    let tree_speedup = tree_ff.wall_ms / tree_best.max(1e-9);
     let workers = pool_workers.max(tree_workers);
 
     // 6. Emit BENCH_simulator.json.
@@ -716,17 +722,18 @@ fn main() {
         .map(|(w, r)| {
             let rep = r.report.expect("sharded run reports");
             format!(
-                "{{\"workers\":{w},\"wall_ms\":{:.3},\"shards\":{},\"window\":{},\
-                 \"rounds\":{},\"engine_skipped\":{},\"messages\":{},\
+                "{{\"workers\":{w},\"wall_ms\":{:.3},\"cycles_per_sec\":{:.0},\"shards\":{},\
+                 \"window\":{},\"rounds\":{},\"engine_skipped\":{},\"messages\":{},\
                  \"ambiguous_stalls\":{},\"byte_identical\":{}}}",
                 r.wall_ms,
+                tree_cps(r),
                 rep.shards,
                 rep.window,
                 rep.rounds,
                 rep.engine_skipped,
                 rep.messages,
                 rep.ambiguous_stalls,
-                r.fingerprint == tree_seq.fingerprint
+                r.fingerprint == tree_naive.fingerprint
             )
         })
         .collect::<Vec<_>>()
@@ -766,20 +773,24 @@ fn main() {
          \"tree100\":{{\"scenario\":\"{} nodes: 1 busy + 6 periodic clusters behind latency-{} \
          bridges, {tree_cycles}-cycle window\",\
          \"nodes\":{},\"sim_cycles\":{tree_cycles},\
-         \"sequential_wall_ms\":{:.3},\"sequential_cycles_per_sec\":{seq_cps:.0},\
-         \"sequential_skipped\":{},\
+         \"naive_wall_ms\":{:.3},\"naive_cycles_per_sec\":{naive_tree_cps:.0},\
+         \"region_fast_forward_wall_ms\":{:.3},\
+         \"region_fast_forward_cycles_per_sec\":{ff_tree_cps:.0},\
+         \"region_fast_forward_skipped\":{},\
+         \"region_fast_forward_byte_identical\":{},\
          \"workers\":{tree_workers},\"parallel_speedup\":{tree_speedup:.3},\
-         \"speedup_basis\":\"sequential fast-forward oracle wall time over best sharded wall \
-         time at >= 2 workers; on few-core hosts the gain is the sharded executor's decoupled \
-         per-shard fast-forward, not thread throughput\",\
+         \"speedup_basis\":\"region fast-forward wall time over best sharded wall time at \
+         >= 2 workers: what worker threads add on top of per-region fast-forward\",\
          \"sharded\":[{tree_sharded_json}]}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
         tree100::node_count(),
         tree100::BRIDGE_LATENCY,
         tree100::node_count(),
-        tree_seq.wall_ms,
-        tree_seq.skipped,
+        tree_naive.wall_ms,
+        tree_ff.wall_ms,
+        tree_ff.skipped,
+        tree_ff.fingerprint == tree_naive.fingerprint,
         peak_rss_kb()
     );
     std::fs::write(&out_path, json).expect("write BENCH_simulator.json");
@@ -791,7 +802,7 @@ fn main() {
         std::process::exit(1);
     }
     if !tree_identical {
-        eprintln!("FAIL: a sharded tree100 run diverged from the sequential oracle");
+        eprintln!("FAIL: a fast-forward or sharded tree100 run diverged from the naive oracle");
         std::process::exit(1);
     }
     if report.violations > 0 {

@@ -1,26 +1,26 @@
-//! The 100-node tree scenario: the sharded scheduler's showcase.
+//! The 100-node tree scenario: one busy cluster beside six sleeping
+//! ones.
 //!
 //! Seven accelerator clusters hang off a single root HyperConnect, each
 //! behind a deeply registered [`axi::AxiBridge`] (latency
 //! [`BRIDGE_LATENCY`]), for 100 nodes total: 1 memory + 1 root + 7
 //! cluster interconnects + 91 accelerators. Cluster 0 carries thirteen
 //! random-traffic masters whose staggered bursts keep the cluster
-//! active nearly every cycle — pinning the global clock so the
-//! sequential schedulers can never skip — while staying below the
-//! bridge's beat-per-cycle capacity (a saturated cut lives in the
-//! entry gates' ambiguity band, outside the exactness envelope; the
-//! paper's reservation model keeps real designs below saturation for
-//! the same reason). The other six clusters carry periodic readers
-//! with long, staggered idle gaps.
+//! active nearly every cycle — so the clock itself can almost never
+//! skip — while staying below the bridge's beat-per-cycle capacity (a
+//! saturated cut lives in the sharded entry gates' ambiguity band,
+//! outside that engine's exactness envelope; the paper's reservation
+//! model keeps real designs below saturation for the same reason). The
+//! other six clusters carry periodic readers with long, staggered idle
+//! gaps.
 //!
-//! That shape is exactly where conservative-lookahead sharding wins
-//! even on a single core: the sequential fast-forward scheduler must
-//! tick all 100 nodes every cycle (the busy cluster holds the global
-//! horizon at `now + 1`), while the sharded executor ticks the busy
-//! shard and fast-forwards the six idle shards *locally* inside each
-//! exchange window. The speedup reported by the `perf` bin is measured
-//! wall clock against the sequential fast-forward oracle, and every
-//! sharded run is checked byte-identical against it.
+//! Each bridge-delimited cluster is its own fast-forward region: the
+//! sequential engine ticks the busy cluster and the root every cycle
+//! and lets each idle cluster sleep until its own next event, and the
+//! sharded executor does the same per shard inside its exchange
+//! windows. The `perf` bin times naive stepping, the region calendar
+//! and the sharded worker sweep on this scenario, and checks every run
+//! byte-identical against the naive one.
 
 use std::time::Instant;
 

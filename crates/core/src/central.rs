@@ -7,7 +7,7 @@
 
 use sim::Cycle;
 
-use crate::regfile::{RegFile, BUDGET_UNLIMITED};
+use crate::regfile::RegFile;
 use crate::supervisor::TransactionSupervisor;
 
 /// Periodic budget-recharge logic shared by all TS modules.
@@ -37,43 +37,14 @@ impl CentralUnit {
         self.next_boundary
     }
 
-    /// Event-horizon contract for fast-forward scheduling: the next
-    /// period boundary, but only while crossing it would actually
-    /// change state — i.e. any port has a finite programmed budget, a
-    /// finite budget counter still armed from an earlier program, or a
-    /// nonzero per-period transaction count that the recharge would
-    /// clear (register-visible through `TXN_PERIOD`). When every port
-    /// is unlimited and idle the recharge is a pure no-op and the
-    /// boundary may be skipped; [`Self::tick`] catches up on skipped
-    /// boundaries without drifting off the period grid.
-    ///
-    /// Surfacing the boundary whenever a finite budget exists is what
-    /// keeps tight-budget runs byte-identical between the naive and
-    /// fast-forward schedulers: with every component reporting a far
-    /// horizon, a fast-forward jump must still land on the recharge
-    /// point or issued-transaction counts would diverge.
-    pub fn boundary_horizon(
-        &self,
-        regfile: &RegFile,
-        supervisors: &[TransactionSupervisor],
-    ) -> Option<Cycle> {
-        let armed = (0..regfile.num_ports()).any(|i| {
-            regfile.port(i).budget != BUDGET_UNLIMITED
-                || supervisors[i].budget_left().is_some()
-                || supervisors[i].txn_this_period() != 0
-                || regfile.port(i).txn_this_period != 0
-        });
-        armed.then_some(self.next_boundary)
-    }
-
     /// Recharges all budgets if a period boundary has been reached.
     /// Returns `true` when a recharge happened.
     ///
-    /// A tick landing past several boundaries (legal only when
-    /// [`Self::boundary_horizon`] reported `None` for the skipped span)
-    /// performs one recharge and accounts for every crossed boundary,
-    /// keeping `next_boundary` on the same period grid a cycle-by-cycle
-    /// run would produce.
+    /// A tick landing past several boundaries (the interconnect was
+    /// frozen across them, or is driven sparsely by hand) performs one
+    /// recharge and accounts for every crossed boundary, keeping
+    /// `next_boundary` on the same period grid a cycle-by-cycle run
+    /// would produce.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -151,42 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn boundary_horizon_surfaced_only_while_reservation_is_armed() {
-        let mut cu = CentralUnit::new();
-        let mut rf = RegFile::new(2);
-        rf.set_period(100);
-        let mut ts = vec![TransactionSupervisor::new(8), TransactionSupervisor::new(8)];
-        cu.tick(0, &mut rf, &mut ts);
-        // All ports unlimited and idle: the recharge is a no-op, the
-        // boundary may be skipped.
-        assert_eq!(cu.boundary_horizon(&rf, &ts), None);
-        // A finite programmed budget arms the horizon immediately, even
-        // before the next recharge loads it into the TS.
-        rf.set_budget(1, 4);
-        assert_eq!(cu.boundary_horizon(&rf, &ts), Some(100));
-        // Returning to unlimited: the TS-side counter from the previous
-        // recharge still needs one more boundary to clear.
-        cu.tick(100, &mut rf, &mut ts);
-        rf.set_budget(1, BUDGET_UNLIMITED);
-        assert_eq!(ts[1].budget_left(), Some(4));
-        assert_eq!(cu.boundary_horizon(&rf, &ts), Some(200));
-        cu.tick(200, &mut rf, &mut ts);
-        assert_eq!(cu.boundary_horizon(&rf, &ts), None);
-        // A nonzero per-period count (register-visible TXN_PERIOD) also
-        // pins the boundary: the recharge that clears it is observable.
-        rf.port_mut(0).txn_this_period = 3;
-        assert_eq!(cu.boundary_horizon(&rf, &ts), Some(300));
-    }
-
-    #[test]
     fn catch_up_after_skipped_boundaries_stays_on_the_period_grid() {
         let mut cu = CentralUnit::new();
         let mut rf = RegFile::new(1);
         rf.set_period(100);
         let mut ts = vec![TransactionSupervisor::new(8)];
         cu.tick(0, &mut rf, &mut ts);
-        // A fast-forward jump lands at cycle 370, past boundaries 100,
-        // 200 and 300: one recharge, three boundaries accounted, and
+        // A tick lands at cycle 370, past boundaries 100, 200 and 300:
+        // one recharge, three boundaries accounted, and
         // the next boundary back on the grid (400, not 470).
         assert!(cu.tick(370, &mut rf, &mut ts));
         assert_eq!(cu.periods_elapsed(), 4);

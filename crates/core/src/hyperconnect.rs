@@ -539,21 +539,19 @@ impl Component for HyperConnect {
             Draining,
             Open,
         }
-        let (gate, central_horizon) = self.regs.with(|rf| {
+        let gate = self.regs.with(|rf| {
             if !rf.is_enabled() {
-                return (Gate::Frozen, None);
+                return Gate::Frozen;
             }
             let draining =
                 self.quiesce_deadline.iter().enumerate().any(|(i, q)| {
                     (q.is_some() || rf.port(i).quiesce_requested) && !rf.port(i).drained
                 });
-            let gate = if draining { Gate::Draining } else { Gate::Open };
-            // The period boundary is an event horizon only while a
-            // recharge would change state (any port with a finite
-            // budget or a pending per-period counter clear); an idle
-            // unlimited configuration may skip boundaries, which the
-            // central unit catches up on without leaving the grid.
-            (gate, self.central.boundary_horizon(rf, &self.supervisors))
+            if draining {
+                Gate::Draining
+            } else {
+                Gate::Open
+            }
         });
         if matches!(gate, Gate::Frozen) {
             return None;
@@ -566,7 +564,9 @@ impl Component for HyperConnect {
         if matches!(gate, Gate::Draining) {
             return Some(now + 1);
         }
-        let mut horizon = central_horizon;
+        // Every period boundary is an event: a recharge counts as
+        // progress even when every port is unlimited and idle.
+        let mut horizon = Some(self.central.next_boundary());
         let mut merge = |c: Option<Cycle>| {
             if let Some(c) = c {
                 horizon = Some(horizon.map_or(c, |h: Cycle| h.min(c)));

@@ -14,7 +14,8 @@
 //!   [`TopologyError`] instead of a panic deep inside a tick loop;
 //! * [`SocTopology`] — the built system: a deterministic tick engine
 //!   over the tree (post-order: leaves before parents, bridges between
-//!   them), the event-horizon fast-forward scheduler, per-instance
+//!   them), the event-horizon fast-forward scheduler with one wake
+//!   cycle per bridge-delimited region, per-instance
 //!   metrics namespacing, and the fault-injection/hypervisor hooks of
 //!   the flat `SocSystem`, which is now a thin facade over this graph.
 //!
@@ -35,18 +36,20 @@ use mem::MemoryController;
 use sim::vcd::{SignalId, VcdWriter};
 use sim::{ClockConfig, Component, Cycle};
 
-pub use shard::{ShardCut, ShardPlan, ShardRunReport};
+pub use shard::{ShardPlan, ShardRunReport};
 
 /// How a [`SocTopology`] (and the `SocSystem` facade) advances
 /// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Event-horizon scheduling: when a full-system tick makes no
-    /// progress, jump `now` directly to the earliest cycle any component
-    /// promises activity at (its [`Component::next_event`] hint),
-    /// skipping the provably idle span. Cycle-exact with respect to
-    /// [`SchedulerMode::Naive`]: components may under-promise but never
-    /// over-promise, and no observable state advances on skipped cycles.
+    /// Event-horizon scheduling, per bridge-delimited region: a region
+    /// whose tick makes no progress sleeps until the earliest cycle its
+    /// components promise activity at (their [`Component::next_event`]
+    /// hints) or until a beat crosses into it, and when every region
+    /// sleeps `now` jumps to the earliest wake, skipping the provably
+    /// idle span. Cycle-exact with respect to [`SchedulerMode::Naive`]:
+    /// components may under-promise but never over-promise, and no
+    /// observable state advances on skipped ticks.
     #[default]
     FastForward,
     /// Plain cycle-by-cycle stepping — the reference behavior the
@@ -334,6 +337,131 @@ fn two_nodes(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &mut Node) {
         let (lo, hi) = nodes.split_at_mut(a);
         (&mut hi[0], &mut lo[b])
     }
+}
+
+/// One cut cascade edge of a [`ShardPlan`]: where the forest was
+/// severed and how much lookahead that buys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardCut {
+    /// The interconnect owning the slave port above the cut.
+    pub parent: NodeId,
+    /// The parent's slave port the child hangs off.
+    pub port: usize,
+    /// The cascaded interconnect below the cut.
+    pub child: NodeId,
+    /// The bridge latency — this edge's lookahead contribution.
+    pub latency: Cycle,
+    /// Index of the shard the parent landed in.
+    pub parent_shard: usize,
+    /// Index of the shard the child subtree became.
+    pub child_shard: usize,
+}
+
+/// The bridge-delimited partition of the forest that both engines run
+/// on: the sequential engine's region calendar and the sharded
+/// executor's shards.
+///
+/// Every cascade edge carrying an [`AxiBridge`] with latency ≥ 1 is a
+/// *cut*: the child subtree becomes its own part. Wire (latency-0)
+/// bridges keep the child in its parent's part. Accelerators stay with
+/// the interconnect that owns their slave port; each memory controller
+/// stays with its root. Parts are numbered in DFS order, so every
+/// node's part index is at least its parent's.
+struct Partition {
+    /// Global node ids per part, in DFS visit order.
+    members: Vec<Vec<usize>>,
+    /// Part index per global node id.
+    shard_of: Vec<usize>,
+    cuts: Vec<ShardCut>,
+    /// Head interconnect (global id) per part.
+    root_of: Vec<usize>,
+    /// Global DFS visit rank per node (accelerators use it to merge
+    /// IRQ streams back into the sequential emission order).
+    rank: Vec<u64>,
+}
+
+fn partition(nodes: &[Node], roots: &[usize]) -> Partition {
+    let n = nodes.len();
+    let mut p = Partition {
+        members: Vec::new(),
+        shard_of: vec![usize::MAX; n],
+        cuts: Vec::new(),
+        root_of: Vec::new(),
+        rank: vec![0; n],
+    };
+    let mut next_rank = 0u64;
+    for &root in roots {
+        let shard = p.members.len();
+        p.members.push(Vec::new());
+        p.root_of.push(root);
+        assign_subtree(nodes, root, shard, &mut p, &mut next_rank);
+        let NodeKind::Interconnect(icn) = &nodes[root].kind else {
+            unreachable!("roots are interconnects");
+        };
+        let mem = icn.memory.expect("roots have memory");
+        p.shard_of[mem] = shard;
+        p.members[shard].push(mem);
+        p.rank[mem] = next_rank;
+        next_rank += 1;
+    }
+    p
+}
+
+fn assign_subtree(nodes: &[Node], ic: usize, shard: usize, p: &mut Partition, next_rank: &mut u64) {
+    p.shard_of[ic] = shard;
+    p.members[shard].push(ic);
+    p.rank[ic] = *next_rank;
+    *next_rank += 1;
+    let NodeKind::Interconnect(icn) = &nodes[ic].kind else {
+        unreachable!("subtree roots are interconnects");
+    };
+    for (port, c) in icn.children.iter().enumerate() {
+        let Some(c) = c else { continue };
+        let child = c.node;
+        match c.bridge.as_ref().map(|b| b.config().latency) {
+            None => {
+                // Accelerator child: stays with its port's owner.
+                p.shard_of[child] = shard;
+                p.members[shard].push(child);
+                p.rank[child] = *next_rank;
+                *next_rank += 1;
+            }
+            Some(latency) if latency >= 1 => {
+                let child_shard = p.members.len();
+                p.members.push(Vec::new());
+                p.root_of.push(child);
+                p.cuts.push(ShardCut {
+                    parent: NodeId(ic),
+                    port,
+                    child: NodeId(child),
+                    latency,
+                    parent_shard: shard,
+                    child_shard,
+                });
+                assign_subtree(nodes, child, child_shard, p, next_rank);
+            }
+            Some(_) => {
+                // Wire bridge: no lookahead, same part.
+                assign_subtree(nodes, child, shard, p, next_rank);
+            }
+        }
+    }
+}
+
+/// One bridge-delimited region of the fast-forward calendar (a part of
+/// the [`Partition`]) and its scheduling state. Never persisted.
+#[derive(Debug, Clone)]
+struct Region {
+    /// The region's nodes, in DFS order.
+    members: Vec<usize>,
+    /// Whether no cut edge hangs below the region, so a sleeping
+    /// region's whole subtree can be passed over.
+    leaf: bool,
+    /// First cycle the region must tick at again.
+    wake: Cycle,
+    /// Whether a node of the region, or a cut bridge into it, moved
+    /// anything during the cycle being ticked.
+    progress: bool,
 }
 
 /// Declarative, validating assembly of a [`SocTopology`].
@@ -751,13 +879,15 @@ impl TopologyBuilder {
             }
         }
         let stamps = vec![None; nodes.len()];
-        Ok(SocTopology {
+        let mut topo = SocTopology {
             nodes,
             roots,
             acc_nodes,
             ic_nodes,
             mem_nodes,
             stamps,
+            regions: Vec::new(),
+            region_of: Vec::new(),
             clock: ClockConfig::default(),
             now: 0,
             irq_events: Vec::new(),
@@ -765,7 +895,9 @@ impl TopologyBuilder {
             scheduler: SchedulerMode::default(),
             skipped_cycles: 0,
             last_shard_report: None,
-        })
+        };
+        topo.partition_regions();
+        Ok(topo)
     }
 }
 
@@ -786,6 +918,10 @@ pub struct SocTopology {
     mem_nodes: Vec<usize>,
     /// Per-node cycle of most recent progress (stall attribution).
     stamps: Vec<Option<Cycle>>,
+    /// The fast-forward calendar: one entry per bridge-delimited region.
+    regions: Vec<Region>,
+    /// Region index per node.
+    region_of: Vec<usize>,
     clock: ClockConfig,
     now: Cycle,
     /// Completion interrupts as accelerator ordinals, drained by
@@ -810,8 +946,9 @@ impl SocTopology {
         self.scheduler
     }
 
-    /// Idle cycles the fast-forward scheduler skipped over so far (zero
-    /// under [`SchedulerMode::Naive`]).
+    /// Cycles the fast-forward scheduler skipped so far: cycles on which
+    /// no component ticked (zero under [`SchedulerMode::Naive`]). A
+    /// cycle on which only some regions ticked is not skipped.
     pub fn skipped_cycles(&self) -> Cycle {
         self.skipped_cycles
     }
@@ -1031,6 +1168,7 @@ impl SocTopology {
             unreachable!("checked above");
         };
         icn.children[port] = Some(Child { node, bridge: None });
+        self.partition_regions();
         Ok(port)
     }
 
@@ -1080,32 +1218,51 @@ impl SocTopology {
             })
     }
 
+    /// Rebuilds the region calendar from the graph (at build time and
+    /// whenever a post-build accelerator joins it).
+    fn partition_regions(&mut self) {
+        let p = partition(&self.nodes, &self.roots);
+        let mut leaf = vec![true; p.members.len()];
+        for cut in &p.cuts {
+            leaf[cut.parent_shard] = false;
+        }
+        self.regions = p
+            .members
+            .into_iter()
+            .zip(leaf)
+            .map(|(members, leaf)| Region {
+                members,
+                leaf,
+                wake: self.now,
+                progress: false,
+            })
+            .collect();
+        self.region_of = p.shard_of;
+    }
+
+    /// One node's event-horizon hint after a no-progress tick at `now`;
+    /// an interconnect's includes the bridges it drives.
+    fn node_horizon(&self, node: usize, now: Cycle) -> Option<Cycle> {
+        match &self.nodes[node].kind {
+            NodeKind::Accelerator(a) => a.acc.next_event(now),
+            NodeKind::Interconnect(icn) => icn
+                .children
+                .iter()
+                .flatten()
+                .filter_map(|c| c.bridge.as_ref()?.next_event())
+                .chain(icn.ic.next_event(now))
+                .min(),
+            NodeKind::Memory(m) => m.mem.next_event(now),
+        }
+    }
+
     /// The earliest cycle any component could make progress at, given a
     /// tick at `now` made none: the minimum over every node's (and
     /// bridge's) event-horizon hint.
     fn horizon(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = None;
-        let mut merge = |c: Option<Cycle>| {
-            horizon = match (horizon, c) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        for node in &self.nodes {
-            match &node.kind {
-                NodeKind::Accelerator(a) => merge(a.acc.next_event(now)),
-                NodeKind::Interconnect(icn) => {
-                    merge(icn.ic.next_event(now));
-                    for child in icn.children.iter().flatten() {
-                        if let Some(bridge) = &child.bridge {
-                            merge(bridge.next_event());
-                        }
-                    }
-                }
-                NodeKind::Memory(m) => merge(m.mem.next_event(now)),
-            }
-        }
-        horizon
+        (0..self.nodes.len())
+            .filter_map(|n| self.node_horizon(n, now))
+            .min()
     }
 
     /// Cheap digest of everything a run hook can mutate: every
@@ -1152,25 +1309,72 @@ impl SocTopology {
         self.now = to;
     }
 
-    /// Ticks one interconnect subtree in the deterministic order:
-    /// children in slave-port order (accelerators directly, cascaded
-    /// interconnects recursively followed by their bridge), then the
-    /// interconnect itself.
-    fn tick_subtree(
-        nodes: &mut [Node],
-        stamps: &mut [Option<Cycle>],
-        irq: &mut Vec<usize>,
-        done_count: &mut usize,
-        id: usize,
-        now: Cycle,
-    ) -> bool {
+    /// Whether region `r`'s wake cycle has come at `now`.
+    fn awake(&self, r: usize, now: Cycle) -> bool {
+        self.regions[r].wake <= now
+    }
+
+    /// Records a node's tick outcome.
+    fn note_progress(&mut self, node: usize, now: Cycle, progress: bool) -> bool {
+        if progress {
+            self.stamps[node] = Some(now);
+            self.regions[self.region_of[node]].progress = true;
+        }
+        progress
+    }
+
+    /// Ticks the awake regions of the forest for cycle `now` in the
+    /// deterministic order: each root's subtree, then its memory.
+    fn tick_forest(&mut self, now: Cycle) -> bool {
         let mut progress = false;
-        let num_ports = match &nodes[id].kind {
+        for i in 0..self.roots.len() {
+            let root = self.roots[i];
+            let r = self.region_of[root];
+            if self.regions[r].leaf && !self.awake(r, now) {
+                continue;
+            }
+            progress |= self.tick_subtree(root, now);
+            if !self.awake(r, now) {
+                continue;
+            }
+            let mem_id = match &self.nodes[root].kind {
+                NodeKind::Interconnect(icn) => icn.memory.expect("roots have memory"),
+                _ => unreachable!("roots are interconnects"),
+            };
+            let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem_id);
+            let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
+                unreachable!("roots are interconnects");
+            };
+            let NodeKind::Memory(m) = &mut mem_node.kind else {
+                unreachable!("memory edge points at a memory node");
+            };
+            if let Some(wave) = m.wave.as_mut() {
+                wave.sample(now, icn.ic.mem_port());
+            }
+            let p = m.mem.tick(now, icn.ic.mem_port());
+            progress |= self.note_progress(mem_id, now, p);
+        }
+        progress
+    }
+
+    /// Ticks the awake regions of one interconnect subtree in the
+    /// deterministic order: children in slave-port order (accelerators
+    /// directly, cascaded interconnects recursively followed by their
+    /// bridge), then the interconnect itself.
+    ///
+    /// A cut bridge (one between two regions) transfers whenever either
+    /// side is awake or it holds a ready beat; when it moves anything,
+    /// both sides wake — a sleeping parent for the rest of this cycle
+    /// (its tick comes later in this order), the child from the next.
+    fn tick_subtree(&mut self, id: usize, now: Cycle) -> bool {
+        let mut progress = false;
+        let region = self.region_of[id];
+        let num_ports = match &self.nodes[id].kind {
             NodeKind::Interconnect(icn) => icn.children.len(),
             _ => unreachable!("tick roots and cascade children are interconnects"),
         };
         for port in 0..num_ports {
-            let child = match &nodes[id].kind {
+            let child = match &self.nodes[id].kind {
                 NodeKind::Interconnect(icn) => icn.children[port]
                     .as_ref()
                     .map(|c| (c.node, c.bridge.is_some())),
@@ -1180,8 +1384,17 @@ impl SocTopology {
                 continue;
             };
             if cascaded {
-                progress |= Self::tick_subtree(nodes, stamps, irq, done_count, cid, now);
-                let (parent, child_node) = two_nodes(nodes, id, cid);
+                let child_region = self.region_of[cid];
+                let cut = child_region != region;
+                if !(cut && self.regions[child_region].leaf && !self.awake(child_region, now)) {
+                    progress |= self.tick_subtree(cid, now);
+                }
+                let transfer = self.awake(region, now)
+                    || cut && (self.awake(child_region, now) || self.bridge_ready(id, port, now));
+                if !transfer {
+                    continue;
+                }
+                let (parent, child_node) = two_nodes(&mut self.nodes, id, cid);
                 let NodeKind::Interconnect(picn) = &mut parent.kind else {
                     unreachable!("parent is an interconnect");
                 };
@@ -1192,13 +1405,20 @@ impl SocTopology {
                     .as_mut()
                     .and_then(|c| c.bridge.as_mut())
                     .expect("cascaded child has a bridge");
-                let moved = bridge.transfer(now, cicn.ic.mem_port(), picn.ic.port(port));
-                if moved {
-                    stamps[cid] = Some(now);
+                if bridge.transfer(now, cicn.ic.mem_port(), picn.ic.port(port)) {
+                    self.stamps[cid] = Some(now);
+                    for r in [region, child_region] {
+                        let r = &mut self.regions[r];
+                        r.wake = r.wake.min(now);
+                        r.progress = true;
+                    }
+                    progress = true;
                 }
-                progress |= moved;
             } else {
-                let (parent, child_node) = two_nodes(nodes, id, cid);
+                if !self.awake(region, now) {
+                    continue;
+                }
+                let (parent, child_node) = two_nodes(&mut self.nodes, id, cid);
                 let NodeKind::Interconnect(picn) = &mut parent.kind else {
                     unreachable!("parent is an interconnect");
                 };
@@ -1206,30 +1426,90 @@ impl SocTopology {
                     unreachable!("non-cascaded child is an accelerator");
                 };
                 let p = a.acc.tick(now, picn.ic.port(port));
-                if p {
-                    stamps[cid] = Some(now);
-                }
-                progress |= p;
                 let jobs = a.acc.jobs_completed();
                 for _ in a.last_jobs..jobs {
-                    irq.push(a.ordinal);
+                    self.irq_events.push(a.ordinal);
                 }
                 if !a.was_done && a.acc.is_done() {
                     a.was_done = true;
-                    *done_count += 1;
+                    self.done_count += 1;
                 }
                 a.last_jobs = jobs;
+                progress |= self.note_progress(cid, now, p);
             }
         }
-        let NodeKind::Interconnect(icn) = &mut nodes[id].kind else {
-            unreachable!("subtree roots are interconnects");
-        };
-        let p = icn.ic.tick(now);
-        if p {
-            stamps[id] = Some(now);
+        if self.awake(region, now) {
+            let NodeKind::Interconnect(icn) = &mut self.nodes[id].kind else {
+                unreachable!("subtree roots are interconnects");
+            };
+            let p = icn.ic.tick(now);
+            progress |= self.note_progress(id, now, p);
         }
-        progress |= p;
         progress
+    }
+
+    /// Whether the bridge on slave port `port` of interconnect `ic`
+    /// holds a beat ready to leave at `now`.
+    fn bridge_ready(&self, ic: usize, port: usize, now: Cycle) -> bool {
+        let NodeKind::Interconnect(icn) = &self.nodes[ic].kind else {
+            unreachable!("bridges hang off interconnects");
+        };
+        icn.children[port]
+            .as_ref()
+            .and_then(|c| c.bridge.as_ref()?.next_event())
+            .is_some_and(|e| e <= now)
+    }
+
+    /// The fast-forward calendar behind [`SocTopology::run_for`] and
+    /// [`SocTopology::run_until_done`]: ticks until `bound`, or until
+    /// every accelerator is done when `until_done` is set.
+    ///
+    /// Every region wakes at entry (covering mutations made between
+    /// calls). After each cycle a region that made progress wakes at the
+    /// next one; one that ticked without progress sleeps until its own
+    /// horizon; one that slept keeps its wake cycle. When every region
+    /// sleeps, `now` jumps to the earliest wake — those are the skipped
+    /// cycles.
+    fn run_calendar(&mut self, bound: Cycle, until_done: bool) {
+        let skip = self.fast_forward_active();
+        for region in &mut self.regions {
+            region.wake = self.now;
+        }
+        while self.now < bound && !(until_done && self.done_count == self.acc_nodes.len()) {
+            let t = self.now;
+            for region in &mut self.regions {
+                region.progress = false;
+            }
+            self.tick_forest(t);
+            let mut next = bound;
+            for r in 0..self.regions.len() {
+                let region = &self.regions[r];
+                let wake = if region.progress || !skip {
+                    t + 1
+                } else if region.wake <= t {
+                    self.region_horizon(r, t)
+                        .map_or(Cycle::MAX, |h| h.max(t + 1))
+                } else {
+                    region.wake
+                };
+                self.regions[r].wake = wake;
+                next = next.min(wake);
+            }
+            self.now = t + 1;
+            if next > self.now {
+                self.note_skipped(next);
+            }
+        }
+    }
+
+    /// The earliest hint among region `r`'s nodes after a no-progress
+    /// tick at `now`.
+    fn region_horizon(&self, r: usize, now: Cycle) -> Option<Cycle> {
+        self.regions[r]
+            .members
+            .iter()
+            .filter_map(|&n| self.node_horizon(n, now))
+            .min()
     }
 
     /// Runs for exactly `cycles` cycles.
@@ -1237,33 +1517,26 @@ impl SocTopology {
     /// Under [`SchedulerMode::Sharded`] with a multi-shard plan the
     /// forest is executed on worker threads (byte-identical to the
     /// sequential schedulers); a single-shard plan falls through to the
-    /// fast-forward loop below.
+    /// fast-forward calendar.
     pub fn run_for(&mut self, cycles: Cycle) {
         if let SchedulerMode::Sharded { workers } = self.scheduler {
             if shard::run(self, workers, cycles, false).is_some() {
                 return;
             }
         }
-        let end = self.now + cycles;
-        while self.now < end {
-            let t = self.now;
-            let progress = self.tick(t);
-            if !progress && self.fast_forward_active() {
-                let target = self.skip_target(t, end);
-                self.note_skipped(target);
-            }
-        }
+        self.run_calendar(self.now + cycles, false);
     }
 
     /// Runs for exactly `cycles` cycles, invoking `hook` after each
     /// cycle with the cycle just completed and the topology itself.
     ///
-    /// Under [`SchedulerMode::FastForward`] the hook keeps its exact
-    /// cadence — it is invoked once per cycle even across skipped spans
-    /// (only the known-no-op ticks are elided). After each invocation a
-    /// mutation fingerprint detects hooks that move beats or rewrite
-    /// control registers, and ticking resumes immediately when one
-    /// does.
+    /// Every ticked cycle ticks every region (the hook may touch any of
+    /// them). Under [`SchedulerMode::FastForward`] the hook keeps its
+    /// exact cadence — it is invoked once per cycle even across skipped
+    /// spans (only the known-no-op ticks are elided). After each
+    /// invocation a mutation fingerprint detects hooks that move beats
+    /// or rewrite control registers, and ticking resumes immediately
+    /// when one does.
     pub fn run_for_with(&mut self, cycles: Cycle, mut hook: impl FnMut(Cycle, &mut Self)) {
         let end = self.now + cycles;
         while self.now < end {
@@ -1307,20 +1580,11 @@ impl SocTopology {
                 };
             }
         }
-        let deadline = self.now + max_cycles;
-        loop {
-            if self.done_count == self.acc_nodes.len() {
-                return sim::RunOutcome::Done(self.now);
-            }
-            if self.now >= deadline {
-                return sim::RunOutcome::CycleLimit(self.now);
-            }
-            let t = self.now;
-            let progress = self.tick(t);
-            if !progress && self.fast_forward_active() {
-                let target = self.skip_target(t, deadline);
-                self.note_skipped(target);
-            }
+        self.run_calendar(self.now + max_cycles, true);
+        if self.done_count == self.acc_nodes.len() {
+            sim::RunOutcome::Done(self.now)
+        } else {
+            sim::RunOutcome::CycleLimit(self.now)
         }
     }
 
@@ -1761,39 +2025,13 @@ impl std::fmt::Debug for SocTopology {
 }
 
 impl Component for SocTopology {
+    /// Ticks every node (every region wakes), in the engine's order.
     fn tick(&mut self, now: Cycle) -> bool {
         debug_assert_eq!(now, self.now, "SocTopology must be ticked monotonically");
-        let mut progress = false;
-        for i in 0..self.roots.len() {
-            let root = self.roots[i];
-            progress |= Self::tick_subtree(
-                &mut self.nodes,
-                &mut self.stamps,
-                &mut self.irq_events,
-                &mut self.done_count,
-                root,
-                now,
-            );
-            let mem_id = match &self.nodes[root].kind {
-                NodeKind::Interconnect(icn) => icn.memory.expect("roots have memory"),
-                _ => unreachable!("roots are interconnects"),
-            };
-            let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem_id);
-            let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
-                unreachable!("roots are interconnects");
-            };
-            let NodeKind::Memory(m) = &mut mem_node.kind else {
-                unreachable!("memory edge points at a memory node");
-            };
-            if let Some(wave) = m.wave.as_mut() {
-                wave.sample(now, icn.ic.mem_port());
-            }
-            let p = m.mem.tick(now, icn.ic.mem_port());
-            if p {
-                self.stamps[mem_id] = Some(now);
-            }
-            progress |= p;
+        for region in &mut self.regions {
+            region.wake = now;
         }
+        let progress = self.tick_forest(now);
         self.now = now + 1;
         progress
     }

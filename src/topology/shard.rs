@@ -32,7 +32,7 @@ use axi::{AxiBridge, BridgeBatch, ChildHalf, ParentHalf};
 use sim::parallel::{RunOptions, ShardTask, ShardedEngine, WindowReport};
 use sim::Cycle;
 
-use super::{Node, NodeId, NodeKind, SocTopology};
+use super::{partition, Node, NodeId, NodeKind, ShardCut, SocTopology};
 
 /// Disjoint mutable access to two owned slots of a sparse node table.
 fn two_nodes_opt(nodes: &mut [Option<Node>], a: usize, b: usize) -> (&mut Node, &mut Node) {
@@ -48,24 +48,6 @@ fn two_nodes_opt(nodes: &mut [Option<Node>], a: usize, b: usize) -> (&mut Node, 
         x.as_mut().expect("owned node"),
         y.as_mut().expect("owned node"),
     )
-}
-
-/// One cut cascade edge of a [`ShardPlan`]: where the forest was
-/// severed and how much lookahead that buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCut {
-    /// The interconnect owning the slave port above the cut.
-    pub parent: NodeId,
-    /// The parent's slave port the child hangs off.
-    pub port: usize,
-    /// The cascaded interconnect below the cut.
-    pub child: NodeId,
-    /// The bridge latency — this edge's lookahead contribution.
-    pub latency: Cycle,
-    /// Index of the shard the parent landed in.
-    pub parent_shard: usize,
-    /// Index of the shard the child subtree became.
-    pub child_shard: usize,
 }
 
 /// How a topology would be partitioned for sharded execution.
@@ -103,102 +85,6 @@ pub struct ShardRunReport {
     pub ambiguous_stalls: u64,
 }
 
-/// Internal partition: shard membership plus everything the executor
-/// needs to sever the cut edges.
-struct Partition {
-    /// Global node ids per shard.
-    members: Vec<Vec<usize>>,
-    /// Shard index per global node id.
-    shard_of: Vec<usize>,
-    cuts: Vec<ShardCut>,
-    /// Root interconnect (global id) per shard.
-    root_of: Vec<usize>,
-    /// Global DFS visit rank per node (accelerators use it to merge
-    /// IRQ streams back into the sequential emission order).
-    rank: Vec<u64>,
-}
-
-fn partition(topo: &SocTopology) -> Partition {
-    let n = topo.nodes.len();
-    let mut p = Partition {
-        members: Vec::new(),
-        shard_of: vec![usize::MAX; n],
-        cuts: Vec::new(),
-        root_of: Vec::new(),
-        rank: vec![0; n],
-    };
-    let mut next_rank = 0u64;
-    for &root in &topo.roots {
-        let shard = p.members.len();
-        p.members.push(Vec::new());
-        p.root_of.push(root);
-        assign_subtree(topo, root, shard, &mut p, &mut next_rank);
-        let NodeKind::Interconnect(icn) = &topo.nodes[root].kind else {
-            unreachable!("roots are interconnects");
-        };
-        let mem = icn.memory.expect("roots have memory");
-        p.shard_of[mem] = shard;
-        p.members[shard].push(mem);
-        p.rank[mem] = next_rank;
-        next_rank += 1;
-    }
-    p
-}
-
-fn assign_subtree(
-    topo: &SocTopology,
-    ic: usize,
-    shard: usize,
-    p: &mut Partition,
-    next_rank: &mut u64,
-) {
-    p.shard_of[ic] = shard;
-    p.members[shard].push(ic);
-    p.rank[ic] = *next_rank;
-    *next_rank += 1;
-    let NodeKind::Interconnect(icn) = &topo.nodes[ic].kind else {
-        unreachable!("subtree roots are interconnects");
-    };
-    let children: Vec<(usize, usize, Option<Cycle>)> = icn
-        .children
-        .iter()
-        .enumerate()
-        .filter_map(|(port, c)| {
-            c.as_ref()
-                .map(|c| (port, c.node, c.bridge.as_ref().map(|b| b.config().latency)))
-        })
-        .collect();
-    for (port, child, bridge_latency) in children {
-        match bridge_latency {
-            None => {
-                // Accelerator child: stays with its port's owner.
-                p.shard_of[child] = shard;
-                p.members[shard].push(child);
-                p.rank[child] = *next_rank;
-                *next_rank += 1;
-            }
-            Some(latency) if latency >= 1 => {
-                let child_shard = p.members.len();
-                p.members.push(Vec::new());
-                p.root_of.push(child);
-                p.cuts.push(ShardCut {
-                    parent: NodeId(ic),
-                    port,
-                    child: NodeId(child),
-                    latency,
-                    parent_shard: shard,
-                    child_shard,
-                });
-                assign_subtree(topo, child, child_shard, p, next_rank);
-            }
-            Some(_) => {
-                // Wire bridge: no lookahead, same shard.
-                assign_subtree(topo, child, shard, p, next_rank);
-            }
-        }
-    }
-}
-
 impl SocTopology {
     /// Computes how the sharded scheduler would partition this
     /// topology, without running anything: node membership per shard,
@@ -206,7 +92,7 @@ impl SocTopology {
     /// pure function of the graph, so it is identical before and after
     /// any run.
     pub fn shard_plan(&self) -> ShardPlan {
-        let p = partition(self);
+        let p = partition(&self.nodes, &self.roots);
         ShardPlan {
             shards: p
                 .members
@@ -565,7 +451,7 @@ pub(super) fn run(
     cycles: Cycle,
     stop_when_all_done: bool,
 ) -> Option<bool> {
-    let p = partition(topo);
+    let p = partition(&topo.nodes, &topo.roots);
     let num_shards = p.members.len();
     if num_shards <= 1 {
         topo.last_shard_report = Some(ShardRunReport {

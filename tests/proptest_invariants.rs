@@ -401,6 +401,38 @@ proptest! {
         prop_assert_eq!(rep.ambiguous_stalls, 0, "could not prove the sequential schedule");
     }
 
+    /// The region calendar on arbitrary graphs: any generated topology
+    /// (bridge latencies 0–4, so wire and registered edges mix; the
+    /// fault zoo optional), run as two `run_for` calls split at a random
+    /// cycle, is byte-identical under fast-forward and naive stepping —
+    /// clock, IRQ order, stall attribution, metrics snapshot and the
+    /// full persisted image.
+    #[test]
+    fn naive_runs_match_fast_forward_on_any_topology(
+        bytes in proptest::collection::vec(any::<u8>(), 4..48),
+        faults in any::<bool>(),
+        split in 1u64..6_000,
+    ) {
+        const CYCLES: Cycle = 12_000;
+        let run = |mode: SchedulerMode| {
+            let mut topo = topology_from_bytes(&bytes, faults);
+            topo.set_scheduler(mode);
+            topo.run_for(split);
+            topo.run_for(CYCLES - split);
+            topo
+        };
+        let mut naive = run(SchedulerMode::Naive);
+        let mut fast = run(SchedulerMode::FastForward);
+        prop_assert_eq!(naive.now(), fast.now());
+        prop_assert_eq!(naive.take_irq_events(), fast.take_irq_events());
+        prop_assert_eq!(naive.last_active(), fast.last_active());
+        prop_assert_eq!(naive.metrics_snapshot_json(), fast.metrics_snapshot_json());
+        prop_assert!(
+            naive.snapshot_bytes() == fast.snapshot_bytes(),
+            "persisted images differ after {} cycles", CYCLES
+        );
+    }
+
     /// Save/restore symmetry across every persisted layer: any
     /// generated topology (fault models, scoreboard and fault injector
     /// included), frozen at any cycle, restores into a fresh identical

@@ -317,3 +317,357 @@ pub fn build_fig3a_short(mode: SchedulerMode) -> SocSystem<HyperConnect> {
     }
     sys
 }
+
+/// A HyperConnect with metrics enabled, so `metrics_snapshot_json`
+/// carries the instance's hop aggregates.
+fn observed_hc(ports: usize) -> HyperConnect {
+    let mut hc = HyperConnect::new(HcConfig::new(ports));
+    hc.enable_metrics();
+    hc
+}
+
+/// The `bench::tree100` scenario, node for node (metrics enabled): a
+/// root HyperConnect
+/// and seven 13-accelerator clusters behind latency-32 bridges.
+/// Cluster 0's random masters keep it busy nearly every cycle; the other
+/// six clusters' periodic readers idle 8 000–11 000 cycles between
+/// bursts, so their regions sleep most of the time.
+pub fn build_tree100(mode: SchedulerMode) -> SocTopology {
+    const CLUSTERS: usize = 7;
+    const ACCS_PER_CLUSTER: usize = 13;
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", observed_hc(CLUSTERS)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    let mut acc_idx = 0usize;
+    for c in 0..CLUSTERS {
+        let cluster = b
+            .add_interconnect(format!("cluster{c}"), observed_hc(ACCS_PER_CLUSTER))
+            .unwrap();
+        let bridge = BridgeConfig {
+            addr_capacity: 32,
+            data_capacity: 256,
+            resp_capacity: 32,
+            ..BridgeConfig::wire()
+        }
+        .latency(32);
+        b.cascade_with(cluster, root, c, bridge).unwrap();
+        for p in 0..ACCS_PER_CLUSTER {
+            let base = 0x1000_0000 + acc_idx as u64 * 0x0020_0000;
+            let name = format!("a{acc_idx}");
+            let acc: Box<dyn Accelerator> = if c == 0 {
+                Box::new(RandomTraffic::new(
+                    &name,
+                    base,
+                    1 << 19,
+                    BurstSize::B16,
+                    16,
+                    250 + (p as u64 * 37) % 250,
+                    p as u64 * 31 + 17,
+                ))
+            } else {
+                Box::new(PeriodicReader::new(
+                    &name,
+                    base,
+                    1 << 19,
+                    16,
+                    BurstSize::B16,
+                    8_000 + (acc_idx as u64 * 211) % 3_000,
+                ))
+            };
+            let a = b.add_accelerator(&name, acc).unwrap();
+            b.attach(a, cluster, p).unwrap();
+            acc_idx += 1;
+        }
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// A tree mixing wire and registered bridges: `root` ─wire─ `hub`
+/// ─latency 3─ `edge`, and `root` ─latency 5─ `far` ─wire─ `far_leaf`,
+/// with periodic readers of different gaps, a two-job DMA and a random
+/// master spread over the levels.
+pub fn build_mixed_tree(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let hc = |b: &mut TopologyBuilder, label: &str, ports: usize| {
+        b.add_interconnect(label, observed_hc(ports)).unwrap()
+    };
+    let root = hc(&mut b, "root", 3);
+    let hub = hc(&mut b, "hub", 2);
+    let edge = hc(&mut b, "edge", 2);
+    let far = hc(&mut b, "far", 2);
+    let far_leaf = hc(&mut b, "far_leaf", 1);
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade(hub, root, 0).unwrap();
+    b.cascade_with(edge, hub, 0, BridgeConfig::wire().latency(3))
+        .unwrap();
+    b.cascade_with(far, root, 1, BridgeConfig::wire().latency(5))
+        .unwrap();
+    b.cascade(far_leaf, far, 0).unwrap();
+    let reader = |name: &str, base: u64, gap: u64| -> Box<dyn Accelerator> {
+        Box::new(PeriodicReader::new(
+            name,
+            base,
+            1 << 20,
+            16,
+            BurstSize::B16,
+            gap,
+        ))
+    };
+    let placements: [(&str, Box<dyn Accelerator>, _, usize); 6] = [
+        (
+            "rnd",
+            Box::new(RandomTraffic::new(
+                "rnd",
+                0x1000_0000,
+                1 << 20,
+                BurstSize::B16,
+                32,
+                900,
+                5,
+            )),
+            root,
+            2,
+        ),
+        ("hub_per", reader("hub_per", 0x2000_0000, 700), hub, 1),
+        ("edge_per", reader("edge_per", 0x3000_0000, 2_500), edge, 0),
+        (
+            "edge_dma",
+            Box::new(Dma::new(
+                "edge_dma",
+                DmaConfig {
+                    src_base: 0x4000_0000,
+                    dst_base: 0x4800_0000,
+                    ..DmaConfig::reader(8192, 16, BurstSize::B16).jobs(2)
+                },
+            )),
+            edge,
+            1,
+        ),
+        ("far_per", reader("far_per", 0x5000_0000, 1_900), far, 1),
+        (
+            "leaf_per",
+            reader("leaf_per", 0x6000_0000, 3_100),
+            far_leaf,
+            0,
+        ),
+    ];
+    for (name, acc, node, port) in placements {
+        let a = b.add_accelerator(name, acc).unwrap();
+        b.attach(a, node, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// A root with a periodic victim and two clusters behind latency-4
+/// bridges: `faulty` carries the protocol-fault masters (a W-last
+/// violator, a stalled writer that arms late, a rogue reader and a
+/// runaway master) beside a periodic reader; `calm` carries two sparse
+/// readers and sleeps between their bursts.
+pub fn build_fault_tree(mode: SchedulerMode) -> SocTopology {
+    let mut memory = MemoryController::new(MemConfig::zcu102());
+    memory.attach_monitor();
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", observed_hc(3)).unwrap();
+    let faulty = b.add_interconnect("faulty", observed_hc(5)).unwrap();
+    let calm = b.add_interconnect("calm", observed_hc(2)).unwrap();
+    let mem = b.add_memory("ddr", memory).unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade_with(faulty, root, 0, BridgeConfig::wire().latency(4))
+        .unwrap();
+    b.cascade_with(calm, root, 1, BridgeConfig::wire().latency(4))
+        .unwrap();
+    let placements: [(&str, Box<dyn Accelerator>, _, usize); 8] = [
+        (
+            "wlast",
+            Box::new(WlastViolator::new("wlast", 0x1000_0000, 8, BurstSize::B16)),
+            faulty,
+            0,
+        ),
+        (
+            "stall",
+            Box::new(DelayedFault::new(
+                Box::new(StalledWriter::new("stall", 0x2000_0000, 8, BurstSize::B16)),
+                6_000,
+            )),
+            faulty,
+            1,
+        ),
+        (
+            "rogue",
+            Box::new(ha::fault::RogueReader::new(
+                "rogue",
+                0xF000_0000,
+                4,
+                BurstSize::B4,
+            )),
+            faulty,
+            2,
+        ),
+        (
+            "runaway",
+            Box::new(ha::fault::RunawayMaster::new(
+                "runaway",
+                0x3000_0000,
+                1 << 16,
+                8,
+                BurstSize::B16,
+            )),
+            faulty,
+            3,
+        ),
+        (
+            "faulty_per",
+            Box::new(PeriodicReader::new(
+                "faulty_per",
+                0x4000_0000,
+                1 << 20,
+                16,
+                BurstSize::B16,
+                400,
+            )),
+            faulty,
+            4,
+        ),
+        (
+            "calm_a",
+            Box::new(PeriodicReader::new(
+                "calm_a",
+                0x5000_0000,
+                1 << 20,
+                16,
+                BurstSize::B16,
+                3_000,
+            )),
+            calm,
+            0,
+        ),
+        (
+            "calm_b",
+            Box::new(PeriodicReader::new(
+                "calm_b",
+                0x6000_0000,
+                1 << 20,
+                16,
+                BurstSize::B16,
+                4_700,
+            )),
+            calm,
+            1,
+        ),
+        (
+            "victim",
+            Box::new(PeriodicReader::new(
+                "victim",
+                0x7000_0000,
+                1 << 20,
+                16,
+                BurstSize::B16,
+                150,
+            )),
+            root,
+            2,
+        ),
+    ];
+    for (name, acc, node, port) in placements {
+        let a = b.add_accelerator(name, acc).unwrap();
+        b.attach(a, node, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// Finite DMA jobs of different lengths across a 3-level tree
+/// (`root` ─latency 2─ `c0`, `root` ─latency 8─ `c1` ─wire─ `c2`), so
+/// clusters finish at different cycles and sleep while others stream.
+pub fn build_dma_tree(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", observed_hc(3)).unwrap();
+    let c0 = b.add_interconnect("c0", observed_hc(2)).unwrap();
+    let c1 = b.add_interconnect("c1", observed_hc(2)).unwrap();
+    let c2 = b.add_interconnect("c2", observed_hc(1)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade_with(c0, root, 0, BridgeConfig::wire().latency(2))
+        .unwrap();
+    b.cascade_with(c1, root, 1, BridgeConfig::wire().latency(8))
+        .unwrap();
+    b.cascade(c2, c1, 0).unwrap();
+    let dma = |name: &str, base: u64, bytes: u64, jobs: u64| -> Box<dyn Accelerator> {
+        Box::new(Dma::new(
+            name,
+            DmaConfig {
+                src_base: base,
+                dst_base: base + 0x0080_0000,
+                ..DmaConfig::reader(bytes, 16, BurstSize::B16).jobs(jobs)
+            },
+        ))
+    };
+    let placements: [(&str, Box<dyn Accelerator>, _, usize); 5] = [
+        ("d0", dma("d0", 0x1000_0000, 2048, 1), c0, 0),
+        ("d1", dma("d1", 0x2000_0000, 64 * 1024, 2), c0, 1),
+        ("d2", dma("d2", 0x3000_0000, 4096, 3), c1, 1),
+        ("d3", dma("d3", 0x4000_0000, 32 * 1024, 1), c2, 0),
+        ("d4", dma("d4", 0x5000_0000, 1024, 1), root, 2),
+    ];
+    for (name, acc, node, port) in placements {
+        let a = b.add_accelerator(name, acc).unwrap();
+        b.attach(a, node, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// A root whose reservation is armed (a finite budget on its sparse
+/// periodic reader's port, so it ticks on every period boundary even
+/// when idle) and a `sleeper` cluster behind a latency-4 bridge whose
+/// single reader bursts once and then sleeps: the sleeper's unarmed
+/// HyperConnect counts period boundaries only when it next ticks.
+pub fn build_sleeper_tree(mode: SchedulerMode) -> SocTopology {
+    let root_hc = observed_hc(2);
+    let mut bus = axi::lite::LiteBus::new();
+    bus.map(0xA000_0000, 0x1000, root_hc.regs().clone());
+    let drv = HcDriver::probe(&bus, 0xA000_0000).expect("HyperConnect regfile");
+    drv.set_budget(1, 1_000).expect("budget register");
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", root_hc).unwrap();
+    let sleeper = b.add_interconnect("sleeper", observed_hc(1)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade_with(sleeper, root, 0, BridgeConfig::wire().latency(4))
+        .unwrap();
+    for (name, gap, ic, port) in [("sleepy", 1 << 40, sleeper, 0), ("pulse", 20_000, root, 1)] {
+        let a = b
+            .add_accelerator(
+                name,
+                Box::new(PeriodicReader::new(
+                    name,
+                    0x1000_0000 + port as u64 * 0x0100_0000,
+                    1 << 20,
+                    16,
+                    BurstSize::B16,
+                    gap,
+                )),
+            )
+            .unwrap();
+        b.attach(a, ic, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}

@@ -11,18 +11,26 @@
 //! so a scheduler or component-hint change that warps timing is caught
 //! at the source, and asserts that fast-forward actually skips cycles
 //! on idle-heavy workloads (the optimization is live, not vacuous).
+//!
+//! The tree family pins the region calendar: topologies whose
+//! bridge-delimited regions sleep while others stay busy, compared
+//! against naive stepping on clock, IRQ order, stall attribution, bridge
+//! counters, the per-instance metrics snapshot and the full persisted
+//! image.
+
+mod scenarios;
 
 use axi::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use axi::lite::LiteBus;
 use axi::types::{AxiId, BurstSize, PortId};
 use axi::AxiInterconnect;
-use axi_hyperconnect::{SchedulerMode, SocSystem};
+use axi_hyperconnect::{SchedulerMode, SocSystem, SocTopology};
 use ha::chaidnn::{Chaidnn, ChaidnnConfig, Layer};
 use ha::dma::{Dma, DmaConfig};
 use ha::fault::WlastViolator;
 use ha::traffic::{BandwidthStealer, PeriodicReader, RandomTraffic};
 use hyperconnect::{HcConfig, HyperConnect};
-use hypervisor::{Hypervisor, WatchdogPolicy};
+use hypervisor::{HcDriver, Hypervisor, WatchdogPolicy};
 use mem::{MemConfig, MemoryController};
 use sim::{Component, Cycle};
 use smartconnect::{ScConfig, SmartConnect};
@@ -547,10 +555,10 @@ fn fig3a_channel_latency_goldens_hold() {
 /// Tight-budget reservation with sparse demand: between bursts every
 /// component reports a far horizon, but port 0 still holds a finite
 /// budget, so the central unit must keep surfacing the period boundary
-/// as its event horizon. Dropping the finite-budget guard in
-/// `CentralUnit::boundary_horizon` lets fast-forward jump across
-/// recharges and diverge from the naive run (periods elapsed, budget
-/// stalls and issue counts all drift) — this test pins the fix.
+/// as its event horizon. Leaving the boundary out of the HyperConnect's
+/// `next_event` lets fast-forward jump across recharges and diverge
+/// from the naive run (periods elapsed, budget stalls and issue counts
+/// all drift) — this test pins the fix.
 fn tight_budget_run(mode: SchedulerMode) -> (String, Cycle) {
     let hc = HyperConnect::new(HcConfig::new(2));
     hc.regs()
@@ -603,4 +611,217 @@ fn tight_budget_reservation_identical_under_fast_forward() {
     // idle spans (without ever skipping a recharge boundary).
     assert_eq!(naive_skipped, 0);
     assert!(fast_skipped > 0, "fast-forward never engaged");
+}
+
+// ---------------------------------------------------------------------
+// Trees: the region calendar against naive stepping.
+// ---------------------------------------------------------------------
+
+/// Everything a tree run exposes: clock, IRQ order, stall attribution,
+/// the bridge counters above every `cascaded` interconnect and the
+/// per-instance metrics snapshot.
+fn tree_fingerprint(topo: &mut SocTopology, cascaded: &[&str]) -> String {
+    let mut fp = format!(
+        "now={} irqs={:?} last_active={:?}",
+        topo.now(),
+        topo.take_irq_events(),
+        topo.last_active()
+    );
+    for label in cascaded {
+        let id = topo.node_by_label(label).expect("cascaded label");
+        fp.push_str(&format!(" {label}={:?}", topo.bridge_stats(id)));
+    }
+    fp.push_str(&format!(" metrics={}", topo.metrics_snapshot_json()));
+    fp
+}
+
+/// Builds the tree under naive stepping and under fast-forward, drives
+/// both with `drive` (whose output joins the fingerprint) and asserts
+/// the fingerprints and persisted images are byte-identical. Returns
+/// the fast-forward run.
+fn assert_tree_equivalent(
+    label: &str,
+    build: fn(SchedulerMode) -> SocTopology,
+    cascaded: &[&str],
+    drive: impl Fn(&mut SocTopology) -> String,
+) -> SocTopology {
+    let [(naive, naive_fp), (fast, fast_fp)] = [SchedulerMode::Naive, SchedulerMode::FastForward]
+        .map(|mode| {
+            let mut topo = build(mode);
+            let driven = drive(&mut topo);
+            let fp = format!("{driven} {}", tree_fingerprint(&mut topo, cascaded));
+            (topo, fp)
+        });
+    assert_eq!(
+        naive_fp, fast_fp,
+        "{label}: fast-forward diverged from naive"
+    );
+    assert!(
+        naive.snapshot_bytes() == fast.snapshot_bytes(),
+        "{label}: persisted images differ"
+    );
+    assert_eq!(naive.skipped_cycles(), 0);
+    fast
+}
+
+const TREE100_CLUSTERS: [&str; 7] = [
+    "cluster0", "cluster1", "cluster2", "cluster3", "cluster4", "cluster5", "cluster6",
+];
+
+/// `bench::tree100` over a short window: one busy cluster, six sleeping
+/// ones. The skip counter keeps its meaning — cycles on which no
+/// component ticked — so the busy cluster still holds it low.
+#[test]
+fn tree100_region_calendar_matches_naive() {
+    let fast = assert_tree_equivalent(
+        "tree100",
+        scenarios::build_tree100,
+        &TREE100_CLUSTERS,
+        |topo| {
+            topo.run_for(30_000);
+            String::new()
+        },
+    );
+    assert!(fast.skipped_cycles() > 0, "fast-forward never engaged");
+    assert!(
+        fast.skipped_cycles() < 15_000,
+        "the busy cluster pins most cycles, yet {} were skipped",
+        fast.skipped_cycles()
+    );
+}
+
+/// The 3-level cascade (root ─1─ mid ─2─ leaf), split over several
+/// `run_for` calls.
+#[test]
+fn tree3_region_calendar_matches_naive() {
+    assert_tree_equivalent("tree3", scenarios::build_tree3, &["mid", "leaf"], |topo| {
+        for chunk in [1, 999, 20_000, 19_000] {
+            topo.run_for(chunk);
+        }
+        String::new()
+    });
+}
+
+/// Wire and registered bridges mixed: a wire-cascaded hub with a
+/// registered grandchild, and a registered child with a wire leaf.
+#[test]
+fn mixed_bridge_tree_matches_naive() {
+    assert_tree_equivalent(
+        "mixed",
+        scenarios::build_mixed_tree,
+        &["hub", "edge", "far", "far_leaf"],
+        |topo| {
+            topo.run_for(40_000);
+            String::new()
+        },
+    );
+}
+
+/// A cluster of protocol-fault masters beside a sleeping cluster: the
+/// violation logs join the fingerprint with their cycle stamps.
+#[test]
+fn fault_master_cluster_matches_naive() {
+    assert_tree_equivalent(
+        "fault-tree",
+        scenarios::build_fault_tree,
+        &["faulty", "calm"],
+        |topo| {
+            topo.run_for(30_000);
+            let faulty = topo.node_by_label("faulty").unwrap();
+            let hc = topo.interconnect_as::<HyperConnect>(faulty).unwrap();
+            let violations: Vec<_> = (0..5).map(|i| hc.violations(i)).collect();
+            assert!(
+                violations.iter().any(|v| !v.is_empty()),
+                "the fault masters must trip the supervisor"
+            );
+            format!("violations={violations:?}")
+        },
+    );
+}
+
+/// `run_until_done` on a tree whose clusters finish at different
+/// cycles: the same Done cycle under both schedulers.
+#[test]
+fn tree_run_until_done_matches_naive() {
+    assert_tree_equivalent(
+        "dma-tree",
+        scenarios::build_dma_tree,
+        &["c0", "c1", "c2"],
+        |topo| {
+            let outcome = topo.run_until_done(2_000_000);
+            assert!(outcome.is_done(), "{outcome}");
+            format!("{outcome}")
+        },
+    );
+}
+
+/// The hypervisor reprograms a sleeping cluster between two `run_for`
+/// calls — decouples one port and programs a reservation budget on
+/// another over AXI-Lite. Every region wakes at the next call, so the
+/// cluster applies the writes on the same cycle naive stepping does
+/// (the cluster's event trace stamps it).
+#[test]
+fn reprogramming_a_sleeping_cluster_matches_naive() {
+    assert_tree_equivalent(
+        "tree100-reprogram",
+        scenarios::build_tree100,
+        &TREE100_CLUSTERS,
+        |topo| {
+            let id = topo.node_by_label("cluster3").unwrap();
+            topo.interconnect_as_mut::<HyperConnect>(id)
+                .unwrap()
+                .enable_trace(64);
+            topo.run_for(4_000);
+            let hc = topo.interconnect_as::<HyperConnect>(id).unwrap();
+            assert!(hc.is_idle(), "cluster3 must be idle at the reprogram");
+            let mut bus = LiteBus::new();
+            bus.map(0xA000_0000, 0x1000, hc.regs().clone());
+            let drv = HcDriver::probe(&bus, 0xA000_0000).expect("HyperConnect regfile");
+            drv.set_decoupled(0, true).unwrap();
+            drv.set_budget(1, 2).unwrap();
+            topo.run_for(100);
+            let hc = topo.interconnect_as::<HyperConnect>(id).unwrap();
+            let applied = hc.trace().dump();
+            assert!(
+                applied.iter().any(|l| l.contains("DECOUPLED")),
+                "the decouple must take effect within the call: {applied:?}"
+            );
+            topo.run_for(20_000);
+            let hc = topo.interconnect_as::<HyperConnect>(id).unwrap();
+            format!("trace={:?} stats={:?}", hc.trace().dump(), hc.port_stats(1))
+        },
+    );
+}
+
+/// A cluster sleeping across a reservation-period boundary while the
+/// root ticks on it. The cluster's burst at cycle 0 arms its
+/// reservation for the first period only; from the boundary at 65 536
+/// on every port is unlimited and idle. A recharge still counts as
+/// progress (and advances the period counter), so the cluster must wake
+/// on the next boundary (131 072) by its own horizon: after every short
+/// chunk — the one holding the boundary ends in an idle span — the
+/// persisted image, period counters and stall stamps included, matches
+/// naive stepping.
+#[test]
+fn sleeping_cluster_recharges_on_every_period_boundary() {
+    let [mut naive, mut fast] =
+        [SchedulerMode::Naive, SchedulerMode::FastForward].map(scenarios::build_sleeper_tree);
+    for topo in [&mut naive, &mut fast] {
+        topo.run_for(131_000);
+    }
+    for _ in 0..20 {
+        for topo in [&mut naive, &mut fast] {
+            topo.run_for(97);
+        }
+        assert!(
+            naive.snapshot_bytes() == fast.snapshot_bytes(),
+            "images differ after the call ending at cycle {}",
+            fast.now()
+        );
+    }
+    let id = fast.node_by_label("sleeper").unwrap();
+    let hc = fast.interconnect_as::<HyperConnect>(id).unwrap();
+    assert!(hc.is_idle());
+    assert_eq!(hc.periods_elapsed(), 3, "the sleeper counted the boundary");
+    assert!(fast.skipped_cycles() > 0, "fast-forward never engaged");
 }

@@ -166,6 +166,53 @@ fn fabric_fault_snapshot_split_is_exact() {
 }
 
 // ---------------------------------------------------------------------
+// Scenario 7: the tree100 shape, split while its six periodic clusters
+// sleep. Region wake cycles are scheduler state and never persisted:
+// a restore wakes every region, so the image frozen mid-sleep resumes
+// exactly under naive stepping, under fast-forward and across the two.
+// (The sharded executor is left out: its image of this shape already
+// differs from naive stepping's without any split.)
+// ---------------------------------------------------------------------
+
+#[test]
+fn tree100_snapshot_split_while_clusters_sleep_is_exact() {
+    const CYCLES: Cycle = 24_000;
+    const SPLIT: Cycle = 4_000;
+    let mut reference = build_tree100(SchedulerMode::Naive);
+    reference.run_for(CYCLES);
+    let reference_bytes = reference.snapshot_bytes();
+
+    for (freeze, thaw) in [
+        (SchedulerMode::FastForward, SchedulerMode::FastForward),
+        (SchedulerMode::FastForward, SchedulerMode::Naive),
+        (SchedulerMode::Naive, SchedulerMode::FastForward),
+    ] {
+        let mut first = build_tree100(freeze);
+        first.run_for(SPLIT);
+        // The first bursts are long done; every periodic reader is in
+        // its 8 000+ cycle gap, so clusters 1–6 sleep at the split.
+        for c in 1..7 {
+            let id = first.node_by_label(&format!("cluster{c}")).unwrap();
+            assert!(
+                first.interconnect_dyn(id).unwrap().is_idle(),
+                "cluster{c} must be idle at the split"
+            );
+        }
+        let mid = first.snapshot_bytes();
+        let mut resumed = build_tree100(thaw);
+        resumed
+            .restore_snapshot_bytes(&mid)
+            .unwrap_or_else(|e| panic!("tree100: restore under {thaw:?} failed: {e:?}"));
+        resumed.run_for(CYCLES - SPLIT);
+        assert_eq!(
+            resumed.snapshot_bytes(),
+            reference_bytes,
+            "tree100: frozen under {freeze:?}, resumed under {thaw:?}, diverged"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Negative space: a snapshot must refuse a differently-shaped host.
 // ---------------------------------------------------------------------
 
