@@ -163,6 +163,7 @@ fn bench_payload_transfer(c: &mut Criterion) {
 
 fn bench_exbar_arbitration(c: &mut Criterion) {
     use hyperconnect::exbar::Exbar;
+    use hyperconnect::portset::PortSet;
     use hyperconnect::supervisor::SubAr;
     use hyperconnect::TransactionSupervisor;
 
@@ -179,6 +180,8 @@ fn bench_exbar_arbitration(c: &mut Criterion) {
             let mut sups: Vec<TransactionSupervisor> =
                 (0..PORTS).map(|_| TransactionSupervisor::new(64)).collect();
             let mut mem_port = axi::AxiPort::new(axi::PortConfig::wire());
+            // Every port keeps a sub-request staged.
+            let staged = PortSet::full(PORTS);
             for now in 0..CYCLES {
                 for (p, ts) in sups.iter_mut().enumerate() {
                     if !ts.ar_stage.is_full() {
@@ -192,7 +195,7 @@ fn bench_exbar_arbitration(c: &mut Criterion) {
                         );
                     }
                 }
-                exbar.arbitrate_ar(now, &mut sups);
+                exbar.arbitrate_ar(now, &mut sups, &staged);
                 exbar.move_to_mem(now, &mut mem_port);
                 while mem_port.ar.pop_ready(now).is_some() {}
             }

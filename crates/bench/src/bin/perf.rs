@@ -10,14 +10,18 @@
 //! 2. **Idle-heavy probe** — a single DMA against `MemConfig::zcu102()`
 //!    that finishes early and leaves the window mostly idle; run under
 //!    both schedulers to demonstrate the event-horizon speedup.
-//! 3. **Figure sweeps** — the independent Fig. 3(b)/4/5 scenario points
+//! 3. **Idle ports** — a HyperConnect with no traffic at 2, 4, 7 and
+//!    14 ports, ticked and horizon-probed directly: the cost of ports
+//!    that have nothing to do, which should barely grow with their
+//!    number.
+//! 4. **Figure sweeps** — the independent Fig. 3(b)/4/5 scenario points
 //!    executed on `std::thread` workers, reporting per-point wall time,
 //!    the per-figure worker count actually used, and the
 //!    parallel-runner gain over serial execution. The Fig. 5 sweep runs
 //!    its systems under `SchedulerMode::Sharded` (single-interconnect
 //!    plans fall through to the exact fast-forward path, so the numbers
 //!    are unchanged — the sweep exercises the sharded dispatch).
-//! 4. **100-node tree** — the [`bench::tree100`] scenario run under
+//! 5. **100-node tree** — the [`bench::tree100`] scenario run under
 //!    naive stepping (the oracle), the sequential region fast-forward
 //!    calendar and `SchedulerMode::Sharded` at a worker sweep. The
 //!    fast-forward run must be byte-identical to the naive one, and
@@ -41,6 +45,7 @@
 
 #![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
 
+use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -55,7 +60,7 @@ use ha::traffic::{BandwidthStealer, PeriodicReader, RandomTraffic};
 use hyperconnect::{HcConfig, HyperConnect};
 use hypervisor::HcDriver;
 use mem::{MemConfig, MemoryController};
-use sim::Cycle;
+use sim::{Component, Cycle};
 
 /// A counting wrapper around the system allocator, compiled only under
 /// the `alloc-count` feature. The sole overhead is one relaxed atomic
@@ -394,6 +399,38 @@ fn snapshot_probe(window: Cycle) -> (f64, f64, usize, bool) {
     (save_ms, restore_ms, bytes.len(), roundtrip)
 }
 
+/// Port counts of the idle-port probe: the flat Fig. 5 size, the QoS
+/// probe's, and tree100's cluster and root HyperConnects.
+const IDLE_PORT_COUNTS: [usize; 4] = [2, 4, 7, 14];
+
+/// Idle-port probe: a HyperConnect with no traffic at all, ticked
+/// `ticks` times and then asked for its next event `ticks` times, per
+/// repeat. Returns the best-of-repeats ns per tick and per
+/// `next_event`, and the total wall time of the tick loops in ms.
+fn idle_ports_probe(ports: usize, ticks: Cycle, repeats: u32) -> (f64, f64, f64) {
+    let mut hc = HyperConnect::new(HcConfig::new(ports));
+    // The first tick takes the construction-time slow path.
+    hc.tick(0);
+    let mut now: Cycle = 0;
+    let (mut tick_ns, mut probe_ns, mut wall_ms) = (f64::MAX, f64::MAX, 0.0);
+    for _ in 0..repeats {
+        let t0 = Instant::now();
+        for _ in 0..ticks {
+            now += 1;
+            black_box(hc.tick(now));
+        }
+        let elapsed = t0.elapsed().as_secs_f64();
+        wall_ms += elapsed * 1e3;
+        tick_ns = tick_ns.min(elapsed * 1e9 / ticks as f64);
+        let t1 = Instant::now();
+        for k in 0..ticks {
+            black_box(black_box(&hc).next_event(now + k));
+        }
+        probe_ns = probe_ns.min(t1.elapsed().as_secs_f64() * 1e9 / ticks as f64);
+    }
+    (tick_ns, probe_ns, wall_ms)
+}
+
 fn json_points(points: &[PointResult]) -> String {
     points
         .iter()
@@ -558,6 +595,37 @@ fn main() {
             " — ROUND-TRIP DIVERGED"
         }
     );
+
+    // 3e. Idle-port probe: per-tick and per-probe cost of HyperConnects
+    // whose ports have nothing to do.
+    let idle_ticks: Cycle = match mode {
+        "quick" => 1_000_000,
+        "full" => 4_000_000,
+        _ => 2_000_000,
+    };
+    let idle_ports: Vec<(usize, f64, f64, f64)> = IDLE_PORT_COUNTS
+        .iter()
+        .map(|&ports| {
+            let (tick_ns, probe_ns, wall_ms) = idle_ports_probe(ports, idle_ticks, 3);
+            println!(
+                "idle ports ({ports} ports, {idle_ticks} ticks x 3): {tick_ns:.1} ns/tick, \
+                 {probe_ns:.1} ns/next_event"
+            );
+            (ports, tick_ns, probe_ns, wall_ms)
+        })
+        .collect();
+    let idle_ports_json = idle_ports
+        .iter()
+        .map(|&(ports, tick_ns, probe_ns, wall_ms)| {
+            format!(
+                "{{\"name\":\"hc{ports}\",\"ports\":{ports},\"tick_ns\":{tick_ns:.2},\
+                 \"next_event_ns\":{probe_ns:.2},\"wall_ms\":{wall_ms:.3},\
+                 \"cycles_per_sec\":{:.0}}}",
+                1e9 / tick_ns.max(1e-9)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
 
     // 4. Figure sweeps on the parallel runner.
     let mut fig3b_points: Vec<Point> = Vec::new();
@@ -769,6 +837,9 @@ fn main() {
          \"bytes\":{snap_bytes},\"save_wall_ms\":{snap_save_ms:.3},\
          \"restore_wall_ms\":{snap_restore_ms:.3},\
          \"roundtrip_byte_identical\":{snap_roundtrip}}},\n\
+         \"idle_ports\":{{\"scenario\":\"HyperConnect with no traffic, ticked then \
+         horizon-probed {idle_ticks} times per repeat, best of 3; cycles_per_sec is idle ticks \
+         per second\",\"sim_cycles\":{},\"points\":[{idle_ports_json}]}},\n\
          \"figures\":[{figures_json}],\n\
          \"tree100\":{{\"scenario\":\"{} nodes: 1 busy + 6 periodic clusters behind latency-{} \
          bridges, {tree_cycles}-cycle window\",\
@@ -784,6 +855,7 @@ fn main() {
          \"sharded\":[{tree_sharded_json}]}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
+        3 * idle_ticks,
         tree100::node_count(),
         tree100::BRIDGE_LATENCY,
         tree100::node_count(),

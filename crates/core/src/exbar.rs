@@ -20,6 +20,7 @@ use sim::{Cycle, TimedFifo};
 
 use crate::config::ArbitrationPolicy;
 use crate::efifo::EFifo;
+use crate::portset::PortSet;
 use crate::supervisor::TransactionSupervisor;
 
 /// One granted write burst awaiting its W data, in grant order.
@@ -152,34 +153,37 @@ impl Exbar {
             && self.w_routes.is_empty()
     }
 
-    /// Round-robin scan starting *after* the last granted port —
+    /// Picks the next port to grant among the `staged` ports according
+    /// to the configured policy: the lowest ready port for fixed
+    /// priority; for round-robin, the first ready port scanning up from
+    /// the one *after* the last granted port (`start`) and wrapping —
     /// granularity is fixed at one transaction per grant.
-    fn rr_pick<F>(start: usize, n: usize, mut ready: F) -> Option<usize>
-    where
-        F: FnMut(usize) -> bool,
-    {
-        (1..=n).map(|k| (start + k) % n).find(|&p| ready(p))
-    }
-
-    /// Picks the next port to grant according to the configured policy.
-    fn pick<F>(&self, start: usize, n: usize, mut ready: F) -> Option<usize>
+    fn pick<F>(&self, start: usize, staged: &PortSet, mut ready: F) -> Option<usize>
     where
         F: FnMut(usize) -> bool,
     {
         match self.policy {
-            ArbitrationPolicy::RoundRobin => Self::rr_pick(start, n, ready),
-            ArbitrationPolicy::FixedPriority => (0..n).find(|&p| ready(p)),
+            ArbitrationPolicy::RoundRobin => staged
+                .iter_from(start + 1)
+                .chain(staged.iter().take_while(|&p| p <= start))
+                .find(|&p| ready(p)),
+            ArbitrationPolicy::FixedPriority => staged.iter().find(|&p| ready(p)),
         }
     }
 
-    /// Arbitrates one read request among the TS stages. Returns `true`
-    /// if a grant happened.
-    pub fn arbitrate_ar(&mut self, now: Cycle, ts: &mut [TransactionSupervisor]) -> bool {
-        if self.ar_stage.is_full() || self.read_routes.is_full() {
+    /// Arbitrates one read request among the TS stages. `staged` must
+    /// hold every port whose `ar_stage` is non-empty (extra members are
+    /// harmless). Returns `true` if a grant happened.
+    pub fn arbitrate_ar(
+        &mut self,
+        now: Cycle,
+        ts: &mut [TransactionSupervisor],
+        staged: &PortSet,
+    ) -> bool {
+        if staged.is_empty() || self.ar_stage.is_full() || self.read_routes.is_full() {
             return false;
         }
-        let n = ts.len();
-        let Some(port) = self.pick(self.ar_rr, n, |p| ts[p].ar_stage.has_ready(now)) else {
+        let Some(port) = self.pick(self.ar_rr, staged, |p| ts[p].ar_stage.has_ready(now)) else {
             return false;
         };
         let sub = ts[port].ar_stage.pop_ready(now).expect("checked ready");
@@ -210,14 +214,19 @@ impl Exbar {
         true
     }
 
-    /// Arbitrates one write request among the TS stages. Returns `true`
-    /// if a grant happened.
-    pub fn arbitrate_aw(&mut self, now: Cycle, ts: &mut [TransactionSupervisor]) -> bool {
-        if self.aw_stage.is_full() || self.b_routes.is_full() {
+    /// Arbitrates one write request among the TS stages. `staged` must
+    /// hold every port whose `aw_stage` is non-empty (extra members are
+    /// harmless). Returns `true` if a grant happened.
+    pub fn arbitrate_aw(
+        &mut self,
+        now: Cycle,
+        ts: &mut [TransactionSupervisor],
+        staged: &PortSet,
+    ) -> bool {
+        if staged.is_empty() || self.aw_stage.is_full() || self.b_routes.is_full() {
             return false;
         }
-        let n = ts.len();
-        let Some(port) = self.pick(self.aw_rr, n, |p| ts[p].aw_stage.has_ready(now)) else {
+        let Some(port) = self.pick(self.aw_rr, staged, |p| ts[p].aw_stage.has_ready(now)) else {
             return false;
         };
         let sub = ts[port].aw_stage.pop_ready(now).expect("checked ready");
@@ -484,6 +493,18 @@ mod tests {
         (exbar, ts, efifos, mem_port)
     }
 
+    /// Arbitrates AR with every port offered as a candidate.
+    fn arb_ar(exbar: &mut Exbar, now: Cycle, ts: &mut [TransactionSupervisor]) -> bool {
+        let all = PortSet::full(ts.len());
+        exbar.arbitrate_ar(now, ts, &all)
+    }
+
+    /// Arbitrates AW with every port offered as a candidate.
+    fn arb_aw(exbar: &mut Exbar, now: Cycle, ts: &mut [TransactionSupervisor]) -> bool {
+        let all = PortSet::full(ts.len());
+        exbar.arbitrate_aw(now, ts, &all)
+    }
+
     /// Stages a sub-AR on a TS by pushing through its eFIFO and running
     /// ingest/issue until the stage holds it.
     fn stage_ar(ts: &mut TransactionSupervisor, ef: &mut EFifo, now: Cycle, addr: u64) {
@@ -506,7 +527,7 @@ mod tests {
                     stage_ar(&mut ts[p], &mut efifos[p], now, (p as u64) * 0x1000);
                 }
             }
-            if exbar.arbitrate_ar(now + 1, &mut ts) {
+            if arb_ar(&mut exbar, now + 1, &mut ts) {
                 // Who was granted? The rr pointer tracks it.
                 grants.push(exbar.ar_rr);
             }
@@ -525,9 +546,9 @@ mod tests {
         stage_ar(&mut ts[0], &mut efifos[0], 1, 0x0);
         stage_ar(&mut ts[1], &mut efifos[1], 1, 0x1000);
         // Both stages ready at cycle 2.
-        assert!(exbar.arbitrate_ar(2, &mut ts));
-        assert!(exbar.arbitrate_ar(3, &mut ts));
-        assert!(!exbar.arbitrate_ar(4, &mut ts)); // nothing left
+        assert!(arb_ar(&mut exbar, 2, &mut ts));
+        assert!(arb_ar(&mut exbar, 3, &mut ts));
+        assert!(!arb_ar(&mut exbar, 4, &mut ts)); // nothing left
                                                   // Routing order matches grant order.
         let first = exbar.read_routes.head().unwrap().port;
         exbar.move_to_mem(3, &mut mem);
@@ -544,7 +565,7 @@ mod tests {
     fn exbar_latency_one_cycle_per_request() {
         let (mut exbar, mut ts, mut efifos, mut mem) = setup(1);
         stage_ar(&mut ts[0], &mut efifos[0], 1, 0x40);
-        assert!(exbar.arbitrate_ar(2, &mut ts));
+        assert!(arb_ar(&mut exbar, 2, &mut ts));
         // Granted at 2, in the crossbar register until 3.
         assert!(!exbar.move_to_mem(2, &mut mem));
         assert!(exbar.move_to_mem(3, &mut mem));
@@ -575,8 +596,8 @@ mod tests {
             ts[port].ingest(when, &mut efifos[port], rt());
             ts[port].issue(when, rt());
         }
-        assert!(exbar.arbitrate_aw(2, &mut ts)); // port 1 granted first
-        assert!(exbar.arbitrate_aw(4, &mut ts)); // then port 0
+        assert!(arb_aw(&mut exbar, 2, &mut ts)); // port 1 granted first
+        assert!(arb_aw(&mut exbar, 4, &mut ts)); // then port 0
         let mut data = Vec::new();
         for now in 2..12 {
             exbar.move_w(now, &mut ts, &efifos, &mut mem);
@@ -604,7 +625,7 @@ mod tests {
             .unwrap();
         ts[0].ingest(1, &mut efifos[0], rt());
         ts[0].issue(1, rt());
-        assert!(exbar.arbitrate_aw(2, &mut ts));
+        assert!(arb_aw(&mut exbar, 2, &mut ts));
         efifos[1]
             .port
             .aw
@@ -617,7 +638,7 @@ mod tests {
             .unwrap();
         ts[1].ingest(3, &mut efifos[1], rt());
         ts[1].issue(3, rt());
-        assert!(exbar.arbitrate_aw(4, &mut ts));
+        assert!(arb_aw(&mut exbar, 4, &mut ts));
         // Move the one real beat; the channel then wedges on port 0.
         for now in 2..10 {
             ts[0].ingest(now, &mut efifos[0], rt());
@@ -730,7 +751,7 @@ mod tests {
                 ts[p].ingest(now, &mut efifos[p], unlimited);
                 ts[p].issue(now, unlimited);
             }
-            if exbar.arbitrate_ar(now + 1, &mut ts) {
+            if arb_ar(&mut exbar, now + 1, &mut ts) {
                 grants.push(exbar.read_routes.head().map(|r| r.port));
                 // Drain so arbitration continues.
                 exbar.ar_stage.pop_ready(now + 2);
@@ -742,6 +763,50 @@ mod tests {
         assert!(grants.iter().all(|&g| g == Some(0)), "{grants:?}");
     }
 
+    /// The pick as the arbiter made it before it scanned a port set:
+    /// every port in turn, reduced `% n` per candidate.
+    fn full_scan_pick(
+        policy: ArbitrationPolicy,
+        start: usize,
+        n: usize,
+        ready: &[bool],
+    ) -> Option<usize> {
+        match policy {
+            ArbitrationPolicy::RoundRobin => (1..=n).map(|k| (start + k) % n).find(|&p| ready[p]),
+            ArbitrationPolicy::FixedPriority => (0..n).find(|&p| ready[p]),
+        }
+    }
+
+    proptest::proptest! {
+        /// For any port count (across several bitset words), start
+        /// pointer and staged/ready split, the masked pick equals the
+        /// full scan under both policies. A port is staged when its
+        /// draw falls below `density`, and ready when it is staged and
+        /// its draw is even.
+        #[test]
+        fn masked_pick_matches_full_scan(
+            n in 1usize..=130,
+            start_draw in 0usize..1_000,
+            density in 0u32..=100,
+            draws in proptest::collection::vec(0u32..100, 130),
+        ) {
+            let start = start_draw % n;
+            let mut staged = PortSet::new(n);
+            let mut ready = vec![false; n];
+            for (p, &draw) in draws.iter().enumerate().take(n) {
+                if draw < density {
+                    staged.insert(p);
+                    ready[p] = draw % 2 == 0;
+                }
+            }
+            for policy in [ArbitrationPolicy::RoundRobin, ArbitrationPolicy::FixedPriority] {
+                let exbar = Exbar::with_policy(n, 4, policy);
+                let masked = exbar.pick(start, &staged, |p| ready[p]);
+                proptest::prop_assert_eq!(masked, full_scan_pick(policy, start, n, &ready));
+            }
+        }
+    }
+
     #[test]
     fn priority_falls_through_when_winner_is_idle() {
         let mut exbar = Exbar::with_policy(2, 32, ArbitrationPolicy::FixedPriority);
@@ -749,7 +814,7 @@ mod tests {
             (0..2).map(|_| TransactionSupervisor::new(32)).collect();
         let mut efifos: Vec<EFifo> = (0..2).map(|_| EFifo::new(4, 32, 4)).collect();
         stage_ar(&mut ts[1], &mut efifos[1], 1, 0x2000);
-        assert!(exbar.arbitrate_ar(2, &mut ts));
+        assert!(arb_ar(&mut exbar, 2, &mut ts));
         assert_eq!(exbar.read_routes.head().unwrap().port, 1);
     }
 }

@@ -26,7 +26,8 @@ use crate::central::CentralUnit;
 use crate::config::HcConfig;
 use crate::efifo::EFifo;
 use crate::exbar::Exbar;
-use crate::regfile::RegFile;
+use crate::portset::PortSet;
+use crate::regfile::{PortRegs, RegFile};
 use crate::supervisor::{TransactionSupervisor, TsRuntime, TsStats};
 
 /// The AXI HyperConnect: a predictable, hypervisor-controlled N-to-1
@@ -82,6 +83,25 @@ pub struct HyperConnect {
     /// Service model used to derive the drain deadline; falls back to a
     /// conservative model built from live register state when unset.
     drain_model: Option<crate::analysis::ServiceModel>,
+    /// Whether any port has a quiescent drain in flight (some
+    /// `quiesce_deadline` is set). Recomputed by every phase-0 slow
+    /// path, the only place the deadlines move.
+    quiesce_active: bool,
+    /// Ports whose TS was [quiet](TransactionSupervisor::is_quiet) at
+    /// the end of its last visit. A TS only changes when the tick
+    /// visits it, so membership stays true until the next visit. Empty
+    /// after construction and restore: nothing is known quiet yet.
+    quiet: PortSet,
+    /// Ports phase 1 visited on the most recent tick: the only ports
+    /// whose TS counters can have moved since the last register
+    /// write-back, so a fast-path write-back covers exactly these.
+    visited: PortSet,
+    /// Ports holding a staged sub-read after phase 1 (EXBAR AR
+    /// candidates); rebuilt every tick.
+    ar_staged: PortSet,
+    /// Ports holding a staged sub-write after phase 1 (EXBAR AW
+    /// candidates); rebuilt every tick.
+    aw_staged: PortSet,
 }
 
 impl HyperConnect {
@@ -126,7 +146,27 @@ impl HyperConnect {
             seen_cfg_gen: u64::MAX,
             viol_totals: vec![0; n],
             drain_model: None,
+            quiesce_active: false,
+            quiet: PortSet::new(n),
+            visited: PortSet::full(n),
+            ar_staged: PortSet::new(n),
+            aw_staged: PortSet::new(n),
         }
+    }
+
+    /// Mirrors a TS's counters into its port's register block, so the
+    /// hypervisor can observe activity and health. Counters wider than
+    /// their 32-bit register saturate.
+    fn write_back(port: &mut PortRegs, ts: &TransactionSupervisor, violations: u64) {
+        port.txn_this_period = ts.txn_this_period();
+        port.txn_total = ts.txn_total();
+        port.violations = u32::try_from(violations).unwrap_or(u32::MAX);
+        port.outstanding = ts.read_outstanding() + ts.write_outstanding();
+        port.throttle_events = ts.throttle_events();
+        port.err_total = ts.err_total();
+        let (rc, wc) = ts.stored_credits();
+        port.read_credits = rc;
+        port.write_credits = wc;
     }
 
     /// Memory first-word latency assumed by the fallback drain model
@@ -289,11 +329,14 @@ impl Component for HyperConnect {
         let tracer = &mut self.tracer;
         let viol_totals = &self.viol_totals;
         let quiesce = &mut self.quiesce_deadline;
+        let quiesce_active = &mut self.quiesce_active;
+        let visited = &self.visited;
         let seen_gen = &mut self.seen_cfg_gen;
         let drain_model = self.drain_model;
         let num_ports = self.config.num_ports;
         let monitor = &mut self.monitor;
         let mut enabled = true;
+        let mut slow = false;
         let mut progress = self.regs.with(|rf| {
             if !rf.is_enabled() {
                 enabled = false;
@@ -314,22 +357,16 @@ impl Component for HyperConnect {
             // only move via generation-bumping writes, a recharge, or
             // the scan itself), so `runtime_scratch` and the decouple
             // flags are already correct and it is skipped wholesale.
+            // Only the ports visited last tick can have moved their
+            // counters, so only they are written back.
             let gen = rf.generation();
-            if gen == *seen_gen && !recharged && quiesce.iter().all(|q| q.is_none()) {
-                for (i, ts) in supervisors.iter().enumerate() {
-                    let port = rf.port_mut(i);
-                    port.txn_this_period = ts.txn_this_period();
-                    port.txn_total = ts.txn_total();
-                    port.violations = viol_totals[i] as u32;
-                    port.outstanding = ts.read_outstanding() + ts.write_outstanding();
-                    port.throttle_events = ts.throttle_events();
-                    port.err_total = ts.err_total();
-                    let (rc, wc) = ts.stored_credits();
-                    port.read_credits = rc;
-                    port.write_credits = wc;
+            if gen == *seen_gen && !recharged && !*quiesce_active {
+                for i in visited.iter() {
+                    Self::write_back(rf.port_mut(i), &supervisors[i], viol_totals[i]);
                 }
                 return false;
             }
+            slow = true;
             *seen_gen = gen;
             scratch.clear();
             for (i, efifo) in efifos.iter_mut().enumerate() {
@@ -415,19 +452,9 @@ impl Component for HyperConnect {
                 }
                 efifo.set_decoupled(!port.enabled);
             }
-            // Counter write-back so the hypervisor can observe activity
-            // and health through the register file.
+            *quiesce_active = quiesce.iter().any(Option::is_some);
             for (i, ts) in supervisors.iter().enumerate() {
-                let port = rf.port_mut(i);
-                port.txn_this_period = ts.txn_this_period();
-                port.txn_total = ts.txn_total();
-                port.violations = viol_totals[i] as u32;
-                port.outstanding = ts.read_outstanding() + ts.write_outstanding();
-                port.throttle_events = ts.throttle_events();
-                port.err_total = ts.err_total();
-                let (rc, wc) = ts.stored_credits();
-                port.read_credits = rc;
-                port.write_credits = wc;
+                Self::write_back(rf.port_mut(i), ts, viol_totals[i]);
             }
             // Re-arm the bound monitor's per-port regulated bounds from
             // the (possibly reprogrammed) regulator registers. Runs only
@@ -454,20 +481,44 @@ impl Component for HyperConnect {
         }
 
         // Phase 1: per-port ingest (split/equalize) and issue
-        // (reservation + outstanding limits).
-        for ((ts, efifo), &rt) in supervisors
+        // (reservation + outstanding limits). A quiet port with no AR/AW
+        // beat waiting is skipped: both calls would change nothing. A
+        // slow-path tick visits every port, so each regulator adopts a
+        // reprogrammed configuration on the cycle it changed.
+        self.visited.clear();
+        self.ar_staged.clear();
+        self.aw_staged.clear();
+        for (i, ((ts, efifo), &rt)) in supervisors
             .iter_mut()
             .zip(self.efifos.iter_mut())
             .zip(self.runtime_scratch.iter())
+            .enumerate()
         {
+            if !slow
+                && self.quiet.contains(i)
+                && efifo.port.ar.is_empty()
+                && efifo.port.aw.is_empty()
+            {
+                debug_assert!(ts.is_quiet(), "port {i} marked quiet but busy");
+                continue;
+            }
+            self.visited.insert(i);
             progress |= ts.ingest(now, efifo, rt);
             progress |= ts.issue(now, rt);
+            if !ts.ar_stage.is_empty() {
+                self.ar_staged.insert(i);
+            }
+            if !ts.aw_stage.is_empty() {
+                self.aw_staged.insert(i);
+            }
         }
 
         // Phase 2: crossbar — address arbitration, data movement,
-        // proactive response routing.
-        progress |= self.exbar.arbitrate_ar(now, supervisors);
-        progress |= self.exbar.arbitrate_aw(now, supervisors);
+        // proactive response routing. Only visited ports can hold a
+        // staged sub-request or be owed a response (an unvisited port's
+        // TS is idle).
+        progress |= self.exbar.arbitrate_ar(now, supervisors, &self.ar_staged);
+        progress |= self.exbar.arbitrate_aw(now, supervisors, &self.aw_staged);
         progress |= self
             .exbar
             .move_w(now, supervisors, &self.efifos, &mut self.mem_port);
@@ -480,8 +531,15 @@ impl Component for HyperConnect {
             .route_b(now, supervisors, &mut self.efifos, &mut self.mem_port);
 
         // Phase 3: drain structured violations detected this cycle and
-        // attribute them to their ports.
-        for (i, ts) in supervisors.iter_mut().enumerate() {
+        // attribute them to their ports, then re-derive each visited
+        // port's quietness now that the crossbar has moved its beats.
+        for i in self.visited.iter() {
+            let ts = &mut supervisors[i];
+            if ts.is_quiet() {
+                self.quiet.insert(i);
+            } else {
+                self.quiet.remove(i);
+            }
             if !ts.has_violations() {
                 continue;
             }
@@ -493,6 +551,10 @@ impl Component for HyperConnect {
                 self.violation_log[i].push(v);
             }
         }
+        debug_assert!(
+            supervisors.iter().all(|ts| !ts.has_violations()),
+            "violation recorded on an unvisited port"
+        );
 
         // Phase 4: observability — drain the hop events emitted this
         // tick, fold them into the registry (and monitor), and refresh
@@ -543,8 +605,12 @@ impl Component for HyperConnect {
             if !rf.is_enabled() {
                 return Gate::Frozen;
             }
-            let draining =
-                self.quiesce_deadline.iter().enumerate().any(|(i, q)| {
+            // Until the next control-plane write, the last slow path left
+            // a deadline on every requested port, so with none set no
+            // port can be draining.
+            let settled = rf.generation() == self.seen_cfg_gen && !self.quiesce_active;
+            let draining = !settled
+                && self.quiesce_deadline.iter().enumerate().any(|(i, q)| {
                     (q.is_some() || rf.port(i).quiesce_requested) && !rf.port(i).drained
                 });
             if draining {
@@ -553,16 +619,10 @@ impl Component for HyperConnect {
                 Gate::Open
             }
         });
-        if matches!(gate, Gate::Frozen) {
-            return None;
-        }
-        // A supervisor owing W beats or spinning on an exhausted budget
-        // advances observable counters every cycle — no skipping allowed.
-        if self.supervisors.iter().any(|ts| ts.counts_every_cycle()) {
-            return Some(now + 1);
-        }
-        if matches!(gate, Gate::Draining) {
-            return Some(now + 1);
+        match gate {
+            Gate::Frozen => return None,
+            Gate::Draining => return Some(now + 1),
+            Gate::Open => {}
         }
         // Every period boundary is an event: a recharge counts as
         // progress even when every port is unlimited and idle.
@@ -572,13 +632,25 @@ impl Component for HyperConnect {
                 horizon = Some(horizon.map_or(c, |h: Cycle| h.min(c)));
             }
         };
-        for ts in &self.supervisors {
+        for (i, (ts, efifo)) in self.supervisors.iter().zip(&self.efifos).enumerate() {
+            if self.quiet.contains(i) {
+                // Nothing staged, owed or credit-blocked: only beats in
+                // the eFIFO (requests coming in, R/B going out) are due.
+                if !efifo.port.is_idle() {
+                    merge(efifo.port.next_ready_at());
+                }
+                continue;
+            }
+            // A supervisor owing W beats or spinning on an exhausted
+            // budget advances observable counters every cycle — no
+            // skipping allowed.
+            if ts.counts_every_cycle() {
+                return Some(now + 1);
+            }
             merge(ts.next_stage_ready());
             // A credit-blocked sub-request wakes at the next refill
             // window boundary.
             merge(ts.regulator_next_refill(now));
-        }
-        for efifo in &self.efifos {
             merge(efifo.port.next_ready_at());
         }
         merge(self.exbar.next_stage_ready());
@@ -719,6 +791,11 @@ impl AxiInterconnect for HyperConnect {
         self.viol_totals = viol_totals;
         self.drain_model = drain_model;
         self.obs_scratch.clear();
+        // The port sets are derived, never persisted: nothing is known
+        // quiet and every port's registers are rewritten next tick.
+        self.quiesce_active = self.quiesce_deadline.iter().any(Option::is_some);
+        self.quiet.clear();
+        self.visited.fill(n);
         Ok(())
     }
 }
@@ -963,6 +1040,51 @@ mod tests {
                 .read32(port_block_offset(0) + offsets::PORT_VIOLATIONS),
             0
         );
+    }
+
+    #[test]
+    fn violation_register_saturates_instead_of_wrapping() {
+        use crate::regfile::{offsets, port_block_offset};
+        let mut hc = HyperConnect::new(HcConfig::new(2));
+        let off = port_block_offset(1) + offsets::PORT_VIOLATIONS;
+        hc.viol_totals[1] = u64::from(u32::MAX) + 5;
+        // Cycle 0 takes the slow path and writes every port back...
+        hc.tick(0);
+        assert_eq!(hc.regs().read32(off), u32::MAX);
+        // ...and cycle 1 the fast path, over the ports cycle 0 visited.
+        hc.viol_totals[1] += 1;
+        hc.tick(1);
+        assert_eq!(hc.regs().read32(off), u32::MAX);
+        assert_eq!(
+            hc.regs()
+                .read32(port_block_offset(0) + offsets::PORT_VIOLATIONS),
+            0
+        );
+    }
+
+    #[test]
+    fn quiet_ports_are_not_visited() {
+        let mut hc = HyperConnect::new(HcConfig::new(14));
+        // The first tick is a slow path: every port is visited once.
+        hc.tick(0);
+        assert_eq!(hc.visited.iter().count(), 14);
+        hc.tick(1);
+        assert!(hc.visited.is_empty(), "an idle interconnect visits no port");
+        hc.port(5)
+            .ar
+            .push(1, ArBeat::new(0x100, 1, BurstSize::B4))
+            .unwrap();
+        hc.tick(2);
+        assert_eq!(hc.visited.iter().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(hc.ar_staged.iter().collect::<Vec<_>>(), vec![5]);
+        // The port stays visited while its read is in flight, and the
+        // request still crosses in the Fig. 3(a) four cycles.
+        for now in 3..5 {
+            hc.tick(now);
+            assert_eq!(hc.visited.iter().collect::<Vec<_>>(), vec![5]);
+            assert!(!hc.quiet.contains(5));
+        }
+        assert!(hc.mem_port().ar.has_ready(5));
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod efifo;
 pub mod exbar;
 pub mod hyperconnect;
 pub mod observe;
+pub mod portset;
 pub mod regfile;
 pub mod regulate;
 pub mod reorder;

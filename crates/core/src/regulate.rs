@@ -268,6 +268,12 @@ impl CreditRegulator {
         self.throttled = throttled;
     }
 
+    /// Whether the last issue attempt was throttled. The next attempt
+    /// records the falling edge, so it must not be skipped.
+    pub fn is_throttled(&self) -> bool {
+        self.throttled
+    }
+
     /// Number of throttle-onset events since the last clear.
     pub fn throttle_events(&self) -> u64 {
         self.throttle_events

@@ -367,6 +367,16 @@ impl TransactionSupervisor {
             && self.write_outstanding == 0
     }
 
+    /// Whether a tick may skip this TS: it holds no in-flight state and
+    /// its regulator is not mid-throttle. While no AR/AW beat waits in
+    /// the port's eFIFO, [`Self::ingest`] and [`Self::issue`] then
+    /// change nothing (the regulator adopts a new configuration only on
+    /// slow-path ticks, which visit every port), so skipping them is
+    /// exact.
+    pub fn is_quiet(&self) -> bool {
+        self.is_idle() && !self.regulator.is_throttled()
+    }
+
     /// Force-flushes all *pre-grant* state after a blown drain
     /// deadline: the split queues, staged sub-requests and the buffered
     /// / owed W stream are dropped. Sub-transactions already granted to
