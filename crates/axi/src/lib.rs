@@ -63,7 +63,7 @@ pub mod txn;
 pub mod types;
 
 pub use beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
-pub use bridge::{AxiBridge, BridgeBatch, BridgeConfig, BridgeStats, ChildHalf, ParentHalf};
+pub use bridge::{AxiBridge, BridgeConfig, BridgeStats};
 pub use checker::{Violation, ViolationKind};
 pub use fault::{FaultyBridge, FaultyBridgeConfig, FaultyBridgeStats};
 pub use observe::{BoundReport, BoundViolation, MetricsRegistry, ObsEvent};

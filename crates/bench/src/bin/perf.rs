@@ -17,29 +17,22 @@
 //! 4. **Figure sweeps** — the independent Fig. 3(b)/4/5 scenario points
 //!    executed on `std::thread` workers, reporting per-point wall time,
 //!    the per-figure worker count actually used, and the
-//!    parallel-runner gain over serial execution. The Fig. 5 sweep runs
-//!    its systems under `SchedulerMode::Sharded` (single-interconnect
-//!    plans fall through to the exact fast-forward path, so the numbers
-//!    are unchanged — the sweep exercises the sharded dispatch).
+//!    parallel-runner gain over serial execution. Every sweep runs its
+//!    systems under the default `SchedulerMode::FastForward`; the Fig. 5
+//!    record is labelled so.
 //! 5. **100-node tree** — the [`bench::tree100`] scenario run under
-//!    naive stepping (the oracle), the sequential region fast-forward
-//!    calendar and `SchedulerMode::Sharded` at a worker sweep. The
-//!    fast-forward run must be byte-identical to the naive one, and
-//!    every sharded run to both (with zero ambiguous entry-gate
-//!    stalls); `parallel_speedup` is the region fast-forward wall time
-//!    over the best sharded wall time at ≥ 2 workers. Both engines win
-//!    the same way — idle regions fast-forward on their own while the
-//!    busy one ticks — so the sweep shows what threads add on top.
+//!    naive stepping (the oracle) and the region fast-forward calendar,
+//!    which must be byte-identical to it: idle regions fast-forward on
+//!    their own while the busy one ticks.
 //!
 //! Usage: `perf [--quick | --full] [--out PATH] [--workers N]
 //! [--min-cycles-per-sec N]`
 //!
-//! `--workers N` sizes both the figure-sweep thread pool and the
-//! sharded worker sweep (default: available parallelism, and the
-//! sharded sweep always includes 2 workers).
+//! `--workers N` sizes the figure-sweep thread pool (default: available
+//! parallelism).
 //!
-//! Exits non-zero if the Fig. 3(a) goldens regress, a fast-forward or
-//! sharded tree run diverges from the naive oracle, or the fast-forward
+//! Exits non-zero if the Fig. 3(a) goldens regress, the fast-forward
+//! tree run diverges from the naive oracle, or the fast-forward
 //! idle-heavy throughput falls below the `--min-cycles-per-sec` floor
 //! (the CI perf-smoke gate).
 
@@ -661,23 +654,18 @@ fn main() {
     }
     let fig4_report = run_parallel("fig4", "default", pool_workers, fig4_points);
 
-    // The Fig. 5 sweep runs its systems under the sharded dispatch
-    // path (exact single-shard fallback — the bars are unchanged).
-    let fig5_mode = SchedulerMode::Sharded {
-        workers: pool_workers.max(2),
-    };
     let mut fig5_points: Vec<Point> = vec![
         Point {
             name: "isolation".into(),
             run: Box::new(move || {
-                fig5::isolation_mode(window, fig5_mode);
+                fig5::isolation(window);
                 2 * window
             }),
         },
         Point {
             name: "sc_contention".into(),
             run: Box::new(move || {
-                fig5::smartconnect_contention_mode(window, fig5_mode);
+                fig5::smartconnect_contention(window);
                 window
             }),
         },
@@ -686,12 +674,12 @@ fn main() {
         fig5_points.push(Point {
             name: format!("hc_{share}_{}", 100 - share),
             run: Box::new(move || {
-                fig5::hyperconnect_contention_mode(share, window, fig5_mode);
+                fig5::hyperconnect_contention(share, window);
                 window
             }),
         });
     }
-    let fig5_report = run_parallel("fig5", "sharded", pool_workers, fig5_points);
+    let fig5_report = run_parallel("fig5", "fast-forward", pool_workers, fig5_points);
 
     for report in [&fig3b_report, &fig4_report, &fig5_report] {
         println!(
@@ -708,15 +696,14 @@ fn main() {
         );
     }
 
-    // 5. The 100-node tree: the naive oracle, the region fast-forward
-    // calendar, then the sharded executor at a worker sweep,
-    // byte-identity enforced.
+    // 5. The 100-node tree: the naive oracle and the region
+    // fast-forward calendar, byte-identity enforced.
     let tree_naive = tree100::run(SchedulerMode::Naive, tree_cycles);
     let tree_cps = |run: &tree100::TreeRun| tree_cycles as f64 / (run.wall_ms / 1e3).max(1e-9);
     let naive_tree_cps = tree_cps(&tree_naive);
     let tree_ff = tree100::run(SchedulerMode::FastForward, tree_cycles);
     let ff_tree_cps = tree_cps(&tree_ff);
-    let mut tree_identical = tree_ff.fingerprint == tree_naive.fingerprint;
+    let tree_identical = tree_ff.fingerprint == tree_naive.fingerprint;
     println!(
         "tree100 ({} nodes, {tree_cycles} cycles): naive {:.1} ms ({naive_tree_cps:.2e} c/s), \
          region fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped){}",
@@ -726,42 +713,6 @@ fn main() {
         tree_ff.skipped,
         if tree_identical { "" } else { " — DIVERGED" }
     );
-    let mut sweep: Vec<usize> = vec![1, 2, 4];
-    if let Some(w) = workers_override {
-        if !sweep.contains(&w) {
-            sweep.push(w);
-        }
-    }
-    let mut tree_runs: Vec<(usize, tree100::TreeRun)> = Vec::new();
-    for &workers in &sweep {
-        let run = tree100::run(SchedulerMode::Sharded { workers }, tree_cycles);
-        let rep = run.report.expect("sharded run reports");
-        let identical = run.fingerprint == tree_naive.fingerprint && rep.ambiguous_stalls == 0;
-        tree_identical &= identical;
-        println!(
-            "tree100 sharded w={workers}: {:.1} ms ({:.2}x region fast-forward), {} shards, \
-             window {}, {} rounds, {} engine-skipped, {} msgs, {} stalls{}",
-            run.wall_ms,
-            tree_ff.wall_ms / run.wall_ms.max(1e-9),
-            rep.shards,
-            rep.window,
-            rep.rounds,
-            rep.engine_skipped,
-            rep.messages,
-            rep.ambiguous_stalls,
-            if identical { "" } else { " — DIVERGED" }
-        );
-        tree_runs.push((workers, run));
-    }
-    let (tree_workers, tree_best) = tree_runs
-        .iter()
-        .filter(|(w, _)| *w >= 2)
-        .min_by(|a, b| a.1.wall_ms.total_cmp(&b.1.wall_ms))
-        .map(|(w, r)| (*w, r.wall_ms))
-        .expect("sweep includes a multi-worker run");
-    let tree_speedup = tree_ff.wall_ms / tree_best.max(1e-9);
-    let workers = pool_workers.max(tree_workers);
-
     // 6. Emit BENCH_simulator.json.
     let figures_json = [&fig3b_report, &fig4_report, &fig5_report]
         .iter()
@@ -785,33 +736,12 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",");
-    let tree_sharded_json = tree_runs
-        .iter()
-        .map(|(w, r)| {
-            let rep = r.report.expect("sharded run reports");
-            format!(
-                "{{\"workers\":{w},\"wall_ms\":{:.3},\"cycles_per_sec\":{:.0},\"shards\":{},\
-                 \"window\":{},\"rounds\":{},\"engine_skipped\":{},\"messages\":{},\
-                 \"ambiguous_stalls\":{},\"byte_identical\":{}}}",
-                r.wall_ms,
-                tree_cps(r),
-                rep.shards,
-                rep.window,
-                rep.rounds,
-                rep.engine_skipped,
-                rep.messages,
-                rep.ambiguous_stalls,
-                r.fingerprint == tree_naive.fingerprint
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     let obs_report = report.to_json();
     let json = format!(
         "{{\n\
          \"schema\":\"axi-hyperconnect/bench-simulator/v1\",\n\
          \"mode\":\"{mode}\",\n\
-         \"workers\":{workers},\n\
+         \"workers\":{pool_workers},\n\
          \"fig3a\":{{\"wall_ms\":{fig3a_wall_ms:.3},\"goldens_ok\":{goldens_ok}}},\n\
          \"idle_heavy\":{{\"scenario\":\"single 256 KiB x4 DMA reader vs zcu102, {idle_window}-cycle window\",\
          \"sim_cycles\":{idle_window},\
@@ -848,11 +778,7 @@ fn main() {
          \"region_fast_forward_wall_ms\":{:.3},\
          \"region_fast_forward_cycles_per_sec\":{ff_tree_cps:.0},\
          \"region_fast_forward_skipped\":{},\
-         \"region_fast_forward_byte_identical\":{},\
-         \"workers\":{tree_workers},\"parallel_speedup\":{tree_speedup:.3},\
-         \"speedup_basis\":\"region fast-forward wall time over best sharded wall time at \
-         >= 2 workers: what worker threads add on top of per-region fast-forward\",\
-         \"sharded\":[{tree_sharded_json}]}},\n\
+         \"region_fast_forward_byte_identical\":{tree_identical}}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
         3 * idle_ticks,
@@ -862,7 +788,6 @@ fn main() {
         tree_naive.wall_ms,
         tree_ff.wall_ms,
         tree_ff.skipped,
-        tree_ff.fingerprint == tree_naive.fingerprint,
         peak_rss_kb()
     );
     std::fs::write(&out_path, json).expect("write BENCH_simulator.json");
@@ -874,7 +799,7 @@ fn main() {
         std::process::exit(1);
     }
     if !tree_identical {
-        eprintln!("FAIL: a fast-forward or sharded tree100 run diverged from the naive oracle");
+        eprintln!("FAIL: the fast-forward tree100 run diverged from the naive oracle");
         std::process::exit(1);
     }
     if report.violations > 0 {

@@ -8,7 +8,6 @@
 //! whole-workload runtimes; its equalization does not reduce
 //! throughput).
 
-use axi_hyperconnect::SchedulerMode;
 use sim::Cycle;
 
 use crate::{make_system, Design};
@@ -38,13 +37,7 @@ impl IsolationRow {
 
 /// CHaiDNN frames/s alone on `design` over `window` cycles.
 pub fn chaidnn_isolation(design: Design, window: Cycle) -> f64 {
-    chaidnn_isolation_mode(design, window, SchedulerMode::default())
-}
-
-/// [`chaidnn_isolation`] under an explicit scheduler mode.
-pub fn chaidnn_isolation_mode(design: Design, window: Cycle, mode: SchedulerMode) -> f64 {
     let mut sys = make_system(design);
-    sys.set_scheduler(mode);
     sys.add_accelerator(Box::new(Chaidnn::googlenet(ChaidnnConfig::default())))
         .unwrap();
     sys.run_for(window);
@@ -53,13 +46,7 @@ pub fn chaidnn_isolation_mode(design: Design, window: Cycle, mode: SchedulerMode
 
 /// DMA jobs/s (4 MiB in + 4 MiB out per job) alone on `design`.
 pub fn dma_isolation(design: Design, window: Cycle) -> f64 {
-    dma_isolation_mode(design, window, SchedulerMode::default())
-}
-
-/// [`dma_isolation`] under an explicit scheduler mode.
-pub fn dma_isolation_mode(design: Design, window: Cycle, mode: SchedulerMode) -> f64 {
     let mut sys = make_system(design);
-    sys.set_scheduler(mode);
     sys.add_accelerator(Box::new(Dma::new("HA_DMA", DmaConfig::case_study())))
         .unwrap();
     sys.run_for(window);

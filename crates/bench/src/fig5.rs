@@ -8,7 +8,6 @@
 //! jobs, and `HC-90-10` brings CHaiDNN close to its isolation rate.
 
 use axi::lite::LiteBus;
-use axi_hyperconnect::SchedulerMode;
 use mem::MemConfig;
 use sim::Cycle;
 
@@ -50,13 +49,7 @@ fn contended_system(design: Design) -> crate::SocSystemBoxed {
 
 /// Contention run on the SmartConnect (no reservation possible).
 pub fn smartconnect_contention(window: Cycle) -> Bar {
-    smartconnect_contention_mode(window, SchedulerMode::default())
-}
-
-/// [`smartconnect_contention`] under an explicit scheduler mode.
-pub fn smartconnect_contention_mode(window: Cycle, mode: SchedulerMode) -> Bar {
     let mut sys = contended_system(Design::SmartConnect);
-    sys.set_scheduler(mode);
     sys.run_for(window);
     Bar {
         label: "SC".into(),
@@ -68,11 +61,6 @@ pub fn smartconnect_contention_mode(window: Cycle, mode: SchedulerMode) -> Bar {
 /// Contention run on the HyperConnect with `share`% of the bandwidth
 /// reserved to CHaiDNN via the hypervisor (the paper's `HC-X-Y`).
 pub fn hyperconnect_contention(share: u32, window: Cycle) -> Bar {
-    hyperconnect_contention_mode(share, window, SchedulerMode::default())
-}
-
-/// [`hyperconnect_contention`] under an explicit scheduler mode.
-pub fn hyperconnect_contention_mode(share: u32, window: Cycle, mode: SchedulerMode) -> Bar {
     const HC_BASE: u64 = 0xA000_0000;
     let hc = HyperConnect::new(HcConfig::new(2));
     let mut bus = LiteBus::new();
@@ -89,7 +77,6 @@ pub fn hyperconnect_contention_mode(share: u32, window: Cycle, mode: SchedulerMo
         Box::new(hc) as Box<dyn axi::AxiInterconnect>,
         MemoryController::new(MemConfig::zcu102()),
     );
-    sys.set_scheduler(mode);
     sys.add_accelerator(Box::new(Chaidnn::googlenet(ChaidnnConfig::default())))
         .unwrap();
     sys.add_accelerator(Box::new(Dma::new("HA_DMA", DmaConfig::case_study())))
@@ -104,15 +91,10 @@ pub fn hyperconnect_contention_mode(share: u32, window: Cycle, mode: SchedulerMo
 
 /// Isolation reference bar (leftmost pair of the figure).
 pub fn isolation(window: Cycle) -> Bar {
-    isolation_mode(window, SchedulerMode::default())
-}
-
-/// [`isolation`] under an explicit scheduler mode.
-pub fn isolation_mode(window: Cycle, mode: SchedulerMode) -> Bar {
     Bar {
         label: "isolation".into(),
-        chaidnn_fps: crate::fig4::chaidnn_isolation_mode(Design::HyperConnect, window, mode),
-        dma_jobs: crate::fig4::dma_isolation_mode(Design::HyperConnect, window, mode),
+        chaidnn_fps: crate::fig4::chaidnn_isolation(Design::HyperConnect, window),
+        dma_jobs: crate::fig4::dma_isolation(Design::HyperConnect, window),
     }
 }
 

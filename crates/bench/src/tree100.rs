@@ -7,26 +7,21 @@
 //! cluster interconnects + 91 accelerators. Cluster 0 carries thirteen
 //! random-traffic masters whose staggered bursts keep the cluster
 //! active nearly every cycle — so the clock itself can almost never
-//! skip — while staying below the bridge's beat-per-cycle capacity (a
-//! saturated cut lives in the sharded entry gates' ambiguity band,
-//! outside that engine's exactness envelope; the paper's reservation
-//! model keeps real designs below saturation for the same reason). The
+//! skip — while staying below the bridge's beat-per-cycle capacity. The
 //! other six clusters carry periodic readers with long, staggered idle
 //! gaps.
 //!
 //! Each bridge-delimited cluster is its own fast-forward region: the
-//! sequential engine ticks the busy cluster and the root every cycle
-//! and lets each idle cluster sleep until its own next event, and the
-//! sharded executor does the same per shard inside its exchange
-//! windows. The `perf` bin times naive stepping, the region calendar
-//! and the sharded worker sweep on this scenario, and checks every run
-//! byte-identical against the naive one.
+//! engine ticks the busy cluster and the root every cycle and lets each
+//! idle cluster sleep until its own next event. The `perf` bin times
+//! naive stepping and the region calendar on this scenario and checks
+//! the two runs byte-identical.
 
 use std::time::Instant;
 
 use axi::types::BurstSize;
 use axi::BridgeConfig;
-use axi_hyperconnect::{SchedulerMode, ShardRunReport, SocTopology, TopologyBuilder};
+use axi_hyperconnect::{SchedulerMode, SocTopology, TopologyBuilder};
 use ha::traffic::{PeriodicReader, RandomTraffic};
 use ha::Accelerator;
 use hyperconnect::{HcConfig, HyperConnect};
@@ -39,8 +34,7 @@ pub const CLUSTERS: usize = 7;
 /// Accelerators per cluster.
 pub const ACCS_PER_CLUSTER: usize = 13;
 
-/// Latency of every root→cluster bridge — and therefore the sharded
-/// exchange window. Deep enough to amortize the per-round barriers.
+/// Latency of every root→cluster bridge.
 pub const BRIDGE_LATENCY: Cycle = 32;
 
 /// Default measurement window for the perf harness.
@@ -72,9 +66,7 @@ pub fn build(mode: SchedulerMode) -> SocTopology {
             )
             .unwrap();
         // Deep elastic staging: headroom above the default port
-        // capacities so burst collisions never pin a pipe at capacity
-        // (which would put the sharded entry gates in their ambiguity
-        // band and void the byte-identity proof).
+        // capacities so burst collisions never pin a pipe at capacity.
         let bridge = BridgeConfig {
             addr_capacity: 32,
             data_capacity: 256,
@@ -88,7 +80,7 @@ pub fn build(mode: SchedulerMode) -> SocTopology {
             let name = format!("a{acc_idx}");
             let acc: Box<dyn Accelerator> = if c == 0 {
                 // The busy cluster: thirteen random masters whose
-                // staggered short bursts keep the shard active nearly
+                // staggered short bursts keep the cluster active nearly
                 // every cycle at ~0.3 beats/cycle aggregate — well
                 // under the cut's 1 beat/cycle, so the bridge pipes
                 // never fill.
@@ -161,8 +153,6 @@ pub struct TreeRun {
     pub fingerprint: String,
     /// Cycles the scheduler fast-forwarded.
     pub skipped: Cycle,
-    /// The sharded executor's report (`None` for sequential modes).
-    pub report: Option<ShardRunReport>,
 }
 
 /// Builds and runs the tree for `cycles` under `mode`, returning the
@@ -176,7 +166,6 @@ pub fn run(mode: SchedulerMode, cycles: Cycle) -> TreeRun {
         wall_ms,
         fingerprint: fingerprint(&mut topo),
         skipped: topo.skipped_cycles(),
-        report: topo.shard_run_report().copied(),
     }
 }
 
@@ -185,25 +174,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_has_one_hundred_nodes_and_a_shard_per_cluster() {
+    fn tree_has_one_hundred_nodes_and_a_region_per_cluster() {
         let topo = build(SchedulerMode::FastForward);
         assert_eq!(topo.num_nodes(), node_count());
         assert_eq!(node_count(), 100);
-        let plan = topo.shard_plan();
-        assert_eq!(plan.shards.len(), CLUSTERS + 1);
-        assert_eq!(plan.window, Some(BRIDGE_LATENCY));
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_to_sequential() {
-        const CYCLES: Cycle = 30_000;
-        let seq = run(SchedulerMode::FastForward, CYCLES);
-        for workers in [2, 4] {
-            let sh = run(SchedulerMode::Sharded { workers }, CYCLES);
-            assert_eq!(seq.fingerprint, sh.fingerprint, "workers={workers}");
-            let rep = sh.report.expect("sharded run reports");
-            assert_eq!(rep.ambiguous_stalls, 0);
-            assert_eq!(rep.window, BRIDGE_LATENCY);
-        }
+        assert_eq!(topo.regions().len(), CLUSTERS + 1);
     }
 }

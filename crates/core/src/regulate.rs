@@ -23,7 +23,7 @@
 //!
 //! # Determinism under fast-forward
 //!
-//! The simulator's fast-forward and sharded schedulers skip cycles where
+//! The simulator's fast-forward scheduler skips cycles where
 //! no component makes progress, so regulator state must never mutate on
 //! a cycle that only the naive scheduler would tick. The implementation
 //! therefore stores credits *as of an anchor window* and computes the

@@ -38,9 +38,8 @@ use sim::Cycle;
 
 /// A bus master occupying one interconnect slave port.
 ///
-/// `Send` is a supertrait: accelerator models are plain owned data, and
-/// requiring it lets the sharded scheduler move the shard that owns a
-/// model onto a worker thread.
+/// `Send` is a supertrait: accelerator models are plain owned data, so
+/// a system holding them can be moved to another thread.
 pub trait Accelerator: std::any::Any + Send {
     /// Advances the accelerator one cycle against its port. Returns
     /// `true` if any state changed.

@@ -25,9 +25,9 @@
 //! `ha::ScoreboardMaster` data-integrity oracle has something to catch.
 //!
 //! Because every RNG draw happens on a controller accept/serve event —
-//! all of which occur inside the controller's own `tick`, in one
-//! scheduler shard — an armed injector is transparent to the naive,
-//! fast-forward and sharded schedulers alike.
+//! all of which occur inside the controller's own `tick` — an armed
+//! injector is transparent to the naive and fast-forward schedulers
+//! alike.
 //!
 //! Beat **drops** and **duplicates** model loss on the return fabric.
 //! They violate the AXI beat-count contract by design (that is the

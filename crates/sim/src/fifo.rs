@@ -208,58 +208,6 @@ impl<T> TimedFifo<T> {
     pub fn next_ready_at(&self) -> Option<Cycle> {
         self.entries.front().map(|(ready_at, _)| *ready_at)
     }
-
-    /// Pushes an element with an explicit visibility cycle, bypassing the
-    /// queue's configured latency.
-    ///
-    /// This exists so a queue's in-flight contents can be migrated into
-    /// another queue (possibly with a different latency) without
-    /// disturbing each element's original schedule — e.g. when a bridge
-    /// is split across simulation shards mid-run. Counted in
-    /// [`total_pushed`](Self::total_pushed) like a normal push.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FifoFull`] carrying the element back if the queue is at
-    /// capacity.
-    pub fn push_scheduled(&mut self, ready_at: Cycle, item: T) -> Result<(), FifoFull<T>> {
-        if self.is_full() {
-            return Err(FifoFull(item));
-        }
-        self.entries.push_back((ready_at, item));
-        self.pushed += 1;
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
-        Ok(())
-    }
-
-    /// Overwrites this queue's lifetime counters (`total_pushed`,
-    /// `total_popped`, `max_occupancy`) with `src`'s.
-    ///
-    /// The companion of [`push_scheduled`](Self::push_scheduled) /
-    /// [`drain_scheduled`](Self::drain_scheduled): an engine that
-    /// rebuilds a pipe around migrated in-flight contents (e.g.
-    /// splitting a bridge at a shard boundary mid-run) must also carry
-    /// the original pipe's history, or the rebuilt pipe restarts its
-    /// counters from the migrated occupancy alone and a later state
-    /// comparison against an unsplit run diverges.
-    pub fn inherit_lifetime_stats(&mut self, src: &Self) {
-        self.pushed = src.pushed;
-        self.popped = src.popped;
-        self.max_occupancy = src.max_occupancy;
-    }
-
-    /// Removes every element regardless of visibility and returns each
-    /// with the cycle at which it becomes (or became) visible, oldest
-    /// first. The counterpart of [`push_scheduled`](Self::push_scheduled)
-    /// for migrating in-flight contents between queues. Not counted as
-    /// pops (the elements are moving, not being consumed).
-    pub fn drain_scheduled(&mut self) -> Vec<(Cycle, T)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        while let Some(entry) = self.entries.pop_front() {
-            out.push(entry);
-        }
-        out
-    }
 }
 
 /// A bounded FIFO whose entries each carry their *own* delay, fixed at

@@ -34,7 +34,6 @@
 
 pub mod clock;
 pub mod fifo;
-pub mod parallel;
 pub mod persist;
 pub mod ring;
 pub mod rng;
@@ -45,7 +44,6 @@ pub mod vcd;
 
 pub use clock::{ClockConfig, Cycle};
 pub use fifo::{FifoFull, TimedFifo};
-pub use parallel::{EngineReport, RunOptions, ShardTask, ShardedEngine, WindowReport};
 pub use persist::{Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter};
 pub use ring::Ring;
 pub use rng::SimRng;

@@ -9,9 +9,8 @@ use crate::clock::Cycle;
 /// (e.g. a protocol bug where two FIFOs wait on each other forever).
 ///
 /// `Send` is a supertrait: models are plain owned data (no `Rc`, no
-/// thread-local handles), and requiring it here is what lets the
-/// sharded scheduler (see [`crate::parallel`]) move whole subtrees of
-/// components onto worker threads.
+/// thread-local handles), so an assembled system can be moved to
+/// another thread, e.g. a campaign or benchmark worker.
 pub trait Component: Send {
     /// Advances the component by one cycle. Returns `true` if any state
     /// changed (a beat moved, a counter advanced toward an observable

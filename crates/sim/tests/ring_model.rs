@@ -3,9 +3,9 @@
 //!
 //! The ring is the storage element under every channel queue in the
 //! interconnect models, so its equivalence to the obvious deque —
-//! including wrap-around, growth, decouple-and-drop (`clear`) and the
-//! shard-migration drain path (`drain_scheduled`) — is load-bearing for
-//! the byte-identity guarantees of the flat-arena refactor.
+//! including wrap-around, growth and decouple-and-drop (`clear`) — is
+//! load-bearing for the byte-identity guarantees of the flat-arena
+//! refactor.
 
 use proptest::prelude::*;
 use sim::ring::Ring;
@@ -46,28 +46,22 @@ fn ring_op() -> impl Strategy<Value = RingOp> {
 enum FifoOp {
     /// Push the next sequence number through the configured latency.
     Push,
-    /// Push with an explicit visibility cycle (shard migration path).
-    PushScheduled(u8),
     /// Pop if the head is visible.
     Pop,
     /// Advance the clock.
     Advance(u8),
     /// Decouple-and-drop: flush everything regardless of visibility.
     Clear,
-    /// Drain all entries with their schedules (migration out).
-    Drain,
 }
 
 fn fifo_op() -> impl Strategy<Value = FifoOp> {
     prop_oneof![
         Just(FifoOp::Push),
         Just(FifoOp::Push),
-        (0u8..8).prop_map(FifoOp::PushScheduled),
         Just(FifoOp::Pop),
         Just(FifoOp::Pop),
         (1u8..5).prop_map(FifoOp::Advance),
         Just(FifoOp::Clear),
-        Just(FifoOp::Drain),
     ]
 }
 
@@ -126,9 +120,8 @@ proptest! {
 
     /// The ring-backed `TimedFifo` matches a reference deque of
     /// `(visible_at, value)` pairs over its *entire* API — including
-    /// the decouple-and-drop flush, the scheduled push/drain migration
-    /// pair, and the lifetime counters the fast-forward fingerprints
-    /// depend on.
+    /// the decouple-and-drop flush and the lifetime counters the
+    /// fast-forward fingerprints depend on.
     #[test]
     fn timed_fifo_full_api_matches_reference(
         ops in proptest::collection::vec(fifo_op(), 1..250),
@@ -155,18 +148,6 @@ proptest! {
                     }
                     seq += 1;
                 }
-                FifoOp::PushScheduled(at) => {
-                    let ready_at = now + at as u64;
-                    let dut_ok = dut.push_scheduled(ready_at, seq).is_ok();
-                    let ref_ok = reference.len() < capacity;
-                    prop_assert_eq!(dut_ok, ref_ok);
-                    if ref_ok {
-                        reference.push_back((ready_at, seq));
-                        ref_pushed += 1;
-                        ref_high_water = ref_high_water.max(reference.len());
-                    }
-                    seq += 1;
-                }
                 FifoOp::Pop => {
                     let expect = match reference.front() {
                         Some(&(ready, v)) if ready <= now => {
@@ -182,11 +163,6 @@ proptest! {
                 FifoOp::Clear => {
                     dut.clear();
                     reference.clear();
-                }
-                FifoOp::Drain => {
-                    let drained = dut.drain_scheduled();
-                    let expected: Vec<(u64, u64)> = reference.drain(..).collect();
-                    prop_assert_eq!(drained, expected);
                 }
             }
             prop_assert_eq!(dut.len(), reference.len());
@@ -206,34 +182,6 @@ proptest! {
             let ref_all: Vec<u64> = reference.iter().map(|&(_, v)| v).collect();
             prop_assert_eq!(dut_all, ref_all);
         }
-    }
-
-    /// Migration round-trip: draining one queue and re-pushing the
-    /// schedule into a fresh queue (of any latency) preserves every
-    /// element's visibility cycle exactly.
-    #[test]
-    fn drain_then_push_scheduled_round_trips(
-        entries in proptest::collection::vec((0u64..40, 0u64..1000), 0..12),
-        source_latency in 0u64..6,
-        dest_latency in 0u64..6,
-    ) {
-        let mut src: TimedFifo<u64> = TimedFifo::new(16, source_latency);
-        for &(at, v) in &entries {
-            src.push_scheduled(at, v).unwrap();
-        }
-        let mut dst: TimedFifo<u64> = TimedFifo::new(16, dest_latency);
-        for (at, v) in src.drain_scheduled() {
-            dst.push_scheduled(at, v).unwrap();
-        }
-        prop_assert!(src.is_empty());
-        // Pop everything at a far-future cycle: original order and
-        // values come back regardless of either queue's latency.
-        let mut out = Vec::new();
-        while let Some(v) = dst.pop_ready(1_000_000) {
-            out.push(v);
-        }
-        let expected: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
-        prop_assert_eq!(out, expected);
     }
 
     /// Snapshot/restore mid-wrap: a ring frozen at an arbitrary point of

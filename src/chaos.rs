@@ -448,7 +448,6 @@ impl ChaosOutcome {
         let scheduler = match self.scheduler {
             SchedulerMode::FastForward => "fast-forward",
             SchedulerMode::Naive => "naive",
-            SchedulerMode::Sharded { .. } => "sharded",
         };
         format!(
             "{{\"schema\":\"axi-hyperconnect/chaos-run/v1\",\"seed\":{},\
@@ -841,8 +840,8 @@ pub struct QosOutcome {
 
 impl QosOutcome {
     /// A scheduler-independent digest of the run: the same seed must
-    /// produce byte-identical fingerprints under naive, fast-forward
-    /// and sharded scheduling.
+    /// produce byte-identical fingerprints under naive and fast-forward
+    /// scheduling.
     pub fn fingerprint(&self) -> String {
         format!(
             "seed={} rng_pos={} ports={} window={} rate={} burst={} out_cap={} period={} \
@@ -1124,8 +1123,8 @@ pub struct FabricOutcome {
 
 impl FabricOutcome {
     /// A scheduler-independent digest of the run: the same seed must
-    /// produce byte-identical fingerprints under naive, fast-forward
-    /// and sharded scheduling.
+    /// produce byte-identical fingerprints under naive and fast-forward
+    /// scheduling.
     pub fn fingerprint(&self) -> String {
         let o = &self.oracle;
         format!(
@@ -1252,7 +1251,6 @@ impl FabricOutcome {
         let scheduler = match self.scheduler {
             SchedulerMode::FastForward => "fast-forward",
             SchedulerMode::Naive => "naive",
-            SchedulerMode::Sharded { .. } => "sharded",
         };
         format!(
             "{{\"schema\":\"axi-hyperconnect/fabric-run/v1\",\"seed\":{},\

@@ -94,15 +94,6 @@ impl<I: AxiInterconnect + 'static> SocSystem<I> {
         self.topo.skipped_cycles()
     }
 
-    /// Execution statistics of the most recent run under
-    /// [`SchedulerMode::Sharded`]. The facade is a single-interconnect
-    /// (single-shard) topology, so a sharded run reports the sequential
-    /// fallback; the accessor exists so harnesses can treat flat and
-    /// tree systems uniformly.
-    pub fn shard_run_report(&self) -> Option<&crate::ShardRunReport> {
-        self.topo.shard_run_report()
-    }
-
     /// Starts recording a beat-level waveform (VCD) at the FPGA-PS
     /// boundary; retrieve it with [`Self::waveform_vcd`].
     pub fn attach_waveform(&mut self) {

@@ -25,8 +25,6 @@
 //! pins this cycle-for-cycle), latency N adds exactly N cycles each
 //! way.
 
-mod shard;
-
 use std::any::Any;
 
 use axi::bridge::{AxiBridge, BridgeConfig, BridgeStats};
@@ -35,8 +33,6 @@ use ha::Accelerator;
 use mem::MemoryController;
 use sim::vcd::{SignalId, VcdWriter};
 use sim::{ClockConfig, Component, Cycle};
-
-pub use shard::{ShardPlan, ShardRunReport};
 
 /// How a [`SocTopology`] (and the `SocSystem` facade) advances
 /// simulated time.
@@ -55,20 +51,6 @@ pub enum SchedulerMode {
     /// Plain cycle-by-cycle stepping — the reference behavior the
     /// equivalence tests pin fast-forward against.
     Naive,
-    /// Sharded parallel execution: partition the forest at registered
-    /// (latency ≥ 1) bridge boundaries, run each shard on its own
-    /// worker thread, and exchange in-flight beats in bulk-synchronous
-    /// windows bounded by the minimum cut latency (the conservative
-    /// lookahead). Byte-identical to the sequential schedulers; see
-    /// [`ShardPlan`] for the partitioning rule and
-    /// [`SocTopology::shard_run_report`] for per-run statistics. On a
-    /// plan with a single shard this degrades gracefully to
-    /// [`SchedulerMode::FastForward`] semantics on the calling thread.
-    Sharded {
-        /// Worker threads to spread shards over (clamped to at least 1;
-        /// values above the shard count are harmless).
-        workers: usize,
-    },
 }
 
 /// Opaque handle to one node of a topology graph, issued by
@@ -339,27 +321,8 @@ fn two_nodes(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &mut Node) {
     }
 }
 
-/// One cut cascade edge of a [`ShardPlan`]: where the forest was
-/// severed and how much lookahead that buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCut {
-    /// The interconnect owning the slave port above the cut.
-    pub parent: NodeId,
-    /// The parent's slave port the child hangs off.
-    pub port: usize,
-    /// The cascaded interconnect below the cut.
-    pub child: NodeId,
-    /// The bridge latency — this edge's lookahead contribution.
-    pub latency: Cycle,
-    /// Index of the shard the parent landed in.
-    pub parent_shard: usize,
-    /// Index of the shard the child subtree became.
-    pub child_shard: usize,
-}
-
-/// The bridge-delimited partition of the forest that both engines run
-/// on: the sequential engine's region calendar and the sharded
-/// executor's shards.
+/// The bridge-delimited partition of the forest the region calendar
+/// runs on.
 ///
 /// Every cascade edge carrying an [`AxiBridge`] with latency ≥ 1 is a
 /// *cut*: the child subtree becomes its own part. Wire (latency-0)
@@ -371,79 +334,57 @@ struct Partition {
     /// Global node ids per part, in DFS visit order.
     members: Vec<Vec<usize>>,
     /// Part index per global node id.
-    shard_of: Vec<usize>,
-    cuts: Vec<ShardCut>,
-    /// Head interconnect (global id) per part.
-    root_of: Vec<usize>,
-    /// Global DFS visit rank per node (accelerators use it to merge
-    /// IRQ streams back into the sequential emission order).
-    rank: Vec<u64>,
+    part_of: Vec<usize>,
+    /// Whether no cut hangs below each part.
+    leaf: Vec<bool>,
 }
 
 fn partition(nodes: &[Node], roots: &[usize]) -> Partition {
-    let n = nodes.len();
     let mut p = Partition {
         members: Vec::new(),
-        shard_of: vec![usize::MAX; n],
-        cuts: Vec::new(),
-        root_of: Vec::new(),
-        rank: vec![0; n],
+        part_of: vec![usize::MAX; nodes.len()],
+        leaf: Vec::new(),
     };
-    let mut next_rank = 0u64;
     for &root in roots {
-        let shard = p.members.len();
-        p.members.push(Vec::new());
-        p.root_of.push(root);
-        assign_subtree(nodes, root, shard, &mut p, &mut next_rank);
+        let part = p.new_part();
+        assign_subtree(nodes, root, part, &mut p);
         let NodeKind::Interconnect(icn) = &nodes[root].kind else {
             unreachable!("roots are interconnects");
         };
-        let mem = icn.memory.expect("roots have memory");
-        p.shard_of[mem] = shard;
-        p.members[shard].push(mem);
-        p.rank[mem] = next_rank;
-        next_rank += 1;
+        p.assign(icn.memory.expect("roots have memory"), part);
     }
     p
 }
 
-fn assign_subtree(nodes: &[Node], ic: usize, shard: usize, p: &mut Partition, next_rank: &mut u64) {
-    p.shard_of[ic] = shard;
-    p.members[shard].push(ic);
-    p.rank[ic] = *next_rank;
-    *next_rank += 1;
+impl Partition {
+    fn new_part(&mut self) -> usize {
+        self.members.push(Vec::new());
+        self.leaf.push(true);
+        self.members.len() - 1
+    }
+
+    fn assign(&mut self, node: usize, part: usize) {
+        self.part_of[node] = part;
+        self.members[part].push(node);
+    }
+}
+
+fn assign_subtree(nodes: &[Node], ic: usize, part: usize, p: &mut Partition) {
+    p.assign(ic, part);
     let NodeKind::Interconnect(icn) = &nodes[ic].kind else {
         unreachable!("subtree roots are interconnects");
     };
-    for (port, c) in icn.children.iter().enumerate() {
-        let Some(c) = c else { continue };
-        let child = c.node;
+    for c in icn.children.iter().flatten() {
         match c.bridge.as_ref().map(|b| b.config().latency) {
-            None => {
-                // Accelerator child: stays with its port's owner.
-                p.shard_of[child] = shard;
-                p.members[shard].push(child);
-                p.rank[child] = *next_rank;
-                *next_rank += 1;
-            }
+            // Accelerator child: stays with its port's owner.
+            None => p.assign(c.node, part),
             Some(latency) if latency >= 1 => {
-                let child_shard = p.members.len();
-                p.members.push(Vec::new());
-                p.root_of.push(child);
-                p.cuts.push(ShardCut {
-                    parent: NodeId(ic),
-                    port,
-                    child: NodeId(child),
-                    latency,
-                    parent_shard: shard,
-                    child_shard,
-                });
-                assign_subtree(nodes, child, child_shard, p, next_rank);
+                p.leaf[part] = false;
+                let child_part = p.new_part();
+                assign_subtree(nodes, c.node, child_part, p);
             }
-            Some(_) => {
-                // Wire bridge: no lookahead, same part.
-                assign_subtree(nodes, child, shard, p, next_rank);
-            }
+            // Wire bridge: same part.
+            Some(_) => assign_subtree(nodes, c.node, part, p),
         }
     }
 }
@@ -894,7 +835,6 @@ impl TopologyBuilder {
             done_count: 0,
             scheduler: SchedulerMode::default(),
             skipped_cycles: 0,
-            last_shard_report: None,
         };
         topo.partition_regions();
         Ok(topo)
@@ -930,8 +870,6 @@ pub struct SocTopology {
     done_count: usize,
     scheduler: SchedulerMode,
     skipped_cycles: Cycle,
-    /// Execution statistics of the most recent sharded run.
-    last_shard_report: Option<ShardRunReport>,
 }
 
 impl SocTopology {
@@ -953,10 +891,15 @@ impl SocTopology {
         self.skipped_cycles
     }
 
-    /// Execution statistics of the most recent run under
-    /// [`SchedulerMode::Sharded`] (`None` before any sharded run).
-    pub fn shard_run_report(&self) -> Option<&ShardRunReport> {
-        self.last_shard_report.as_ref()
+    /// The fast-forward calendar's regions, each listing its nodes in
+    /// DFS order. A region starts at a root interconnect or at the
+    /// child below a registered (latency ≥ 1) bridge; wire-cascaded
+    /// children, accelerators and memories join their parent's region.
+    pub fn regions(&self) -> Vec<Vec<NodeId>> {
+        self.regions
+            .iter()
+            .map(|r| r.members.iter().map(|&n| NodeId(n)).collect())
+            .collect()
     }
 
     /// The current cycle.
@@ -1203,33 +1146,25 @@ impl SocTopology {
     }
 
     /// Whether the fast-forward scheduler may skip cycles right now.
-    /// [`SchedulerMode::Sharded`] counts: its single-shard fallback
-    /// (and the facade run loops) behave exactly like fast-forward.
     pub(crate) fn fast_forward_active(&self) -> bool {
-        matches!(
-            self.scheduler,
-            SchedulerMode::FastForward | SchedulerMode::Sharded { .. }
-        ) && !self
-            .mem_nodes
-            .iter()
-            .any(|&idx| match &self.nodes[idx].kind {
-                NodeKind::Memory(m) => m.wave.is_some(),
-                _ => false,
-            })
+        self.scheduler == SchedulerMode::FastForward
+            && !self
+                .mem_nodes
+                .iter()
+                .any(|&idx| match &self.nodes[idx].kind {
+                    NodeKind::Memory(m) => m.wave.is_some(),
+                    _ => false,
+                })
     }
 
     /// Rebuilds the region calendar from the graph (at build time and
     /// whenever a post-build accelerator joins it).
     fn partition_regions(&mut self) {
         let p = partition(&self.nodes, &self.roots);
-        let mut leaf = vec![true; p.members.len()];
-        for cut in &p.cuts {
-            leaf[cut.parent_shard] = false;
-        }
         self.regions = p
             .members
             .into_iter()
-            .zip(leaf)
+            .zip(p.leaf)
             .map(|(members, leaf)| Region {
                 members,
                 leaf,
@@ -1237,7 +1172,7 @@ impl SocTopology {
                 progress: false,
             })
             .collect();
-        self.region_of = p.shard_of;
+        self.region_of = p.part_of;
     }
 
     /// One node's event-horizon hint after a no-progress tick at `now`;
@@ -1513,17 +1448,7 @@ impl SocTopology {
     }
 
     /// Runs for exactly `cycles` cycles.
-    ///
-    /// Under [`SchedulerMode::Sharded`] with a multi-shard plan the
-    /// forest is executed on worker threads (byte-identical to the
-    /// sequential schedulers); a single-shard plan falls through to the
-    /// fast-forward calendar.
     pub fn run_for(&mut self, cycles: Cycle) {
-        if let SchedulerMode::Sharded { workers } = self.scheduler {
-            if shard::run(self, workers, cycles, false).is_some() {
-                return;
-            }
-        }
         self.run_calendar(self.now + cycles, false);
     }
 
@@ -1560,26 +1485,7 @@ impl SocTopology {
 
     /// Runs until every finite accelerator reports done (at most
     /// `max_cycles`). Returns the outcome.
-    ///
-    /// Under a multi-shard [`SchedulerMode::Sharded`] plan, completion
-    /// is detected at exchange-window boundaries, so the reported
-    /// `Done` cycle is the first window edge at (or after) the true
-    /// completion cycle — window-quantized, while the simulated state
-    /// itself stays byte-identical to a sequential run of the same
-    /// length.
     pub fn run_until_done(&mut self, max_cycles: Cycle) -> sim::RunOutcome {
-        if let SchedulerMode::Sharded { workers } = self.scheduler {
-            if self.done_count == self.acc_nodes.len() {
-                return sim::RunOutcome::Done(self.now);
-            }
-            if let Some(all_done) = shard::run(self, workers, max_cycles, true) {
-                return if all_done {
-                    sim::RunOutcome::Done(self.now)
-                } else {
-                    sim::RunOutcome::CycleLimit(self.now)
-                };
-            }
-        }
         self.run_calendar(self.now + max_cycles, true);
         if self.done_count == self.acc_nodes.len() {
             sim::RunOutcome::Done(self.now)
@@ -1733,45 +1639,10 @@ impl SocTopology {
 }
 
 mod persist_impls {
-    use super::{NodeKind, SchedulerMode, ShardRunReport, SocTopology, WaveProbe};
+    use super::{NodeKind, SocTopology, WaveProbe};
     use sim::persist::{
         Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter,
     };
-
-    impl PersistValue for SchedulerMode {
-        fn save_value(&self, w: &mut SnapshotWriter) {
-            // Scheduler wire codes (append-only): 0 = fast-forward,
-            // 1 = naive, 2 = sharded + worker count.
-            match self {
-                SchedulerMode::FastForward => w.put_u8(0),
-                SchedulerMode::Naive => w.put_u8(1),
-                SchedulerMode::Sharded { workers } => {
-                    w.put_u8(2);
-                    w.put_usize(*workers);
-                }
-            }
-        }
-        fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            match r.take_u8()? {
-                0 => Ok(SchedulerMode::FastForward),
-                1 => Ok(SchedulerMode::Naive),
-                2 => Ok(SchedulerMode::Sharded {
-                    workers: r.take_usize()?,
-                }),
-                _ => Err(PersistError::Corrupt("unknown scheduler mode")),
-            }
-        }
-    }
-
-    sim::persist_fields!(ShardRunReport {
-        shards,
-        workers,
-        window,
-        rounds,
-        engine_skipped,
-        messages,
-        ambiguous_stalls,
-    });
 
     impl Persist for WaveProbe {
         sim::persist_state! {
@@ -1870,25 +1741,23 @@ mod persist_impls {
         /// Captures the complete dynamic state of the topology as a
         /// versioned `hcsim-snapshot/v1` container: every accelerator,
         /// interconnect, bridge and memory controller plus the run-loop
-        /// scalars (cycle, scheduler, IRQ backlog, stall stamps).
+        /// scalars (cycle, completion count, clock, IRQ backlog, stall
+        /// stamps).
         ///
         /// Restoring the returned snapshot into an identically built
         /// topology and resuming produces byte-identical behavior to
-        /// the uninterrupted run — the property the scheduler
-        /// equivalence oracle pins across naive, fast-forward and
-        /// sharded execution. Sharded runs reunite their bridge halves
-        /// at exchange-window boundaries before control returns, so a
-        /// snapshot never observes split-bridge state.
+        /// the uninterrupted run — the property the snapshot oracle
+        /// pins under both naive and fast-forward execution.
         pub fn save_snapshot(&self) -> Snapshot {
             let mut snap = Snapshot::new();
             let mut w = SnapshotWriter::new();
             self.save_shape(&mut w);
             snap.push_section(SECTION_SHAPE, w);
 
-            // Scheduler choice, skipped-cycle counters and shard
-            // reports are execution artifacts, not simulator state:
-            // excluding them keeps snapshots byte-comparable across
-            // naive, fast-forward and sharded runs of the same state.
+            // Scheduler choice and skipped-cycle counters are execution
+            // artifacts, not simulator state: excluding them keeps
+            // snapshots byte-comparable across naive and fast-forward
+            // runs of the same state.
             let mut w = SnapshotWriter::new();
             w.put_u64(self.now);
             w.put_usize(self.done_count);
@@ -2037,12 +1906,7 @@ impl Component for SocTopology {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fast_forward_active()
-            && matches!(
-                self.scheduler,
-                SchedulerMode::FastForward | SchedulerMode::Sharded { .. }
-            )
-        {
+        if !self.fast_forward_active() && self.scheduler == SchedulerMode::FastForward {
             // A waveform probe samples the boundary every cycle.
             return Some(now + 1);
         }

@@ -180,25 +180,17 @@ fn qos_campaigns_hold_tightened_bounds_on_pinned_seeds() {
 
 /// Regulation is scheduler-transparent: the full QoS campaign record —
 /// victim latency, job count, per-port throttle tallies — is
-/// byte-identical under naive, fast-forward and sharded scheduling.
+/// byte-identical under naive and fast-forward scheduling.
 #[test]
 fn qos_campaigns_are_scheduler_equivalent() {
     for &seed in &PINNED_SEEDS[..4] {
         let ff = run_noisy_neighbor_campaign(&ChaosConfig::new(seed));
         let naive =
             run_noisy_neighbor_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
-        let sharded = run_noisy_neighbor_campaign(
-            &ChaosConfig::new(seed).scheduler(SchedulerMode::Sharded { workers: 2 }),
-        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
             "seed {seed}: QoS campaign diverges under naive scheduling"
-        );
-        assert_eq!(
-            ff.fingerprint(),
-            sharded.fingerprint(),
-            "seed {seed}: QoS campaign diverges under sharded scheduling"
         );
     }
 }
@@ -319,25 +311,17 @@ fn fabric_pinned_seeds_cover_both_fault_modes() {
 
 /// Fault injection is scheduler-transparent: draws are tied to beat
 /// crossings, not bare cycles, so the full fabric campaign record is
-/// byte-identical under naive, fast-forward and sharded scheduling.
+/// byte-identical under naive and fast-forward scheduling.
 #[test]
 fn fabric_campaigns_are_scheduler_equivalent() {
     for &seed in &FABRIC_PINNED_SEEDS[..4] {
         let ff = run_fabric_flat_campaign(&ChaosConfig::new(seed));
         let naive =
             run_fabric_flat_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
-        let sharded = run_fabric_flat_campaign(
-            &ChaosConfig::new(seed).scheduler(SchedulerMode::Sharded { workers: 2 }),
-        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
             "seed {seed}: fabric campaign diverges under naive scheduling"
-        );
-        assert_eq!(
-            ff.fingerprint(),
-            sharded.fingerprint(),
-            "seed {seed}: fabric campaign diverges under sharded scheduling"
         );
     }
 }

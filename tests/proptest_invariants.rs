@@ -8,7 +8,7 @@ use axi::checker::ProtocolMonitor;
 use axi::txn::{ReadRequest, WriteRequest};
 use axi::types::BurstSize;
 use axi::{AxiInterconnect, AxiPort, BridgeConfig, WBeat};
-use axi_hyperconnect::{SchedulerMode, SocTopology, TopologyBuilder};
+use axi_hyperconnect::{NodeId, SchedulerMode, SocTopology, TopologyBuilder};
 use hyperconnect::{HcConfig, HyperConnect};
 use mem::{MemConfig, MemoryController};
 use proptest::prelude::*;
@@ -199,7 +199,17 @@ fn run_script(ops: Vec<Op>, nominal: u32) -> (ScriptedMaster, ProtocolMonitor) {
 /// masters (some behind a dormant arm cycle) — instead of only clean
 /// readers and DMAs.
 fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
+    topology_and_edges(bytes, faults).0
+}
+
+/// One parent → child edge of a generated topology: the bridge latency
+/// of a cascade, `None` for an attached accelerator or memory.
+type Edge = (NodeId, NodeId, Option<Cycle>);
+
+/// [`topology_from_bytes`] plus every edge it built.
+fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
     let mut b = TopologyBuilder::new();
+    let mut edges: Vec<Edge> = Vec::new();
     let mut memory = MemoryController::new(MemConfig::zcu102());
     if faults {
         let seed = bytes
@@ -217,13 +227,15 @@ fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
         .add_interconnect("ic0", HyperConnect::new(HcConfig::new(2)))
         .unwrap();
     b.connect_memory(root, mem).unwrap();
+    edges.push((root, mem, None));
     let mut ics = 1usize;
     let mut accs = 0usize;
     // Open (interconnect, slave port, depth) slots, consumed LIFO.
     let mut slots = vec![(root, 0usize, 0usize), (root, 1, 0)];
     let attach_acc = |b: &mut TopologyBuilder,
+                      edges: &mut Vec<Edge>,
                       accs: &mut usize,
-                      ic: axi_hyperconnect::NodeId,
+                      ic: NodeId,
                       port: usize,
                       cmd: u8| {
         let name = format!("acc{accs}");
@@ -302,10 +314,11 @@ fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
         };
         let a = b.add_accelerator(name, acc).unwrap();
         b.attach(a, ic, port).unwrap();
+        edges.push((ic, a, None));
         *accs += 1;
     };
     let mut cmds = bytes.iter().copied();
-    let mut freed: Option<(axi_hyperconnect::NodeId, usize)> = None;
+    let mut freed: Option<(NodeId, usize)> = None;
     while let Some((ic, port, depth)) = slots.pop() {
         let Some(cmd) = cmds.next() else {
             slots.push((ic, port, depth));
@@ -320,13 +333,14 @@ fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
                 let latency = u64::from(cmd / 16) % 5;
                 b.cascade_with(child, ic, port, BridgeConfig::wire().latency(latency))
                     .unwrap();
+                edges.push((ic, child, Some(latency)));
                 for p in (0..ports).rev() {
                     slots.push((child, p, depth + 1));
                 }
                 ics += 1;
             }
             1 => freed = Some((ic, port)), // port left unconnected
-            _ => attach_acc(&mut b, &mut accs, ic, port, cmd),
+            _ => attach_acc(&mut b, &mut edges, &mut accs, ic, port, cmd),
         }
     }
     // Keep the workload non-trivial: at least one traffic source. The
@@ -339,66 +353,47 @@ fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
             .map(|(ic, p, _)| (ic, p))
             .or(freed)
             .expect("no open or dropped port despite zero accelerators");
-        attach_acc(&mut b, &mut accs, ic, port, 5);
+        attach_acc(&mut b, &mut edges, &mut accs, ic, port, 5);
     }
-    b.build().unwrap()
+    (b.build().unwrap(), edges)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Partition totality: for any randomly generated topology, the
-    /// shard plan places every node in exactly one shard, cuts exactly
-    /// the registered (latency ≥ 1) cascade edges, and uses the
-    /// minimum cut latency as the exchange window.
+    /// fast-forward calendar places every node in exactly one region,
+    /// and a child starts a new region exactly when a registered
+    /// (latency ≥ 1) bridge joins it to its parent.
     #[test]
-    fn shard_plans_partition_any_topology(
+    fn regions_partition_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
     ) {
-        let topo = topology_from_bytes(&bytes, false);
-        let plan = topo.shard_plan();
-        let mut seen = std::collections::HashMap::new();
-        for (s, shard) in plan.shards.iter().enumerate() {
-            prop_assert!(!shard.is_empty(), "shard {} is empty", s);
-            for &id in shard {
+        let (topo, edges) = topology_and_edges(&bytes, false);
+        let regions = topo.regions();
+        let mut region_of = std::collections::HashMap::new();
+        for (r, members) in regions.iter().enumerate() {
+            prop_assert!(!members.is_empty(), "region {} is empty", r);
+            for &id in members {
                 prop_assert!(
-                    seen.insert(id, s).is_none(),
-                    "node {:?} landed in two shards", id
+                    region_of.insert(id, r).is_none(),
+                    "node {:?} landed in two regions", id
                 );
             }
         }
-        prop_assert_eq!(seen.len(), topo.num_nodes(), "a node was left unassigned");
-        prop_assert_eq!(plan.cuts.len() + 1, plan.shards.len(), "one tree, so cuts = shards - 1");
-        for cut in &plan.cuts {
-            prop_assert!(cut.latency >= 1, "wire edge {:?} was cut", cut);
-            // A cut separates the parent's shard from the child's.
-            prop_assert_eq!(seen[&cut.parent], cut.parent_shard);
-            prop_assert_eq!(seen[&cut.child], cut.child_shard);
-            prop_assert!(cut.parent_shard != cut.child_shard);
+        prop_assert_eq!(region_of.len(), topo.num_nodes(), "a node was left unassigned");
+        let mut registered = 0;
+        for (parent, child, latency) in edges {
+            if latency.is_some_and(|l| l >= 1) {
+                registered += 1;
+                let r = region_of[&child];
+                prop_assert!(r != region_of[&parent], "registered edge to {:?} not cut", child);
+                prop_assert_eq!(regions[r][0], child, "the cut child heads its region");
+            } else {
+                prop_assert_eq!(region_of[&child], region_of[&parent], "{:?} left its parent's region", child);
+            }
         }
-        prop_assert_eq!(plan.window, plan.cuts.iter().map(|c| c.latency).min());
-    }
-
-    /// Scheduler equivalence on arbitrary graphs: the sharded run of
-    /// any generated topology is byte-identical (clock, IRQ order, full
-    /// metrics snapshot) to the sequential fast-forward run, and its
-    /// entry gates prove it (zero ambiguous stalls).
-    #[test]
-    fn sharded_runs_match_sequential_on_any_topology(
-        bytes in proptest::collection::vec(any::<u8>(), 4..48),
-        workers in 1usize..5,
-    ) {
-        const CYCLES: Cycle = 15_000;
-        let mut seq = topology_from_bytes(&bytes, false);
-        seq.run_for(CYCLES);
-        let mut sharded = topology_from_bytes(&bytes, false);
-        sharded.set_scheduler(SchedulerMode::Sharded { workers });
-        sharded.run_for(CYCLES);
-        prop_assert_eq!(seq.now(), sharded.now());
-        prop_assert_eq!(seq.take_irq_events(), sharded.take_irq_events());
-        prop_assert_eq!(seq.metrics_snapshot_json(), sharded.metrics_snapshot_json());
-        let rep = *sharded.shard_run_report().expect("sharded mode reports");
-        prop_assert_eq!(rep.ambiguous_stalls, 0, "could not prove the sequential schedule");
+        prop_assert_eq!(regions.len(), registered + 1, "one root, so regions = cuts + 1");
     }
 
     /// The region calendar on arbitrary graphs: any generated topology

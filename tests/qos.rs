@@ -6,7 +6,7 @@
 //! 1. a mixed-criticality matrix (hard-RT victim + best-effort DMA
 //!    swarm + bursty ChaiDNN) where the armed bound monitor verifies
 //!    the victim against the regulated (tighter) bound with zero
-//!    violations under naive, fast-forward and sharded scheduling;
+//!    violations under naive and fast-forward scheduling;
 //! 2. a 16-port noisy-neighbor suite where regulated HyperConnect
 //!    holds the victim's tightened bound while SmartConnect — no
 //!    regulation, positional round-robin — blows straight through it;
@@ -133,9 +133,7 @@ fn mixed_criticality_matrix_holds_tightened_victim_bound() {
 fn mixed_criticality_matrix_byte_identical_across_schedulers() {
     let naive = mixed_criticality(SchedulerMode::Naive);
     let fast = mixed_criticality(SchedulerMode::FastForward);
-    let sharded = mixed_criticality(SchedulerMode::Sharded { workers: 2 });
     assert_eq!(naive, fast, "naive vs fast-forward diverged");
-    assert_eq!(naive, sharded, "naive vs sharded diverged");
 }
 
 /// 16-port noisy-neighbor run on HyperConnect with regulation: the
@@ -222,9 +220,7 @@ fn noisy_neighbor_16_ports_regulated_hc_holds_where_smartconnect_does_not() {
 fn noisy_neighbor_byte_identical_across_schedulers() {
     let naive = hc_noisy_neighbor(SchedulerMode::Naive);
     let fast = hc_noisy_neighbor(SchedulerMode::FastForward);
-    let sharded = hc_noisy_neighbor(SchedulerMode::Sharded { workers: 3 });
     assert_eq!(naive, fast);
-    assert_eq!(naive, sharded);
 }
 
 /// Two-level tree with regulation programmed on a leaf register file:
@@ -285,9 +281,7 @@ fn tree_run(mode: SchedulerMode, regulated: bool) -> (String, u32, u64, u64) {
 fn regulation_works_at_tree_depth_under_all_schedulers() {
     let naive = tree_run(SchedulerMode::Naive, true);
     let fast = tree_run(SchedulerMode::FastForward, true);
-    let sharded = tree_run(SchedulerMode::Sharded { workers: 2 }, true);
     assert_eq!(naive, fast, "regulated tree diverged under fast-forward");
-    assert_eq!(naive, sharded, "regulated tree diverged under sharding");
     let (_, throttle, regulated_subs, victim_regulated) = naive;
     assert!(throttle > 0, "leaf regulator never throttled");
     // Against the unregulated baseline the aggressor is visibly paced

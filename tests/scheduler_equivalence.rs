@@ -23,12 +23,13 @@ mod scenarios;
 use axi::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use axi::lite::LiteBus;
 use axi::types::{AxiId, BurstSize, PortId};
-use axi::AxiInterconnect;
-use axi_hyperconnect::{SchedulerMode, SocSystem, SocTopology};
+use axi::{AxiInterconnect, BridgeConfig};
+use axi_hyperconnect::{SchedulerMode, SocSystem, SocTopology, TopologyBuilder};
 use ha::chaidnn::{Chaidnn, ChaidnnConfig, Layer};
 use ha::dma::{Dma, DmaConfig};
 use ha::fault::WlastViolator;
 use ha::traffic::{BandwidthStealer, PeriodicReader, RandomTraffic};
+use ha::Accelerator;
 use hyperconnect::{HcConfig, HyperConnect};
 use hypervisor::{HcDriver, Hypervisor, WatchdogPolicy};
 use mem::{MemConfig, MemoryController};
@@ -70,6 +71,10 @@ fn fingerprint<I: AxiInterconnect>(sys: &SocSystem<I>, violations: &str) -> Stri
     fp
 }
 
+fn num_hc(ports: usize) -> HyperConnect {
+    HyperConnect::new(HcConfig::new(ports))
+}
+
 /// The four-master soak scenario from `tests/stress.rs`, parameterized
 /// by scheduler mode.
 fn stress<I: AxiInterconnect>(interconnect: I, mode: SchedulerMode, cycles: u64) -> SocSystem<I> {
@@ -83,44 +88,93 @@ fn stress<I: AxiInterconnect>(interconnect: I, mode: SchedulerMode, cycles: u64)
 }
 
 /// The four-master accelerator mix of the soak scenario.
+fn soak_masters() -> [Box<dyn Accelerator>; 4] {
+    [
+        Box::new(RandomTraffic::new(
+            "rnd0",
+            0x1000_0000,
+            1 << 20,
+            BurstSize::B16,
+            64,
+            10,
+            11,
+        )),
+        Box::new(BandwidthStealer::new(
+            "steal",
+            0x3000_0000,
+            1 << 20,
+            256,
+            BurstSize::B16,
+        )),
+        Box::new(PeriodicReader::new(
+            "periodic",
+            0x5000_0000,
+            1 << 20,
+            16,
+            BurstSize::B16,
+            100,
+        )),
+        Box::new(RandomTraffic::new(
+            "rnd1",
+            0x7000_0000,
+            1 << 20,
+            BurstSize::B4,
+            32,
+            50,
+            23,
+        )),
+    ]
+}
+
+/// Adds the soak masters to a flat system.
 fn populate<I: AxiInterconnect>(sys: &mut SocSystem<I>) {
-    sys.add_accelerator(Box::new(RandomTraffic::new(
-        "rnd0",
-        0x1000_0000,
-        1 << 20,
-        BurstSize::B16,
-        64,
-        10,
-        11,
-    )))
-    .unwrap();
-    sys.add_accelerator(Box::new(BandwidthStealer::new(
-        "steal",
-        0x3000_0000,
-        1 << 20,
-        256,
-        BurstSize::B16,
-    )))
-    .unwrap();
-    sys.add_accelerator(Box::new(PeriodicReader::new(
-        "periodic",
-        0x5000_0000,
-        1 << 20,
-        16,
-        BurstSize::B16,
-        100,
-    )))
-    .unwrap();
-    sys.add_accelerator(Box::new(RandomTraffic::new(
-        "rnd1",
-        0x7000_0000,
-        1 << 20,
-        BurstSize::B4,
-        32,
-        50,
-        23,
-    )))
-    .unwrap();
+    for acc in soak_masters() {
+        sys.add_accelerator(acc).unwrap();
+    }
+}
+
+/// The soak masters in a `cluster` behind a latency-2 bridge, with a
+/// random master and a periodic reader flat on the root.
+fn build_stress_tree(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", num_hc(3)).unwrap();
+    let cluster = b.add_interconnect("cluster", num_hc(4)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.cascade_with(cluster, root, 0, BridgeConfig::wire().latency(2))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    for (i, acc) in soak_masters().into_iter().enumerate() {
+        let a = b.add_accelerator(format!("c{i}"), acc).unwrap();
+        b.attach(a, cluster, i).unwrap();
+    }
+    let root_masters: [Box<dyn Accelerator>; 2] = [
+        Box::new(RandomTraffic::new(
+            "root_rnd",
+            0x9000_0000,
+            1 << 20,
+            BurstSize::B16,
+            48,
+            30,
+            47,
+        )),
+        Box::new(PeriodicReader::new(
+            "root_per",
+            0xB000_0000,
+            1 << 20,
+            16,
+            BurstSize::B16,
+            250,
+        )),
+    ];
+    for (port, acc) in (1..).zip(root_masters) {
+        let a = b.add_accelerator(acc.name().to_string(), acc).unwrap();
+        b.attach(a, root, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
 }
 
 #[test]
@@ -165,6 +219,11 @@ fn stress_suite_fingerprints_identical() {
         fingerprint(&fast, "[]"),
         "SmartConnect stress run diverged between schedulers"
     );
+
+    assert_tree_equivalent("stress-tree", build_stress_tree, &["cluster"], |topo| {
+        topo.run_for(120_000);
+        String::new()
+    });
 }
 
 /// The observability layer is part of the equivalence contract: every
@@ -334,6 +393,17 @@ fn fault_suite_violation_logs_byte_identical() {
 /// fast-forward scheduler must skip without moving the completion
 /// cycle of `run_until_done` by even one cycle.
 fn chaidnn_run(mode: SchedulerMode) -> (SocSystem<HyperConnect>, Cycle, bool) {
+    let mut sys = SocSystem::new(num_hc(1), MemoryController::new(MemConfig::zcu102()));
+    sys.set_scheduler(mode);
+    sys.add_accelerator(Box::new(two_frame_dnn())).unwrap();
+    let outcome = sys.run_until_done(10_000_000);
+    let done = outcome.is_done();
+    let now = sys.now();
+    (sys, now, done)
+}
+
+/// Two frames of two layers with 20k- and 35k-cycle compute phases.
+fn two_frame_dnn() -> Chaidnn {
     let layers = vec![
         Layer {
             name: "conv1",
@@ -350,24 +420,39 @@ fn chaidnn_run(mode: SchedulerMode) -> (SocSystem<HyperConnect>, Cycle, bool) {
             compute_cycles: 35_000,
         },
     ];
-    let dnn = Chaidnn::new(
+    Chaidnn::new(
         "dnn",
         layers,
         ChaidnnConfig {
             frames: Some(2),
             ..ChaidnnConfig::default()
         },
+    )
+}
+
+/// The DNN alone in a `leaf` cluster behind a latency-4 bridge, beside
+/// a three-job DMA on the root.
+fn build_chaidnn_tree(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", num_hc(2)).unwrap();
+    let leaf = b.add_interconnect("leaf", num_hc(1)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.cascade_with(leaf, root, 0, BridgeConfig::wire().latency(4))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    let dnn = b.add_accelerator("dnn", Box::new(two_frame_dnn())).unwrap();
+    b.attach(dnn, leaf, 0).unwrap();
+    let dma = Dma::new(
+        "root_dma",
+        DmaConfig::reader(64 * 1024, 16, BurstSize::B16).jobs(3),
     );
-    let mut sys = SocSystem::new(
-        HyperConnect::new(HcConfig::new(1)),
-        MemoryController::new(MemConfig::zcu102()),
-    );
-    sys.set_scheduler(mode);
-    sys.add_accelerator(Box::new(dnn)).unwrap();
-    let outcome = sys.run_until_done(10_000_000);
-    let done = outcome.is_done();
-    let now = sys.now();
-    (sys, now, done)
+    let d = b.add_accelerator("root_dma", Box::new(dma)).unwrap();
+    b.attach(d, root, 1).unwrap();
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
 }
 
 #[test]
@@ -458,6 +543,16 @@ fn run_until_done_and_waveform_disable_skipping() {
         0,
         "waveform capture must force naive stepping"
     );
+
+    // On a tree the probe keeps every region awake: the VCD bytes match
+    // naive stepping's.
+    assert_tree_equivalent("waveform-tree", scenarios::build_fault_tree, &[], |topo| {
+        let mem = topo.node_by_label("ddr").unwrap();
+        topo.attach_waveform(mem);
+        topo.run_for(20_000);
+        assert_eq!(topo.skipped_cycles(), 0, "waveform capture skipped cycles");
+        topo.waveform_vcd(mem).expect("probe attached")
+    });
 }
 
 /// Re-pins the Fig. 3(a) channel-latency goldens at the source: the
@@ -604,9 +699,7 @@ fn tight_budget_run(mode: SchedulerMode) -> (String, Cycle) {
 fn tight_budget_reservation_identical_under_fast_forward() {
     let (naive, naive_skipped) = tight_budget_run(SchedulerMode::Naive);
     let (fast, fast_skipped) = tight_budget_run(SchedulerMode::FastForward);
-    let (sharded, _) = tight_budget_run(SchedulerMode::Sharded { workers: 2 });
     assert_eq!(naive, fast);
-    assert_eq!(naive, sharded);
     // The equivalence must not be vacuous: fast-forward really skipped
     // idle spans (without ever skipping a recharge boundary).
     assert_eq!(naive_skipped, 0);
@@ -690,8 +783,49 @@ fn tree100_region_calendar_matches_naive() {
     );
 }
 
-/// The 3-level cascade (root ─1─ mid ─2─ leaf), split over several
-/// `run_for` calls.
+/// Copy DMAs on every spare port of root ─1─ mid ─3─ leaf.
+fn build_copy_cascade(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", num_hc(2)).unwrap();
+    let mid = b.add_interconnect("mid", num_hc(2)).unwrap();
+    let leaf = b.add_interconnect("leaf", num_hc(2)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.cascade_with(mid, root, 0, BridgeConfig::wire().latency(1))
+        .unwrap();
+    b.cascade_with(leaf, mid, 0, BridgeConfig::wire().latency(3))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    for (i, (ic, port)) in [(leaf, 0), (leaf, 1), (mid, 1), (root, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let dma = Dma::new(
+            format!("d{i}"),
+            DmaConfig {
+                src_base: 0x1000_0000 + i as u64 * 0x0100_0000,
+                dst_base: 0x5000_0000 + i as u64 * 0x0100_0000,
+                read_bytes: 8 * 1024,
+                write_bytes: 8 * 1024,
+                burst_beats: 32,
+                size: BurstSize::B16,
+                max_outstanding: 4,
+                jobs: Some(2),
+            },
+        );
+        let d = b.add_accelerator(format!("d{i}"), Box::new(dma)).unwrap();
+        b.attach(d, ic, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// Three-level cascades with two nested registered bridges, split over
+/// several `run_for` calls: random and periodic masters
+/// (root ─1─ mid ─2─ leaf), and copy DMAs whose data must land intact
+/// (root ─1─ mid ─3─ leaf).
 #[test]
 fn tree3_region_calendar_matches_naive() {
     assert_tree_equivalent("tree3", scenarios::build_tree3, &["mid", "leaf"], |topo| {
@@ -700,6 +834,26 @@ fn tree3_region_calendar_matches_naive() {
         }
         String::new()
     });
+    let copies = assert_tree_equivalent(
+        "copy-cascade",
+        build_copy_cascade,
+        &["mid", "leaf"],
+        |topo| {
+            for chunk in [7, 20_000, 39_993] {
+                topo.run_for(chunk);
+            }
+            String::new()
+        },
+    );
+    let mem = copies.node_by_label("ddr").unwrap();
+    let memory = copies.memory(mem).unwrap().memory();
+    for i in 0..4u64 {
+        let dst = 0x5000_0000 + i * 0x0100_0000;
+        assert!(
+            memory.verify_pattern(dst, dst, 8 * 1024),
+            "d{i}'s copy was corrupted across the bridges"
+        );
+    }
 }
 
 /// Wire and registered bridges mixed: a wire-cascaded hub with a
@@ -752,6 +906,16 @@ fn tree_run_until_done_matches_naive() {
             assert!(outcome.is_done(), "{outcome}");
             format!("{outcome}")
         },
+    );
+    let dnn = assert_tree_equivalent("chaidnn-tree", build_chaidnn_tree, &["leaf"], |topo| {
+        let outcome = topo.run_until_done(10_000_000);
+        assert!(outcome.is_done(), "{outcome}");
+        format!("{outcome}")
+    });
+    assert!(
+        dnn.skipped_cycles() > 10_000,
+        "only {} cycles skipped across the compute phases",
+        dnn.skipped_cycles()
     );
 }
 

@@ -6,10 +6,9 @@
 //! all layers.
 //!
 //! Because snapshots deliberately exclude scheduler artifacts
-//! (scheduler mode, fast-forward skip counters, shard reports), one
-//! single naive-mode reference image pins *every* scheduler's split
-//! run, and a snapshot taken under one scheduler must resume under
-//! another without drift.
+//! (scheduler mode, fast-forward skip counters), one single naive-mode
+//! reference image pins both schedulers' split runs, and a snapshot
+//! taken under one scheduler must resume under the other without drift.
 
 mod scenarios;
 
@@ -19,11 +18,7 @@ use scenarios::*;
 use sim::Cycle;
 
 /// Every scheduler the split runs are swept over.
-const MODES: [SchedulerMode; 3] = [
-    SchedulerMode::Naive,
-    SchedulerMode::FastForward,
-    SchedulerMode::Sharded { workers: 2 },
-];
+const MODES: [SchedulerMode; 2] = [SchedulerMode::Naive, SchedulerMode::FastForward];
 
 /// Drives the oracle for a flat [`SocSystem`] scenario: `build` must
 /// assemble the identical system every call (same shapes, same seeds —
@@ -56,11 +51,11 @@ fn oracle_system(
         );
     }
 
-    // Cross-scheduler resume: freeze under fast-forward, thaw sharded.
+    // Cross-scheduler resume: freeze under fast-forward, thaw naive.
     let mut first = build(SchedulerMode::FastForward);
     first.run_for(split_at);
     let mid = first.snapshot_bytes();
-    let mut resumed = build(SchedulerMode::Sharded { workers: 2 });
+    let mut resumed = build(SchedulerMode::Naive);
     resumed
         .restore_snapshot_bytes(&mid)
         .unwrap_or_else(|e| panic!("{label}: cross-scheduler restore failed: {e:?}"));
@@ -68,7 +63,7 @@ fn oracle_system(
     assert_eq!(
         resumed.snapshot_bytes(),
         reference_bytes,
-        "{label}: fast-forward snapshot resumed under sharded diverged"
+        "{label}: fast-forward snapshot resumed under naive diverged"
     );
 }
 
@@ -143,8 +138,7 @@ fn chaos_seed_snapshot_split_is_exact() {
 
 // ---------------------------------------------------------------------
 // Scenario 5: a three-level cascade (leaf → mid → root → DDR) with
-// registered bridges at both cuts, so the sharded scheduler actually
-// partitions it.
+// registered bridges at both cuts, so fast-forward runs three regions.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -170,8 +164,6 @@ fn fabric_fault_snapshot_split_is_exact() {
 // sleep. Region wake cycles are scheduler state and never persisted:
 // a restore wakes every region, so the image frozen mid-sleep resumes
 // exactly under naive stepping, under fast-forward and across the two.
-// (The sharded executor is left out: its image of this shape already
-// differs from naive stepping's without any split.)
 // ---------------------------------------------------------------------
 
 #[test]
