@@ -124,24 +124,6 @@ impl AxiPort {
         .min()
     }
 
-    /// Lifetime push + pop count summed across all five channels. Both
-    /// counters are monotonic, so the sum changes whenever anything
-    /// enters or leaves the port — a cheap mutation fingerprint the
-    /// fast-forward scheduler uses to detect out-of-band traffic moved
-    /// by simulation hooks.
-    pub fn lifetime_activity(&self) -> u64 {
-        self.ar.total_pushed()
-            + self.ar.total_popped()
-            + self.aw.total_pushed()
-            + self.aw.total_popped()
-            + self.w.total_pushed()
-            + self.w.total_popped()
-            + self.r.total_pushed()
-            + self.r.total_popped()
-            + self.b.total_pushed()
-            + self.b.total_popped()
-    }
-
     /// Flushes every channel queue (synchronous reset).
     pub fn clear(&mut self) {
         self.ar.clear();
@@ -184,16 +166,6 @@ pub trait AxiInterconnect: Component {
 
     /// Whether all internal state and boundary queues are empty.
     fn is_idle(&self) -> bool;
-
-    /// Monotonic counter bumped whenever the interconnect's control-plane
-    /// configuration changes through its memory-mapped interface (e.g. an
-    /// AXI-Lite register write). The fast-forward scheduler compares it
-    /// across hook invocations to detect reconfiguration during a skipped
-    /// span. Models without a runtime-writable control plane keep the
-    /// default of `0`.
-    fn config_generation(&self) -> u64 {
-        0
-    }
 
     /// The transaction-level metrics registry, when observability is
     /// enabled on this model; `None` otherwise (the default).
@@ -266,9 +238,6 @@ impl<T: AxiInterconnect + ?Sized> AxiInterconnect for Box<T> {
     }
     fn is_idle(&self) -> bool {
         (**self).is_idle()
-    }
-    fn config_generation(&self) -> u64 {
-        (**self).config_generation()
     }
     fn metrics(&self) -> Option<&crate::observe::MetricsRegistry> {
         (**self).metrics()

@@ -683,10 +683,6 @@ impl AxiInterconnect for HyperConnect {
             && self.mem_port.is_idle()
     }
 
-    fn config_generation(&self) -> u64 {
-        self.regs.with(|rf| rf.generation())
-    }
-
     fn metrics(&self) -> Option<&axi::MetricsRegistry> {
         self.metrics.as_ref()
     }

@@ -202,8 +202,8 @@ impl RegFile {
     /// Monotonic configuration generation: bumped on every control-plane
     /// write (AXI-Lite `write32` or a typed setter), but *not* by the
     /// interconnect's own counter write-backs (`port_mut`) or period
-    /// recharges. The fast-forward scheduler compares it across hook
-    /// invocations to detect reconfiguration during a skipped span.
+    /// recharges. The interconnect's phase-0 fast path compares it with
+    /// the generation it last saw to detect reconfiguration.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -499,9 +499,9 @@ sim::persist_fields!(PortRegs {
     write_credits,
     err_total,
 });
-// Persisting the generation counter verbatim keeps config-mutation
-// fingerprints and the interconnect's fast-path cache (`seen_cfg_gen`)
-// coherent across a snapshot/restore boundary.
+// Persisting the generation counter verbatim keeps the interconnect's
+// fast-path cache (`seen_cfg_gen`) coherent across a snapshot/restore
+// boundary.
 sim::persist_fields!(RegFile {
     enabled,
     period,

@@ -302,12 +302,6 @@ impl MemoryController {
         self.ps_port.as_mut().expect("PS port not enabled")
     }
 
-    /// The PS-side port, if enabled (read-only view — e.g. for the
-    /// fast-forward scheduler's mutation fingerprint).
-    pub fn ps_port(&self) -> Option<&AxiPort> {
-        self.ps_port.as_ref()
-    }
-
     /// First-word latency for a request at `addr`: flat, or row-buffer
     /// dependent when a row policy is enabled (bank state updates at
     /// acceptance, approximating an open-page controller).

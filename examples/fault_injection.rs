@@ -68,10 +68,7 @@ fn main() {
 
     // The hypervisor polls the watchdog registers every 100 cycles.
     let mut decoupled_at = None;
-    sys.run_for_with(40_000, |now, _sys| {
-        if now % 100 != 0 {
-            return;
-        }
+    sys.run_polled(40_000, 100, |now, _sys| {
         for e in hv.poll_watchdog().unwrap() {
             println!(
                 "[{now:>6} cycles] watchdog DECOUPLED {}: {:?}, {} violations on record",

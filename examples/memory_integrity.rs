@@ -103,10 +103,7 @@ fn quarantine_stage() {
     sys.add_accelerator(Box::new(oracle(13))).unwrap();
 
     println!("== hard-error region quarantine ==");
-    sys.run_for_with(80_000, |now, sys| {
-        if now % 50 != 0 {
-            return;
-        }
+    sys.run_polled(80_000, 50, |now, sys| {
         for ev in hv.poll_integrity().unwrap() {
             println!(
                 "cycle {now}: port {} exceeded its error budget \

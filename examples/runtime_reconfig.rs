@@ -167,10 +167,7 @@ fn reset_and_reattach_a_hung_writer() {
     .unwrap();
 
     let mut resets = 0u32;
-    sys.run_for_with(40_000, |now, sys| {
-        if now % POLL != 0 {
-            return;
-        }
+    sys.run_polled(40_000, POLL, |now, sys| {
         for t in hv.poll_recovery().unwrap() {
             println!(
                 "[{now:>9} cycles] recovery {}: {:?} -> {:?}{}",

@@ -235,12 +235,13 @@ fn build_variant(
     (sys, hv, drain_deadline, victim_bound)
 }
 
-/// Advances the system to cycle `until`, polling the hypervisor at the
-/// variant's cadence — but only from the warm cycle on, so a cold
-/// replay from cycle 0 and a fork resumed at the warm cycle observe the
-/// identical poll sequence.
+/// Advances the system to cycle `until`, polling the hypervisor's
+/// recovery machine every `poll` cycles — but only from the warm cycle
+/// on, so a cold replay from cycle 0 and a fork resumed at the warm
+/// cycle observe the identical poll sequence. The cold flat chaos
+/// campaign drives through it too, with `warm = 0`.
 #[allow(clippy::too_many_arguments)]
-fn drive(
+pub(crate) fn drive(
     sys: &mut SocSystem<HyperConnect>,
     hv: &mut Hypervisor,
     fault_port: usize,
@@ -251,12 +252,14 @@ fn drive(
     resets: &mut u64,
 ) {
     let span = until.saturating_sub(sys.now());
-    sys.run_for_with(span, |now, sys| {
-        if now < warm || now % poll != 0 {
+    sys.run_polled(span, poll, |now, sys| {
+        if now < warm {
             return;
         }
         for t in hv.poll_recovery().expect("AXI-Lite poll") {
             if t.to == RecoveryState::Resetting {
+                // The hypervisor just commanded a port reset: pulse the
+                // accelerator's reset line in the same cycle.
                 sys.accelerator_mut(fault_port)
                     .expect("fault port occupied")
                     .reset();

@@ -64,6 +64,7 @@ use hypervisor::{
 use mem::{FaultStats, MemConfig, MemFaultConfig, MemoryController, RegionRemap};
 use sim::{Cycle, SimRng};
 
+use crate::campaign::drive;
 use crate::{SchedulerMode, SocSystem, TopologyBuilder};
 
 /// AXI-Lite base the campaign maps the HyperConnect register file at.
@@ -542,29 +543,16 @@ pub fn run_flat_campaign(cfg: &ChaosConfig) -> ChaosOutcome {
     let poll = sc.poll_interval;
     let mut transitions: Vec<TransitionRecord> = Vec::new();
     let mut resets = 0u64;
-    sys.run_for_with(cfg.cycles, |now, sys| {
-        if now % poll != 0 {
-            return;
-        }
-        for t in hv.poll_recovery().expect("AXI-Lite poll") {
-            if t.to == RecoveryState::Resetting {
-                // The hypervisor just commanded a port reset: pulse the
-                // accelerator's reset line in the same cycle.
-                sys.accelerator_mut(fault_port)
-                    .expect("fault port occupied")
-                    .reset();
-                flush_port_queues(sys.interconnect().port(fault_port), now);
-                resets += 1;
-            }
-            transitions.push(TransitionRecord {
-                cycle: now,
-                port: t.port.0,
-                from: format!("{:?}", t.from),
-                to: format!("{:?}", t.to),
-                dropped: t.dropped_txns,
-            });
-        }
-    });
+    drive(
+        &mut sys,
+        &mut hv,
+        fault_port,
+        poll,
+        0,
+        cfg.cycles,
+        &mut transitions,
+        &mut resets,
+    );
 
     let mut victim_worst = 0u64;
     let mut victim_jobs = Vec::new();
@@ -686,10 +674,7 @@ pub fn run_tree_campaign(cfg: &ChaosConfig) -> ChaosOutcome {
     let poll = sc.poll_interval;
     let mut transitions: Vec<TransitionRecord> = Vec::new();
     let mut resets = 0u64;
-    topo.run_for_with(cfg.cycles, |now, topo| {
-        if now % poll != 0 {
-            return;
-        }
+    topo.run_polled(cfg.cycles, poll, |now, topo| {
         for t in hv.poll_recovery().expect("AXI-Lite poll") {
             if t.to == RecoveryState::Resetting {
                 topo.accelerator_mut(fault_port)
@@ -1425,10 +1410,7 @@ pub fn run_fabric_flat_campaign(cfg: &ChaosConfig) -> FabricOutcome {
     let mut quarantines = 0u64;
     let mut quarantine_cycle = None;
     let mut quarantine_err_total = None;
-    sys.run_for_with(cfg.cycles, |now, sys| {
-        if now % poll != 0 {
-            return;
-        }
+    sys.run_polled(cfg.cycles, poll, |now, sys| {
         for ev in hv.poll_integrity().expect("AXI-Lite poll") {
             // Hypervisor decision: the region under the erroring port
             // is sick — remap it onto the spare and tell the oracle.
@@ -1580,10 +1562,7 @@ pub fn run_fabric_tree_campaign(cfg: &ChaosConfig) -> FabricOutcome {
     let mut quarantines = 0u64;
     let mut quarantine_cycle = None;
     let mut quarantine_err_total = None;
-    topo.run_for_with(cfg.cycles, |now, topo| {
-        if now % poll != 0 {
-            return;
-        }
+    topo.run_polled(cfg.cycles, poll, |now, topo| {
         for ev in hv.poll_integrity().expect("AXI-Lite poll") {
             topo.memory_mut(memory)
                 .expect("memory node")

@@ -19,7 +19,7 @@ use sim::{ClockConfig, Component, Cycle};
 
 pub use crate::topology::SchedulerMode;
 use crate::topology::{
-    downcast_ic, downcast_ic_mut, NodeId, SocTopology, TopologyBuilder, TopologyError,
+    downcast_ic, downcast_ic_mut, poll_loop, NodeId, SocTopology, TopologyBuilder, TopologyError,
 };
 
 /// A simulated FPGA SoC: N accelerators, one interconnect, one memory
@@ -213,37 +213,16 @@ impl<I: AxiInterconnect + 'static> SocSystem<I> {
         self.topo.run_for(cycles);
     }
 
-    /// Runs for exactly `cycles` cycles, invoking `hook` after each
-    /// cycle with the cycle just completed and the system itself.
+    /// Runs for exactly `cycles` cycles, calling `hook(t, self)` after
+    /// every cycle `t` with `t % every == 0`: how a hypervisor rides
+    /// along, polling registers over the modeled AXI-Lite bus at its own
+    /// rate. See [`SocTopology::run_polled`].
     ///
-    /// This is how a hypervisor rides along in tests and examples: the
-    /// hook polls health/watchdog registers over the modeled AXI-Lite
-    /// bus at whatever rate it likes and the system never needs to know
-    /// the hypervisor exists.
+    /// # Panics
     ///
-    /// Under [`SchedulerMode::FastForward`] the hook keeps its exact
-    /// cadence — it is invoked once per cycle even across skipped spans
-    /// (only the known-no-op ticks are elided). After each invocation a
-    /// mutation fingerprint detects hooks that move beats or rewrite
-    /// control registers, and ticking resumes immediately when one does.
-    pub fn run_for_with(&mut self, cycles: Cycle, mut hook: impl FnMut(Cycle, &mut Self)) {
-        let end = self.topo.now() + cycles;
-        while self.topo.now() < end {
-            let t = self.topo.now();
-            let progress = self.topo.tick(t);
-            if progress || !self.topo.fast_forward_active() {
-                hook(t, self);
-                continue;
-            }
-            let target = self.topo.skip_target(t, end);
-            let fingerprint = self.topo.mutation_fingerprint();
-            hook(t, self);
-            while self.topo.now() < target && self.topo.mutation_fingerprint() == fingerprint {
-                let skipped = self.topo.now();
-                self.topo.note_skipped(skipped + 1);
-                hook(skipped, self);
-            }
-        }
+    /// Panics when `every` is 0.
+    pub fn run_polled(&mut self, cycles: Cycle, every: Cycle, hook: impl FnMut(Cycle, &mut Self)) {
+        poll_loop(self, |sys| &mut sys.topo, cycles, every, hook);
     }
 
     /// Runs until every finite accelerator reports done (at most

@@ -1146,7 +1146,7 @@ impl SocTopology {
     }
 
     /// Whether the fast-forward scheduler may skip cycles right now.
-    pub(crate) fn fast_forward_active(&self) -> bool {
+    fn fast_forward_active(&self) -> bool {
         self.scheduler == SchedulerMode::FastForward
             && !self
                 .mem_nodes
@@ -1189,59 +1189,6 @@ impl SocTopology {
                 .min(),
             NodeKind::Memory(m) => m.mem.next_event(now),
         }
-    }
-
-    /// The earliest cycle any component could make progress at, given a
-    /// tick at `now` made none: the minimum over every node's (and
-    /// bridge's) event-horizon hint.
-    fn horizon(&self, now: Cycle) -> Option<Cycle> {
-        (0..self.nodes.len())
-            .filter_map(|n| self.node_horizon(n, now))
-            .min()
-    }
-
-    /// Cheap digest of everything a run hook can mutate: every
-    /// interconnect's control-plane generation plus the lifetime
-    /// push/pop activity of every boundary port. All inputs are
-    /// monotonic counters, so the sum changes iff a hook moved a beat
-    /// or reconfigured a control plane.
-    pub(crate) fn mutation_fingerprint(&mut self) -> u64 {
-        let mut fp = 0u64;
-        for node in &mut self.nodes {
-            match &mut node.kind {
-                NodeKind::Interconnect(icn) => {
-                    fp = fp.wrapping_add(icn.ic.config_generation());
-                    for i in 0..icn.ic.num_ports() {
-                        fp = fp.wrapping_add(icn.ic.port(i).lifetime_activity());
-                    }
-                    fp = fp.wrapping_add(icn.ic.mem_port().lifetime_activity());
-                }
-                NodeKind::Memory(m) => {
-                    if let Some(ps) = m.mem.ps_port() {
-                        fp = fp.wrapping_add(ps.lifetime_activity());
-                    }
-                }
-                NodeKind::Accelerator(_) => {}
-            }
-        }
-        fp
-    }
-
-    /// After a no-progress tick at `t`, the cycle to resume ticking at:
-    /// the system horizon clamped to `[t + 1, bound]` (`bound` when
-    /// every component is reactive-only).
-    pub(crate) fn skip_target(&mut self, t: Cycle, bound: Cycle) -> Cycle {
-        match self.horizon(t) {
-            Some(e) => e.max(t + 1).min(bound),
-            None => bound,
-        }
-    }
-
-    /// Advances `now` over an idle span without ticking (facade-loop
-    /// internals).
-    pub(crate) fn note_skipped(&mut self, to: Cycle) {
-        self.skipped_cycles += to - self.now;
-        self.now = to;
     }
 
     /// Whether region `r`'s wake cycle has come at `now`.
@@ -1432,7 +1379,8 @@ impl SocTopology {
             }
             self.now = t + 1;
             if next > self.now {
-                self.note_skipped(next);
+                self.skipped_cycles += next - self.now;
+                self.now = next;
             }
         }
     }
@@ -1452,35 +1400,23 @@ impl SocTopology {
         self.run_calendar(self.now + cycles, false);
     }
 
-    /// Runs for exactly `cycles` cycles, invoking `hook` after each
-    /// cycle with the cycle just completed and the topology itself.
+    /// Runs for exactly `cycles` cycles, calling `hook(t, self)` after
+    /// every cycle `t` with `t % every == 0` has been simulated (so
+    /// `now() == t + 1` inside the hook).
     ///
-    /// Every ticked cycle ticks every region (the hook may touch any of
-    /// them). Under [`SchedulerMode::FastForward`] the hook keeps its
-    /// exact cadence — it is invoked once per cycle even across skipped
-    /// spans (only the known-no-op ticks are elided). After each
-    /// invocation a mutation fingerprint detects hooks that move beats
-    /// or rewrite control registers, and ticking resumes immediately
-    /// when one does.
-    pub fn run_for_with(&mut self, cycles: Cycle, mut hook: impl FnMut(Cycle, &mut Self)) {
-        let end = self.now + cycles;
-        while self.now < end {
-            let t = self.now;
-            let progress = self.tick(t);
-            if progress || !self.fast_forward_active() {
-                hook(t, self);
-                continue;
-            }
-            let target = self.skip_target(t, end);
-            let fingerprint = self.mutation_fingerprint();
-            hook(t, self);
-            while self.now < target && self.mutation_fingerprint() == fingerprint {
-                let skipped = self.now;
-                self.now = skipped + 1;
-                self.skipped_cycles += 1;
-                hook(skipped, self);
-            }
-        }
+    /// This is how a hypervisor rides along: it polls health registers,
+    /// decouples ports and rewrites budgets at its own software rate.
+    /// The cadence is absolute, so a run resumed mid-way sees the polls
+    /// a run from cycle 0 would. Between polls the region calendar runs
+    /// unchanged; each poll ends one [`SocTopology::run_for`] and the
+    /// next begins with every region awake, so whatever the hook changed
+    /// is seen on the following cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `every` is 0.
+    pub fn run_polled(&mut self, cycles: Cycle, every: Cycle, hook: impl FnMut(Cycle, &mut Self)) {
+        poll_loop(self, |topo| topo, cycles, every, hook);
     }
 
     /// Runs until every finite accelerator reports done (at most
@@ -1910,7 +1846,9 @@ impl Component for SocTopology {
             // A waveform probe samples the boundary every cycle.
             return Some(now + 1);
         }
-        self.horizon(now)
+        (0..self.nodes.len())
+            .filter_map(|n| self.node_horizon(n, now))
+            .min()
     }
 
     fn last_active(&self) -> Vec<String> {
@@ -1924,6 +1862,31 @@ impl Component for SocTopology {
             .filter(|(_, s)| **s == Some(latest))
             .map(|(i, _)| self.nodes[i].label.clone())
             .collect()
+    }
+}
+
+/// The one poll loop behind [`SocTopology::run_polled`] and
+/// `SocSystem::run_polled`: runs the calendar up to and including each
+/// poll cycle `t` (`t % every == 0`) of the next `cycles`, then calls
+/// `hook(t, sys)`. `topo` projects the driven system onto its topology.
+pub(crate) fn poll_loop<S>(
+    sys: &mut S,
+    topo: fn(&mut S) -> &mut SocTopology,
+    cycles: Cycle,
+    every: Cycle,
+    mut hook: impl FnMut(Cycle, &mut S),
+) {
+    assert!(every > 0, "run_polled: `every` must be at least 1");
+    let end = topo(sys).now + cycles;
+    loop {
+        let now = topo(sys).now;
+        let t = now.next_multiple_of(every);
+        if t >= end {
+            topo(sys).run_for(end - now);
+            return;
+        }
+        topo(sys).run_for(t + 1 - now);
+        hook(t, sys);
     }
 }
 

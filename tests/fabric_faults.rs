@@ -216,10 +216,7 @@ fn hard_errors_quarantine_and_recover_end_to_end() {
     .unwrap();
 
     let mut quarantines = 0u64;
-    sys.run_for_with(60_000, |now, sys| {
-        if now % 50 != 0 {
-            return;
-        }
+    sys.run_polled(60_000, 50, |_, sys| {
         for ev in hv.poll_integrity().expect("AXI-Lite poll") {
             assert_eq!(ev.port, PortId(0));
             assert!(ev.err_total > ev.errors_allowed);

@@ -33,6 +33,24 @@ fn boot_hypervisor(hc: &HyperConnect) -> Hypervisor {
     hv
 }
 
+/// Runs `cycles` cycles with the hypervisor polling the watchdog
+/// registers every `every` cycles. Returns the poll cycle that first
+/// decoupled a port.
+fn watch(
+    sys: &mut SocSystem<HyperConnect>,
+    hv: &mut Hypervisor,
+    cycles: Cycle,
+    every: Cycle,
+) -> Option<Cycle> {
+    let mut decoupled_at = None;
+    sys.run_polled(cycles, every, |now, _| {
+        if !hv.poll_watchdog().unwrap().is_empty() {
+            decoupled_at.get_or_insert(now);
+        }
+    });
+    decoupled_at
+}
+
 /// The analysis bound every victim is held to: nominal-sized bursts
 /// through an `ports`-port HyperConnect against the ZCU102 memory
 /// model, with the default outstanding limit K=4 programmed at reset.
@@ -86,16 +104,7 @@ fn wlast_fault_is_reported_decoupled_and_victims_stay_bounded() {
     .unwrap();
 
     // The hypervisor polls the watchdog registers every 100 cycles.
-    let mut decoupled_at: Option<Cycle> = None;
-    sys.run_for_with(40_000, |now, _sys| {
-        if now % 100 != 0 {
-            return;
-        }
-        let events = hv.poll_watchdog().unwrap();
-        if decoupled_at.is_none() && !events.is_empty() {
-            decoupled_at = Some(now);
-        }
-    });
+    let decoupled_at = watch(&mut sys, &mut hv, 40_000, 100);
 
     // 1. The fault produced at least one structured violation, on the
     //    right port and of the right kind.
@@ -195,16 +204,7 @@ fn stalled_writer_cannot_wedge_the_write_path() {
     )))
     .unwrap();
 
-    let mut decoupled_at: Option<Cycle> = None;
-    sys.run_for_with(20_000, |now, _sys| {
-        if now % 64 != 0 {
-            return;
-        }
-        let events = hv.poll_watchdog().unwrap();
-        if decoupled_at.is_none() && !events.is_empty() {
-            decoupled_at = Some(now);
-        }
-    });
+    let decoupled_at = watch(&mut sys, &mut hv, 20_000, 64);
 
     // The hang was classified, the port decoupled, and the stranded
     // write burst completed with strobe-disabled firewall beats.
@@ -279,11 +279,7 @@ fn rogue_reader_gets_decerr_and_victims_are_unaffected() {
     )))
     .unwrap();
 
-    sys.run_for_with(20_000, |now, _sys| {
-        if now % 100 == 0 {
-            hv.poll_watchdog().unwrap();
-        }
-    });
+    watch(&mut sys, &mut hv, 20_000, 100);
 
     // The error propagated through every layer: memory decode → R
     // response → TS classification → watchdog decouple.
@@ -373,11 +369,7 @@ fn runaway_master_is_decoupled_on_outstanding_cap() {
     )))
     .unwrap();
 
-    sys.run_for_with(20_000, |now, _sys| {
-        if now % 50 == 0 {
-            hv.poll_watchdog().unwrap();
-        }
-    });
+    watch(&mut sys, &mut hv, 20_000, 50);
 
     assert!(hv.hc().is_decoupled(1).unwrap());
     let event = &hv.watchdog_log()[0];
@@ -429,18 +421,7 @@ fn stuck_valid_writer_trips_the_stall_detector() {
     )))
     .unwrap();
 
-    let mut decoupled_at: Option<Cycle> = None;
-    sys.run_for_with(10_000, |now, _sys| {
-        if now % 100 != 0 {
-            return;
-        }
-        let events = hv.poll_watchdog().unwrap();
-        if decoupled_at.is_none() && !events.is_empty() {
-            decoupled_at = Some(now);
-        }
-    });
-
-    let decoupled_at = decoupled_at.expect("stall detector never fired");
+    let decoupled_at = watch(&mut sys, &mut hv, 10_000, 100).expect("stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());
     let event = &hv.watchdog_log()[0];
     assert_eq!(event.port, PortId(1));
@@ -539,16 +520,7 @@ fn stuck_ready_reader_trips_the_stall_detector() {
     sys.add_accelerator(Box::new(StuckReadyReader { posted: false }))
         .unwrap();
 
-    let mut decoupled_at: Option<Cycle> = None;
-    sys.run_for_with(10_000, |now, _sys| {
-        if now % 100 != 0 {
-            return;
-        }
-        let events = hv.poll_watchdog().unwrap();
-        if decoupled_at.is_none() && !events.is_empty() {
-            decoupled_at = Some(now);
-        }
-    });
+    let decoupled_at = watch(&mut sys, &mut hv, 10_000, 100);
 
     assert!(decoupled_at.is_some(), "stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());

@@ -296,10 +296,7 @@ fn hypervisor_image_is_pinned() {
         60,
     )))
     .unwrap();
-    sys.run_for_with(30_000, |now, sys| {
-        if now % 100 != 0 {
-            return;
-        }
+    sys.run_polled(30_000, 100, |_, sys| {
         for port in sys.take_irq_events() {
             hv.route_irq(port).unwrap();
         }

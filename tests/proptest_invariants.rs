@@ -398,28 +398,48 @@ proptest! {
 
     /// The region calendar on arbitrary graphs: any generated topology
     /// (bridge latencies 0–4, so wire and registered edges mix; the
-    /// fault zoo optional), run as two `run_for` calls split at a random
-    /// cycle, is byte-identical under fast-forward and naive stepping —
-    /// clock, IRQ order, stall attribution, metrics snapshot and the
-    /// full persisted image.
+    /// fault zoo optional), run through `run_polled` at a random cadence,
+    /// is byte-identical under fast-forward and naive stepping — clock,
+    /// IRQ order, stall attribution, metrics snapshot and the full
+    /// persisted image. The hook drains IRQs on every poll and, at the
+    /// first poll at or after `poke`, rewrites port 0's budget and the
+    /// period of HyperConnect `ic{target}` (`ic0` when there is none),
+    /// which may sit in a sleeping region.
     #[test]
     fn naive_runs_match_fast_forward_on_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
         faults in any::<bool>(),
         split in 1u64..6_000,
+        target in 0usize..6,
+        poke in 0u64..12_000,
     ) {
+        use hyperconnect::regfile::{offsets, port_block_offset};
         const CYCLES: Cycle = 12_000;
         let run = |mode: SchedulerMode| {
             let mut topo = topology_from_bytes(&bytes, faults);
             topo.set_scheduler(mode);
-            topo.run_for(split);
-            topo.run_for(CYCLES - split);
-            topo
+            let ic = topo
+                .node_by_label(&format!("ic{target}"))
+                .or_else(|| topo.node_by_label("ic0"))
+                .unwrap();
+            let mut irqs = Vec::new();
+            let mut poked = false;
+            topo.run_polled(CYCLES, split, |now, topo| {
+                irqs.extend(topo.take_irq_events());
+                if !poked && now >= poke {
+                    poked = true;
+                    let regs = topo.interconnect_as::<HyperConnect>(ic).unwrap().regs();
+                    regs.write32(port_block_offset(0) + offsets::PORT_BUDGET, 3);
+                    regs.write32(offsets::PERIOD, 700);
+                }
+            });
+            irqs.extend(topo.take_irq_events());
+            (topo, irqs)
         };
-        let mut naive = run(SchedulerMode::Naive);
-        let mut fast = run(SchedulerMode::FastForward);
+        let (mut naive, naive_irqs) = run(SchedulerMode::Naive);
+        let (mut fast, fast_irqs) = run(SchedulerMode::FastForward);
         prop_assert_eq!(naive.now(), fast.now());
-        prop_assert_eq!(naive.take_irq_events(), fast.take_irq_events());
+        prop_assert_eq!(naive_irqs, fast_irqs);
         prop_assert_eq!(naive.last_active(), fast.last_active());
         prop_assert_eq!(naive.metrics_snapshot_json(), fast.metrics_snapshot_json());
         prop_assert!(

@@ -1,14 +1,14 @@
 //! Register-trace golden: the hypervisor-visible register file of a
-//! 14-port HyperConnect, sampled on every cycle.
+//! 14-port HyperConnect, sampled on every cycle and on every 100th.
 //!
 //! The scenario mixes busy DMAs with idle ports, a regulated port that
 //! throttles, a budgeted port that stalls across period boundaries, and
-//! a port that is decoupled and later recoupled. A `run_for_with` hook
+//! a port that is decoupled and later recoupled. A `run_polled` hook
 //! reads every `PORT_*` register of every port over AXI-Lite, plus the
 //! EXBAR grant counters, and folds them into one FNV-1a digest per run.
 //! Naive stepping and fast-forward must both reproduce the pinned
-//! digest, so any change to when or what the interconnect writes back
-//! to its counter registers fails here.
+//! digest at each cadence, so any change to when or what the
+//! interconnect writes back to its counter registers fails here.
 
 use axi::lite::LiteBus;
 use axi::types::BurstSize;
@@ -50,8 +50,13 @@ const PORT_REGS: [u64; 14] = [
     offsets::PORT_ERR_TOTAL,
 ];
 
-/// The register-trace digest both schedulers must reproduce.
+/// The register-trace digest both schedulers must reproduce, sampled
+/// on every cycle.
 const GOLDEN_DIGEST: u64 = 0x8a67_4967_e090_819d;
+/// The same trace sampled on every 100th cycle (`DECOUPLE_AT` and
+/// `RECOUPLE_AT` are poll cycles), where fast-forward skips between
+/// polls.
+const GOLDEN_DIGEST_EVERY_100: u64 = 0xa9a6_8cbe_6d21_81e8;
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -95,7 +100,7 @@ struct Trace {
     budget_stall_cycles: u64,
 }
 
-fn run(mode: SchedulerMode) -> Trace {
+fn run(mode: SchedulerMode, every: Cycle) -> Trace {
     let hc = HyperConnect::new(HcConfig::new(PORTS));
     let mut bus = LiteBus::new();
     bus.map(HC_BASE, 0x1000, hc.regs().clone());
@@ -148,7 +153,7 @@ fn run(mode: SchedulerMode) -> Trace {
 
     let mut fnv = Fnv::new();
     let mut toggled_jobs_at_recouple = 0;
-    sys.run_for_with(CYCLES, |now, sys| {
+    sys.run_polled(CYCLES, every, |now, sys| {
         if now == DECOUPLE_AT {
             bus.write32(port_reg(TOGGLED, offsets::PORT_CTRL), 0)
                 .unwrap();
@@ -186,23 +191,29 @@ fn run(mode: SchedulerMode) -> Trace {
 
 #[test]
 fn register_trace_matches_golden_under_both_schedulers() {
-    let naive = run(SchedulerMode::Naive);
-    let ff = run(SchedulerMode::FastForward);
-    // The scenario exercises what it claims to.
-    assert!(naive.throttle_events > 0, "regulated port never throttled");
-    assert!(naive.budget_stall_cycles > 0, "budgeted port never stalled");
-    assert!(
-        naive.toggled_jobs_at_end > naive.toggled_jobs_at_recouple,
-        "recoupled port made no progress"
-    );
-    assert!(ff.skipped > 0, "fast-forward skipped nothing");
-    assert_eq!(
-        naive.digest, ff.digest,
-        "schedulers disagree on the register trace"
-    );
-    assert_eq!(
-        naive.digest, GOLDEN_DIGEST,
-        "register trace moved: {:#018x}",
-        naive.digest
-    );
+    for (every, golden) in [(1, GOLDEN_DIGEST), (100, GOLDEN_DIGEST_EVERY_100)] {
+        let naive = run(SchedulerMode::Naive, every);
+        let ff = run(SchedulerMode::FastForward, every);
+        // The scenario exercises what it claims to.
+        assert!(naive.throttle_events > 0, "regulated port never throttled");
+        assert!(naive.budget_stall_cycles > 0, "budgeted port never stalled");
+        assert!(
+            naive.toggled_jobs_at_end > naive.toggled_jobs_at_recouple,
+            "recoupled port made no progress"
+        );
+        // At `every = 1` each cycle is its own run entry, so only the
+        // sparse cadence leaves spans for fast-forward to skip.
+        if every > 1 {
+            assert!(ff.skipped > 0, "fast-forward skipped nothing");
+        }
+        assert_eq!(
+            naive.digest, ff.digest,
+            "every {every}: schedulers disagree on the register trace"
+        );
+        assert_eq!(
+            naive.digest, golden,
+            "every {every}: register trace moved: {:#018x}",
+            naive.digest
+        );
+    }
 }

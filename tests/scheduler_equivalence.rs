@@ -306,9 +306,10 @@ fn metrics_snapshot_byte_identical_across_schedulers() {
 
 /// The fault-injection scenario from `tests/fault_injection.rs`: a
 /// WLAST-corrupting writer between two periodic victims, with the
-/// hypervisor watchdog polling through a `run_for_with` hook. The
-/// violation log, the decoupling cycle and the hook cadence must all
-/// be identical under both schedulers.
+/// hypervisor watchdog polling every 100 cycles through a `run_polled`
+/// hook. The violation log, the decoupling cycle and the hook cadence
+/// (one call per poll cycle) must all be identical under both
+/// schedulers.
 fn fault_run(mode: SchedulerMode) -> (String, Option<Cycle>, u64) {
     const HC_BASE: u64 = 0xA000_0000;
     let hc = HyperConnect::new(HcConfig::new(3));
@@ -355,11 +356,8 @@ fn fault_run(mode: SchedulerMode) -> (String, Option<Cycle>, u64) {
 
     let mut decoupled_at: Option<Cycle> = None;
     let mut hook_calls = 0u64;
-    sys.run_for_with(40_000, |now, _sys| {
+    sys.run_polled(40_000, 100, |now, _sys| {
         hook_calls += 1;
-        if now % 100 != 0 {
-            return;
-        }
         let events = hv.poll_watchdog().unwrap();
         if decoupled_at.is_none() && !events.is_empty() {
             decoupled_at = Some(now);
@@ -381,9 +379,9 @@ fn fault_suite_violation_logs_byte_identical() {
     let (fp_fast, decoupled_fast, hooks_fast) = fault_run(SchedulerMode::FastForward);
     assert_eq!(fp_naive, fp_fast, "fault run diverged between schedulers");
     assert_eq!(decoupled_naive, decoupled_fast, "decoupling cycle moved");
-    // The hook must keep exact per-cycle cadence even across skips.
-    assert_eq!(hooks_naive, 40_000);
-    assert_eq!(hooks_fast, 40_000);
+    // One hook call per poll cycle, even where fast-forward skips.
+    assert_eq!(hooks_naive, 400);
+    assert_eq!(hooks_fast, 400);
     // Sanity: the scenario actually reported the fault.
     assert!(fp_naive.contains("WlastMismatch"), "{fp_naive}");
     assert!(decoupled_naive.is_some(), "watchdog never fired");

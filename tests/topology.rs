@@ -279,10 +279,7 @@ fn watchdog_decouples_a_faulty_accelerator_on_a_leaf() {
     // The hypervisor polls the *leaf's* watchdog registers while the
     // whole tree runs.
     let mut decoupled_at = None;
-    topo.run_for_with(40_000, |now, _topo| {
-        if now % 100 != 0 {
-            return;
-        }
+    topo.run_polled(40_000, 100, |now, _topo| {
         let events = hv.poll_watchdog().unwrap();
         if decoupled_at.is_none() && !events.is_empty() {
             decoupled_at = Some(now);
