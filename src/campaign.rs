@@ -1,18 +1,21 @@
 //! The snapshot-forking chaos campaign service.
 //!
-//! The classic chaos runner ([`crate::chaos`]) cold-starts every
-//! scenario from cycle 0, which means N seeded variants of the same
-//! base scenario re-simulate the identical fault-free warm-up N times.
-//! This module turns that engine into a *forking campaign service* built
-//! on the [`sim::persist`] snapshot layer:
+//! The chaos runner ([`crate::chaos::run`]) cold-starts every scenario
+//! from cycle 0, which means N seeded variants of the same base
+//! scenario re-simulate the identical fault-free warm-up N times. This
+//! module forks the flat recovery family instead, on the
+//! [`sim::persist`] snapshot layer. It adds no runner of its own: every
+//! run, warm or forked or cold, is the recovery family's build, poll and
+//! judge, and differs only in the warm image it restores (if any) and
+//! the cycle its fault arms at.
 //!
-//! 1. **Warm once** — the base scenario (shape, victims, fault kind —
-//!    all derived from the base seed) is built with its fault wrapped in
-//!    a dormant [`ha::fault::DelayedFault`] and simulated fault-free to
-//!    the warm cycle, then captured as one in-memory
-//!    `hcsim-snapshot/v1` image.
+//! 1. **Warm once** — the base scenario (ports, victims, fault kind —
+//!    all derived from the base seed) is built with its fault dormant
+//!    ([`ha::fault::DelayedFault`] never armed) and simulated to the
+//!    warm cycle, then captured as one in-memory `hcsim-snapshot/v1`
+//!    image.
 //! 2. **Fork N variants** — a `std::thread` pool rebuilds the identical
-//!    system per variant, restores the warm image (byte-exact, so every
+//!    world per variant, restores the warm image (byte-exact, so every
 //!    fork observes the same pre-injection world), and runs to the end
 //!    with the variant's own seed-derived injection cycle, hypervisor
 //!    poll cadence and recovery policy.
@@ -31,29 +34,20 @@
 //!
 //! Forking is *sound*, not merely fast: [`run_variant_cold`] replays any
 //! variant from cycle 0 and must produce a byte-identical
-//! [`crate::chaos::ChaosOutcome::fingerprint`] — the campaign tests
-//! gate on exactly that equivalence.
+//! [`crate::chaos::Outcome::fingerprint`] — the campaign tests gate on
+//! exactly that equivalence. Only the recovery family forks so far:
+//! forking another family needs a per-family variant draw.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
-use axi::lite::LiteBus;
-use axi::types::{BurstSize, PortId};
-use axi::AxiInterconnect;
-use ha::fault::DelayedFault;
-use ha::traffic::PeriodicReader;
-use hyperconnect::analysis::ServiceModel;
-use hyperconnect::{HcConfig, HyperConnect};
-use hypervisor::{Hypervisor, RecoveryPolicy, RecoveryState};
-use mem::{MemConfig, MemoryController};
 use sim::{Cycle, SimRng};
 
 use crate::chaos::{
-    arm_hypervisor, derive_scenario, fault_model, flush_port_queues, ChaosOutcome, Scenario,
-    TransitionRecord, DECODE_LIMIT, HC_BASE, PERIOD, POLL_CHOICES,
+    derive_scenario, json_opt, recovery_policy, Outcome, RecoveryDraw, Shape, World, POLL_CHOICES,
 };
-use crate::{SchedulerMode, SocSystem};
+use crate::SchedulerMode;
 
 /// An arm cycle no run ever reaches: the fault-free baseline used for
 /// warming and bisection. Kept far below `u64::MAX` so event-horizon
@@ -73,7 +67,8 @@ pub struct CampaignConfig {
     /// Cycle the warm phase runs to before the snapshot is taken; every
     /// variant injects its fault at or after this cycle.
     pub warm_cycles: Cycle,
-    /// Total cycles each variant simulates (from cycle 0).
+    /// Total cycles each variant simulates (from cycle 0); always past
+    /// `warm_cycles`, whichever builder call came last.
     pub cycles: Cycle,
     /// Worker threads the fork pool uses.
     pub workers: usize,
@@ -107,13 +102,16 @@ impl CampaignConfig {
         self
     }
 
-    /// Overrides the warm cycle.
+    /// Overrides the warm cycle, raising the cycle budget past it when
+    /// needed.
     pub fn warm_cycles(mut self, warm: Cycle) -> Self {
         self.warm_cycles = warm;
+        self.cycles = self.cycles.max(warm + 1);
         self
     }
 
-    /// Overrides the total cycle budget.
+    /// Overrides the total cycle budget (at least one cycle past the
+    /// warm cycle).
     pub fn cycles(mut self, cycles: Cycle) -> Self {
         self.cycles = cycles.max(self.warm_cycles + 1);
         self
@@ -153,183 +151,73 @@ pub fn variant_seed(base_seed: u64, index: usize) -> u64 {
 /// poll cadence, recovery policy) — changing it changes what every
 /// variant seed means.
 struct Variant {
-    seed: u64,
     inject_at: Cycle,
-    poll_interval: u64,
-    policy: RecoveryPolicy,
-    rng_position: u64,
+    /// The base scenario with this variant's poll cadence and recovery
+    /// policy.
+    draw: RecoveryDraw,
 }
 
-fn derive_variant(seed: u64, warm: Cycle) -> Variant {
+fn derive_variant(base: &RecoveryDraw, seed: u64, warm: Cycle) -> Variant {
     let mut rng = SimRng::seed(seed);
     let inject_at = warm + rng.range_u64(0, 1_500);
     let poll_interval = POLL_CHOICES[rng.index(POLL_CHOICES.len())];
-    // Same policy envelope as the cold chaos engine's scenarios (see
-    // `chaos::derive_scenario`): probation must outlast stall
-    // detection so permanently hung ports fail probation.
-    let policy = RecoveryPolicy {
-        throttle_budget: 1,
-        suspect_polls: rng.range_u64(1, 2) as u32,
-        reset_polls: rng.range_u64(1, 2) as u32,
-        probation_polls: rng.range_u64(4, 6) as u32,
-        backoff_base: rng.range_u64(0, 1) as u32,
-        backoff_cap: 4,
-        max_recoveries: rng.range_u64(2, 3) as u32,
-    };
+    // Same policy envelope as the cold chaos scenarios.
+    let policy = recovery_policy(&mut rng);
     Variant {
-        seed,
         inject_at,
-        poll_interval,
-        policy,
-        rng_position: rng.draws(),
+        draw: RecoveryDraw {
+            poll_interval,
+            policy,
+            rng_position: rng.draws(),
+            ..base.clone()
+        },
     }
 }
 
-/// Builds the campaign system for one variant: the *shape* comes from
-/// the shared base scenario (identical across every fork, so the warm
-/// snapshot restores), the injection cycle and hypervisor programming
-/// from the variant. Returns the system, the armed hypervisor, the
-/// drain deadline and the closed-form victim bound.
-fn build_variant(
-    base: &Scenario,
-    inject_at: Cycle,
-    policy: RecoveryPolicy,
-    scheduler: SchedulerMode,
-) -> (SocSystem<HyperConnect>, Hypervisor, u64, u64) {
-    let mut hc = HyperConnect::new(HcConfig::new(base.ports));
-    let first_word = MemConfig::zcu102().first_word_latency;
-    let model = ServiceModel::hyperconnect(base.ports, 16, first_word).max_outstanding(4);
-    hc.set_drain_model(model);
-    let drain_deadline = hc.drain_deadline();
-    let victim_bound = model.worst_case_read_latency();
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, hc.regs().clone());
-    let mut hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
-    hv.hc().set_period(PERIOD).expect("period register");
-    arm_hypervisor(&mut hv, base.fault_port, policy);
-
-    let mut sys = SocSystem::new(
-        hc,
-        MemoryController::new(MemConfig::zcu102().decode_limit(DECODE_LIMIT)),
-    );
-    sys.set_scheduler(scheduler);
-    for p in 0..base.ports {
-        if p == base.fault_port {
-            sys.add_accelerator(Box::new(DelayedFault::new(
-                fault_model(base.kind, base.permanent),
-                inject_at,
-            )))
-            .expect("port available");
-        } else {
-            sys.add_accelerator(Box::new(PeriodicReader::new(
-                format!("victim{p}"),
-                0x1000_0000 + p as u64 * 0x0400_0000,
-                1 << 20,
-                16,
-                BurstSize::B16,
-                base.victim_periods[p],
-            )))
-            .expect("port available");
-        }
-    }
-    (sys, hv, drain_deadline, victim_bound)
-}
-
-/// Advances the system to cycle `until`, polling the hypervisor's
-/// recovery machine every `poll` cycles — but only from the warm cycle
-/// on, so a cold replay from cycle 0 and a fork resumed at the warm
-/// cycle observe the identical poll sequence. The cold flat chaos
-/// campaign drives through it too, with `warm = 0`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive(
-    sys: &mut SocSystem<HyperConnect>,
-    hv: &mut Hypervisor,
-    fault_port: usize,
-    poll: u64,
-    warm: Cycle,
+/// The one way a variant runs: builds the flat recovery world with the
+/// fault armed at `arm_at`, restores `warm_image` when forking (`None`
+/// replays cold from cycle 0), and drives it to cycle `until` with
+/// hypervisor polls gated to the warm cycle — so a fork and a cold
+/// replay observe the identical poll sequence.
+fn variant_world(
+    cfg: &CampaignConfig,
+    draw: &RecoveryDraw,
+    arm_at: Cycle,
+    warm_image: Option<&[u8]>,
     until: Cycle,
-    transitions: &mut Vec<TransitionRecord>,
-    resets: &mut u64,
-) {
-    let span = until.saturating_sub(sys.now());
-    sys.run_polled(span, poll, |now, sys| {
-        if now < warm {
-            return;
-        }
-        for t in hv.poll_recovery().expect("AXI-Lite poll") {
-            if t.to == RecoveryState::Resetting {
-                // The hypervisor just commanded a port reset: pulse the
-                // accelerator's reset line in the same cycle.
-                sys.accelerator_mut(fault_port)
-                    .expect("fault port occupied")
-                    .reset();
-                flush_port_queues(sys.interconnect().port(fault_port), now);
-                *resets += 1;
-            }
-            transitions.push(TransitionRecord {
-                cycle: now,
-                port: t.port.0,
-                from: format!("{:?}", t.from),
-                to: format!("{:?}", t.to),
-                dropped: t.dropped_txns,
-            });
-        }
-    });
+) -> World {
+    let mut world = draw.build(Shape::Flat, cfg.scheduler, arm_at);
+    if let Some(image) = warm_image {
+        world
+            .topo()
+            .restore_snapshot_bytes(image)
+            .expect("warm snapshot restores into an identically built world");
+    }
+    world.drive(cfg.warm_cycles, until);
+    world
 }
 
-/// Collects the end-of-run record, mirroring the cold chaos engine's
-/// outcome assembly so forked and cold runs are directly comparable.
-#[allow(clippy::too_many_arguments)]
-fn assemble_outcome(
-    sys: &SocSystem<HyperConnect>,
-    hv: &Hypervisor,
-    base: &Scenario,
-    variant: &Variant,
-    drain_deadline: u64,
-    victim_bound: u64,
-    transitions: Vec<TransitionRecord>,
-    resets: u64,
-) -> ChaosOutcome {
-    let mut victim_worst = 0u64;
-    let mut victim_jobs = Vec::new();
-    for p in 0..base.ports {
-        if p == base.fault_port {
-            continue;
-        }
-        victim_worst = victim_worst.max(sys.interconnect_ref().read_latency(p).max().unwrap_or(0));
-        victim_jobs.push(sys.accelerator(p).expect("victim port").jobs_completed());
-    }
-    let final_state = format!(
-        "{:?}",
-        hv.recovery_state(PortId(base.fault_port))
-            .unwrap_or(RecoveryState::Healthy)
+/// Runs variant `seed` to the end, forked from `warm_image` or cold.
+fn run_variant(
+    cfg: &CampaignConfig,
+    base: &RecoveryDraw,
+    seed: u64,
+    warm_image: Option<&[u8]>,
+) -> CampaignRun {
+    let variant = derive_variant(base, seed, cfg.warm_cycles);
+    let t0 = Instant::now();
+    let world = variant_world(
+        cfg,
+        &variant.draw,
+        variant.inject_at,
+        warm_image,
+        cfg.cycles,
     );
-    let dropped_subs = transitions
-        .iter()
-        .filter(|t| t.to == "Decoupled")
-        .map(|t| t.dropped)
-        .sum();
-    let drain_polls = (drain_deadline / variant.poll_interval) as u32 + 2;
-    ChaosOutcome {
-        seed: variant.seed,
-        scenario: "campaign-flat",
-        scheduler: sys.scheduler(),
-        ports: base.ports,
-        fault_port: base.fault_port,
-        fault_kind: base.kind,
-        permanent: base.permanent,
-        poll_interval: variant.poll_interval,
-        drain_deadline,
-        sla_polls: variant.policy.reattach_sla_polls(drain_polls),
-        transitions,
-        final_state,
-        resets,
-        dropped_subs,
-        victim_bound: Some(victim_bound),
-        victim_worst,
-        victim_jobs,
-        end_cycle: sys.now(),
-        rng_position: variant.rng_position,
+    CampaignRun {
+        outcome: world.judge(seed, "campaign-flat", variant.draw.rng_position),
+        inject_at: variant.inject_at,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        first_divergence: None,
     }
 }
 
@@ -337,7 +225,7 @@ fn assemble_outcome(
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
     /// The full chaos record, comparable 1:1 with a cold replay.
-    pub outcome: ChaosOutcome,
+    pub outcome: Outcome,
     /// Cycle the fault armed at (seed-derived, ≥ the warm cycle).
     pub inject_at: Cycle,
     /// Wall-clock milliseconds the fork spent (restore + run).
@@ -434,8 +322,7 @@ impl CampaignReport {
                     "{body},\"inject_at\":{},\"wall_ms\":{:.3},\"first_divergence\":{}}}",
                     r.inject_at,
                     r.wall_ms,
-                    r.first_divergence
-                        .map_or_else(|| "null".to_owned(), |c| c.to_string()),
+                    json_opt(r.first_divergence),
                 )
             })
             .collect();
@@ -498,34 +385,26 @@ impl CampaignReport {
     }
 }
 
-/// Snapshot bytes of the variant's world at exactly cycle `k`, obtained
-/// by restoring the warm image and replaying forward. Deterministic:
-/// the same `(base, inject_at, variant knobs, k)` always produces the
-/// same bytes.
+/// Snapshot bytes of the variant's world at exactly cycle `k`, with the
+/// fault armed at `arm_at`: replayed forward from `warm_image`, or from
+/// cycle 0 without one. Deterministic: the same inputs always produce
+/// the same bytes.
 fn state_at(
     cfg: &CampaignConfig,
-    base: &Scenario,
     variant: &Variant,
-    inject_at: Cycle,
-    warm_bytes: &[u8],
+    arm_at: Cycle,
+    warm_image: Option<&[u8]>,
     k: Cycle,
 ) -> Vec<u8> {
-    let (mut sys, mut hv, _, _) = build_variant(base, inject_at, variant.policy, cfg.scheduler);
-    sys.restore_snapshot_bytes(warm_bytes)
-        .expect("warm snapshot restores into identically-built system");
-    let mut transitions = Vec::new();
-    let mut resets = 0u64;
-    drive(
-        &mut sys,
-        &mut hv,
-        base.fault_port,
-        variant.poll_interval,
-        cfg.warm_cycles,
-        k,
-        &mut transitions,
-        &mut resets,
-    );
-    sys.snapshot_bytes()
+    variant_world(cfg, &variant.draw, arm_at, warm_image, k)
+        .topo()
+        .snapshot_bytes()
+}
+
+/// The shared fault-free warm image: the world with the fault never
+/// armed, run to the warm cycle.
+fn warm_image(cfg: &CampaignConfig, variant: &Variant) -> Vec<u8> {
+    state_at(cfg, variant, NEVER, None, cfg.warm_cycles)
 }
 
 /// Binary-searches the first cycle at which the faulty variant's
@@ -537,22 +416,12 @@ fn state_at(
 /// per-port transaction counters in the HyperConnect register file
 /// never reconverge — so bisection is sound. Returns `None` if even the
 /// final states match (the fault never had an observable effect).
-fn bisect_first_divergence(
-    cfg: &CampaignConfig,
-    base: &Scenario,
-    variant: &Variant,
-    warm_bytes: &[u8],
-) -> Option<Cycle> {
-    let faulty_end = state_at(
-        cfg,
-        base,
-        variant,
-        variant.inject_at,
-        warm_bytes,
-        cfg.cycles,
-    );
-    let clean_end = state_at(cfg, base, variant, NEVER, warm_bytes, cfg.cycles);
-    if faulty_end == clean_end {
+fn bisect_first_divergence(cfg: &CampaignConfig, variant: &Variant, warm: &[u8]) -> Option<Cycle> {
+    let differs = |k| {
+        state_at(cfg, variant, variant.inject_at, Some(warm), k)
+            != state_at(cfg, variant, NEVER, Some(warm), k)
+    };
+    if !differs(cfg.cycles) {
         return None;
     }
     // Invariant: states match at `lo`, differ at `hi`.
@@ -560,12 +429,10 @@ fn bisect_first_divergence(
     let mut hi = cfg.cycles;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let faulty = state_at(cfg, base, variant, variant.inject_at, warm_bytes, mid);
-        let clean = state_at(cfg, base, variant, NEVER, warm_bytes, mid);
-        if faulty == clean {
-            lo = mid;
-        } else {
+        if differs(mid) {
             hi = mid;
+        } else {
+            lo = mid;
         }
     }
     Some(hi)
@@ -578,95 +445,17 @@ fn bisect_first_divergence(
 /// within the cycle budget.
 pub fn bisect_variant(cfg: &CampaignConfig, seed: u64) -> Option<Cycle> {
     let base = derive_scenario(cfg.base_seed, 3, 4);
-    let variant = derive_variant(seed, cfg.warm_cycles);
-    let (mut warm_sys, _hv, _, _) = build_variant(&base, NEVER, variant.policy, cfg.scheduler);
-    warm_sys.run_for(cfg.warm_cycles);
-    let warm_bytes = warm_sys.snapshot_bytes();
-    bisect_first_divergence(cfg, &base, &variant, &warm_bytes)
-}
-
-/// Forks one variant from the warm image and runs it to the end.
-fn run_variant_forked(
-    cfg: &CampaignConfig,
-    base: &Scenario,
-    seed: u64,
-    warm_bytes: &[u8],
-) -> CampaignRun {
-    let variant = derive_variant(seed, cfg.warm_cycles);
-    let t0 = Instant::now();
-    let (mut sys, mut hv, drain_deadline, bound) =
-        build_variant(base, variant.inject_at, variant.policy, cfg.scheduler);
-    sys.restore_snapshot_bytes(warm_bytes)
-        .expect("warm snapshot restores into identically-built variant");
-    let mut transitions = Vec::new();
-    let mut resets = 0u64;
-    drive(
-        &mut sys,
-        &mut hv,
-        base.fault_port,
-        variant.poll_interval,
-        cfg.warm_cycles,
-        cfg.cycles,
-        &mut transitions,
-        &mut resets,
-    );
-    let outcome = assemble_outcome(
-        &sys,
-        &hv,
-        base,
-        &variant,
-        drain_deadline,
-        bound,
-        transitions,
-        resets,
-    );
-    CampaignRun {
-        inject_at: variant.inject_at,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        first_divergence: None,
-        outcome,
-    }
+    let variant = derive_variant(&base, seed, cfg.warm_cycles);
+    bisect_first_divergence(cfg, &variant, &warm_image(cfg, &variant))
 }
 
 /// Cold-starts one campaign variant from cycle 0 — no snapshot, no
 /// fork — and runs it under the exact same protocol (polls gated to the
 /// warm cycle). This is the soundness oracle for the forking service:
-/// its [`ChaosOutcome::fingerprint`] must be byte-identical to the
-/// forked run of the same seed.
+/// its [`Outcome::fingerprint`] must be byte-identical to the forked run
+/// of the same seed.
 pub fn run_variant_cold(cfg: &CampaignConfig, seed: u64) -> CampaignRun {
-    let base = derive_scenario(cfg.base_seed, 3, 4);
-    let variant = derive_variant(seed, cfg.warm_cycles);
-    let t0 = Instant::now();
-    let (mut sys, mut hv, drain_deadline, bound) =
-        build_variant(&base, variant.inject_at, variant.policy, cfg.scheduler);
-    let mut transitions = Vec::new();
-    let mut resets = 0u64;
-    drive(
-        &mut sys,
-        &mut hv,
-        base.fault_port,
-        variant.poll_interval,
-        cfg.warm_cycles,
-        cfg.cycles,
-        &mut transitions,
-        &mut resets,
-    );
-    let outcome = assemble_outcome(
-        &sys,
-        &hv,
-        &base,
-        &variant,
-        drain_deadline,
-        bound,
-        transitions,
-        resets,
-    );
-    CampaignRun {
-        inject_at: variant.inject_at,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        first_divergence: None,
-        outcome,
-    }
+    run_variant(cfg, &derive_scenario(cfg.base_seed, 3, 4), seed, None)
 }
 
 /// Runs a full forking campaign: warm once, fork every variant across
@@ -681,14 +470,7 @@ pub fn run_campaign(
 
     // Phase 1: the shared fault-free warm phase, simulated exactly once.
     let warm_t0 = Instant::now();
-    let (mut warm_sys, _warm_hv, _, _) = build_variant(
-        &base,
-        NEVER,
-        derive_variant(cfg.base_seed, cfg.warm_cycles).policy,
-        cfg.scheduler,
-    );
-    warm_sys.run_for(cfg.warm_cycles);
-    let warm_bytes = warm_sys.snapshot_bytes();
+    let warm_bytes = warm_image(cfg, &derive_variant(&base, cfg.base_seed, cfg.warm_cycles));
     let warm_wall_ms = warm_t0.elapsed().as_secs_f64() * 1e3;
     progress(CampaignEvent::Warmed {
         cycle: cfg.warm_cycles,
@@ -718,7 +500,7 @@ pub fn run_campaign(
                     return;
                 }
                 let seed = variant_seed(cfg.base_seed, index);
-                let mut run = run_variant_forked(cfg, base, seed, warm_bytes);
+                let mut run = run_variant(cfg, base, seed, Some(warm_bytes));
                 let violations = run.outcome.invariant_violations().len();
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 let _ = tx.send(CampaignEvent::VariantFinished {
@@ -731,8 +513,8 @@ pub fn run_campaign(
                 });
                 if violations > 0 && cfg.bisect {
                     let bisect_t0 = Instant::now();
-                    let variant = derive_variant(seed, cfg.warm_cycles);
-                    run.first_divergence = bisect_first_divergence(cfg, base, &variant, warm_bytes);
+                    let variant = derive_variant(base, seed, cfg.warm_cycles);
+                    run.first_divergence = bisect_first_divergence(cfg, &variant, warm_bytes);
                     let _ = tx.send(CampaignEvent::Bisected {
                         seed,
                         first_divergence: run.first_divergence,

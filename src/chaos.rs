@@ -1,81 +1,78 @@
-//! Seeded chaos campaigns over the recovery lifecycle.
+//! Seeded chaos campaigns: one runner for every campaign family.
 //!
-//! A chaos campaign derives a complete fault scenario from one RNG seed
-//! — interconnect shape, which port hosts which kind of misbehaving
-//! master, whether the fault is a recoverable glitch or permanently
-//! broken hardware, hypervisor poll cadence and recovery-policy knobs —
-//! then runs it end to end: the hypervisor detects the fault
-//! ([`hypervisor::Hypervisor::poll_recovery`]), quiesces and drains the
-//! port, resets the accelerator, reattaches it and either returns it to
-//! service or quarantines it. Because every draw comes from
-//! [`sim::SimRng`], a seed is a complete, replayable bug report.
+//! A campaign derives a complete scenario from one RNG seed and runs it
+//! end to end. Because every draw comes from [`sim::SimRng`], a seed is
+//! a complete, replayable bug report. [`run`] takes a [`Scenario`] — a
+//! family and the [`Shape`] it runs on — and goes through the same three
+//! steps for every family:
 //!
-//! Each campaign is judged against three invariants (see
-//! [`ChaosOutcome::invariant_violations`]):
+//! 1. **Build** — the family's draw builds its world on the shape: the
+//!    flat Fig. 1 shape (N masters on one HyperConnect in front of
+//!    memory) or a two-level tree (a 2-port child HyperConnect cascaded
+//!    into a 2-port parent that serves one more victim). The hypervisor
+//!    owns the register file of the *watched* interconnect: the only one
+//!    when flat, the child in the tree.
+//! 2. **Poll** — [`SocTopology::run_polled`] drives the world, and the
+//!    family's hook runs at each hypervisor poll.
+//! 3. **Judge** — the end state becomes one [`Outcome`]: the shared
+//!    victim record plus a [`Detail`] for the family.
 //!
-//! 1. **Victims stay bounded** — no well-behaved port ever observes a
-//!    read latency above its closed-form `analysis` bound, before,
-//!    during or after the fault (and every victim makes progress);
-//! 2. **Recovery meets its SLA** — a recoverable fault is back in
-//!    service within [`hypervisor::RecoveryPolicy::reattach_sla_polls`]
-//!    hypervisor polls of detection, and a permanent fault ends in
-//!    [`hypervisor::RecoveryState::Quarantined`];
-//! 3. **Scheduler equivalence** — the same seed produces a
-//!    byte-identical [`ChaosOutcome::fingerprint`] under
-//!    [`SchedulerMode::Naive`] and [`SchedulerMode::FastForward`], so
-//!    the event-horizon scheduler cannot change what recovery observes.
+//! The families:
 //!
-//! Campaigns run over the flat Fig. 1 shape ([`run_flat_campaign`],
-//! N accelerators on one HyperConnect) and over a two-level tree
-//! ([`run_tree_campaign`], a child HyperConnect cascaded behind a
-//! parent, with the fault injected on the child).
+//! - [`Scenario::Recovery`] injects a misbehaving master. The hypervisor
+//!   detects it ([`hypervisor::Hypervisor::poll_recovery`]), quiesces and
+//!   drains the port, resets the accelerator, reattaches it and either
+//!   returns it to service or quarantines it.
+//! - [`Scenario::NoisyNeighbor`] targets the QoS regulation layer: a
+//!   hard-RT victim beside a seeded swarm of greedy readers, each
+//!   regulated over AXI-Lite, judged against the *tightened* victim
+//!   bound the regulators buy. It runs on the flat shape, unpolled.
+//! - [`Scenario::Fabric`] targets the data path: the memory controller's
+//!   seeded fault injector (or a hard-error region) under a
+//!   [`ScoreboardMaster`] data-integrity oracle, with hypervisor-driven
+//!   region quarantine for hard faults.
 //!
-//! A third campaign family targets the QoS regulation layer instead of
-//! the recovery lifecycle: [`run_noisy_neighbor_campaign`] derives a
-//! hard-RT victim plus a seeded swarm of greedy best-effort readers,
-//! programs per-port credit regulators over AXI-Lite, and judges the
-//! run against the *tightened* victim bound the regulators buy (see
-//! [`QosOutcome::invariant_violations`]).
+//! Every outcome is judged against its family's invariants (see
+//! [`Outcome::invariant_violations`]): victims stay within their bound
+//! and make progress, recovery meets its SLA, regulation engages,
+//! nothing is silently corrupted. On top, the same seed must produce a
+//! byte-identical [`Outcome::fingerprint`] under [`SchedulerMode::Naive`]
+//! and [`SchedulerMode::FastForward`], so the event-horizon scheduler
+//! cannot change what the campaign observes.
 //!
-//! A fourth family targets the *data path* itself: the fabric-fault
-//! campaigns ([`run_fabric_flat_campaign`], [`run_fabric_tree_campaign`])
-//! arm the memory controller's seeded fault injector (or a hard-error
-//! address region), put a [`ScoreboardMaster`] data-integrity oracle on
-//! one port, and judge the run against a **zero-silent-corruption**
-//! invariant on top of the usual victim bounds, scheduler equivalence
-//! and — for hard faults — hypervisor-driven region quarantine (see
-//! [`FabricOutcome::invariant_violations`]).
+//! The forking service in [`crate::campaign`] reuses the recovery
+//! family's build, poll and judge: a cold run is a fork with no warm
+//! image and the fault armed at cycle 0.
 
 use axi::lite::LiteBus;
 use axi::retry::RetryPolicy;
 use axi::types::{BurstSize, PortId};
 use axi::{AxiInterconnect, AxiPort};
 use ha::dma::{Dma, DmaConfig};
-use ha::fault::{RogueReader, RunawayMaster, StalledWriter, WlastViolator};
+use ha::fault::{DelayedFault, RogueReader, RunawayMaster, StalledWriter, WlastViolator};
 use ha::scoreboard::{ScoreboardMaster, ScoreboardStats};
 use ha::traffic::PeriodicReader;
 use ha::Accelerator;
 use hyperconnect::analysis::ServiceModel;
 use hyperconnect::{HcConfig, HyperConnect};
 use hypervisor::{
-    HcDriver, Hypervisor, IntegrityPolicy, MonitorPolicy, RecoveryPolicy, RecoveryState,
-    WatchdogPolicy,
+    Hypervisor, IntegrityPolicy, MonitorPolicy, RecoveryPolicy, RecoveryState, WatchdogPolicy,
 };
 use mem::{FaultStats, MemConfig, MemFaultConfig, MemoryController, RegionRemap};
 use sim::{Cycle, SimRng};
 
-use crate::campaign::drive;
-use crate::{SchedulerMode, SocSystem, TopologyBuilder};
+use crate::{NodeId, SchedulerMode, SocSystem, SocTopology, TopologyBuilder};
 
 /// AXI-Lite base the campaign maps the HyperConnect register file at.
-pub(crate) const HC_BASE: u64 = 0xA000_0000;
-/// Reservation period programmed before each campaign.
-pub(crate) const PERIOD: u32 = 2_000;
+const HC_BASE: u64 = 0xA000_0000;
+/// Reservation period programmed before each recovery and fabric
+/// campaign.
+const PERIOD: u32 = 2_000;
 /// Hypervisor poll cadences a scenario may draw.
 pub(crate) const POLL_CHOICES: [u64; 3] = [50, 100, 200];
 /// Memory decode limit: rogue reads above this earn real DECERRs while
 /// every victim region stays decodable.
-pub(crate) const DECODE_LIMIT: u64 = 0x4000_0000;
+const DECODE_LIMIT: u64 = 0x4000_0000;
 
 /// The eight seeds the CI chaos-smoke job pins. Any seed works; these
 /// are chosen so the set covers all four fault kinds, each in both the
@@ -114,8 +111,8 @@ impl FaultKind {
 pub struct ChaosConfig {
     /// Scenario seed — every randomized choice derives from this.
     pub seed: u64,
-    /// Scheduler the run uses. Invariant 3 demands the outcome
-    /// fingerprint be identical across both modes.
+    /// Scheduler the run uses. The outcome fingerprint must be
+    /// identical across both modes.
     pub scheduler: SchedulerMode,
     /// Cycles to simulate (generous enough for quarantine paths).
     pub cycles: Cycle,
@@ -144,8 +141,391 @@ impl ChaosConfig {
     }
 }
 
-/// Everything derived from the seed before the system is built.
-pub(crate) struct Scenario {
+/// The interconnect shape a campaign runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// The Fig. 1 shape: 3–4 masters on one HyperConnect in front of
+    /// memory (labels `ic0`/`mem0`, as [`SocSystem::new`] builds it).
+    Flat,
+    /// A 2-port child HyperConnect cascaded into port 0 of a 2-port
+    /// parent, whose other port serves one more victim. The hypervisor
+    /// watches the child, one level down from memory. No closed-form
+    /// victim bound is asserted here (the cascade bound is
+    /// workload-shaped); victims must still progress.
+    Tree,
+}
+
+impl Shape {
+    /// The label runs on this shape carry in fingerprints and JSON.
+    fn label(self) -> &'static str {
+        match self {
+            Shape::Flat => "flat",
+            Shape::Tree => "tree",
+        }
+    }
+
+    /// Port-count range of the watched interconnect, for the draw.
+    fn port_range(self) -> (usize, usize) {
+        match self {
+            Shape::Flat => (3, 4),
+            Shape::Tree => (2, 2),
+        }
+    }
+}
+
+/// A campaign family and the shape it runs on — what [`run`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scenario {
+    /// A misbehaving master detected, drained, reset and reattached or
+    /// quarantined by the hypervisor.
+    Recovery(Shape),
+    /// A hard-RT victim beside a regulated swarm of greedy readers (flat
+    /// shape only).
+    NoisyNeighbor,
+    /// Transient or hard memory faults under a data-integrity oracle.
+    Fabric(Shape),
+}
+
+impl Scenario {
+    fn shape(self) -> Shape {
+        match self {
+            Scenario::Recovery(shape) | Scenario::Fabric(shape) => shape,
+            Scenario::NoisyNeighbor => Shape::Flat,
+        }
+    }
+
+    /// The RNG stream position the derivation for `seed` ends at — the
+    /// value campaign JSON records as `rng_position`. Re-deriving must
+    /// land on exactly this position; a mismatch means the derivation
+    /// drifted and every pinned seed silently changed meaning.
+    pub fn rng_position(self, seed: u64) -> u64 {
+        let (lo, hi) = self.shape().port_range();
+        match self {
+            Scenario::Recovery(_) => derive_scenario(seed, lo, hi).rng_position,
+            Scenario::NoisyNeighbor => derive_qos_scenario(seed).rng_position,
+            Scenario::Fabric(_) => derive_fabric_scenario(seed, lo, hi).rng_position,
+        }
+    }
+}
+
+/// Runs one campaign: derives the scenario's draw from `cfg.seed`,
+/// builds its world, drives it for `cfg.cycles` and judges the end
+/// state.
+pub fn run(scenario: Scenario, cfg: &ChaosConfig) -> Outcome {
+    let shape = scenario.shape();
+    let (lo, hi) = shape.port_range();
+    let mut world = match scenario {
+        Scenario::Recovery(_) => derive_scenario(cfg.seed, lo, hi).build(shape, cfg.scheduler, 0),
+        Scenario::NoisyNeighbor => derive_qos_scenario(cfg.seed).build(cfg.scheduler),
+        Scenario::Fabric(_) => {
+            derive_fabric_scenario(cfg.seed, lo, hi).build(shape, cfg.scheduler, cfg.seed)
+        }
+    };
+    world.drive(0, cfg.cycles);
+    world.judge(cfg.seed, shape.label(), scenario.rng_position(cfg.seed))
+}
+
+/// The simulated SoC of a world. The flat shape keeps its [`SocSystem`]
+/// facade, through which the QoS family arms observability.
+enum Soc {
+    Flat(SocSystem<HyperConnect>),
+    Tree(SocTopology),
+}
+
+impl Soc {
+    fn topo(&mut self) -> &mut SocTopology {
+        match self {
+            Soc::Flat(sys) => sys.topology_mut(),
+            Soc::Tree(topo) => topo,
+        }
+    }
+}
+
+/// A built campaign world: the SoC, the hypervisor that owns the watched
+/// interconnect's register file, and the family record the run fills
+/// in.
+pub(crate) struct World {
+    soc: Soc,
+    hv: Hypervisor,
+    /// The interconnect whose register file the hypervisor owns.
+    watched: NodeId,
+    memory: NodeId,
+    /// Every victim as `(interconnect node, port, accelerator ordinal)`.
+    victims: Vec<(NodeId, usize, usize)>,
+    record: Detail,
+}
+
+impl World {
+    /// Builds `shape` around the watched interconnect `hc`: `masters`
+    /// fill its ports in order, and in the tree a master past them goes
+    /// on the parent's free port. A master flagged `true` is a victim.
+    fn build(
+        shape: Shape,
+        hc: HyperConnect,
+        mem: MemoryController,
+        masters: Vec<(Box<dyn Accelerator>, bool)>,
+        scheduler: SchedulerMode,
+        record: Detail,
+    ) -> Self {
+        let mut bus = LiteBus::new();
+        bus.map(HC_BASE, 0x1000, hc.regs().clone());
+        let hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
+        let ports = hc.num_ports();
+        let (mut soc, watched, memory, parent) = match shape {
+            Shape::Flat => {
+                let sys = SocSystem::new(hc, mem);
+                let (ic, memory) = (sys.interconnect_node(), sys.memory_node());
+                (Soc::Flat(sys), ic, memory, ic)
+            }
+            Shape::Tree => {
+                let mut b = TopologyBuilder::new();
+                let child = b.add_interconnect("hc_child", hc).expect("fresh builder");
+                let parent = b
+                    .add_interconnect("hc_parent", HyperConnect::new(HcConfig::new(2)))
+                    .expect("fresh builder");
+                let memory = b.add_memory("mem0", mem).expect("fresh builder");
+                b.cascade(child, parent, 0).expect("parent port 0 free");
+                b.connect_memory(parent, memory).expect("memory unbound");
+                let topo = b.build().expect("valid tree");
+                (Soc::Tree(topo), child, memory, parent)
+            }
+        };
+        let topo = soc.topo();
+        topo.set_scheduler(scheduler);
+        let mut victims = Vec::new();
+        for (ordinal, (acc, is_victim)) in masters.into_iter().enumerate() {
+            let ic = if ordinal < ports { watched } else { parent };
+            let port = topo.add_accelerator(ic, acc).expect("port available");
+            if is_victim {
+                victims.push((ic, port, ordinal));
+            }
+        }
+        Self {
+            soc,
+            hv,
+            watched,
+            memory,
+            victims,
+            record,
+        }
+    }
+
+    /// The topology the world runs on.
+    pub(crate) fn topo(&mut self) -> &mut SocTopology {
+        self.soc.topo()
+    }
+
+    /// Runs to cycle `until`, calling the family's hook at every
+    /// hypervisor poll from cycle `warm` on — so a cold replay from cycle
+    /// 0 and a fork resumed at `warm` observe the identical poll
+    /// sequence. The QoS family has no hook and runs unpolled.
+    pub(crate) fn drive(&mut self, warm: Cycle, until: Cycle) {
+        let Self {
+            soc,
+            hv,
+            watched,
+            memory,
+            record,
+            ..
+        } = self;
+        let topo = soc.topo();
+        let span = until.saturating_sub(topo.now());
+        let every = match record {
+            Detail::Recovery(r) => r.poll_interval,
+            Detail::Fabric(f) => f.poll_interval,
+            Detail::Qos(_) => return topo.run_for(span),
+        };
+        topo.run_polled(span, every, |now, topo| {
+            if now < warm {
+                return;
+            }
+            match record {
+                Detail::Recovery(r) => {
+                    for t in hv.poll_recovery().expect("AXI-Lite poll") {
+                        if t.to == RecoveryState::Resetting {
+                            // The hypervisor just commanded a port reset:
+                            // pulse the accelerator's reset line in the
+                            // same cycle.
+                            topo.accelerator_mut(r.fault_port)
+                                .expect("fault port occupied")
+                                .reset();
+                            let hc = topo
+                                .interconnect_as_mut::<HyperConnect>(*watched)
+                                .expect("watched is a HyperConnect");
+                            flush_port_queues(hc.port(r.fault_port), now);
+                            r.resets += 1;
+                        }
+                        r.transitions.push(TransitionRecord {
+                            cycle: now,
+                            port: t.port.0,
+                            from: format!("{:?}", t.from),
+                            to: format!("{:?}", t.to),
+                            dropped: t.dropped_txns,
+                        });
+                    }
+                }
+                Detail::Fabric(f) => {
+                    for ev in hv.poll_integrity().expect("AXI-Lite poll") {
+                        // Hypervisor decision: the region under the
+                        // erroring port is sick — remap it onto the spare
+                        // and tell the oracle.
+                        topo.memory_mut(*memory)
+                            .expect("memory node")
+                            .quarantine_remap(RegionRemap {
+                                lo: ORACLE_BASE,
+                                hi: ORACLE_BASE + ORACLE_SPAN,
+                                spare_base: ORACLE_SPARE,
+                            });
+                        as_scoreboard(topo.accelerator_mut(f.oracle_port).expect("oracle port"))
+                            .note_remap(ORACLE_BASE, ORACLE_BASE + ORACLE_SPAN);
+                        f.quarantines += 1;
+                        f.quarantine_cycle.get_or_insert(now);
+                        f.quarantine_err_total.get_or_insert(ev.err_total);
+                    }
+                }
+                Detail::Qos(_) => unreachable!("the QoS family runs unpolled"),
+            }
+        });
+    }
+
+    /// Judges the end state into the run's [`Outcome`].
+    pub(crate) fn judge(self, seed: u64, label: &'static str, rng_position: u64) -> Outcome {
+        let World {
+            mut soc,
+            hv,
+            watched,
+            memory,
+            victims,
+            mut record,
+        } = self;
+        let flat = matches!(soc, Soc::Flat(_));
+        let topo = &*soc.topo();
+        let hc = |id| {
+            topo.interconnect_as::<HyperConnect>(id)
+                .expect("campaign interconnects are HyperConnects")
+        };
+        let ports = hc(watched).num_ports();
+        let mut victim_bound = flat.then(|| flat_model(ports).worst_case_read_latency());
+        match &mut record {
+            Detail::Recovery(r) => {
+                r.final_state = format!(
+                    "{:?}",
+                    hv.recovery_state(PortId(r.fault_port))
+                        .unwrap_or(RecoveryState::Healthy)
+                );
+                r.dropped_subs = r
+                    .transitions
+                    .iter()
+                    .filter(|t| t.to == "Decoupled")
+                    .map(|t| t.dropped)
+                    .sum();
+            }
+            Detail::Qos(q) => {
+                let drv = hv.hc();
+                q.throttle_events = (1..ports)
+                    .map(|p| drv.throttle_events(p).expect("throttle register"))
+                    .collect();
+                let mon = hc(watched)
+                    .bound_monitor()
+                    .expect("armed by enable_observability");
+                q.global_bound = mon.read_bound();
+                q.monitor_violations = mon.violations().len();
+                victim_bound = Some(mon.port_read_bound(0));
+            }
+            Detail::Fabric(f) => {
+                let sb = topo
+                    .accelerator(f.oracle_port)
+                    .expect("oracle port")
+                    .as_any()
+                    .downcast_ref::<ScoreboardMaster>()
+                    .expect("oracle port hosts the scoreboard");
+                (f.oracle, f.oracle_done) = (sb.stats(), sb.is_done());
+                // Per-attempt costs in the tree pay two interconnect
+                // levels; the 4-port single-level model conservatively
+                // covers the interference both levels contribute (2
+                // masters at each).
+                let model = flat_model(if flat { ports } else { 4 });
+                f.completion_bound =
+                    model.retry_completion_bound(&f.retry, f.oracle.worst_faults_per_op + 1);
+                let mem = topo.memory(memory).expect("memory node");
+                f.injector = mem.fault_stats().unwrap_or_default();
+                let stats = mem.stats();
+                // The interconnect driving memory has `ports` ports in
+                // both shapes.
+                f.mem_errors = (0..ports).map(|p| stats.errors_for_port(p)).sum::<u64>()
+                    + stats.untagged_errors();
+            }
+        }
+        Outcome {
+            seed,
+            label,
+            scheduler: topo.scheduler(),
+            ports,
+            rng_position,
+            victim_bound,
+            victim_worst: victims
+                .iter()
+                .map(|&(ic, port, _)| hc(ic).read_latency(port).max().unwrap_or(0))
+                .max()
+                .unwrap_or(0),
+            victim_jobs: victims
+                .iter()
+                .map(|&(_, _, acc)| topo.accelerator(acc).expect("victim").jobs_completed())
+                .collect(),
+            end_cycle: topo.now(),
+            detail: record,
+        }
+    }
+}
+
+/// The single-level closed-form model of a `ports`-port HyperConnect
+/// with 16-beat bursts and 4 outstanding transactions per port.
+fn flat_model(ports: usize) -> ServiceModel {
+    let first_word = MemConfig::zcu102().first_word_latency;
+    ServiceModel::hyperconnect(ports, 16, first_word).max_outstanding(4)
+}
+
+/// A periodic-reader victim.
+fn victim(name: String, base: u64, period: u64) -> Box<dyn Accelerator> {
+    Box::new(PeriodicReader::new(
+        name,
+        base,
+        1 << 20,
+        16,
+        BurstSize::B16,
+        period,
+    ))
+}
+
+/// The masters of a recovery or fabric world: `acc` on port `special`,
+/// a periodic victim on every other port, and in the tree the parent's
+/// victim.
+fn around(
+    shape: Shape,
+    special: usize,
+    acc: Box<dyn Accelerator>,
+    periods: &[u64],
+) -> Vec<(Box<dyn Accelerator>, bool)> {
+    let mut acc = Some(acc);
+    let mut masters: Vec<_> = (0..periods.len())
+        .map(|p| match acc.take_if(|_| p == special) {
+            Some(acc) => (acc, false),
+            None => {
+                let base = 0x1000_0000 + p as u64 * 0x0400_0000;
+                (victim(format!("victim{p}"), base, periods[p]), true)
+            }
+        })
+        .collect();
+    if shape == Shape::Tree {
+        let parent = victim("victim_parent".to_owned(), 0x3000_0000, periods[0]);
+        masters.push((parent, true));
+    }
+    masters
+}
+
+/// Everything the recovery family derives from its seed.
+#[derive(Clone)]
+pub(crate) struct RecoveryDraw {
     pub(crate) ports: usize,
     pub(crate) fault_port: usize,
     pub(crate) kind: FaultKind,
@@ -159,10 +539,10 @@ pub(crate) struct Scenario {
     pub(crate) rng_position: u64,
 }
 
-/// Draws the scenario. The draw order is fixed — changing it changes
-/// what every pinned seed means, which the chaos tests would catch as a
-/// fingerprint mismatch against their recorded expectations.
-pub(crate) fn derive_scenario(seed: u64, ports_lo: usize, ports_hi: usize) -> Scenario {
+/// Draws the recovery scenario. The draw order is fixed — changing it
+/// changes what every pinned seed means, which the chaos tests would
+/// catch as a fingerprint mismatch against their recorded expectations.
+pub(crate) fn derive_scenario(seed: u64, ports_lo: usize, ports_hi: usize) -> RecoveryDraw {
     let mut rng = SimRng::seed(seed);
     let ports = rng.range_usize(ports_lo, ports_hi);
     let fault_port = rng.index(ports);
@@ -175,19 +555,8 @@ pub(crate) fn derive_scenario(seed: u64, ports_lo: usize, ports_hi: usize) -> Sc
     let permanent = rng.chance(0.25);
     let poll_interval = POLL_CHOICES[rng.index(POLL_CHOICES.len())];
     let victim_periods = (0..ports).map(|_| rng.range_u64(32, 64)).collect();
-    // Probation must outlast stall detection (`stall_polls_allowed` + 1
-    // polls) so a permanently hung port fails probation instead of
-    // slipping back to Healthy between watchdog trips.
-    let policy = RecoveryPolicy {
-        throttle_budget: 1,
-        suspect_polls: rng.range_u64(1, 2) as u32,
-        reset_polls: rng.range_u64(1, 2) as u32,
-        probation_polls: rng.range_u64(4, 6) as u32,
-        backoff_base: rng.range_u64(0, 1) as u32,
-        backoff_cap: 4,
-        max_recoveries: rng.range_u64(2, 3) as u32,
-    };
-    Scenario {
+    let policy = recovery_policy(&mut rng);
+    RecoveryDraw {
         ports,
         fault_port,
         kind,
@@ -199,49 +568,79 @@ pub(crate) fn derive_scenario(seed: u64, ports_lo: usize, ports_hi: usize) -> Sc
     }
 }
 
-/// The RNG stream position a recovery-scenario derivation for `seed`
-/// ends at — the value campaign JSON records as `rng_position`.
-/// Re-deriving must land on exactly this position; a mismatch means
-/// the derivation drifted and every pinned seed silently changed
-/// meaning.
-pub fn scenario_rng_position(seed: u64) -> u64 {
-    derive_scenario(seed, 3, 4).rng_position
+/// Draws a recovery policy. Probation must outlast stall detection
+/// (`stall_polls_allowed` + 1 polls) so a permanently hung port fails
+/// probation instead of slipping back to Healthy between watchdog trips.
+pub(crate) fn recovery_policy(rng: &mut SimRng) -> RecoveryPolicy {
+    RecoveryPolicy {
+        throttle_budget: 1,
+        suspect_polls: rng.range_u64(1, 2) as u32,
+        reset_polls: rng.range_u64(1, 2) as u32,
+        probation_polls: rng.range_u64(4, 6) as u32,
+        backoff_base: rng.range_u64(0, 1) as u32,
+        backoff_cap: 4,
+        max_recoveries: rng.range_u64(2, 3) as u32,
+    }
+}
+
+impl RecoveryDraw {
+    /// Builds the recovery world on `shape`: the fault, dormant until
+    /// cycle `arm_at`, on `fault_port` of the watched interconnect, and
+    /// the hypervisor armed to detect and recover it.
+    pub(crate) fn build(&self, shape: Shape, scheduler: SchedulerMode, arm_at: Cycle) -> World {
+        let mut hc = HyperConnect::new(HcConfig::new(self.ports));
+        // Only the flat shape declares its drain model; the tree keeps
+        // the register-file-derived default deadline.
+        if shape == Shape::Flat {
+            hc.set_drain_model(flat_model(self.ports));
+        }
+        let drain_deadline = hc.drain_deadline();
+        let drain_polls = (drain_deadline / self.poll_interval) as u32 + 2;
+        let record = Detail::Recovery(RecoveryRecord {
+            fault_port: self.fault_port,
+            fault_kind: self.kind,
+            permanent: self.permanent,
+            poll_interval: self.poll_interval,
+            drain_deadline,
+            sla_polls: self.policy.reattach_sla_polls(drain_polls),
+            transitions: Vec::new(),
+            final_state: String::new(),
+            resets: 0,
+            dropped_subs: 0,
+        });
+        let fault = DelayedFault::new(fault_model(self.kind, self.permanent), arm_at);
+        let masters = around(
+            shape,
+            self.fault_port,
+            Box::new(fault),
+            &self.victim_periods,
+        );
+        let mem = MemoryController::new(MemConfig::zcu102().decode_limit(DECODE_LIMIT));
+        let mut world = World::build(shape, hc, mem, masters, scheduler, record);
+        world.hv.hc().set_period(PERIOD).expect("period register");
+        arm_hypervisor(&mut world.hv, self.fault_port, self.policy);
+        world
+    }
 }
 
 /// Builds the scenario's misbehaving master.
-pub(crate) fn fault_model(kind: FaultKind, permanent: bool) -> Box<dyn Accelerator> {
+fn fault_model(kind: FaultKind, permanent: bool) -> Box<dyn Accelerator> {
     match kind {
         FaultKind::StalledWriter => {
             let m = StalledWriter::new("chaos_stall", 0x2000_0000, 16, BurstSize::B16);
-            if permanent {
-                Box::new(m.permanent())
-            } else {
-                Box::new(m)
-            }
+            Box::new(if permanent { m.permanent() } else { m })
         }
         FaultKind::WlastViolator => {
             let m = WlastViolator::new("chaos_wlast", 0x2000_0000, 16, BurstSize::B16);
-            if permanent {
-                Box::new(m.permanent())
-            } else {
-                Box::new(m)
-            }
+            Box::new(if permanent { m.permanent() } else { m })
         }
         FaultKind::RogueReader => {
             let m = RogueReader::new("chaos_rogue", 0x8000_0000, 16, BurstSize::B16);
-            if permanent {
-                Box::new(m.permanent())
-            } else {
-                Box::new(m)
-            }
+            Box::new(if permanent { m.permanent() } else { m })
         }
         FaultKind::RunawayMaster => {
             let m = RunawayMaster::new("chaos_runaway", 0x3000_0000, 1 << 20, 64, BurstSize::B16);
-            if permanent {
-                Box::new(m.permanent())
-            } else {
-                Box::new(m)
-            }
+            Box::new(if permanent { m.permanent() } else { m })
         }
     }
 }
@@ -249,7 +648,7 @@ pub(crate) fn fault_model(kind: FaultKind, permanent: bool) -> Box<dyn Accelerat
 /// Arms detection and recovery for the fault port: a strict watchdog
 /// (any violation, >2 outstanding, or 3 frozen-progress polls trips
 /// it), a budget monitor, and the scenario's recovery policy.
-pub(crate) fn arm_hypervisor(hv: &mut Hypervisor, fault_port: usize, policy: RecoveryPolicy) {
+fn arm_hypervisor(hv: &mut Hypervisor, fault_port: usize, policy: RecoveryPolicy) {
     hv.set_watchdog_policy(
         PortId(fault_port),
         WatchdogPolicy {
@@ -272,12 +671,256 @@ pub(crate) fn arm_hypervisor(hv: &mut Hypervisor, fault_port: usize, policy: Rec
 /// any beats the faulty master queued before it was quiesced are gone
 /// when it comes back. Without this, stale pre-fault address beats
 /// re-trip the watchdog the moment the port reattaches.
-pub(crate) fn flush_port_queues(port: &mut AxiPort, now: Cycle) {
+fn flush_port_queues(port: &mut AxiPort, now: Cycle) {
     while port.ar.pop_ready(now).is_some() {}
     while port.aw.pop_ready(now).is_some() {}
     while port.w.pop_ready(now).is_some() {}
     while port.r.pop_ready(now).is_some() {}
     while port.b.pop_ready(now).is_some() {}
+}
+
+/// Everything the QoS noisy-neighbor family derives from its seed:
+/// interconnect width, the regulation window, the credit programming
+/// every aggressor port gets, and the victim's request cadence.
+struct QosDraw {
+    ports: usize,
+    window: u32,
+    rate: u32,
+    burst: u32,
+    out_cap: u32,
+    victim_period: u64,
+    rng_position: u64,
+}
+
+/// Draws the QoS scenario. Independent of [`derive_scenario`] — the
+/// recovery campaigns' pinned-seed fingerprints are untouched by this
+/// family — but the same rule applies: the draw order is fixed.
+fn derive_qos_scenario(seed: u64) -> QosDraw {
+    let mut rng = SimRng::seed(seed);
+    let ports = rng.range_usize(4, 8);
+    let window = [64u32, 128, 256][rng.index(3)];
+    let rate = rng.range_u64(1, 4) as u32;
+    let burst = rng.range_u64(1, 3) as u32;
+    let out_cap = rng.range_u64(1, 3) as u32;
+    let victim_period = rng.range_u64(150, 300);
+    QosDraw {
+        ports,
+        window,
+        rate,
+        burst,
+        out_cap,
+        victim_period,
+        rng_position: rng.draws(),
+    }
+}
+
+impl QosDraw {
+    /// Builds the QoS world: a hard-RT periodic victim on port 0 beside
+    /// `ports - 1` free-running greedy DMA readers, every aggressor
+    /// regulated by the seed's credit programming (written through the
+    /// hypervisor's AXI-Lite driver). Observability is armed *after*
+    /// programming, so the bound monitor derives and enforces the
+    /// tightened victim bound.
+    fn build(&self, scheduler: SchedulerMode) -> World {
+        let qos_victim = victim("qos_victim".to_owned(), 0x1000_0000, self.victim_period);
+        let swarm = (1..self.ports).map(|p| {
+            let cfg = DmaConfig {
+                src_base: 0x3000_0000 + p as u64 * 0x0100_0000,
+                jobs: None,
+                ..DmaConfig::reader(256 * 1024, 16, BurstSize::B16)
+            };
+            (
+                Box::new(Dma::new(format!("qos_swarm{p}"), cfg)) as Box<dyn Accelerator>,
+                false,
+            )
+        });
+        let masters = std::iter::once((qos_victim, true)).chain(swarm).collect();
+        let record = Detail::Qos(QosRecord {
+            window: self.window,
+            rate: self.rate,
+            burst: self.burst,
+            out_cap: self.out_cap,
+            victim_period: self.victim_period,
+            global_bound: 0,
+            throttle_events: Vec::new(),
+            monitor_violations: 0,
+        });
+        let hc = HyperConnect::new(HcConfig::new(self.ports));
+        let mem = MemoryController::new(MemConfig::zcu102());
+        let mut world = World::build(Shape::Flat, hc, mem, masters, scheduler, record);
+        let drv = world.hv.hc();
+        drv.set_regulation_window(self.window)
+            .expect("window register");
+        for p in 1..self.ports {
+            drv.set_rate(p, self.rate).expect("rate register");
+            drv.set_reg_burst(p, self.burst).expect("burst register");
+            drv.set_out_cap(p, self.out_cap).expect("out-cap register");
+        }
+        if let Soc::Flat(sys) = &mut world.soc {
+            sys.enable_observability();
+        }
+        world
+    }
+}
+
+/// Memory window the fabric-fault oracle exercises. Burst-aligned
+/// (16 beats x 16 bytes = 256-byte bursts), decodable, and disjoint
+/// from every victim region.
+const ORACLE_BASE: u64 = 0x2000_0000;
+/// Span of the oracle window (64 burst slots).
+const ORACLE_SPAN: u64 = 64 * 256;
+/// Spare region a hard-error quarantine redirects the window onto:
+/// decodable, never written by anything else, and therefore zeroed —
+/// matching the shadow wipe [`ScoreboardMaster::note_remap`] performs.
+const ORACLE_SPARE: u64 = 0x2800_0000;
+/// Write+read round trips the oracle performs per campaign.
+const ORACLE_JOBS: u64 = 40;
+
+/// The eight seeds the CI integrity-smoke job pins for the fabric-fault
+/// family. Chosen so the set covers both transient (injector-driven)
+/// and hard (error-region + quarantine) scenarios in the flat and tree
+/// shapes, and reproduces identically on every machine.
+pub const FABRIC_PINNED_SEEDS: [u64; 8] = [2, 4, 9, 11, 13, 17, 28, 31];
+
+/// Everything the fabric-fault family derives from its seed.
+struct FabricDraw {
+    ports: usize,
+    oracle_port: usize,
+    /// `true`: a hard-error region under the oracle window (quarantine
+    /// path); `false`: transient injector faults (retry path).
+    hard: bool,
+    poll_interval: u64,
+    victim_periods: Vec<u64>,
+    /// Spurious-SLVERR probability per burst (transient mode).
+    slverr_prob: f64,
+    /// Single-bit payload-flip probability per read beat (transient
+    /// mode; the ECC model corrects every one of them).
+    flip_prob: f64,
+    /// Seed of the memory-side fault injector's own RNG stream.
+    mem_seed: u64,
+    retry: RetryPolicy,
+    /// Hard-error budget the hypervisor integrity policy tolerates
+    /// before commanding quarantine.
+    errors_allowed: u32,
+    /// RNG stream position after the derivation (see [`SimRng::draws`]).
+    rng_position: u64,
+}
+
+/// Draws the fabric-fault scenario. Independent of [`derive_scenario`]
+/// and [`derive_qos_scenario`] — the other families' pinned-seed
+/// fingerprints are untouched — but the same rule applies: the draw
+/// order is fixed, and drifting it silently changes what every pinned
+/// seed means.
+fn derive_fabric_scenario(seed: u64, ports_lo: usize, ports_hi: usize) -> FabricDraw {
+    let mut rng = SimRng::seed(seed);
+    let ports = rng.range_usize(ports_lo, ports_hi);
+    let oracle_port = rng.index(ports);
+    let hard = rng.chance(0.4);
+    let poll_interval = POLL_CHOICES[rng.index(POLL_CHOICES.len())];
+    let victim_periods = (0..ports).map(|_| rng.range_u64(32, 64)).collect();
+    let slverr_prob = rng.range_u64(40, 150) as f64 / 1000.0;
+    let flip_prob = rng.range_u64(20, 100) as f64 / 1000.0;
+    let mem_seed = rng.range_u64(1, 1 << 48);
+    let retry = RetryPolicy {
+        max_attempts: rng.range_u64(6, 10) as u32,
+        backoff_base: rng.range_u64(1, 4),
+        backoff_cap: rng.range_u64(32, 128),
+    };
+    let errors_allowed = rng.range_u64(2, 6) as u32;
+    FabricDraw {
+        ports,
+        oracle_port,
+        hard,
+        poll_interval,
+        victim_periods,
+        slverr_prob,
+        flip_prob,
+        mem_seed,
+        retry,
+        errors_allowed,
+        rng_position: rng.draws(),
+    }
+}
+
+impl FabricDraw {
+    /// Builds the fabric world on `shape`: a [`ScoreboardMaster`] oracle
+    /// on the seed's port, periodic victims everywhere else, and the
+    /// memory controller either injecting transient faults or exposing a
+    /// hard SLVERR region under the oracle's window. In hard mode the
+    /// hypervisor watches the oracle port's `ERR_TOTAL` health register
+    /// and, past the policy budget, quarantines the sick region onto a
+    /// zeroed spare ([`MemoryController::quarantine_remap`]) and tells
+    /// the oracle ([`ScoreboardMaster::note_remap`]). Error responses
+    /// traverse the cascade bridge, so in the tree the child-port
+    /// `ERR_TOTAL` still attributes them.
+    fn build(&self, shape: Shape, scheduler: SchedulerMode, seed: u64) -> World {
+        let mut cfg = MemConfig::zcu102().decode_limit(DECODE_LIMIT);
+        if self.hard {
+            cfg = cfg.slverr_range(ORACLE_BASE, ORACLE_BASE + ORACLE_SPAN);
+        }
+        let mut mem = MemoryController::new(cfg);
+        if !self.hard {
+            mem.attach_fault_injector(
+                MemFaultConfig::new(self.mem_seed)
+                    .spurious_slverr(self.slverr_prob)
+                    .flip_single(self.flip_prob)
+                    .ecc(true),
+            );
+        }
+        let oracle = ScoreboardMaster::new(
+            "fabric_oracle",
+            ORACLE_BASE,
+            ORACLE_SPAN,
+            16,
+            BurstSize::B16,
+            seed,
+        )
+        .policy(self.retry)
+        .jobs(ORACLE_JOBS)
+        .gap(self.victim_periods[self.oracle_port]);
+        let record = Detail::Fabric(FabricRecord {
+            oracle_port: self.oracle_port,
+            hard: self.hard,
+            poll_interval: self.poll_interval,
+            retry: self.retry,
+            errors_allowed: self.errors_allowed,
+            oracle: ScoreboardStats::default(),
+            oracle_done: false,
+            completion_bound: 0,
+            quarantines: 0,
+            quarantine_cycle: None,
+            quarantine_err_total: None,
+            injector: FaultStats::default(),
+            mem_errors: 0,
+        });
+        let masters = around(
+            shape,
+            self.oracle_port,
+            Box::new(oracle),
+            &self.victim_periods,
+        );
+        let hc = HyperConnect::new(HcConfig::new(self.ports));
+        let mut world = World::build(shape, hc, mem, masters, scheduler, record);
+        world.hv.hc().set_period(PERIOD).expect("period register");
+        if self.hard {
+            let policy = IntegrityPolicy {
+                errors_allowed: self.errors_allowed,
+            };
+            world
+                .hv
+                .set_integrity_policy(PortId(self.oracle_port), policy)
+                .expect("AXI-Lite baseline read");
+        }
+        world
+    }
+}
+
+/// Downcasts the accelerator at `oracle_port` back to the concrete
+/// [`ScoreboardMaster`] (the campaign placed it there).
+fn as_scoreboard(acc: &mut dyn Accelerator) -> &mut ScoreboardMaster {
+    (acc as &mut dyn std::any::Any)
+        .downcast_mut::<ScoreboardMaster>()
+        .expect("oracle port hosts the scoreboard")
 }
 
 /// One recovery-state-machine transition, stamped with the poll cycle
@@ -296,17 +939,50 @@ pub struct TransitionRecord {
     pub dropped: u32,
 }
 
-/// The full, deterministic record of one chaos campaign.
+/// The full, deterministic record of one campaign run: the fields every
+/// family shares, plus the family's own [`Detail`].
 #[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// Scenario seed.
+pub struct Outcome {
+    /// Scenario seed (the variant's seed for a forked run).
     pub seed: u64,
-    /// `"flat"` or `"tree"`.
-    pub scenario: &'static str,
+    /// `"flat"` or `"tree"`; `"campaign-flat"` for a forked variant.
+    pub label: &'static str,
     /// Scheduler the run used (excluded from the fingerprint).
     pub scheduler: SchedulerMode,
-    /// Slave ports on the faulted interconnect.
+    /// Slave ports on the watched interconnect.
     pub ports: usize,
+    /// RNG stream position after the scenario derivation (see
+    /// [`sim::SimRng::draws`]) — lets a consumer of the campaign JSON
+    /// re-derive the scenario and verify the derivation has not
+    /// drifted.
+    pub rng_position: u64,
+    /// Closed-form victim read-latency bound, when one applies (the
+    /// regulated, tightened bound for the QoS family).
+    pub victim_bound: Option<u64>,
+    /// Worst read latency any victim observed.
+    pub victim_worst: u64,
+    /// Jobs each victim completed (insertion order).
+    pub victim_jobs: Vec<u64>,
+    /// Cycle the run ended at.
+    pub end_cycle: u64,
+    /// The family's own record.
+    pub detail: Detail,
+}
+
+/// The part of an [`Outcome`] only one family has.
+#[derive(Debug, Clone)]
+pub enum Detail {
+    /// See [`Scenario::Recovery`].
+    Recovery(RecoveryRecord),
+    /// See [`Scenario::NoisyNeighbor`].
+    Qos(QosRecord),
+    /// See [`Scenario::Fabric`].
+    Fabric(FabricRecord),
+}
+
+/// The recovery family's record.
+#[derive(Debug, Clone)]
+pub struct RecoveryRecord {
     /// Port hosting the misbehaving master.
     pub fault_port: usize,
     /// Kind of misbehaving master injected.
@@ -327,473 +1003,11 @@ pub struct ChaosOutcome {
     pub resets: u64,
     /// Sub-transactions force-flushed across all drains.
     pub dropped_subs: u32,
-    /// Closed-form victim read-latency bound, when one applies.
-    pub victim_bound: Option<u64>,
-    /// Worst read latency any victim observed.
-    pub victim_worst: u64,
-    /// Jobs each victim completed (insertion order, fault port skipped).
-    pub victim_jobs: Vec<u64>,
-    /// Cycle the run ended at.
-    pub end_cycle: u64,
-    /// RNG stream position after the scenario derivation (see
-    /// [`sim::SimRng::draws`]) — lets a consumer of the campaign JSON
-    /// re-derive the scenario and verify the derivation has not
-    /// drifted.
-    pub rng_position: u64,
 }
 
-impl ChaosOutcome {
-    /// A scheduler-independent digest of the run. Invariant 3: the same
-    /// seed must produce byte-identical fingerprints under naive and
-    /// fast-forward scheduling.
-    pub fn fingerprint(&self) -> String {
-        let transitions: Vec<String> = self
-            .transitions
-            .iter()
-            .map(|t| format!("{}:{}:{}->{}:{}", t.cycle, t.port, t.from, t.to, t.dropped))
-            .collect();
-        format!(
-            "seed={} rng_pos={} scenario={} ports={} fault_port={} kind={} permanent={} poll={} \
-             deadline={} sla={} transitions=[{}] final={} resets={} dropped={} \
-             victim_worst={} jobs={:?} end={}",
-            self.seed,
-            self.rng_position,
-            self.scenario,
-            self.ports,
-            self.fault_port,
-            self.fault_kind.as_str(),
-            self.permanent,
-            self.poll_interval,
-            self.drain_deadline,
-            self.sla_polls,
-            transitions.join(","),
-            self.final_state,
-            self.resets,
-            self.dropped_subs,
-            self.victim_worst,
-            self.victim_jobs,
-            self.end_cycle,
-        )
-    }
-
-    /// Checks invariants 1 and 2 (bounded victims, SLA-compliant
-    /// recovery). An empty vector means the campaign passed; each entry
-    /// is a human-readable description of one violation.
-    pub fn invariant_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if let Some(bound) = self.victim_bound {
-            if self.victim_worst > bound {
-                v.push(format!(
-                    "victim worst-case read latency {} exceeds analysis bound {}",
-                    self.victim_worst, bound
-                ));
-            }
-        }
-        for (i, &jobs) in self.victim_jobs.iter().enumerate() {
-            if jobs == 0 {
-                v.push(format!("victim #{i} made no progress"));
-            }
-        }
-        let detected = self.transitions.iter().find(|t| t.from == "Healthy");
-        let Some(first) = detected else {
-            v.push("fault was never detected".to_owned());
-            return v;
-        };
-        if self.permanent {
-            if self.final_state != "Quarantined" {
-                v.push(format!(
-                    "permanent fault ended in {} instead of Quarantined",
-                    self.final_state
-                ));
-            }
-        } else {
-            match self.transitions.iter().find(|t| t.to == "Probation") {
-                None => v.push("recoverable fault never reattached".to_owned()),
-                Some(reattach) => {
-                    let polls = ((reattach.cycle - first.cycle) / self.poll_interval) as u32;
-                    if polls > self.sla_polls {
-                        v.push(format!(
-                            "reattach took {polls} polls, SLA is {}",
-                            self.sla_polls
-                        ));
-                    }
-                }
-            }
-            if self.final_state != "Healthy" {
-                v.push(format!(
-                    "recoverable fault ended in {} instead of Healthy",
-                    self.final_state
-                ));
-            }
-        }
-        v
-    }
-
-    /// One JSON object describing the run, for the CI artifact.
-    pub fn to_json(&self) -> String {
-        let transitions: Vec<String> = self
-            .transitions
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"cycle\":{},\"port\":{},\"from\":\"{}\",\"to\":\"{}\",\"dropped\":{}}}",
-                    t.cycle, t.port, t.from, t.to, t.dropped
-                )
-            })
-            .collect();
-        let violations: Vec<String> = self
-            .invariant_violations()
-            .iter()
-            .map(|s| format!("\"{}\"", s.replace('"', "'")))
-            .collect();
-        let scheduler = match self.scheduler {
-            SchedulerMode::FastForward => "fast-forward",
-            SchedulerMode::Naive => "naive",
-        };
-        format!(
-            "{{\"schema\":\"axi-hyperconnect/chaos-run/v1\",\"seed\":{},\
-             \"rng_position\":{},\
-             \"scenario\":\"{}\",\"scheduler\":\"{}\",\"ports\":{},\
-             \"fault_port\":{},\"fault_kind\":\"{}\",\"permanent\":{},\
-             \"poll_interval\":{},\"drain_deadline\":{},\"sla_polls\":{},\
-             \"final_state\":\"{}\",\"resets\":{},\"dropped_subs\":{},\
-             \"victim_bound\":{},\"victim_worst\":{},\"victim_jobs\":{:?},\
-             \"end_cycle\":{},\"transitions\":[{}],\
-             \"invariant_violations\":[{}]}}",
-            self.seed,
-            self.rng_position,
-            self.scenario,
-            scheduler,
-            self.ports,
-            self.fault_port,
-            self.fault_kind.as_str(),
-            self.permanent,
-            self.poll_interval,
-            self.drain_deadline,
-            self.sla_polls,
-            self.final_state,
-            self.resets,
-            self.dropped_subs,
-            self.victim_bound
-                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
-            self.victim_worst,
-            self.victim_jobs,
-            self.end_cycle,
-            transitions.join(","),
-            violations.join(","),
-        )
-    }
-}
-
-/// Aggregates campaign outcomes into the JSON artifact the CI
-/// chaos-smoke job uploads.
-pub fn campaign_summary_json(outcomes: &[ChaosOutcome]) -> String {
-    let total: usize = outcomes
-        .iter()
-        .map(|o| o.invariant_violations().len())
-        .sum();
-    let runs: Vec<String> = outcomes.iter().map(ChaosOutcome::to_json).collect();
-    format!(
-        "{{\"schema\":\"axi-hyperconnect/chaos-campaign/v1\",\"campaigns\":{},\
-         \"invariant_violations\":{},\"runs\":[{}]}}",
-        outcomes.len(),
-        total,
-        runs.join(",")
-    )
-}
-
-/// Runs one campaign over the flat Fig. 1 shape: 3–4 accelerators on
-/// one HyperConnect, one of them misbehaving per the seed.
-pub fn run_flat_campaign(cfg: &ChaosConfig) -> ChaosOutcome {
-    let sc = derive_scenario(cfg.seed, 3, 4);
-    let mut hc = HyperConnect::new(HcConfig::new(sc.ports));
-    let first_word = MemConfig::zcu102().first_word_latency;
-    let model = ServiceModel::hyperconnect(sc.ports, 16, first_word).max_outstanding(4);
-    hc.set_drain_model(model);
-    let drain_deadline = hc.drain_deadline();
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, hc.regs().clone());
-    let mut hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
-    hv.hc().set_period(PERIOD).expect("period register");
-    arm_hypervisor(&mut hv, sc.fault_port, sc.policy);
-
-    let mut sys = SocSystem::new(
-        hc,
-        MemoryController::new(MemConfig::zcu102().decode_limit(DECODE_LIMIT)),
-    );
-    sys.set_scheduler(cfg.scheduler);
-    for p in 0..sc.ports {
-        if p == sc.fault_port {
-            sys.add_accelerator(fault_model(sc.kind, sc.permanent))
-                .expect("port available");
-        } else {
-            sys.add_accelerator(Box::new(PeriodicReader::new(
-                format!("victim{p}"),
-                0x1000_0000 + p as u64 * 0x0400_0000,
-                1 << 20,
-                16,
-                BurstSize::B16,
-                sc.victim_periods[p],
-            )))
-            .expect("port available");
-        }
-    }
-
-    let fault_port = sc.fault_port;
-    let poll = sc.poll_interval;
-    let mut transitions: Vec<TransitionRecord> = Vec::new();
-    let mut resets = 0u64;
-    drive(
-        &mut sys,
-        &mut hv,
-        fault_port,
-        poll,
-        0,
-        cfg.cycles,
-        &mut transitions,
-        &mut resets,
-    );
-
-    let mut victim_worst = 0u64;
-    let mut victim_jobs = Vec::new();
-    for p in 0..sc.ports {
-        if p == fault_port {
-            continue;
-        }
-        victim_worst = victim_worst.max(sys.interconnect_ref().read_latency(p).max().unwrap_or(0));
-        victim_jobs.push(sys.accelerator(p).expect("victim port").jobs_completed());
-    }
-    let final_state = format!(
-        "{:?}",
-        hv.recovery_state(PortId(fault_port))
-            .unwrap_or(RecoveryState::Healthy)
-    );
-    let dropped_subs = transitions
-        .iter()
-        .filter(|t| t.to == "Decoupled")
-        .map(|t| t.dropped)
-        .sum();
-    let drain_polls = (drain_deadline / poll) as u32 + 2;
-    ChaosOutcome {
-        seed: cfg.seed,
-        scenario: "flat",
-        scheduler: cfg.scheduler,
-        ports: sc.ports,
-        fault_port,
-        fault_kind: sc.kind,
-        permanent: sc.permanent,
-        poll_interval: poll,
-        drain_deadline,
-        sla_polls: sc.policy.reattach_sla_polls(drain_polls),
-        transitions,
-        final_state,
-        resets,
-        dropped_subs,
-        victim_bound: Some(model.worst_case_read_latency()),
-        victim_worst,
-        victim_jobs,
-        end_cycle: sys.now(),
-        rng_position: sc.rng_position,
-    }
-}
-
-/// Runs one campaign over a two-level tree: a 2-port child HyperConnect
-/// (hosting the fault and one victim) cascaded into a 2-port parent
-/// HyperConnect that also serves a second victim. The hypervisor owns
-/// the *child*'s register file — recovery happens one level down from
-/// the memory. No closed-form victim bound is asserted here (the
-/// cascade bound is workload-shaped); victims must still progress and
-/// the recovery SLA still holds.
-pub fn run_tree_campaign(cfg: &ChaosConfig) -> ChaosOutcome {
-    let sc = derive_scenario(cfg.seed, 2, 2);
-    let child_hc = HyperConnect::new(HcConfig::new(2));
-    let drain_deadline = child_hc.drain_deadline();
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, child_hc.regs().clone());
-    let mut hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
-    hv.hc().set_period(PERIOD).expect("period register");
-    arm_hypervisor(&mut hv, sc.fault_port, sc.policy);
-
-    let mut builder = TopologyBuilder::new();
-    let child = builder
-        .add_interconnect("hc_child", child_hc)
-        .expect("fresh builder");
-    let parent = builder
-        .add_interconnect("hc_parent", HyperConnect::new(HcConfig::new(2)))
-        .expect("fresh builder");
-    let memory = builder
-        .add_memory(
-            "mem0",
-            MemoryController::new(MemConfig::zcu102().decode_limit(DECODE_LIMIT)),
-        )
-        .expect("fresh builder");
-    builder
-        .cascade(child, parent, 0)
-        .expect("parent port 0 free");
-    builder
-        .connect_memory(parent, memory)
-        .expect("memory unbound");
-    let mut topo = builder.build().expect("valid tree");
-    topo.set_scheduler(cfg.scheduler);
-
-    // Child accelerators in port order (insertion ordinal == child
-    // port), then the parent-level victim on the parent's free port.
-    for p in 0..2 {
-        if p == sc.fault_port {
-            topo.add_accelerator(child, fault_model(sc.kind, sc.permanent))
-                .expect("child port available");
-        } else {
-            topo.add_accelerator(
-                child,
-                Box::new(PeriodicReader::new(
-                    format!("victim{p}"),
-                    0x1000_0000 + p as u64 * 0x0400_0000,
-                    1 << 20,
-                    16,
-                    BurstSize::B16,
-                    sc.victim_periods[p],
-                )),
-            )
-            .expect("child port available");
-        }
-    }
-    topo.add_accelerator(
-        parent,
-        Box::new(PeriodicReader::new(
-            "victim_parent",
-            0x3000_0000,
-            1 << 20,
-            16,
-            BurstSize::B16,
-            sc.victim_periods[0],
-        )),
-    )
-    .expect("parent port available");
-
-    let fault_port = sc.fault_port;
-    let poll = sc.poll_interval;
-    let mut transitions: Vec<TransitionRecord> = Vec::new();
-    let mut resets = 0u64;
-    topo.run_polled(cfg.cycles, poll, |now, topo| {
-        for t in hv.poll_recovery().expect("AXI-Lite poll") {
-            if t.to == RecoveryState::Resetting {
-                topo.accelerator_mut(fault_port)
-                    .expect("fault ordinal occupied")
-                    .reset();
-                let child_hc = topo
-                    .interconnect_as_mut::<HyperConnect>(child)
-                    .expect("child is a HyperConnect");
-                flush_port_queues(child_hc.port(fault_port), now);
-                resets += 1;
-            }
-            transitions.push(TransitionRecord {
-                cycle: now,
-                port: t.port.0,
-                from: format!("{:?}", t.from),
-                to: format!("{:?}", t.to),
-                dropped: t.dropped_txns,
-            });
-        }
-    });
-
-    let child_victim = 1 - fault_port;
-    let victim_worst = {
-        let child_hc = topo
-            .interconnect_as::<HyperConnect>(child)
-            .expect("child is a HyperConnect");
-        let parent_hc = topo
-            .interconnect_as::<HyperConnect>(parent)
-            .expect("parent is a HyperConnect");
-        child_hc
-            .read_latency(child_victim)
-            .max()
-            .unwrap_or(0)
-            .max(parent_hc.read_latency(1).max().unwrap_or(0))
-    };
-    let victim_jobs = vec![
-        topo.accelerator(child_victim)
-            .expect("child victim")
-            .jobs_completed(),
-        topo.accelerator(2).expect("parent victim").jobs_completed(),
-    ];
-    let final_state = format!(
-        "{:?}",
-        hv.recovery_state(PortId(fault_port))
-            .unwrap_or(RecoveryState::Healthy)
-    );
-    let dropped_subs = transitions
-        .iter()
-        .filter(|t| t.to == "Decoupled")
-        .map(|t| t.dropped)
-        .sum();
-    let drain_polls = (drain_deadline / poll) as u32 + 2;
-    ChaosOutcome {
-        seed: cfg.seed,
-        scenario: "tree",
-        scheduler: cfg.scheduler,
-        ports: 2,
-        fault_port,
-        fault_kind: sc.kind,
-        permanent: sc.permanent,
-        poll_interval: poll,
-        drain_deadline,
-        sla_polls: sc.policy.reattach_sla_polls(drain_polls),
-        transitions,
-        final_state,
-        resets,
-        dropped_subs,
-        victim_bound: None,
-        victim_worst,
-        victim_jobs,
-        end_cycle: topo.now(),
-        rng_position: sc.rng_position,
-    }
-}
-
-/// Everything the QoS noisy-neighbor scenario derives from its seed:
-/// interconnect width, the regulation window, the credit programming
-/// every aggressor port gets, and the victim's request cadence.
-struct QosScenario {
-    ports: usize,
-    window: u32,
-    rate: u32,
-    burst: u32,
-    out_cap: u32,
-    victim_period: u64,
-    rng_position: u64,
-}
-
-/// Draws the QoS scenario. Independent of [`derive_scenario`] — the
-/// recovery campaigns' pinned-seed fingerprints are untouched by this
-/// family — but the same rule applies: the draw order is fixed.
-fn derive_qos_scenario(seed: u64) -> QosScenario {
-    let mut rng = SimRng::seed(seed);
-    let ports = rng.range_usize(4, 8);
-    let window = [64u32, 128, 256][rng.index(3)];
-    let rate = rng.range_u64(1, 4) as u32;
-    let burst = rng.range_u64(1, 3) as u32;
-    let out_cap = rng.range_u64(1, 3) as u32;
-    let victim_period = rng.range_u64(150, 300);
-    QosScenario {
-        ports,
-        window,
-        rate,
-        burst,
-        out_cap,
-        victim_period,
-        rng_position: rng.draws(),
-    }
-}
-
-/// The deterministic record of one QoS noisy-neighbor campaign.
+/// The QoS noisy-neighbor family's record.
 #[derive(Debug, Clone)]
-pub struct QosOutcome {
-    /// Scenario seed.
-    pub seed: u64,
-    /// Scheduler the run used (excluded from the fingerprint).
-    pub scheduler: SchedulerMode,
-    /// Slave ports on the interconnect (victim + `ports - 1` readers).
-    pub ports: usize,
+pub struct QosRecord {
     /// Regulation window programmed over AXI-Lite (cycles).
     pub window: u32,
     /// Credits per window each aggressor port refills.
@@ -806,264 +1020,15 @@ pub struct QosOutcome {
     pub victim_period: u64,
     /// Unregulated closed-form read bound for this shape.
     pub global_bound: u64,
-    /// Tightened victim bound the bound monitor armed from the
-    /// regulator programming.
-    pub victim_bound: u64,
-    /// Worst read latency the victim observed.
-    pub victim_worst: u64,
-    /// Read bursts the victim completed.
-    pub victim_jobs: u64,
     /// Throttle events per aggressor port (ports `1..ports`).
     pub throttle_events: Vec<u32>,
     /// Violations the runtime bound monitor recorded.
     pub monitor_violations: usize,
-    /// Cycle the run ended at.
-    pub end_cycle: u64,
-    /// RNG stream position after the scenario derivation.
-    pub rng_position: u64,
 }
 
-impl QosOutcome {
-    /// A scheduler-independent digest of the run: the same seed must
-    /// produce byte-identical fingerprints under naive and fast-forward
-    /// scheduling.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "seed={} rng_pos={} ports={} window={} rate={} burst={} out_cap={} period={} \
-             global={} bound={} worst={} jobs={} throttle={:?} violations={} end={}",
-            self.seed,
-            self.rng_position,
-            self.ports,
-            self.window,
-            self.rate,
-            self.burst,
-            self.out_cap,
-            self.victim_period,
-            self.global_bound,
-            self.victim_bound,
-            self.victim_worst,
-            self.victim_jobs,
-            self.throttle_events,
-            self.monitor_violations,
-            self.end_cycle,
-        )
-    }
-
-    /// Judges the campaign. An empty vector means it passed; each entry
-    /// describes one violated QoS invariant:
-    ///
-    /// 1. regulation actually tightened the victim's bound below the
-    ///    unregulated closed form;
-    /// 2. the victim never observed a latency above the tightened
-    ///    bound, and the runtime monitor agrees (zero violations);
-    /// 3. the victim made progress;
-    /// 4. every regulated aggressor was throttled at least once — the
-    ///    regulators engaged rather than sitting inert.
-    pub fn invariant_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.victim_bound >= self.global_bound {
-            v.push(format!(
-                "regulation left the victim bound at {} (unregulated bound {})",
-                self.victim_bound, self.global_bound
-            ));
-        }
-        if self.victim_worst > self.victim_bound {
-            v.push(format!(
-                "victim worst-case read latency {} exceeds tightened bound {}",
-                self.victim_worst, self.victim_bound
-            ));
-        }
-        if self.monitor_violations != 0 {
-            v.push(format!(
-                "runtime bound monitor recorded {} violations",
-                self.monitor_violations
-            ));
-        }
-        if self.victim_jobs == 0 {
-            v.push("victim made no progress".to_owned());
-        }
-        for (i, &events) in self.throttle_events.iter().enumerate() {
-            if events == 0 {
-                v.push(format!("aggressor on port {} was never throttled", i + 1));
-            }
-        }
-        v
-    }
-}
-
-/// Runs one QoS noisy-neighbor campaign: a hard-RT periodic victim on
-/// port 0 shares the interconnect with `ports - 1` free-running greedy
-/// DMA readers, every aggressor regulated by the seed's credit
-/// programming (written through [`HcDriver`], the same AXI-Lite path a
-/// hypervisor would use). Observability is armed *after* programming,
-/// so the bound monitor derives and enforces the tightened victim
-/// bound.
-pub fn run_noisy_neighbor_campaign(cfg: &ChaosConfig) -> QosOutcome {
-    let sc = derive_qos_scenario(cfg.seed);
-    let hc = HyperConnect::new(HcConfig::new(sc.ports));
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, hc.regs().clone());
-    let drv = HcDriver::probe(&bus, HC_BASE).expect("HyperConnect at HC_BASE");
-    drv.set_regulation_window(sc.window)
-        .expect("window register");
-    for p in 1..sc.ports {
-        drv.set_rate(p, sc.rate).expect("rate register");
-        drv.set_reg_burst(p, sc.burst).expect("burst register");
-        drv.set_out_cap(p, sc.out_cap).expect("out-cap register");
-    }
-
-    let mut sys = SocSystem::new(hc, MemoryController::new(MemConfig::zcu102()));
-    sys.set_scheduler(cfg.scheduler);
-    sys.enable_observability();
-    sys.add_accelerator(Box::new(PeriodicReader::new(
-        "qos_victim",
-        0x1000_0000,
-        1 << 20,
-        16,
-        BurstSize::B16,
-        sc.victim_period,
-    )))
-    .expect("port available");
-    for p in 1..sc.ports {
-        sys.add_accelerator(Box::new(Dma::new(
-            format!("qos_swarm{p}"),
-            DmaConfig {
-                src_base: 0x3000_0000 + p as u64 * 0x0100_0000,
-                jobs: None,
-                ..DmaConfig::reader(256 * 1024, 16, BurstSize::B16)
-            },
-        )))
-        .expect("port available");
-    }
-    sys.run_for(cfg.cycles);
-
-    let throttle_events: Vec<u32> = (1..sc.ports)
-        .map(|p| drv.throttle_events(p).expect("throttle register"))
-        .collect();
-    let mon = sys
-        .interconnect_ref()
-        .bound_monitor()
-        .expect("armed by enable_observability");
-    QosOutcome {
-        seed: cfg.seed,
-        scheduler: cfg.scheduler,
-        ports: sc.ports,
-        window: sc.window,
-        rate: sc.rate,
-        burst: sc.burst,
-        out_cap: sc.out_cap,
-        victim_period: sc.victim_period,
-        global_bound: mon.read_bound(),
-        victim_bound: mon.port_read_bound(0),
-        victim_worst: sys.interconnect_ref().read_latency(0).max().unwrap_or(0),
-        victim_jobs: sys.accelerator(0).expect("victim").jobs_completed(),
-        throttle_events,
-        monitor_violations: mon.violations().len(),
-        end_cycle: sys.now(),
-        rng_position: sc.rng_position,
-    }
-}
-
-/// Memory window the fabric-fault oracle exercises. Burst-aligned
-/// (16 beats x 16 bytes = 256-byte bursts), decodable, and disjoint
-/// from every victim region.
-pub(crate) const ORACLE_BASE: u64 = 0x2000_0000;
-/// Span of the oracle window (64 burst slots).
-pub(crate) const ORACLE_SPAN: u64 = 64 * 256;
-/// Spare region a hard-error quarantine redirects the window onto:
-/// decodable, never written by anything else, and therefore zeroed —
-/// matching the shadow wipe [`ScoreboardMaster::note_remap`] performs.
-pub(crate) const ORACLE_SPARE: u64 = 0x2800_0000;
-/// Write+read round trips the oracle performs per campaign.
-pub(crate) const ORACLE_JOBS: u64 = 40;
-
-/// The eight seeds the CI integrity-smoke job pins for the fabric-fault
-/// family. Chosen so the set covers both transient (injector-driven)
-/// and hard (error-region + quarantine) scenarios in the flat and tree
-/// shapes, and reproduces identically on every machine.
-pub const FABRIC_PINNED_SEEDS: [u64; 8] = [2, 4, 9, 11, 13, 17, 28, 31];
-
-/// Everything the fabric-fault scenario derives from its seed.
-pub(crate) struct FabricScenario {
-    pub(crate) ports: usize,
-    pub(crate) oracle_port: usize,
-    /// `true`: a hard-error region under the oracle window (quarantine
-    /// path); `false`: transient injector faults (retry path).
-    pub(crate) hard: bool,
-    pub(crate) poll_interval: u64,
-    pub(crate) victim_periods: Vec<u64>,
-    /// Spurious-SLVERR probability per burst (transient mode).
-    pub(crate) slverr_prob: f64,
-    /// Single-bit payload-flip probability per read beat (transient
-    /// mode; the ECC model corrects every one of them).
-    pub(crate) flip_prob: f64,
-    /// Seed of the memory-side fault injector's own RNG stream.
-    pub(crate) mem_seed: u64,
-    pub(crate) retry: RetryPolicy,
-    /// Hard-error budget the hypervisor integrity policy tolerates
-    /// before commanding quarantine.
-    pub(crate) errors_allowed: u32,
-    /// RNG stream position after the derivation (see [`SimRng::draws`]).
-    pub(crate) rng_position: u64,
-}
-
-/// Draws the fabric-fault scenario. Independent of [`derive_scenario`]
-/// and [`derive_qos_scenario`] — the other families' pinned-seed
-/// fingerprints are untouched — but the same rule applies: the draw
-/// order is fixed, and drifting it silently changes what every pinned
-/// seed means.
-pub(crate) fn derive_fabric_scenario(
-    seed: u64,
-    ports_lo: usize,
-    ports_hi: usize,
-) -> FabricScenario {
-    let mut rng = SimRng::seed(seed);
-    let ports = rng.range_usize(ports_lo, ports_hi);
-    let oracle_port = rng.index(ports);
-    let hard = rng.chance(0.4);
-    let poll_interval = POLL_CHOICES[rng.index(POLL_CHOICES.len())];
-    let victim_periods = (0..ports).map(|_| rng.range_u64(32, 64)).collect();
-    let slverr_prob = rng.range_u64(40, 150) as f64 / 1000.0;
-    let flip_prob = rng.range_u64(20, 100) as f64 / 1000.0;
-    let mem_seed = rng.range_u64(1, 1 << 48);
-    let retry = RetryPolicy {
-        max_attempts: rng.range_u64(6, 10) as u32,
-        backoff_base: rng.range_u64(1, 4),
-        backoff_cap: rng.range_u64(32, 128),
-    };
-    let errors_allowed = rng.range_u64(2, 6) as u32;
-    FabricScenario {
-        ports,
-        oracle_port,
-        hard,
-        poll_interval,
-        victim_periods,
-        slverr_prob,
-        flip_prob,
-        mem_seed,
-        retry,
-        errors_allowed,
-        rng_position: rng.draws(),
-    }
-}
-
-/// The RNG stream position a fabric-fault derivation for `seed` ends at
-/// — the value fabric campaign JSON records as `rng_position`.
-pub fn fabric_scenario_rng_position(seed: u64) -> u64 {
-    derive_fabric_scenario(seed, 3, 4).rng_position
-}
-
-/// The full, deterministic record of one fabric-fault campaign.
+/// The fabric-fault family's record.
 #[derive(Debug, Clone)]
-pub struct FabricOutcome {
-    /// Scenario seed.
-    pub seed: u64,
-    /// `"flat"` or `"tree"`.
-    pub scenario: &'static str,
-    /// Scheduler the run used (excluded from the fingerprint).
-    pub scheduler: SchedulerMode,
-    /// Slave ports on the faulted interconnect.
-    pub ports: usize,
+pub struct FabricRecord {
     /// Port hosting the data-integrity oracle.
     pub oracle_port: usize,
     /// Whether the fault was a hard-error region (vs transient).
@@ -1094,140 +1059,333 @@ pub struct FabricOutcome {
     pub injector: FaultStats,
     /// Error responses the memory controller attributed to any port.
     pub mem_errors: u64,
-    /// Closed-form victim read-latency bound, when one applies.
-    pub victim_bound: Option<u64>,
-    /// Worst read latency any victim observed.
-    pub victim_worst: u64,
-    /// Jobs each victim completed (insertion order, oracle port skipped).
-    pub victim_jobs: Vec<u64>,
-    /// Cycle the run ended at.
-    pub end_cycle: u64,
-    /// RNG stream position after the scenario derivation.
-    pub rng_position: u64,
 }
 
-impl FabricOutcome {
+/// `null` or the value, for JSON.
+pub(crate) fn json_opt(v: Option<impl ToString>) -> String {
+    v.map_or_else(|| "null".to_owned(), |v| v.to_string())
+}
+
+impl Outcome {
     /// A scheduler-independent digest of the run: the same seed must
     /// produce byte-identical fingerprints under naive and fast-forward
     /// scheduling.
     pub fn fingerprint(&self) -> String {
-        let o = &self.oracle;
+        let body = match &self.detail {
+            Detail::Recovery(r) => {
+                let transitions: Vec<String> = r
+                    .transitions
+                    .iter()
+                    .map(|t| format!("{}:{}:{}->{}:{}", t.cycle, t.port, t.from, t.to, t.dropped))
+                    .collect();
+                format!(
+                    "fault_port={} kind={} permanent={} poll={} deadline={} sla={} \
+                     transitions=[{}] final={} resets={} dropped={}",
+                    r.fault_port,
+                    r.fault_kind.as_str(),
+                    r.permanent,
+                    r.poll_interval,
+                    r.drain_deadline,
+                    r.sla_polls,
+                    transitions.join(","),
+                    r.final_state,
+                    r.resets,
+                    r.dropped_subs,
+                )
+            }
+            Detail::Qos(q) => {
+                return format!(
+                    "seed={} rng_pos={} ports={} window={} rate={} burst={} out_cap={} \
+                     period={} global={} bound={} worst={} jobs={} throttle={:?} \
+                     violations={} end={}",
+                    self.seed,
+                    self.rng_position,
+                    self.ports,
+                    q.window,
+                    q.rate,
+                    q.burst,
+                    q.out_cap,
+                    q.victim_period,
+                    q.global_bound,
+                    self.victim_bound.unwrap_or(0),
+                    self.victim_worst,
+                    self.victim_jobs[0],
+                    q.throttle_events,
+                    q.monitor_violations,
+                    self.end_cycle,
+                )
+            }
+            Detail::Fabric(f) => {
+                let o = &f.oracle;
+                format!(
+                    "oracle_port={} hard={} poll={} retry={}/{}/{} allowed={} verified={} \
+                     retries={} announced={} silent={} aborted={} worst={} faults={} \
+                     after_remap={} done={} bound={} quarantines={} q_cycle={:?} q_err={:?} \
+                     corrected={} uncorrectable={} flips={} spurious={} mem_errors={}",
+                    f.oracle_port,
+                    f.hard,
+                    f.poll_interval,
+                    f.retry.max_attempts,
+                    f.retry.backoff_base,
+                    f.retry.backoff_cap,
+                    f.errors_allowed,
+                    o.bursts_verified,
+                    o.retries,
+                    o.announced_errors,
+                    o.silent_corruptions,
+                    o.aborted_ops,
+                    o.worst_completion,
+                    o.worst_faults_per_op,
+                    o.verified_after_remap,
+                    f.oracle_done,
+                    f.completion_bound,
+                    f.quarantines,
+                    f.quarantine_cycle,
+                    f.quarantine_err_total,
+                    f.injector.corrected,
+                    f.injector.uncorrectable,
+                    f.injector.single_flips,
+                    f.injector.spurious_errors,
+                    f.mem_errors,
+                )
+            }
+        };
         format!(
-            "seed={} rng_pos={} scenario={} ports={} oracle_port={} hard={} poll={} \
-             retry={}/{}/{} allowed={} verified={} retries={} announced={} silent={} \
-             aborted={} worst={} faults={} after_remap={} done={} bound={} \
-             quarantines={} q_cycle={:?} q_err={:?} corrected={} uncorrectable={} \
-             flips={} spurious={} mem_errors={} victim_worst={} jobs={:?} end={}",
+            "seed={} rng_pos={} scenario={} ports={} {body} victim_worst={} jobs={:?} end={}",
             self.seed,
             self.rng_position,
-            self.scenario,
+            self.label,
             self.ports,
-            self.oracle_port,
-            self.hard,
-            self.poll_interval,
-            self.retry.max_attempts,
-            self.retry.backoff_base,
-            self.retry.backoff_cap,
-            self.errors_allowed,
-            o.bursts_verified,
-            o.retries,
-            o.announced_errors,
-            o.silent_corruptions,
-            o.aborted_ops,
-            o.worst_completion,
-            o.worst_faults_per_op,
-            o.verified_after_remap,
-            self.oracle_done,
-            self.completion_bound,
-            self.quarantines,
-            self.quarantine_cycle,
-            self.quarantine_err_total,
-            self.injector.corrected,
-            self.injector.uncorrectable,
-            self.injector.single_flips,
-            self.injector.spurious_errors,
-            self.mem_errors,
             self.victim_worst,
             self.victim_jobs,
             self.end_cycle,
         )
     }
 
-    /// Judges the campaign. An empty vector means it passed; each entry
-    /// describes one violated invariant:
+    /// Judges the run. An empty vector means it passed; each entry is a
+    /// human-readable description of one violated invariant. Every
+    /// family checks that no victim exceeds its bound (when one applies)
+    /// and every victim makes progress; then:
     ///
-    /// 1. **Zero silent corruption** — every delivered-vs-expected
-    ///    mismatch must have been announced via an error response;
-    /// 2. **Victims stay bounded** — no well-behaved port exceeds its
-    ///    closed-form read bound (when one applies) and every victim
-    ///    makes progress;
-    /// 3. **Retry meets its bound** — the oracle's worst observed op
-    ///    completion stays within the derived worst-case completion
-    ///    bound, and in transient mode no op is ever abandoned;
-    /// 4. **Hard faults end in quarantine** — the hypervisor commanded
-    ///    a region quarantine and verified round trips resumed on the
-    ///    spare region afterwards.
+    /// - **Recovery** — the fault was detected; a recoverable fault is
+    ///   back in service within
+    ///   [`hypervisor::RecoveryPolicy::reattach_sla_polls`] polls of
+    ///   detection and ends `Healthy`, a permanent one ends
+    ///   [`hypervisor::RecoveryState::Quarantined`].
+    /// - **QoS** — regulation tightened the victim bound below the
+    ///   unregulated closed form, the runtime monitor agrees (zero
+    ///   violations), and every regulated aggressor was throttled at
+    ///   least once.
+    /// - **Fabric** — zero silent corruption (every mismatch was
+    ///   announced by an error response); the oracle's worst op
+    ///   completion stays within the derived retry bound and it finished
+    ///   its jobs; hard faults end in quarantine with verified round
+    ///   trips on the spare, and transient ones never abandon an op nor
+    ///   quarantine.
     pub fn invariant_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        let o = &self.oracle;
-        if o.silent_corruptions != 0 {
+        if let Some(bound) = self.victim_bound.filter(|&b| self.victim_worst > b) {
             v.push(format!(
-                "{} silent corruptions reached the oracle unannounced",
-                o.silent_corruptions
+                "victim worst-case read latency {} exceeds analysis bound {bound}",
+                self.victim_worst
             ));
-        }
-        if let Some(bound) = self.victim_bound {
-            if self.victim_worst > bound {
-                v.push(format!(
-                    "victim worst-case read latency {} exceeds analysis bound {}",
-                    self.victim_worst, bound
-                ));
-            }
         }
         for (i, &jobs) in self.victim_jobs.iter().enumerate() {
             if jobs == 0 {
                 v.push(format!("victim #{i} made no progress"));
             }
         }
-        if o.worst_completion > self.completion_bound {
-            v.push(format!(
-                "oracle op completion {} exceeds derived bound {}",
-                o.worst_completion, self.completion_bound
-            ));
-        }
-        if !self.oracle_done {
-            v.push("oracle never finished its job list".to_owned());
-        }
-        if self.hard {
-            if self.quarantines == 0 {
-                v.push("hard fault never triggered a quarantine".to_owned());
+        match &self.detail {
+            Detail::Recovery(r) => {
+                let Some(first) = r.transitions.iter().find(|t| t.from == "Healthy") else {
+                    v.push("fault was never detected".to_owned());
+                    return v;
+                };
+                let (kind, expected) = match r.permanent {
+                    true => ("permanent", "Quarantined"),
+                    false => ("recoverable", "Healthy"),
+                };
+                if !r.permanent {
+                    match r.transitions.iter().find(|t| t.to == "Probation") {
+                        None => v.push("recoverable fault never reattached".to_owned()),
+                        Some(reattach) => {
+                            let polls = ((reattach.cycle - first.cycle) / r.poll_interval) as u32;
+                            if polls > r.sla_polls {
+                                v.push(format!(
+                                    "reattach took {polls} polls, SLA is {}",
+                                    r.sla_polls
+                                ));
+                            }
+                        }
+                    }
+                }
+                if r.final_state != expected {
+                    v.push(format!(
+                        "{kind} fault ended in {} instead of {expected}",
+                        r.final_state
+                    ));
+                }
             }
-            if o.verified_after_remap == 0 {
-                v.push("no verified round trips after the quarantine remap".to_owned());
+            Detail::Qos(q) => {
+                let bound = self.victim_bound.unwrap_or(u64::MAX);
+                if bound >= q.global_bound {
+                    v.push(format!(
+                        "regulation left the victim bound at {bound} (unregulated bound {})",
+                        q.global_bound
+                    ));
+                }
+                if q.monitor_violations != 0 {
+                    v.push(format!(
+                        "runtime bound monitor recorded {} violations",
+                        q.monitor_violations
+                    ));
+                }
+                for (i, &events) in q.throttle_events.iter().enumerate() {
+                    if events == 0 {
+                        v.push(format!("aggressor on port {} was never throttled", i + 1));
+                    }
+                }
             }
-            if o.announced_errors == 0 {
-                v.push("hard-error region produced no announced errors".to_owned());
-            }
-        } else {
-            if o.aborted_ops != 0 {
-                v.push(format!(
-                    "{} ops abandoned under transient faults (policy must absorb them)",
-                    o.aborted_ops
-                ));
-            }
-            if o.bursts_verified == 0 {
-                v.push("transient campaign verified no bursts".to_owned());
-            }
-            if self.quarantines != 0 {
-                v.push("transient campaign must not quarantine".to_owned());
+            Detail::Fabric(f) => {
+                let o = &f.oracle;
+                if o.silent_corruptions != 0 {
+                    v.push(format!(
+                        "{} silent corruptions reached the oracle unannounced",
+                        o.silent_corruptions
+                    ));
+                }
+                if o.worst_completion > f.completion_bound {
+                    v.push(format!(
+                        "oracle op completion {} exceeds derived bound {}",
+                        o.worst_completion, f.completion_bound
+                    ));
+                }
+                if !f.oracle_done {
+                    v.push("oracle never finished its job list".to_owned());
+                }
+                if f.hard {
+                    if f.quarantines == 0 {
+                        v.push("hard fault never triggered a quarantine".to_owned());
+                    }
+                    if o.verified_after_remap == 0 {
+                        v.push("no verified round trips after the quarantine remap".to_owned());
+                    }
+                    if o.announced_errors == 0 {
+                        v.push("hard-error region produced no announced errors".to_owned());
+                    }
+                } else {
+                    if o.aborted_ops != 0 {
+                        v.push(format!(
+                            "{} ops abandoned under transient faults (policy must absorb them)",
+                            o.aborted_ops
+                        ));
+                    }
+                    if o.bursts_verified == 0 {
+                        v.push("transient campaign verified no bursts".to_owned());
+                    }
+                    if f.quarantines != 0 {
+                        v.push("transient campaign must not quarantine".to_owned());
+                    }
+                }
             }
         }
         v
     }
 
-    /// One JSON object describing the run, for the CI artifact.
+    /// One JSON object describing the run, for the CI artifact: schema
+    /// `axi-hyperconnect/chaos-run/v1` (recovery), `qos-run/v1` or
+    /// `fabric-run/v1`.
     pub fn to_json(&self) -> String {
-        let o = &self.oracle;
+        let (family, head, tail) = match &self.detail {
+            Detail::Recovery(r) => {
+                let transitions: Vec<String> = r
+                    .transitions
+                    .iter()
+                    .map(|t| {
+                        format!(
+                            "{{\"cycle\":{},\"port\":{},\"from\":\"{}\",\"to\":\"{}\",\
+                             \"dropped\":{}}}",
+                            t.cycle, t.port, t.from, t.to, t.dropped
+                        )
+                    })
+                    .collect();
+                let head = format!(
+                    "\"fault_port\":{},\"fault_kind\":\"{}\",\"permanent\":{},\
+                     \"poll_interval\":{},\"drain_deadline\":{},\"sla_polls\":{},\
+                     \"final_state\":\"{}\",\"resets\":{},\"dropped_subs\":{},",
+                    r.fault_port,
+                    r.fault_kind.as_str(),
+                    r.permanent,
+                    r.poll_interval,
+                    r.drain_deadline,
+                    r.sla_polls,
+                    r.final_state,
+                    r.resets,
+                    r.dropped_subs,
+                );
+                let tail = format!("\"transitions\":[{}],", transitions.join(","));
+                ("chaos", head, tail)
+            }
+            Detail::Qos(q) => {
+                let head = format!(
+                    "\"window\":{},\"rate\":{},\"burst\":{},\"out_cap\":{},\
+                     \"victim_period\":{},\"global_bound\":{},\"throttle_events\":{:?},\
+                     \"monitor_violations\":{},",
+                    q.window,
+                    q.rate,
+                    q.burst,
+                    q.out_cap,
+                    q.victim_period,
+                    q.global_bound,
+                    q.throttle_events,
+                    q.monitor_violations,
+                );
+                ("qos", head, String::new())
+            }
+            Detail::Fabric(f) => {
+                let o = &f.oracle;
+                let head = format!(
+                    "\"oracle_port\":{},\"hard\":{},\"poll_interval\":{},\
+                     \"retry\":{{\"max_attempts\":{},\"backoff_base\":{},\"backoff_cap\":{}}},\
+                     \"errors_allowed\":{},\
+                     \"oracle\":{{\"bursts_verified\":{},\"retries\":{},\
+                     \"announced_errors\":{},\"silent_corruptions\":{},\"aborted_ops\":{},\
+                     \"worst_completion\":{},\"worst_faults_per_op\":{},\
+                     \"verified_after_remap\":{},\"done\":{}}},\
+                     \"completion_bound\":{},\"quarantines\":{},\"quarantine_cycle\":{},\
+                     \"quarantine_err_total\":{},\
+                     \"ecc\":{{\"corrected\":{},\"uncorrectable\":{},\"single_flips\":{},\
+                     \"double_flips\":{},\"spurious_errors\":{}}},\"mem_errors\":{},",
+                    f.oracle_port,
+                    f.hard,
+                    f.poll_interval,
+                    f.retry.max_attempts,
+                    f.retry.backoff_base,
+                    f.retry.backoff_cap,
+                    f.errors_allowed,
+                    o.bursts_verified,
+                    o.retries,
+                    o.announced_errors,
+                    o.silent_corruptions,
+                    o.aborted_ops,
+                    o.worst_completion,
+                    o.worst_faults_per_op,
+                    o.verified_after_remap,
+                    f.oracle_done,
+                    f.completion_bound,
+                    f.quarantines,
+                    json_opt(f.quarantine_cycle),
+                    json_opt(f.quarantine_err_total),
+                    f.injector.corrected,
+                    f.injector.uncorrectable,
+                    f.injector.single_flips,
+                    f.injector.double_flips,
+                    f.injector.spurious_errors,
+                    f.mem_errors,
+                );
+                ("fabric", head, String::new())
+            }
+        };
         let violations: Vec<String> = self
             .invariant_violations()
             .iter()
@@ -1238,57 +1396,15 @@ impl FabricOutcome {
             SchedulerMode::Naive => "naive",
         };
         format!(
-            "{{\"schema\":\"axi-hyperconnect/fabric-run/v1\",\"seed\":{},\
-             \"rng_position\":{},\"scenario\":\"{}\",\"scheduler\":\"{}\",\
-             \"ports\":{},\"oracle_port\":{},\"hard\":{},\"poll_interval\":{},\
-             \"retry\":{{\"max_attempts\":{},\"backoff_base\":{},\"backoff_cap\":{}}},\
-             \"errors_allowed\":{},\
-             \"oracle\":{{\"bursts_verified\":{},\"retries\":{},\
-             \"announced_errors\":{},\"silent_corruptions\":{},\"aborted_ops\":{},\
-             \"worst_completion\":{},\"worst_faults_per_op\":{},\
-             \"verified_after_remap\":{},\"done\":{}}},\
-             \"completion_bound\":{},\"quarantines\":{},\"quarantine_cycle\":{},\
-             \"quarantine_err_total\":{},\
-             \"ecc\":{{\"corrected\":{},\"uncorrectable\":{},\"single_flips\":{},\
-             \"double_flips\":{},\"spurious_errors\":{}}},\
-             \"mem_errors\":{},\"victim_bound\":{},\"victim_worst\":{},\
-             \"victim_jobs\":{:?},\"end_cycle\":{},\
-             \"invariant_violations\":[{}]}}",
+            "{{\"schema\":\"axi-hyperconnect/{family}-run/v1\",\"seed\":{},\
+             \"rng_position\":{},\"scenario\":\"{}\",\"scheduler\":\"{scheduler}\",\
+             \"ports\":{},{head}\"victim_bound\":{},\"victim_worst\":{},\
+             \"victim_jobs\":{:?},\"end_cycle\":{},{tail}\"invariant_violations\":[{}]}}",
             self.seed,
             self.rng_position,
-            self.scenario,
-            scheduler,
+            self.label,
             self.ports,
-            self.oracle_port,
-            self.hard,
-            self.poll_interval,
-            self.retry.max_attempts,
-            self.retry.backoff_base,
-            self.retry.backoff_cap,
-            self.errors_allowed,
-            o.bursts_verified,
-            o.retries,
-            o.announced_errors,
-            o.silent_corruptions,
-            o.aborted_ops,
-            o.worst_completion,
-            o.worst_faults_per_op,
-            o.verified_after_remap,
-            self.oracle_done,
-            self.completion_bound,
-            self.quarantines,
-            self.quarantine_cycle
-                .map_or_else(|| "null".to_owned(), |c| c.to_string()),
-            self.quarantine_err_total
-                .map_or_else(|| "null".to_owned(), |e| e.to_string()),
-            self.injector.corrected,
-            self.injector.uncorrectable,
-            self.injector.single_flips,
-            self.injector.double_flips,
-            self.injector.spurious_errors,
-            self.mem_errors,
-            self.victim_bound
-                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
+            json_opt(self.victim_bound),
             self.victim_worst,
             self.victim_jobs,
             self.end_cycle,
@@ -1297,15 +1413,15 @@ impl FabricOutcome {
     }
 }
 
-/// Aggregates fabric-fault outcomes into the JSON artifact the CI
-/// integrity-smoke job uploads (same `chaos-campaign/v1` envelope as
-/// the recovery campaigns, different run schema inside).
-pub fn fabric_campaign_summary_json(outcomes: &[FabricOutcome]) -> String {
+/// Aggregates campaign outcomes into the
+/// `axi-hyperconnect/chaos-campaign/v1` JSON artifact the CI chaos-smoke
+/// and integrity-smoke jobs upload.
+pub fn summary_json(outcomes: &[Outcome]) -> String {
     let total: usize = outcomes
         .iter()
         .map(|o| o.invariant_violations().len())
         .sum();
-    let runs: Vec<String> = outcomes.iter().map(FabricOutcome::to_json).collect();
+    let runs: Vec<String> = outcomes.iter().map(Outcome::to_json).collect();
     format!(
         "{{\"schema\":\"axi-hyperconnect/chaos-campaign/v1\",\"campaigns\":{},\
          \"invariant_violations\":{},\"runs\":[{}]}}",
@@ -1313,329 +1429,4 @@ pub fn fabric_campaign_summary_json(outcomes: &[FabricOutcome]) -> String {
         total,
         runs.join(",")
     )
-}
-
-/// The memory configuration a fabric scenario uses: hard mode carves
-/// the oracle window out as a slave-error region; transient mode leaves
-/// the map clean (the injector provides the faults).
-fn fabric_mem(sc: &FabricScenario) -> MemoryController {
-    let mut cfg = MemConfig::zcu102().decode_limit(DECODE_LIMIT);
-    if sc.hard {
-        cfg = cfg.slverr_range(ORACLE_BASE, ORACLE_BASE + ORACLE_SPAN);
-    }
-    let mut ctrl = MemoryController::new(cfg);
-    if !sc.hard {
-        ctrl.attach_fault_injector(
-            MemFaultConfig::new(sc.mem_seed)
-                .spurious_slverr(sc.slverr_prob)
-                .flip_single(sc.flip_prob)
-                .ecc(true),
-        );
-    }
-    ctrl
-}
-
-/// The data-integrity oracle for a fabric scenario.
-fn fabric_oracle(sc: &FabricScenario, seed: u64) -> ScoreboardMaster {
-    ScoreboardMaster::new(
-        "fabric_oracle",
-        ORACLE_BASE,
-        ORACLE_SPAN,
-        16,
-        BurstSize::B16,
-        seed,
-    )
-    .policy(sc.retry)
-    .jobs(ORACLE_JOBS)
-    .gap(sc.victim_periods[sc.oracle_port])
-}
-
-/// Downcasts the accelerator at `oracle_port` back to the concrete
-/// [`ScoreboardMaster`] (the campaign placed it there).
-fn as_scoreboard(acc: &mut dyn Accelerator) -> &mut ScoreboardMaster {
-    (acc as &mut dyn std::any::Any)
-        .downcast_mut::<ScoreboardMaster>()
-        .expect("oracle port hosts the scoreboard")
-}
-
-/// Runs one fabric-fault campaign over the flat Fig. 1 shape: 3–4
-/// masters on one HyperConnect — a [`ScoreboardMaster`] oracle on the
-/// seed's port, periodic victims everywhere else — with the memory
-/// controller either injecting transient faults or exposing a hard
-/// SLVERR region under the oracle's window. In hard mode the hypervisor
-/// watches the oracle port's `ERR_TOTAL` health register and, past the
-/// policy budget, quarantines the sick region onto a zeroed spare
-/// ([`MemoryController::quarantine_remap`]) and tells the oracle
-/// ([`ScoreboardMaster::note_remap`]).
-pub fn run_fabric_flat_campaign(cfg: &ChaosConfig) -> FabricOutcome {
-    let sc = derive_fabric_scenario(cfg.seed, 3, 4);
-    let hc = HyperConnect::new(HcConfig::new(sc.ports));
-    let first_word = MemConfig::zcu102().first_word_latency;
-    let model = ServiceModel::hyperconnect(sc.ports, 16, first_word).max_outstanding(4);
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, hc.regs().clone());
-    let mut hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
-    hv.hc().set_period(PERIOD).expect("period register");
-
-    let mut sys = SocSystem::new(hc, fabric_mem(&sc));
-    sys.set_scheduler(cfg.scheduler);
-    for p in 0..sc.ports {
-        if p == sc.oracle_port {
-            sys.add_accelerator(Box::new(fabric_oracle(&sc, cfg.seed)))
-                .expect("port available");
-        } else {
-            sys.add_accelerator(Box::new(PeriodicReader::new(
-                format!("victim{p}"),
-                0x1000_0000 + p as u64 * 0x0400_0000,
-                1 << 20,
-                16,
-                BurstSize::B16,
-                sc.victim_periods[p],
-            )))
-            .expect("port available");
-        }
-    }
-    if sc.hard {
-        hv.set_integrity_policy(
-            PortId(sc.oracle_port),
-            IntegrityPolicy {
-                errors_allowed: sc.errors_allowed,
-            },
-        )
-        .expect("AXI-Lite baseline read");
-    }
-
-    let oracle_port = sc.oracle_port;
-    let poll = sc.poll_interval;
-    let mut quarantines = 0u64;
-    let mut quarantine_cycle = None;
-    let mut quarantine_err_total = None;
-    sys.run_polled(cfg.cycles, poll, |now, sys| {
-        for ev in hv.poll_integrity().expect("AXI-Lite poll") {
-            // Hypervisor decision: the region under the erroring port
-            // is sick — remap it onto the spare and tell the oracle.
-            sys.memory_mut().quarantine_remap(RegionRemap {
-                lo: ORACLE_BASE,
-                hi: ORACLE_BASE + ORACLE_SPAN,
-                spare_base: ORACLE_SPARE,
-            });
-            as_scoreboard(sys.accelerator_mut(oracle_port).expect("oracle port"))
-                .note_remap(ORACLE_BASE, ORACLE_BASE + ORACLE_SPAN);
-            quarantines += 1;
-            quarantine_cycle.get_or_insert(now);
-            quarantine_err_total.get_or_insert(ev.err_total);
-        }
-    });
-
-    let mut victim_worst = 0u64;
-    let mut victim_jobs = Vec::new();
-    for p in 0..sc.ports {
-        if p == oracle_port {
-            continue;
-        }
-        victim_worst = victim_worst.max(sys.interconnect_ref().read_latency(p).max().unwrap_or(0));
-        victim_jobs.push(sys.accelerator(p).expect("victim port").jobs_completed());
-    }
-    let (oracle, oracle_done) = {
-        let acc = sys.accelerator(oracle_port).expect("oracle port");
-        let sb = acc
-            .as_any()
-            .downcast_ref::<ScoreboardMaster>()
-            .expect("oracle port hosts the scoreboard");
-        (sb.stats(), sb.is_done())
-    };
-    let mem_stats = sys.memory().stats();
-    let mem_errors = (0..sc.ports)
-        .map(|p| mem_stats.errors_for_port(p))
-        .sum::<u64>()
-        + mem_stats.untagged_errors();
-    FabricOutcome {
-        seed: cfg.seed,
-        scenario: "flat",
-        scheduler: cfg.scheduler,
-        ports: sc.ports,
-        oracle_port,
-        hard: sc.hard,
-        poll_interval: poll,
-        retry: sc.retry,
-        errors_allowed: sc.errors_allowed,
-        completion_bound: model.retry_completion_bound(&sc.retry, oracle.worst_faults_per_op + 1),
-        oracle,
-        oracle_done,
-        quarantines,
-        quarantine_cycle,
-        quarantine_err_total,
-        injector: sys.memory().fault_stats().unwrap_or_default(),
-        mem_errors,
-        victim_bound: Some(model.worst_case_read_latency()),
-        victim_worst,
-        victim_jobs,
-        end_cycle: sys.now(),
-        rng_position: sc.rng_position,
-    }
-}
-
-/// Runs one fabric-fault campaign over the two-level tree: a 2-port
-/// child HyperConnect (oracle + one victim) cascaded into a 2-port
-/// parent that also serves a second victim, with the fault at the
-/// *memory* behind the parent and the hypervisor watching the child's
-/// register file. Error responses traverse the cascade bridge, so the
-/// child-port `ERR_TOTAL` still attributes them and the quarantine path
-/// is identical to the flat shape. No closed-form victim bound is
-/// asserted (the cascade bound is workload-shaped); victims must still
-/// progress and the integrity invariants all hold.
-pub fn run_fabric_tree_campaign(cfg: &ChaosConfig) -> FabricOutcome {
-    let sc = derive_fabric_scenario(cfg.seed, 2, 2);
-    let child_hc = HyperConnect::new(HcConfig::new(2));
-    let first_word = MemConfig::zcu102().first_word_latency;
-    // Per-attempt costs in the tree pay two interconnect levels; the
-    // 4-port single-level model conservatively covers the interference
-    // both levels contribute (2 masters at each).
-    let model = ServiceModel::hyperconnect(4, 16, first_word).max_outstanding(4);
-    let mut bus = LiteBus::new();
-    bus.map(HC_BASE, 0x1000, child_hc.regs().clone());
-    let mut hv = Hypervisor::new(bus, HC_BASE).expect("valid HyperConnect regfile");
-    hv.hc().set_period(PERIOD).expect("period register");
-
-    let mut builder = TopologyBuilder::new();
-    let child = builder
-        .add_interconnect("hc_child", child_hc)
-        .expect("fresh builder");
-    let parent = builder
-        .add_interconnect("hc_parent", HyperConnect::new(HcConfig::new(2)))
-        .expect("fresh builder");
-    let memory = builder
-        .add_memory("mem0", fabric_mem(&sc))
-        .expect("fresh builder");
-    builder
-        .cascade(child, parent, 0)
-        .expect("parent port 0 free");
-    builder
-        .connect_memory(parent, memory)
-        .expect("memory unbound");
-    let mut topo = builder.build().expect("valid tree");
-    topo.set_scheduler(cfg.scheduler);
-
-    for p in 0..2 {
-        if p == sc.oracle_port {
-            topo.add_accelerator(child, Box::new(fabric_oracle(&sc, cfg.seed)))
-                .expect("child port available");
-        } else {
-            topo.add_accelerator(
-                child,
-                Box::new(PeriodicReader::new(
-                    format!("victim{p}"),
-                    0x1000_0000 + p as u64 * 0x0400_0000,
-                    1 << 20,
-                    16,
-                    BurstSize::B16,
-                    sc.victim_periods[p],
-                )),
-            )
-            .expect("child port available");
-        }
-    }
-    topo.add_accelerator(
-        parent,
-        Box::new(PeriodicReader::new(
-            "victim_parent",
-            0x3000_0000,
-            1 << 20,
-            16,
-            BurstSize::B16,
-            sc.victim_periods[0],
-        )),
-    )
-    .expect("parent port available");
-    if sc.hard {
-        hv.set_integrity_policy(
-            PortId(sc.oracle_port),
-            IntegrityPolicy {
-                errors_allowed: sc.errors_allowed,
-            },
-        )
-        .expect("AXI-Lite baseline read");
-    }
-
-    let oracle_port = sc.oracle_port;
-    let poll = sc.poll_interval;
-    let mut quarantines = 0u64;
-    let mut quarantine_cycle = None;
-    let mut quarantine_err_total = None;
-    topo.run_polled(cfg.cycles, poll, |now, topo| {
-        for ev in hv.poll_integrity().expect("AXI-Lite poll") {
-            topo.memory_mut(memory)
-                .expect("memory node")
-                .quarantine_remap(RegionRemap {
-                    lo: ORACLE_BASE,
-                    hi: ORACLE_BASE + ORACLE_SPAN,
-                    spare_base: ORACLE_SPARE,
-                });
-            as_scoreboard(topo.accelerator_mut(oracle_port).expect("oracle ordinal"))
-                .note_remap(ORACLE_BASE, ORACLE_BASE + ORACLE_SPAN);
-            quarantines += 1;
-            quarantine_cycle.get_or_insert(now);
-            quarantine_err_total.get_or_insert(ev.err_total);
-        }
-    });
-
-    let child_victim = 1 - oracle_port;
-    let victim_worst = {
-        let child_hc = topo
-            .interconnect_as::<HyperConnect>(child)
-            .expect("child is a HyperConnect");
-        let parent_hc = topo
-            .interconnect_as::<HyperConnect>(parent)
-            .expect("parent is a HyperConnect");
-        child_hc
-            .read_latency(child_victim)
-            .max()
-            .unwrap_or(0)
-            .max(parent_hc.read_latency(1).max().unwrap_or(0))
-    };
-    let victim_jobs = vec![
-        topo.accelerator(child_victim)
-            .expect("child victim")
-            .jobs_completed(),
-        topo.accelerator(2).expect("parent victim").jobs_completed(),
-    ];
-    let (oracle, oracle_done) = {
-        let acc = topo.accelerator(oracle_port).expect("oracle ordinal");
-        let sb = acc
-            .as_any()
-            .downcast_ref::<ScoreboardMaster>()
-            .expect("oracle ordinal hosts the scoreboard");
-        (sb.stats(), sb.is_done())
-    };
-    let mem_stats = topo.memory(memory).expect("memory node").stats();
-    let mem_errors =
-        (0..2).map(|p| mem_stats.errors_for_port(p)).sum::<u64>() + mem_stats.untagged_errors();
-    FabricOutcome {
-        seed: cfg.seed,
-        scenario: "tree",
-        scheduler: cfg.scheduler,
-        ports: 2,
-        oracle_port,
-        hard: sc.hard,
-        poll_interval: poll,
-        retry: sc.retry,
-        errors_allowed: sc.errors_allowed,
-        completion_bound: model.retry_completion_bound(&sc.retry, oracle.worst_faults_per_op + 1),
-        oracle,
-        oracle_done,
-        quarantines,
-        quarantine_cycle,
-        quarantine_err_total,
-        injector: topo
-            .memory(memory)
-            .expect("memory node")
-            .fault_stats()
-            .unwrap_or_default(),
-        mem_errors,
-        victim_bound: None,
-        victim_worst,
-        victim_jobs,
-        end_cycle: topo.now(),
-        rng_position: sc.rng_position,
-    }
 }

@@ -9,6 +9,13 @@ use axi_hyperconnect::campaign::{
 };
 use axi_hyperconnect::SchedulerMode;
 
+/// FNV-1a 64 over UTF-8 bytes (pins the forked fingerprints).
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// A small campaign that still detects and recovers faults: the chaos
 /// engine's invariants need enough post-injection cycles to observe the
 /// full recovery arc.
@@ -23,6 +30,7 @@ fn small_cfg(seed: u64) -> CampaignConfig {
 
 #[test]
 fn forked_variants_match_cold_replays() {
+    let mut fingerprints = String::new();
     for base_seed in [1, 7] {
         let cfg = small_cfg(base_seed);
         let report = run_campaign(&cfg, |_| {});
@@ -36,8 +44,15 @@ fn forked_variants_match_cold_replays() {
                 cold.outcome.fingerprint(),
                 "fork of seed {seed} (base {base_seed}) diverged from cold replay"
             );
+            fingerprints.push_str(&run.outcome.fingerprint());
+            fingerprints.push('\n');
         }
     }
+    assert_eq!(
+        fnv64(&fingerprints),
+        0x9eeb_8c5c_b605_d528,
+        "forked fingerprints moved:\n{fingerprints}"
+    );
 }
 
 #[test]
@@ -113,6 +128,22 @@ fn summary_json_carries_forking_fields() {
     assert!(metrics.starts_with("{\"schema\":\"axi-hyperconnect/campaign-metrics/v1\""));
     assert!(metrics.contains("\"forked_cycles_per_sec\":"));
     assert!(metrics.contains("\"warm_cycles_amortized\":"));
+}
+
+/// The cycle budget stays past the warm cycle whichever builder call
+/// comes last, so every variant runs exactly `cycles` cycles.
+#[test]
+fn cycle_budget_stays_past_warm_in_either_builder_order() {
+    let base = CampaignConfig::new(1).variants(2).bisect(false);
+    for cfg in [
+        base.cycles(3_000).warm_cycles(5_000),
+        base.warm_cycles(5_000).cycles(3_000),
+    ] {
+        assert!(cfg.cycles > cfg.warm_cycles, "{cfg:?}");
+        for run in run_campaign(&cfg, |_| {}).runs {
+            assert_eq!(run.outcome.end_cycle, cfg.cycles, "{cfg:?}");
+        }
+    }
 }
 
 #[test]

@@ -9,21 +9,48 @@
 //! campaign summary JSON written by `campaign_summary_artifact`.
 
 use axi_hyperconnect::chaos::{
-    campaign_summary_json, fabric_campaign_summary_json, fabric_scenario_rng_position,
-    run_fabric_flat_campaign, run_fabric_tree_campaign, run_flat_campaign,
-    run_noisy_neighbor_campaign, run_tree_campaign, scenario_rng_position, ChaosConfig,
-    ChaosOutcome, FabricOutcome, FaultKind, FABRIC_PINNED_SEEDS, PINNED_SEEDS,
+    run, summary_json, ChaosConfig, Detail, FabricRecord, FaultKind, Outcome, RecoveryRecord,
+    Scenario, Shape, FABRIC_PINNED_SEEDS, PINNED_SEEDS,
 };
 use axi_hyperconnect::SchedulerMode;
 
-fn assert_invariants(outcome: &ChaosOutcome) {
+const FLAT: Scenario = Scenario::Recovery(Shape::Flat);
+const TREE: Scenario = Scenario::Recovery(Shape::Tree);
+const QOS: Scenario = Scenario::NoisyNeighbor;
+const FABRIC_FLAT: Scenario = Scenario::Fabric(Shape::Flat);
+const FABRIC_TREE: Scenario = Scenario::Fabric(Shape::Tree);
+
+/// FNV-1a 64 over UTF-8 bytes: pins a whole campaign artifact in one
+/// number, so a change that shifts every run alike still fails.
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn recovery(outcome: &Outcome) -> &RecoveryRecord {
+    match &outcome.detail {
+        Detail::Recovery(r) => r,
+        other => panic!("not a recovery run: {other:?}"),
+    }
+}
+
+fn fabric(outcome: &Outcome) -> &FabricRecord {
+    match &outcome.detail {
+        Detail::Fabric(f) => f,
+        other => panic!("not a fabric run: {other:?}"),
+    }
+}
+
+/// Every family's failure message: the seed, the shape and the full
+/// per-run JSON record.
+fn assert_invariants(outcome: &Outcome) {
     let violations = outcome.invariant_violations();
     assert!(
         violations.is_empty(),
-        "seed {} ({} {}) violated invariants: {:?}\n{}",
+        "seed {} ({}) violated invariants: {:?}\n{}",
         outcome.seed,
-        outcome.scenario,
-        outcome.fault_kind.as_str(),
+        outcome.label,
         violations,
         outcome.to_json(),
     );
@@ -34,18 +61,19 @@ fn assert_invariants(outcome: &ChaosOutcome) {
 #[test]
 fn flat_campaigns_pass_invariants_on_pinned_seeds() {
     for &seed in &PINNED_SEEDS {
-        let outcome = run_flat_campaign(&ChaosConfig::new(seed));
+        let outcome = run(FLAT, &ChaosConfig::new(seed));
         assert_invariants(&outcome);
+        let r = recovery(&outcome);
         // The lifecycle really ran: detection, a completed drain, at
         // least one reset-and-reattach round trip.
         for to in ["Draining", "Decoupled", "Resetting", "Probation"] {
             assert!(
-                outcome.transitions.iter().any(|t| t.to == to),
+                r.transitions.iter().any(|t| t.to == to),
                 "seed {seed}: lifecycle never reached {to}: {:?}",
-                outcome.transitions
+                r.transitions
             );
         }
-        assert!(outcome.resets >= 1, "seed {seed}: no reset pulsed");
+        assert!(r.resets >= 1, "seed {seed}: no reset pulsed");
     }
 }
 
@@ -54,9 +82,12 @@ fn flat_campaigns_pass_invariants_on_pinned_seeds() {
 #[test]
 fn tree_campaigns_pass_invariants_on_pinned_seeds() {
     for &seed in &PINNED_SEEDS {
-        let outcome = run_tree_campaign(&ChaosConfig::new(seed));
+        let outcome = run(TREE, &ChaosConfig::new(seed));
         assert_invariants(&outcome);
-        assert!(outcome.resets >= 1, "seed {seed}: no reset pulsed");
+        assert!(
+            recovery(&outcome).resets >= 1,
+            "seed {seed}: no reset pulsed"
+        );
     }
 }
 
@@ -66,9 +97,9 @@ fn tree_campaigns_pass_invariants_on_pinned_seeds() {
 /// WLAST violator) and the quarantine path are all exercised.
 #[test]
 fn pinned_seeds_cover_the_fault_matrix() {
-    let outcomes: Vec<ChaosOutcome> = PINNED_SEEDS
+    let outcomes: Vec<Outcome> = PINNED_SEEDS
         .iter()
-        .map(|&s| run_flat_campaign(&ChaosConfig::new(s)))
+        .map(|&s| run(FLAT, &ChaosConfig::new(s)))
         .collect();
     for kind in [
         FaultKind::StalledWriter,
@@ -80,7 +111,8 @@ fn pinned_seeds_cover_the_fault_matrix() {
             assert!(
                 outcomes
                     .iter()
-                    .any(|o| o.fault_kind == kind && o.permanent == permanent),
+                    .map(recovery)
+                    .any(|r| r.fault_kind == kind && r.permanent == permanent),
                 "no pinned seed covers {} permanent={permanent}",
                 kind.as_str()
             );
@@ -88,12 +120,13 @@ fn pinned_seeds_cover_the_fault_matrix() {
     }
     // Permanent faults quarantine, recoverable ones return to service.
     for o in &outcomes {
-        let expected = if o.permanent {
+        let r = recovery(o);
+        let expected = if r.permanent {
             "Quarantined"
         } else {
             "Healthy"
         };
-        assert_eq!(o.final_state, expected, "seed {}", o.seed);
+        assert_eq!(r.final_state, expected, "seed {}", o.seed);
     }
 }
 
@@ -104,8 +137,11 @@ fn pinned_seeds_cover_the_fault_matrix() {
 #[test]
 fn recovery_is_scheduler_equivalent_on_pinned_seeds() {
     for &seed in &PINNED_SEEDS {
-        let ff = run_flat_campaign(&ChaosConfig::new(seed));
-        let naive = run_flat_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
+        let ff = run(FLAT, &ChaosConfig::new(seed));
+        let naive = run(
+            FLAT,
+            &ChaosConfig::new(seed).scheduler(SchedulerMode::Naive),
+        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
@@ -119,8 +155,11 @@ fn recovery_is_scheduler_equivalent_on_pinned_seeds() {
 #[test]
 fn tree_recovery_is_scheduler_equivalent() {
     for &seed in &PINNED_SEEDS[..3] {
-        let ff = run_tree_campaign(&ChaosConfig::new(seed));
-        let naive = run_tree_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
+        let ff = run(TREE, &ChaosConfig::new(seed));
+        let naive = run(
+            TREE,
+            &ChaosConfig::new(seed).scheduler(SchedulerMode::Naive),
+        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
@@ -133,10 +172,10 @@ fn tree_recovery_is_scheduler_equivalent() {
 /// outcome, and different seeds produce different scenarios.
 #[test]
 fn campaigns_are_deterministic_per_seed() {
-    let a = run_flat_campaign(&ChaosConfig::new(PINNED_SEEDS[0]));
-    let b = run_flat_campaign(&ChaosConfig::new(PINNED_SEEDS[0]));
+    let a = run(FLAT, &ChaosConfig::new(PINNED_SEEDS[0]));
+    let b = run(FLAT, &ChaosConfig::new(PINNED_SEEDS[0]));
     assert_eq!(a.fingerprint(), b.fingerprint());
-    let c = run_flat_campaign(&ChaosConfig::new(PINNED_SEEDS[1]));
+    let c = run(FLAT, &ChaosConfig::new(PINNED_SEEDS[1]));
     assert_ne!(a.fingerprint(), c.fingerprint());
 }
 
@@ -145,15 +184,20 @@ fn campaigns_are_deterministic_per_seed() {
 /// and sanity-checks its shape.
 #[test]
 fn campaign_summary_artifact() {
-    let mut outcomes: Vec<ChaosOutcome> = Vec::new();
+    let mut outcomes: Vec<Outcome> = Vec::new();
     for &seed in &PINNED_SEEDS {
-        outcomes.push(run_flat_campaign(&ChaosConfig::new(seed)));
-        outcomes.push(run_tree_campaign(&ChaosConfig::new(seed)));
+        outcomes.push(run(FLAT, &ChaosConfig::new(seed)));
+        outcomes.push(run(TREE, &ChaosConfig::new(seed)));
     }
-    let json = campaign_summary_json(&outcomes);
+    let json = summary_json(&outcomes);
     assert!(json.contains("\"schema\":\"axi-hyperconnect/chaos-campaign/v1\""));
     assert!(json.contains("\"campaigns\":16"));
     assert!(json.contains("\"invariant_violations\":0"));
+    assert_eq!(
+        (fnv64(&json), json.len()),
+        (0xb553_806d_3c0f_0968, 15_902),
+        "recovery campaign summary moved"
+    );
     let path = std::env::var("CHAOS_SUMMARY_PATH")
         .unwrap_or_else(|_| "target/chaos-campaign-summary.json".to_owned());
     if let Err(e) = std::fs::write(&path, &json) {
@@ -167,15 +211,18 @@ fn campaign_summary_artifact() {
 /// demonstrably engaged.
 #[test]
 fn qos_campaigns_hold_tightened_bounds_on_pinned_seeds() {
+    let mut fingerprints = String::new();
     for &seed in &PINNED_SEEDS {
-        let outcome = run_noisy_neighbor_campaign(&ChaosConfig::new(seed));
-        let violations = outcome.invariant_violations();
-        assert!(
-            violations.is_empty(),
-            "seed {seed}: QoS invariants violated: {violations:?}\n{}",
-            outcome.fingerprint(),
-        );
+        let outcome = run(QOS, &ChaosConfig::new(seed));
+        assert_invariants(&outcome);
+        fingerprints.push_str(&outcome.fingerprint());
+        fingerprints.push('\n');
     }
+    assert_eq!(
+        fnv64(&fingerprints),
+        0xa7d7_a289_5abb_089e,
+        "QoS fingerprints moved:\n{fingerprints}"
+    );
 }
 
 /// Regulation is scheduler-transparent: the full QoS campaign record —
@@ -184,9 +231,8 @@ fn qos_campaigns_hold_tightened_bounds_on_pinned_seeds() {
 #[test]
 fn qos_campaigns_are_scheduler_equivalent() {
     for &seed in &PINNED_SEEDS[..4] {
-        let ff = run_noisy_neighbor_campaign(&ChaosConfig::new(seed));
-        let naive =
-            run_noisy_neighbor_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
+        let ff = run(QOS, &ChaosConfig::new(seed));
+        let naive = run(QOS, &ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
@@ -217,39 +263,19 @@ fn json_u64(json: &str, key: &str) -> u64 {
 #[test]
 fn summary_records_reproducible_rng_positions() {
     for &seed in &PINNED_SEEDS[..4] {
-        let flat = run_flat_campaign(&ChaosConfig::new(seed));
-        assert_eq!(
-            flat.rng_position,
-            scenario_rng_position(seed),
-            "seed {seed}"
-        );
+        let flat = run(FLAT, &ChaosConfig::new(seed));
+        assert_eq!(flat.rng_position, FLAT.rng_position(seed), "seed {seed}");
         let json = flat.to_json();
         assert_eq!(json_u64(&json, "seed"), seed);
         assert_eq!(
             json_u64(&json, "rng_position"),
-            scenario_rng_position(seed),
+            FLAT.rng_position(seed),
             "seed {seed}: JSON rng_position does not round-trip"
         );
         // The aggregated summary carries the field for every run too.
-        let summary = campaign_summary_json(&[flat]);
-        assert_eq!(
-            json_u64(&summary, "rng_position"),
-            scenario_rng_position(seed)
-        );
+        let summary = summary_json(&[flat]);
+        assert_eq!(json_u64(&summary, "rng_position"), FLAT.rng_position(seed));
     }
-}
-
-fn assert_fabric_invariants(outcome: &FabricOutcome) {
-    let violations = outcome.invariant_violations();
-    assert!(
-        violations.is_empty(),
-        "seed {} ({} hard={}) violated invariants: {:?}\n{}",
-        outcome.seed,
-        outcome.scenario,
-        outcome.hard,
-        violations,
-        outcome.to_json(),
-    );
 }
 
 /// The fabric-fault family on the flat shape: every pinned seed holds
@@ -258,7 +284,7 @@ fn assert_fabric_invariants(outcome: &FabricOutcome) {
 #[test]
 fn fabric_flat_campaigns_pass_invariants_on_pinned_seeds() {
     for &seed in &FABRIC_PINNED_SEEDS {
-        assert_fabric_invariants(&run_fabric_flat_campaign(&ChaosConfig::new(seed)));
+        assert_invariants(&run(FABRIC_FLAT, &ChaosConfig::new(seed)));
     }
 }
 
@@ -267,7 +293,7 @@ fn fabric_flat_campaigns_pass_invariants_on_pinned_seeds() {
 #[test]
 fn fabric_tree_campaigns_pass_invariants_on_pinned_seeds() {
     for &seed in &FABRIC_PINNED_SEEDS {
-        assert_fabric_invariants(&run_fabric_tree_campaign(&ChaosConfig::new(seed)));
+        assert_invariants(&run(FABRIC_TREE, &ChaosConfig::new(seed)));
     }
 }
 
@@ -276,35 +302,35 @@ fn fabric_tree_campaigns_pass_invariants_on_pinned_seeds() {
 /// hypervisor-commanded quarantine with verified traffic on the spare.
 #[test]
 fn fabric_pinned_seeds_cover_both_fault_modes() {
-    for run in [run_fabric_flat_campaign, run_fabric_tree_campaign] {
-        let outcomes: Vec<FabricOutcome> = FABRIC_PINNED_SEEDS
+    for scenario in [FABRIC_FLAT, FABRIC_TREE] {
+        let outcomes: Vec<Outcome> = FABRIC_PINNED_SEEDS
             .iter()
-            .map(|&s| run(&ChaosConfig::new(s)))
+            .map(|&s| run(scenario, &ChaosConfig::new(s)))
             .collect();
         for hard in [false, true] {
             assert!(
-                outcomes.iter().any(|o| o.hard == hard),
-                "no pinned fabric seed covers hard={hard} in {}",
-                outcomes[0].scenario
+                outcomes.iter().any(|o| fabric(o).hard == hard),
+                "no pinned fabric seed covers hard={hard} in {scenario:?}"
             );
         }
         for o in &outcomes {
-            if o.hard {
-                assert!(o.quarantines >= 1, "seed {}: no quarantine", o.seed);
+            let f = fabric(o);
+            if f.hard {
+                assert!(f.quarantines >= 1, "seed {}: no quarantine", o.seed);
                 assert!(
-                    o.oracle.verified_after_remap > 0,
+                    f.oracle.verified_after_remap > 0,
                     "seed {}: spare region never verified",
                     o.seed
                 );
             } else {
                 assert!(
-                    o.oracle.retries > 0,
+                    f.oracle.retries > 0,
                     "seed {}: no retries exercised",
                     o.seed
                 );
-                assert_eq!(o.quarantines, 0, "seed {}: spurious quarantine", o.seed);
+                assert_eq!(f.quarantines, 0, "seed {}: spurious quarantine", o.seed);
             }
-            assert_eq!(o.oracle.silent_corruptions, 0, "seed {}", o.seed);
+            assert_eq!(f.oracle.silent_corruptions, 0, "seed {}", o.seed);
         }
     }
 }
@@ -315,9 +341,11 @@ fn fabric_pinned_seeds_cover_both_fault_modes() {
 #[test]
 fn fabric_campaigns_are_scheduler_equivalent() {
     for &seed in &FABRIC_PINNED_SEEDS[..4] {
-        let ff = run_fabric_flat_campaign(&ChaosConfig::new(seed));
-        let naive =
-            run_fabric_flat_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
+        let ff = run(FABRIC_FLAT, &ChaosConfig::new(seed));
+        let naive = run(
+            FABRIC_FLAT,
+            &ChaosConfig::new(seed).scheduler(SchedulerMode::Naive),
+        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
@@ -331,9 +359,11 @@ fn fabric_campaigns_are_scheduler_equivalent() {
 #[test]
 fn fabric_tree_campaigns_are_scheduler_equivalent() {
     for &seed in &FABRIC_PINNED_SEEDS[..3] {
-        let ff = run_fabric_tree_campaign(&ChaosConfig::new(seed));
-        let naive =
-            run_fabric_tree_campaign(&ChaosConfig::new(seed).scheduler(SchedulerMode::Naive));
+        let ff = run(FABRIC_TREE, &ChaosConfig::new(seed));
+        let naive = run(
+            FABRIC_TREE,
+            &ChaosConfig::new(seed).scheduler(SchedulerMode::Naive),
+        );
         assert_eq!(
             ff.fingerprint(),
             naive.fingerprint(),
@@ -346,10 +376,10 @@ fn fabric_tree_campaigns_are_scheduler_equivalent() {
 /// seed, different scenario.
 #[test]
 fn fabric_campaigns_are_deterministic_per_seed() {
-    let a = run_fabric_flat_campaign(&ChaosConfig::new(FABRIC_PINNED_SEEDS[0]));
-    let b = run_fabric_flat_campaign(&ChaosConfig::new(FABRIC_PINNED_SEEDS[0]));
+    let a = run(FABRIC_FLAT, &ChaosConfig::new(FABRIC_PINNED_SEEDS[0]));
+    let b = run(FABRIC_FLAT, &ChaosConfig::new(FABRIC_PINNED_SEEDS[0]));
     assert_eq!(a.fingerprint(), b.fingerprint());
-    let c = run_fabric_flat_campaign(&ChaosConfig::new(FABRIC_PINNED_SEEDS[1]));
+    let c = run(FABRIC_FLAT, &ChaosConfig::new(FABRIC_PINNED_SEEDS[1]));
     assert_ne!(a.fingerprint(), c.fingerprint());
 }
 
@@ -360,16 +390,21 @@ fn fabric_campaigns_are_deterministic_per_seed() {
 /// artifacts.
 #[test]
 fn fabric_campaign_summary_artifact() {
-    let mut outcomes: Vec<FabricOutcome> = Vec::new();
+    let mut outcomes: Vec<Outcome> = Vec::new();
     for &seed in &FABRIC_PINNED_SEEDS {
-        outcomes.push(run_fabric_flat_campaign(&ChaosConfig::new(seed)));
-        outcomes.push(run_fabric_tree_campaign(&ChaosConfig::new(seed)));
+        outcomes.push(run(FABRIC_FLAT, &ChaosConfig::new(seed)));
+        outcomes.push(run(FABRIC_TREE, &ChaosConfig::new(seed)));
     }
-    let json = fabric_campaign_summary_json(&outcomes);
+    let json = summary_json(&outcomes);
     assert!(json.contains("\"schema\":\"axi-hyperconnect/chaos-campaign/v1\""));
     assert!(json.contains("\"schema\":\"axi-hyperconnect/fabric-run/v1\""));
     assert!(json.contains("\"campaigns\":16"));
     assert!(json.contains("\"invariant_violations\":0"));
+    assert_eq!(
+        (fnv64(&json), json.len()),
+        (0x29b3_7c9a_fbbc_0cbf, 12_197),
+        "fabric campaign summary moved"
+    );
     let path = std::env::var("FABRIC_SUMMARY_PATH")
         .unwrap_or_else(|_| "target/fabric-campaign-summary.json".to_owned());
     if let Err(e) = std::fs::write(&path, &json) {
@@ -382,17 +417,17 @@ fn fabric_campaign_summary_artifact() {
 #[test]
 fn fabric_summary_records_reproducible_rng_positions() {
     for &seed in &FABRIC_PINNED_SEEDS[..4] {
-        let flat = run_fabric_flat_campaign(&ChaosConfig::new(seed));
+        let flat = run(FABRIC_FLAT, &ChaosConfig::new(seed));
         assert_eq!(
             flat.rng_position,
-            fabric_scenario_rng_position(seed),
+            FABRIC_FLAT.rng_position(seed),
             "seed {seed}"
         );
         let json = flat.to_json();
         assert_eq!(json_u64(&json, "seed"), seed);
         assert_eq!(
             json_u64(&json, "rng_position"),
-            fabric_scenario_rng_position(seed),
+            FABRIC_FLAT.rng_position(seed),
             "seed {seed}: JSON rng_position does not round-trip"
         );
     }
