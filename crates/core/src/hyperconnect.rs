@@ -711,23 +711,7 @@ impl AxiInterconnect for HyperConnect {
         use sim::persist::PersistValue;
         w.put_usize(self.config.num_ports);
         self.regs.with(|rf| rf.save_value(w));
-        self.efifos.save_value(w);
-        self.supervisors.save_value(w);
-        self.exbar.save_value(w);
-        self.central.save_value(w);
-        self.mem_port.save_value(w);
-        self.runtime_scratch.save_value(w);
-        self.tracer.save_value(w);
-        self.violation_log.save_value(w);
-        self.violation_counters.save_value(w);
-        self.metrics.save_value(w);
-        self.monitor.save_value(w);
-        self.quiesce_deadline.save_value(w);
-        w.put_u64(self.seen_cfg_gen);
-        self.viol_totals.save_value(w);
-        self.drain_model.save_value(w);
-        // `obs_scratch` is a per-tick scratch buffer, cleared before
-        // every use — deliberately not part of the snapshot.
+        self.save_rest(w);
     }
 
     fn restore_state(
@@ -739,60 +723,63 @@ impl AxiInterconnect for HyperConnect {
         if n != self.config.num_ports {
             return Err(PersistError::ShapeMismatch("hyperconnect port count"));
         }
-        // Decode everything before touching `self`, so a corrupt stream
-        // leaves the interconnect unchanged.
         let regs = RegFile::load_value(r)?;
-        let efifos: Vec<EFifo> = Vec::load_value(r)?;
-        let supervisors: Vec<TransactionSupervisor> = Vec::load_value(r)?;
-        let exbar = Exbar::load_value(r)?;
-        let central = CentralUnit::load_value(r)?;
-        let mem_port = axi::AxiPort::load_value(r)?;
-        let runtime_scratch: Vec<TsRuntime> = Vec::load_value(r)?;
-        let tracer = Tracer::load_value(r)?;
-        let violation_log: Vec<Vec<Violation>> = Vec::load_value(r)?;
-        let violation_counters: Vec<CounterBank> = Vec::load_value(r)?;
-        let metrics: Option<axi::MetricsRegistry> = Option::load_value(r)?;
-        let monitor: Option<crate::observe::BoundMonitor> = Option::load_value(r)?;
-        let quiesce_deadline: Vec<Option<Cycle>> = Vec::load_value(r)?;
-        let seen_cfg_gen = r.take_u64()?;
-        let viol_totals: Vec<u64> = Vec::load_value(r)?;
-        let drain_model: Option<crate::analysis::ServiceModel> = Option::load_value(r)?;
-        if regs.num_ports() != n
-            || efifos.len() != n
-            || supervisors.len() != n
-            || violation_log.len() != n
-            || violation_counters.len() != n
-            || quiesce_deadline.len() != n
-            || viol_totals.len() != n
-        {
+        if regs.num_ports() != n {
             return Err(PersistError::ShapeMismatch("hyperconnect per-port state"));
         }
-        // The register file is restored *through the shared handle*, so
+        // All-or-nothing: `restore_rest` assigns only once the rest of
+        // the stream decoded and checked, and the register file is
+        // installed after it. It goes *through the shared handle*, so
         // hypervisor-side clones of the handle observe the restored
         // registers without any re-wiring.
+        self.restore_rest(r)?;
         self.regs.with(|rf| *rf = regs);
-        self.efifos = efifos;
-        self.supervisors = supervisors;
-        self.exbar = exbar;
-        self.central = central;
-        self.mem_port = mem_port;
-        self.runtime_scratch = runtime_scratch;
-        self.tracer = tracer;
-        self.violation_log = violation_log;
-        self.violation_counters = violation_counters;
-        self.metrics = metrics;
-        self.monitor = monitor;
-        self.quiesce_deadline = quiesce_deadline;
-        self.seen_cfg_gen = seen_cfg_gen;
-        self.viol_totals = viol_totals;
-        self.drain_model = drain_model;
-        self.obs_scratch.clear();
         // The port sets are derived, never persisted: nothing is known
         // quiet and every port's registers are rewritten next tick.
         self.quiesce_active = self.quiesce_deadline.iter().any(Option::is_some);
         self.quiet.clear();
         self.visited.fill(n);
         Ok(())
+    }
+}
+
+impl HyperConnect {
+    sim::persist_state! {
+        HyperConnect as save_rest, restore_rest {
+            efifos,
+            supervisors,
+            exbar,
+            central,
+            mem_port,
+            runtime_scratch,
+            tracer,
+            violation_log,
+            violation_counters,
+            metrics,
+            monitor,
+            quiesce_deadline,
+            seen_cfg_gen,
+            viol_totals,
+            drain_model,
+        }
+        skip "construction-time configuration" { config }
+        skip "saved ahead of the rest, through the shared handle" { regs }
+        skip "per-tick scratch, rebuilt before every use" { obs_scratch, ar_staged, aw_staged }
+        skip "derived, reset by restore_state" { quiesce_active, quiet, visited }
+        check |this| {
+            let n = this.config.num_ports;
+            if efifos.len() != n
+                || supervisors.len() != n
+                || violation_log.len() != n
+                || violation_counters.len() != n
+                || quiesce_deadline.len() != n
+                || viol_totals.len() != n
+            {
+                return Err(sim::persist::PersistError::ShapeMismatch(
+                    "hyperconnect per-port state",
+                ));
+            }
+        }
     }
 }
 

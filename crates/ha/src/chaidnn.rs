@@ -16,6 +16,7 @@
 
 use axi::types::{AxiId, BurstSize};
 use axi::AxiPort;
+use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 use sim::stats::LatencyStat;
 use sim::Cycle;
 
@@ -74,8 +75,13 @@ impl Default for ChaidnnConfig {
     }
 }
 
+/// Where the layer machine stands. Wire codes (append-only):
+/// 0 = between layers, 1 = weights, 2 = inputs, 3 = compute,
+/// 4 = outputs.
 #[derive(Debug)]
 enum Phase {
+    /// Between layers: the next tick enters layer `layer_idx`.
+    BetweenLayers,
     Weights(ReadEngine),
     Inputs(ReadEngine),
     /// Busy-computing until the stored absolute cycle (exclusive: the
@@ -84,6 +90,43 @@ enum Phase {
         until: Cycle,
     },
     Outputs(WriteEngine),
+}
+
+impl PersistValue for Phase {
+    fn save_value(&self, w: &mut SnapshotWriter) {
+        match self {
+            Phase::BetweenLayers => w.put_u8(0),
+            Phase::Weights(eng) => {
+                w.put_u8(1);
+                eng.save_value(w);
+            }
+            Phase::Inputs(eng) => {
+                w.put_u8(2);
+                eng.save_value(w);
+            }
+            Phase::Compute { until } => {
+                w.put_u8(3);
+                w.put_u64(*until);
+            }
+            Phase::Outputs(eng) => {
+                w.put_u8(4);
+                eng.save_value(w);
+            }
+        }
+    }
+
+    fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+        Ok(match r.take_u8()? {
+            0 => Phase::BetweenLayers,
+            1 => Phase::Weights(ReadEngine::load_value(r)?),
+            2 => Phase::Inputs(ReadEngine::load_value(r)?),
+            3 => Phase::Compute {
+                until: r.take_u64()?,
+            },
+            4 => Phase::Outputs(WriteEngine::load_value(r)?),
+            _ => return Err(PersistError::Corrupt("unknown chaidnn phase")),
+        })
+    }
 }
 
 /// The DNN accelerator model: replays a layer schedule frame by frame.
@@ -97,26 +140,17 @@ enum Phase {
 /// // Quantized GoogleNet moves >10 MiB of bus traffic per frame.
 /// assert!(dnn.frame_traffic_bytes() > 10 << 20);
 /// ```
+#[derive(Debug)]
 pub struct Chaidnn {
     name: String,
     config: ChaidnnConfig,
     layers: Vec<Layer>,
     layer_idx: usize,
-    phase: Option<Phase>,
+    phase: Phase,
     frames_completed: u64,
     frame_started_at: Option<Cycle>,
     frame_latency: LatencyStat,
     bytes_moved: u64,
-}
-
-impl std::fmt::Debug for Chaidnn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Chaidnn")
-            .field("name", &self.name)
-            .field("layers", &self.layers.len())
-            .field("frames_completed", &self.frames_completed)
-            .finish()
-    }
 }
 
 /// Rounds a byte count up to a whole number of beats.
@@ -138,7 +172,7 @@ impl Chaidnn {
             config,
             layers,
             layer_idx: 0,
-            phase: None,
+            phase: Phase::BetweenLayers,
             frames_completed: 0,
             frame_started_at: None,
             frame_latency: LatencyStat::new(),
@@ -240,17 +274,18 @@ impl Chaidnn {
         let layer = &self.layers[self.layer_idx];
         let c = &self.config;
         let bytes = round_beats(layer.weight_bytes, c.size);
-        self.phase = Some(Phase::Weights(
+        self.phase = Phase::Weights(
             ReadEngine::new(c.weights_base, bytes, c.burst_beats, c.size)
                 .max_outstanding(c.max_outstanding)
                 .id(AxiId(2)),
-        ));
+        );
     }
 
     fn advance_phase(&mut self, now: Cycle) {
         let layer = self.layers[self.layer_idx].clone();
         let c = self.config;
-        let next = match self.phase.take().expect("phase exists") {
+        self.phase = match std::mem::replace(&mut self.phase, Phase::BetweenLayers) {
+            Phase::BetweenLayers => unreachable!("a layer is in progress"),
             Phase::Weights(_) => {
                 let bytes = round_beats(layer.input_bytes, c.size);
                 Phase::Inputs(
@@ -270,7 +305,6 @@ impl Chaidnn {
                         bytes,
                         c.burst_beats,
                         c.size,
-                        mem::backing::pattern_byte,
                     )
                     .max_outstanding(c.max_outstanding)
                     .id(AxiId(3)),
@@ -285,11 +319,9 @@ impl Chaidnn {
                     let started = self.frame_started_at.take().expect("frame started");
                     self.frame_latency.record(now.saturating_sub(started));
                 }
-                self.phase = None;
-                return;
+                Phase::BetweenLayers
             }
         };
-        self.phase = Some(next);
     }
 }
 
@@ -298,14 +330,15 @@ impl Accelerator for Chaidnn {
         if self.is_done() {
             return false;
         }
-        if self.phase.is_none() {
+        if let Phase::BetweenLayers = self.phase {
             if self.frame_started_at.is_none() {
                 self.frame_started_at = Some(now);
             }
             self.enter_layer();
         }
         let mut progress = false;
-        let advance = match self.phase.as_mut().expect("phase set above") {
+        let advance = match &mut self.phase {
+            Phase::BetweenLayers => unreachable!("entered above"),
             Phase::Weights(eng) | Phase::Inputs(eng) => {
                 let before = eng.received_beats();
                 progress |= eng.tick(now, port);
@@ -319,12 +352,12 @@ impl Accelerator for Chaidnn {
                 now >= *until
             }
             Phase::Outputs(eng) => {
-                progress |= eng.tick(now, port);
+                progress |= eng.tick(now, port, mem::backing::pattern_byte);
                 eng.is_done()
             }
         };
         if advance {
-            if let Some(Phase::Outputs(_)) = &self.phase {
+            if let Phase::Outputs(_) = self.phase {
                 self.bytes_moved +=
                     round_beats(self.layers[self.layer_idx].output_bytes, self.config.size);
             }
@@ -356,81 +389,33 @@ impl Accelerator for Chaidnn {
         if self.is_done() {
             return None;
         }
-        match &self.phase {
-            // Next tick enters the first layer of a new frame.
-            None => Some(now + 1),
+        match self.phase {
+            // Next tick enters the next layer (or a new frame's first).
+            Phase::BetweenLayers => Some(now + 1),
             // The compute window is the one place the model idles with a
             // known wake-up time.
-            Some(Phase::Compute { until }) => Some((*until).max(now + 1)),
+            Phase::Compute { until } => Some(until.max(now + 1)),
             // Burst engines are purely reactive: they wake when the port
             // drains or data returns, both covered by the interconnect.
-            Some(_) => None,
+            _ => None,
         }
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::{Persist, PersistValue};
-        w.put_usize(self.layer_idx);
-        // Phase wire codes (append-only): 0 = between layers,
-        // 1 = Weights, 2 = Inputs, 3 = Compute, 4 = Outputs.
-        match &self.phase {
-            None => w.put_u8(0),
-            Some(Phase::Weights(eng)) => {
-                w.put_u8(1);
-                eng.save_value(w);
-            }
-            Some(Phase::Inputs(eng)) => {
-                w.put_u8(2);
-                eng.save_value(w);
-            }
-            Some(Phase::Compute { until }) => {
-                w.put_u8(3);
-                w.put_u64(*until);
-            }
-            Some(Phase::Outputs(eng)) => {
-                w.put_u8(4);
-                eng.save(w);
+    sim::persist_state! {
+        Chaidnn {
+            layer_idx,
+            phase,
+            frames_completed,
+            frame_started_at,
+            frame_latency,
+            bytes_moved,
+        }
+        skip "construction-time configuration" { name, config, layers }
+        check |this| {
+            if layer_idx >= this.layers.len() {
+                return Err(PersistError::ShapeMismatch("chaidnn layer index"));
             }
         }
-        w.put_u64(self.frames_completed);
-        self.frame_started_at.save_value(w);
-        self.frame_latency.save_value(w);
-        w.put_u64(self.bytes_moved);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::{Persist, PersistError, PersistValue};
-        self.layer_idx = r.take_usize()?;
-        self.phase = match r.take_u8()? {
-            0 => None,
-            1 => Some(Phase::Weights(ReadEngine::load_value(r)?)),
-            2 => Some(Phase::Inputs(ReadEngine::load_value(r)?)),
-            3 => Some(Phase::Compute {
-                until: r.take_u64()?,
-            }),
-            4 => {
-                // The output engine's fill is the free function
-                // `pattern_byte`, so a placeholder engine is built and
-                // overlaid from the stream.
-                let c = self.config;
-                let mut eng =
-                    WriteEngine::new(0, c.size.bytes(), 1, c.size, mem::backing::pattern_byte);
-                eng.restore(r)?;
-                Some(Phase::Outputs(eng))
-            }
-            _ => return Err(PersistError::Corrupt("unknown chaidnn phase")),
-        };
-        if self.layer_idx >= self.layers.len() {
-            return Err(PersistError::ShapeMismatch("chaidnn layer index"));
-        }
-        self.frames_completed = r.take_u64()?;
-        self.frame_started_at = Option::load_value(r)?;
-        self.frame_latency = LatencyStat::load_value(r)?;
-        self.bytes_moved = r.take_u64()?;
-        Ok(())
     }
 }
 
@@ -559,6 +544,44 @@ mod tests {
         }];
         let dnn = Chaidnn::new("odd", layers, ChaidnnConfig::default());
         assert_eq!(dnn.frame_traffic_bytes(), 112 + 16 + 16);
+    }
+
+    #[test]
+    fn restore_into_a_shorter_schedule_is_rejected_whole() {
+        let mut layers = tiny_schedule();
+        layers.push(Layer {
+            name: "l2",
+            ..layers[0].clone()
+        });
+        let mut three = Chaidnn::new("t", layers.clone(), ChaidnnConfig::default());
+        let mut hc = HyperConnect::new(HcConfig::new(1));
+        let mut ctrl = MemoryController::new(MemConfig::default());
+        let mut now = 0;
+        while three.layer_idx < 2 {
+            three.tick(now, hc.port(0));
+            hc.tick(now);
+            ctrl.tick(now, hc.mem_port());
+            now += 1;
+            assert!(now < 50_000, "never reached the third layer");
+        }
+        let bytes = crate::saved_state(&three);
+
+        let mut one = Chaidnn::new("t", layers[..1].to_vec(), ChaidnnConfig::default());
+        let before = crate::saved_state(&one);
+        assert_eq!(
+            one.restore_state(&mut SnapshotReader::new(&bytes)),
+            Err(PersistError::ShapeMismatch("chaidnn layer index"))
+        );
+        assert_eq!(
+            crate::saved_state(&one),
+            before,
+            "a failed restore changed the model"
+        );
+        let one = run_frames(one, 20_000);
+        assert!(
+            one.jobs_completed() > 0,
+            "the rejected model no longer runs"
+        );
     }
 
     #[test]

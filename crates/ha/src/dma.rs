@@ -98,6 +98,7 @@ impl DmaConfig {
 /// assert_eq!(dma.name(), "probe");
 /// assert!(!dma.is_done());
 /// ```
+#[derive(Debug)]
 pub struct Dma {
     name: String,
     config: DmaConfig,
@@ -106,15 +107,6 @@ pub struct Dma {
     jobs_completed: u64,
     job_started_at: Option<Cycle>,
     job_latency: LatencyStat,
-}
-
-impl std::fmt::Debug for Dma {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dma")
-            .field("name", &self.name)
-            .field("jobs_completed", &self.jobs_completed)
-            .finish()
-    }
 }
 
 impl Dma {
@@ -149,13 +141,10 @@ impl Dma {
                 .max_outstanding(c.max_outstanding)
                 .id(AxiId(0))
         });
-        let dst = c.dst_base;
         self.writer = (c.write_bytes > 0).then(|| {
-            WriteEngine::new(dst, c.write_bytes, c.burst_beats, c.size, move |addr| {
-                mem::backing::pattern_byte(addr)
-            })
-            .max_outstanding(c.max_outstanding)
-            .id(AxiId(1))
+            WriteEngine::new(c.dst_base, c.write_bytes, c.burst_beats, c.size)
+                .max_outstanding(c.max_outstanding)
+                .id(AxiId(1))
         });
         self.job_started_at = None;
     }
@@ -194,7 +183,7 @@ impl Accelerator for Dma {
             progress |= r.tick(now, port);
         }
         if let Some(w) = self.writer.as_mut() {
-            progress |= w.tick(now, port);
+            progress |= w.tick(now, port, mem::backing::pattern_byte);
         }
         if self.streams_done() {
             self.jobs_completed += 1;
@@ -240,41 +229,15 @@ impl Accelerator for Dma {
         None
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::{Persist, PersistValue};
-        self.reader.save_value(w);
-        // The write engine carries a fill closure, so only its plain
-        // state goes to the stream; presence is recorded explicitly.
-        w.put_bool(self.writer.is_some());
-        if let Some(eng) = self.writer.as_ref() {
-            eng.save(w);
-        }
-        w.put_u64(self.jobs_completed);
-        self.job_started_at.save_value(w);
-        self.job_latency.save_value(w);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::{Persist, PersistError, PersistValue};
-        self.reader = Option::load_value(r)?;
-        let has_writer = r.take_bool()?;
-        match (has_writer, self.writer.as_mut()) {
-            (true, Some(eng)) => eng.restore(r)?,
-            (false, _) => self.writer = None,
-            (true, None) => {
-                // The snapshot had a write stream but this instance was
-                // configured without one: the fill closure cannot be
-                // reconstructed from bytes.
-                return Err(PersistError::ShapeMismatch("dma write stream"));
+    sim::persist_state! {
+        Dma { reader, writer, jobs_completed, job_started_at, job_latency }
+        skip "construction-time configuration" { name, config }
+        check |this| {
+            // A write stream cannot appear in a DMA built without one.
+            if writer.is_some() && this.writer.is_none() {
+                return Err(sim::persist::PersistError::ShapeMismatch("dma write stream"));
             }
         }
-        self.jobs_completed = r.take_u64()?;
-        self.job_started_at = Option::load_value(r)?;
-        self.job_latency = LatencyStat::load_value(r)?;
-        Ok(())
     }
 }
 
@@ -284,6 +247,7 @@ mod tests {
     use axi::AxiInterconnect;
     use hyperconnect::{HcConfig, HyperConnect};
     use mem::{MemConfig, MemoryController};
+    use sim::persist::{PersistError, SnapshotReader};
     use sim::Component;
 
     /// Drives a single DMA through a HyperConnect into a memory model.
@@ -369,6 +333,81 @@ mod tests {
         }
         assert_eq!(dma.jobs_completed(), 3);
         assert!(dma.is_done());
+    }
+
+    fn copy_config() -> DmaConfig {
+        DmaConfig {
+            src_base: 0x10_0000,
+            dst_base: 0x20_0000,
+            read_bytes: 4096,
+            write_bytes: 4096,
+            burst_beats: 16,
+            size: BurstSize::B16,
+            max_outstanding: 4,
+            jobs: None,
+        }
+    }
+
+    /// A copy DMA run `cycles` cycles into its first job.
+    fn busy_copy(cycles: Cycle) -> Dma {
+        let mut dma = Dma::new("copy", copy_config());
+        let mut hc = HyperConnect::new(HcConfig::new(1));
+        let mut ctrl = MemoryController::new(MemConfig::default());
+        for now in 0..cycles {
+            dma.tick(now, hc.port(0));
+            hc.tick(now);
+            ctrl.tick(now, hc.mem_port());
+        }
+        dma
+    }
+
+    #[test]
+    fn snapshot_roundtrip_resumes_the_write_stream() {
+        let bytes = crate::saved_state(&busy_copy(60));
+        let mut fresh = Dma::new("copy", copy_config());
+        fresh
+            .restore_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
+        assert_eq!(crate::saved_state(&fresh), bytes);
+    }
+
+    #[test]
+    fn truncated_restore_changes_nothing() {
+        let bytes = crate::saved_state(&busy_copy(60));
+        let mut target = busy_copy(25);
+        let before = crate::saved_state(&target);
+        let cut = &bytes[..bytes.len() - 8];
+        assert!(matches!(
+            target.restore_state(&mut SnapshotReader::new(cut)),
+            Err(PersistError::Truncated { .. })
+        ));
+        assert_eq!(
+            crate::saved_state(&target),
+            before,
+            "a failed restore changed the DMA"
+        );
+    }
+
+    #[test]
+    fn write_stream_into_a_reader_is_a_shape_mismatch() {
+        let bytes = crate::saved_state(&busy_copy(60));
+        let mut reader = Dma::new(
+            "copy",
+            DmaConfig {
+                write_bytes: 0,
+                ..copy_config()
+            },
+        );
+        let before = crate::saved_state(&reader);
+        assert_eq!(
+            reader.restore_state(&mut SnapshotReader::new(&bytes)),
+            Err(PersistError::ShapeMismatch("dma write stream"))
+        );
+        assert_eq!(
+            crate::saved_state(&reader),
+            before,
+            "a failed restore changed the DMA"
+        );
     }
 
     #[test]

@@ -169,7 +169,9 @@ impl ReadEngine {
 }
 
 /// A streaming write engine: writes `total_bytes` to `base` in bursts
-/// of up to `burst_beats`, producing data via a fill function.
+/// of up to `burst_beats`. The owner supplies each beat's data through
+/// the `fill` function it passes to [`WriteEngine::tick`].
+#[derive(Debug)]
 pub struct WriteEngine {
     id: AxiId,
     base: u64,
@@ -187,34 +189,16 @@ pub struct WriteEngine {
     started_at: Option<Cycle>,
     finished_at: Option<Cycle>,
     txn_latency: LatencyStat,
-    fill: Box<dyn FnMut(u64) -> u8 + Send>,
-}
-
-impl std::fmt::Debug for WriteEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteEngine")
-            .field("base", &self.base)
-            .field("issued_beats", &self.issued_beats)
-            .field("acked_bursts", &self.acked_bursts)
-            .field("outstanding", &self.outstanding)
-            .finish()
-    }
 }
 
 impl WriteEngine {
-    /// Creates a write engine producing each byte via `fill(address)`.
+    /// Creates a write engine for `total_bytes` to `base`.
     ///
     /// # Panics
     ///
     /// Panics if `total_bytes` is not a positive multiple of the beat
     /// size, or `burst_beats` is zero.
-    pub fn new(
-        base: u64,
-        total_bytes: u64,
-        burst_beats: u32,
-        size: BurstSize,
-        fill: impl FnMut(u64) -> u8 + Send + 'static,
-    ) -> Self {
+    pub fn new(base: u64, total_bytes: u64, burst_beats: u32, size: BurstSize) -> Self {
         assert!(burst_beats > 0, "burst length must be non-zero");
         assert!(
             total_bytes > 0 && total_bytes.is_multiple_of(size.bytes()),
@@ -236,7 +220,6 @@ impl WriteEngine {
             started_at: None,
             finished_at: None,
             txn_latency: LatencyStat::new(),
-            fill: Box::new(fill),
         }
     }
 
@@ -285,9 +268,9 @@ impl WriteEngine {
         self.finished_at = None;
     }
 
-    /// Issues at most one request, streams at most one W beat, and
-    /// consumes any arrived responses.
-    pub fn tick(&mut self, now: Cycle, port: &mut AxiPort) -> bool {
+    /// Issues at most one request, streams at most one W beat (each
+    /// byte is `fill(address)`), and consumes any arrived responses.
+    pub fn tick(&mut self, now: Cycle, port: &mut AxiPort, fill: impl Fn(u64) -> u8) -> bool {
         let mut progress = false;
         // Issue the next burst's address.
         if self.issued_beats < self.total_beats
@@ -319,7 +302,6 @@ impl WriteEngine {
         if let Some(&(addr, last)) = self.w_backlog.front() {
             if !port.w.is_full() {
                 let n = self.size.bytes() as usize;
-                let fill = &mut self.fill;
                 let data = Payload::from_fn(n, |b| fill(addr + b as u64));
                 let beat = WBeat::new(data, last).with_issued_at(now);
                 port.w.push(now, beat).expect("checked space");
@@ -358,32 +340,23 @@ sim::persist_fields!(ReadEngine {
     last_data,
 });
 
-/// The fill closure cannot be serialized, so the [`WriteEngine`]
-/// restores in place: every plain field is overlaid from the snapshot
-/// and the engine keeps the closure it was constructed with (models are
-/// required to rebuild with the same configuration before restoring).
-impl sim::persist::Persist for WriteEngine {
-    sim::persist_state! {
-        WriteEngine as save, restore {
-            id,
-            base,
-            total_beats,
-            burst_beats,
-            size,
-            max_outstanding,
-            issued_beats,
-            w_backlog,
-            acked_bursts,
-            issued_bursts,
-            outstanding,
-            next_tag,
-            started_at,
-            finished_at,
-            txn_latency,
-        }
-        skip "a closure, rebuilt by the owning model's constructor" { fill }
-    }
-}
+sim::persist_fields!(WriteEngine {
+    id,
+    base,
+    total_beats,
+    burst_beats,
+    size,
+    max_outstanding,
+    issued_beats,
+    w_backlog,
+    acked_bursts,
+    issued_bursts,
+    outstanding,
+    next_tag,
+    started_at,
+    finished_at,
+    txn_latency,
+});
 
 #[cfg(test)]
 mod tests {
@@ -467,10 +440,10 @@ mod tests {
     #[test]
     fn write_engine_streams_data_and_completes() {
         // 64 bytes of 4-byte beats in 8-beat bursts: two bursts.
-        let mut eng = WriteEngine::new(0x100, 64, 8, BurstSize::B4, |addr| addr as u8);
+        let mut eng = WriteEngine::new(0x100, 64, 8, BurstSize::B4);
         let mut port = AxiPort::default();
         for now in 0..40 {
-            eng.tick(now, &mut port);
+            eng.tick(now, &mut port, |addr| addr as u8);
         }
         let aw0 = port.aw.pop_ready(40).unwrap();
         let aw1 = port.aw.pop_ready(40).unwrap();
@@ -493,7 +466,7 @@ mod tests {
                 .unwrap();
         }
         for now in 43..60 {
-            eng.tick(now, &mut port);
+            eng.tick(now, &mut port, |addr| addr as u8);
         }
         assert!(eng.is_done());
         assert_eq!(eng.txn_latency().count(), 2);
@@ -501,10 +474,10 @@ mod tests {
 
     #[test]
     fn write_engine_one_w_beat_per_cycle() {
-        let mut eng = WriteEngine::new(0, 64, 16, BurstSize::B4, |_| 0);
+        let mut eng = WriteEngine::new(0, 64, 16, BurstSize::B4);
         let mut port = AxiPort::default();
         for now in 0..5 {
-            eng.tick(now, &mut port);
+            eng.tick(now, &mut port, |_| 0);
         }
         // At most one W beat per cycle: 5 ticks -> at most 5 beats.
         assert!(port.w.len() <= 5);

@@ -97,3 +97,11 @@ pub trait Accelerator: std::any::Any + Send {
     /// generating.
     fn reset(&mut self) {}
 }
+
+/// A model's saved state, as the model tests compare it.
+#[cfg(test)]
+fn saved_state(acc: &dyn Accelerator) -> Vec<u8> {
+    let mut w = sim::persist::SnapshotWriter::new();
+    acc.save_state(&mut w);
+    w.into_bytes()
+}

@@ -5,7 +5,7 @@ use axi::types::{AxiId, BurstSize};
 use axi::AxiPort;
 use sim::{Cycle, SimRng};
 
-use crate::engine::{clamp_to_4k, ReadEngine};
+use crate::engine::{clamp_to_4k, ReadEngine, WriteEngine};
 use crate::Accelerator;
 
 /// A periodic reader: issues one read burst, waits for it to complete,
@@ -239,7 +239,7 @@ pub struct RandomTraffic {
     mean_gap: Cycle,
     rng: SimRng,
     engine: Option<ReadEngine>,
-    writer: Option<crate::engine::WriteEngine>,
+    writer: Option<WriteEngine>,
     idle_until: Cycle,
     ops_completed: u64,
 }
@@ -283,7 +283,7 @@ impl Accelerator for RandomTraffic {
             return progress;
         }
         if let Some(w) = self.writer.as_mut() {
-            let progress = w.tick(now, port);
+            let progress = w.tick(now, port, |a| a as u8);
             if w.is_done() {
                 self.writer = None;
                 self.ops_completed += 1;
@@ -306,7 +306,7 @@ impl Accelerator for RandomTraffic {
             );
         } else {
             self.writer = Some(
-                crate::engine::WriteEngine::new(addr, bytes, beats, self.size, |a| a as u8)
+                WriteEngine::new(addr, bytes, beats, self.size)
                     .max_outstanding(2)
                     .id(AxiId(7)),
             );
@@ -343,39 +343,11 @@ impl Accelerator for RandomTraffic {
         Some(now + 1)
     }
 
-    fn save_state(&self, w: &mut sim::persist::SnapshotWriter) {
-        use sim::persist::{Persist, PersistValue};
-        self.rng.save_value(w);
-        self.engine.save_value(w);
-        w.put_bool(self.writer.is_some());
-        if let Some(eng) = self.writer.as_ref() {
-            eng.save(w);
+    sim::persist_state! {
+        RandomTraffic { rng, engine, writer, idle_until, ops_completed }
+        skip "construction-time configuration" {
+            name, base, region_bytes, size, max_burst, mean_gap
         }
-        w.put_u64(self.idle_until);
-        w.put_u64(self.ops_completed);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut sim::persist::SnapshotReader<'_>,
-    ) -> Result<(), sim::persist::PersistError> {
-        use sim::persist::{Persist, PersistValue};
-        self.rng = SimRng::load_value(r)?;
-        self.engine = Option::load_value(r)?;
-        if r.take_bool()? {
-            // The write engine's fill closure (`|a| a as u8`) is fixed,
-            // so a placeholder engine is built and overlaid from the
-            // stream; every plain field comes from the snapshot.
-            let mut eng =
-                crate::engine::WriteEngine::new(0, self.size.bytes(), 1, self.size, |a| a as u8);
-            eng.restore(r)?;
-            self.writer = Some(eng);
-        } else {
-            self.writer = None;
-        }
-        self.idle_until = r.take_u64()?;
-        self.ops_completed = r.take_u64()?;
-        Ok(())
     }
 }
 
@@ -432,6 +404,28 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert!(run(1) > 10);
+    }
+
+    #[test]
+    fn truncated_random_traffic_restore_changes_nothing() {
+        let busy = |cycles| {
+            let mut t = RandomTraffic::new("rnd", 0, 1 << 20, BurstSize::B16, 32, 20, 5);
+            run_one(&mut t, cycles);
+            t
+        };
+        let bytes = crate::saved_state(&busy(3_000));
+        let mut target = busy(700);
+        let before = crate::saved_state(&target);
+        let cut = &bytes[..bytes.len() - 8];
+        assert!(matches!(
+            target.restore_state(&mut sim::persist::SnapshotReader::new(cut)),
+            Err(sim::persist::PersistError::Truncated { .. })
+        ));
+        assert_eq!(
+            crate::saved_state(&target),
+            before,
+            "a failed restore changed the model"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod manager;
 pub use domain::{Criticality, Domain, DomainId};
 pub use driver::{HcDriver, QuiesceStatus};
 pub use manager::{
-    HvError, Hypervisor, IntegrityEvent, IntegrityPolicy, MonitorPolicy, RecoveryPolicy,
+    HealthLog, HvError, Hypervisor, IntegrityEvent, IntegrityPolicy, MonitorPolicy, RecoveryPolicy,
     RecoveryState, RecoveryTransition, WatchdogEvent, WatchdogPolicy, WatchdogReason,
     HEALTH_LOG_CAPACITY,
 };

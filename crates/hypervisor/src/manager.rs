@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 use axi::lite::LiteBus;
 use axi::types::PortId;
+use sim::ring::Ring;
 
 use crate::domain::{Criticality, Domain, DomainId};
 use crate::driver::{DriverError, HcDriver};
@@ -318,22 +319,10 @@ pub struct Hypervisor {
     hc_base: u64,
     domains: Vec<Domain>,
     port_owner: HashMap<usize, DomainId>,
-    policies: HashMap<usize, MonitorPolicy>,
-    monitor: HashMap<usize, MonitorState>,
-    decouple_log: Vec<DecoupleEvent>,
-    decouple_log_dropped: u64,
-    watchdog_policies: HashMap<usize, WatchdogPolicy>,
-    watchdog: HashMap<usize, WatchdogState>,
-    watchdog_log: Vec<WatchdogEvent>,
-    watchdog_log_dropped: u64,
-    recovery_policies: HashMap<usize, RecoveryPolicy>,
-    recovery: HashMap<usize, RecoveryPortState>,
-    recovery_log: Vec<RecoveryTransition>,
-    recovery_log_dropped: u64,
-    integrity_policies: HashMap<usize, IntegrityPolicy>,
-    integrity: HashMap<usize, IntegrityState>,
-    integrity_log: Vec<IntegrityEvent>,
-    integrity_log_dropped: u64,
+    monitor: Watch<MonitorPolicy, MonitorState, DecoupleEvent>,
+    watchdog: Watch<WatchdogPolicy, WatchdogState, WatchdogEvent>,
+    recovery: Watch<RecoveryPolicy, RecoveryPortState, RecoveryTransition>,
+    integrity: Watch<IntegrityPolicy, IntegrityState, IntegrityEvent>,
 }
 
 /// Capacity of each hypervisor event log. Like the tracer, the logs
@@ -341,12 +330,92 @@ pub struct Hypervisor {
 /// without limit: the oldest events are dropped and counted.
 pub const HEALTH_LOG_CAPACITY: usize = 256;
 
-fn push_capped<T>(log: &mut Vec<T>, dropped: &mut u64, event: T) {
-    if log.len() == HEALTH_LOG_CAPACITY {
-        log.remove(0);
-        *dropped += 1;
+/// A bounded hypervisor event log: the newest [`HEALTH_LOG_CAPACITY`]
+/// events, oldest first, and the count of older ones evicted to make
+/// room.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HealthLog<E> {
+    events: Ring<E>,
+    dropped: u64,
+}
+
+impl<E> HealthLog<E> {
+    fn push(&mut self, event: E) {
+        if self.events.len() == HEALTH_LOG_CAPACITY {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
     }
-    log.push(event);
+
+    /// Events held (at most [`HEALTH_LOG_CAPACITY`]).
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no event is held.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// The `i`-th held event, 0 being the oldest.
+    pub fn get(&self, i: usize) -> Option<&E> {
+        self.events.get(i)
+    }
+
+    /// The held events, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &E> + '_ {
+        self.events.iter()
+    }
+
+    /// Events evicted because the log was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+impl<E> Default for HealthLog<E> {
+    fn default() -> Self {
+        Self {
+            events: Ring::new(),
+            dropped: 0,
+        }
+    }
+}
+
+/// One monitoring kind (health monitor, watchdog, recovery, integrity):
+/// its per-port policies, the per-port state its poll keeps, and the
+/// log of the events it raised.
+struct Watch<P, S, E> {
+    policies: HashMap<usize, P>,
+    state: HashMap<usize, S>,
+    log: HealthLog<E>,
+}
+
+impl<P, S, E> Default for Watch<P, S, E> {
+    fn default() -> Self {
+        Self {
+            policies: HashMap::new(),
+            state: HashMap::new(),
+            log: HealthLog::default(),
+        }
+    }
+}
+
+impl<P: Copy, S: Default, E> Watch<P, S, E> {
+    /// Installs `policy` on `port`, keeping any state the port has.
+    fn arm(&mut self, port: PortId, policy: P) {
+        self.policies.insert(port.0, policy);
+        self.state.entry(port.0).or_default();
+    }
+
+    /// The watched ports with their policies, in ascending port order
+    /// (the order every poll visits them).
+    fn watched(&self) -> Vec<(usize, P)> {
+        let mut ports: Vec<(usize, P)> = self.policies.iter().map(|(&p, &v)| (p, v)).collect();
+        ports.sort_unstable_by_key(|&(p, _)| p);
+        ports
+    }
 }
 
 impl std::fmt::Debug for Hypervisor {
@@ -373,22 +442,10 @@ impl Hypervisor {
             hc_base,
             domains: Vec::new(),
             port_owner: HashMap::new(),
-            policies: HashMap::new(),
-            monitor: HashMap::new(),
-            decouple_log: Vec::new(),
-            decouple_log_dropped: 0,
-            watchdog_policies: HashMap::new(),
-            watchdog: HashMap::new(),
-            watchdog_log: Vec::new(),
-            watchdog_log_dropped: 0,
-            recovery_policies: HashMap::new(),
-            recovery: HashMap::new(),
-            recovery_log: Vec::new(),
-            recovery_log_dropped: 0,
-            integrity_policies: HashMap::new(),
-            integrity: HashMap::new(),
-            integrity_log: Vec::new(),
-            integrity_log_dropped: 0,
+            monitor: Watch::default(),
+            watchdog: Watch::default(),
+            recovery: Watch::default(),
+            integrity: Watch::default(),
         })
     }
 
@@ -465,8 +522,7 @@ impl Hypervisor {
 
     /// Installs a health-monitoring policy for a port.
     pub fn set_monitor_policy(&mut self, port: PortId, policy: MonitorPolicy) {
-        self.policies.insert(port.0, policy);
-        self.monitor.entry(port.0).or_default();
+        self.monitor.arm(port, policy);
     }
 
     /// Polls the per-period transaction counters and decouples any port
@@ -475,11 +531,13 @@ impl Hypervisor {
     /// poll. Intended to be called once per reservation period.
     pub fn poll_health(&mut self) -> Result<Vec<DecoupleEvent>, HvError> {
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.policies[&p];
-            if self.monitor.get(&p).is_some_and(|s| s.decoupled_by_monitor) {
+        for (p, policy) in self.monitor.watched() {
+            if self
+                .monitor
+                .state
+                .get(&p)
+                .is_some_and(|s| s.decoupled_by_monitor)
+            {
                 // The flag says we decoupled this port, but the device
                 // may have been recoupled behind our back (e.g. via
                 // `HcDriver::set_decoupled(p, false)`). Re-arm the
@@ -488,12 +546,12 @@ impl Hypervisor {
                 if self.hc().is_decoupled(p)? {
                     continue;
                 }
-                self.monitor.insert(p, MonitorState::default());
+                self.monitor.state.insert(p, MonitorState::default());
             }
             let observed = self.hc().txns_this_period(p)?;
             let violating = observed > policy.declared_txns_per_period;
             let violations = {
-                let state = self.monitor.entry(p).or_default();
+                let state = self.monitor.state.entry(p).or_default();
                 if violating {
                     state.consecutive_violations += 1;
                 } else {
@@ -504,6 +562,7 @@ impl Hypervisor {
             if violating && violations > policy.violations_allowed {
                 self.hc().set_decoupled(p, true)?;
                 self.monitor
+                    .state
                     .get_mut(&p)
                     .expect("inserted above")
                     .decoupled_by_monitor = true;
@@ -512,32 +571,21 @@ impl Hypervisor {
                     observed,
                     declared: policy.declared_txns_per_period,
                 };
-                push_capped(
-                    &mut self.decouple_log,
-                    &mut self.decouple_log_dropped,
-                    event.clone(),
-                );
+                self.monitor.log.push(event.clone());
                 events.push(event);
             }
         }
         Ok(events)
     }
 
-    /// The most recent decoupling events (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn decouple_log(&self) -> &[DecoupleEvent] {
-        &self.decouple_log
-    }
-
-    /// Decoupling events discarded because the log was full.
-    pub fn decouple_log_dropped(&self) -> u64 {
-        self.decouple_log_dropped
+    /// The health monitor's decoupling events.
+    pub fn decouple_log(&self) -> &HealthLog<DecoupleEvent> {
+        &self.monitor.log
     }
 
     /// Installs a watchdog policy for a port.
     pub fn set_watchdog_policy(&mut self, port: PortId, policy: WatchdogPolicy) {
-        self.watchdog_policies.insert(port.0, policy);
-        self.watchdog.entry(port.0).or_default();
+        self.watchdog.arm(port, policy);
     }
 
     /// Polls the violation and outstanding counters of every watched
@@ -549,12 +597,10 @@ impl Hypervisor {
     /// poll that observes it over threshold.
     pub fn poll_watchdog(&mut self) -> Result<Vec<WatchdogEvent>, HvError> {
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.watchdog_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.watchdog_policies[&p];
+        for (p, policy) in self.watchdog.watched() {
             if self
                 .watchdog
+                .state
                 .get(&p)
                 .is_some_and(|s| s.decoupled_by_watchdog)
             {
@@ -570,7 +616,7 @@ impl Hypervisor {
             let outstanding = self.hc().outstanding(p)?;
             let txns_total = self.hc().txns_total(p)?;
             let (stall_tripped, baseline) = {
-                let state = self.watchdog.entry(p).or_default();
+                let state = self.watchdog.state.entry(p).or_default();
                 let frozen =
                     outstanding > 0 && state.last_progress == Some((txns_total, outstanding));
                 if frozen {
@@ -598,18 +644,18 @@ impl Hypervisor {
             };
             if let Some(reason) = reason {
                 self.hc().set_decoupled(p, true)?;
-                self.watchdog.entry(p).or_default().decoupled_by_watchdog = true;
+                self.watchdog
+                    .state
+                    .entry(p)
+                    .or_default()
+                    .decoupled_by_watchdog = true;
                 let event = WatchdogEvent {
                     port: PortId(p),
                     reason,
                     violations,
                     outstanding,
                 };
-                push_capped(
-                    &mut self.watchdog_log,
-                    &mut self.watchdog_log_dropped,
-                    event.clone(),
-                );
+                self.watchdog.log.push(event.clone());
                 events.push(event);
             }
         }
@@ -621,7 +667,7 @@ impl Hypervisor {
     /// does not immediately re-trip the watchdog.
     fn rearm_watchdog(&mut self, p: usize) -> Result<(), HvError> {
         let baseline = self.hc().violations(p)?;
-        self.watchdog.insert(
+        self.watchdog.state.insert(
             p,
             WatchdogState {
                 violations_baseline: baseline,
@@ -631,15 +677,9 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// The most recent watchdog decoupling events (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn watchdog_log(&self) -> &[WatchdogEvent] {
-        &self.watchdog_log
-    }
-
-    /// Watchdog events discarded because the log was full.
-    pub fn watchdog_log_dropped(&self) -> u64 {
-        self.watchdog_log_dropped
+    /// The watchdog's decoupling events.
+    pub fn watchdog_log(&self) -> &HealthLog<WatchdogEvent> {
+        &self.watchdog.log
     }
 
     /// Installs (or re-arms) a data-integrity policy for a port,
@@ -655,8 +695,8 @@ impl Hypervisor {
         policy: IntegrityPolicy,
     ) -> Result<(), HvError> {
         let baseline = self.hc().err_total(port.0)?;
-        self.integrity_policies.insert(port.0, policy);
-        self.integrity.insert(
+        self.integrity.policies.insert(port.0, policy);
+        self.integrity.state.insert(
             port.0,
             IntegrityState {
                 errors_baseline: baseline,
@@ -674,15 +714,12 @@ impl Hypervisor {
     /// platform layer quarantined the sick region).
     pub fn poll_integrity(&mut self) -> Result<Vec<IntegrityEvent>, HvError> {
         let mut events = Vec::new();
-        let mut ports: Vec<usize> = self.integrity_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.integrity_policies[&p];
-            if self.integrity.get(&p).is_some_and(|s| s.flagged) {
+        for (p, policy) in self.integrity.watched() {
+            if self.integrity.state.get(&p).is_some_and(|s| s.flagged) {
                 continue;
             }
             let err_total = self.hc().err_total(p)?;
-            let state = self.integrity.entry(p).or_default();
+            let state = self.integrity.state.entry(p).or_default();
             if err_total.saturating_sub(state.errors_baseline) > policy.errors_allowed {
                 state.flagged = true;
                 let event = IntegrityEvent {
@@ -690,25 +727,16 @@ impl Hypervisor {
                     err_total,
                     errors_allowed: policy.errors_allowed,
                 };
-                push_capped(
-                    &mut self.integrity_log,
-                    &mut self.integrity_log_dropped,
-                    event,
-                );
+                self.integrity.log.push(event);
                 events.push(event);
             }
         }
         Ok(events)
     }
 
-    /// The most recent integrity events (at most [`HEALTH_LOG_CAPACITY`]).
-    pub fn integrity_log(&self) -> &[IntegrityEvent] {
-        &self.integrity_log
-    }
-
-    /// Integrity events discarded because the log was full.
-    pub fn integrity_log_dropped(&self) -> u64 {
-        self.integrity_log_dropped
+    /// The data-integrity monitor's events.
+    pub fn integrity_log(&self) -> &HealthLog<IntegrityEvent> {
+        &self.integrity.log
     }
 
     /// Manually recouples a port (e.g. after the offending domain was
@@ -719,7 +747,7 @@ impl Hypervisor {
     /// only *new* violations count against the recoupled port.
     pub fn recouple(&mut self, port: PortId) -> Result<(), HvError> {
         self.hc().set_decoupled(port.0, false)?;
-        self.monitor.insert(port.0, MonitorState::default());
+        self.monitor.state.insert(port.0, MonitorState::default());
         self.rearm_watchdog(port.0)?;
         Ok(())
     }
@@ -728,47 +756,37 @@ impl Hypervisor {
     /// [`RecoveryState`] machine driven by
     /// [`Hypervisor::poll_recovery`].
     pub fn set_recovery_policy(&mut self, port: PortId, policy: RecoveryPolicy) {
-        self.recovery_policies.insert(port.0, policy);
-        self.recovery.entry(port.0).or_default();
+        self.recovery.arm(port, policy);
     }
 
     /// Current recovery state of a port (if a policy is installed).
     pub fn recovery_state(&self, port: PortId) -> Option<RecoveryState> {
-        self.recovery.get(&port.0).map(|s| s.state)
+        self.recovery.state.get(&port.0).map(|s| s.state)
     }
 
     /// Failed recovery attempts recorded for a port so far.
     pub fn failed_recoveries(&self, port: PortId) -> u32 {
         self.recovery
+            .state
             .get(&port.0)
             .map_or(0, |s| s.failed_recoveries)
     }
 
-    /// The most recent recovery transitions (at most
-    /// [`HEALTH_LOG_CAPACITY`]).
-    pub fn recovery_log(&self) -> &[RecoveryTransition] {
-        &self.recovery_log
-    }
-
-    /// Recovery transitions discarded because the log was full.
-    pub fn recovery_log_dropped(&self) -> u64 {
-        self.recovery_log_dropped
+    /// The recovery state machine's transitions.
+    pub fn recovery_log(&self) -> &HealthLog<RecoveryTransition> {
+        &self.recovery.log
     }
 
     /// Whether a port's health signals look bad *right now*: it was
     /// decoupled by the monitor or watchdog, or violations / stall
     /// polls are accumulating toward a threshold.
     fn port_suspect_signals(&self, p: usize) -> (bool, bool) {
-        let hard = self.monitor.get(&p).is_some_and(|s| s.decoupled_by_monitor)
-            || self
-                .watchdog
-                .get(&p)
-                .is_some_and(|s| s.decoupled_by_watchdog);
-        let soft = self
-            .monitor
-            .get(&p)
-            .is_some_and(|s| s.consecutive_violations > 0)
-            || self.watchdog.get(&p).is_some_and(|s| s.stalled_polls > 0);
+        let monitor = self.monitor.state.get(&p);
+        let watchdog = self.watchdog.state.get(&p);
+        let hard = monitor.is_some_and(|s| s.decoupled_by_monitor)
+            || watchdog.is_some_and(|s| s.decoupled_by_watchdog);
+        let soft = monitor.is_some_and(|s| s.consecutive_violations > 0)
+            || watchdog.is_some_and(|s| s.stalled_polls > 0);
         (hard, soft)
     }
 
@@ -800,12 +818,9 @@ impl Hypervisor {
         self.poll_health()?;
         self.poll_watchdog()?;
         let mut transitions = Vec::new();
-        let mut ports: Vec<usize> = self.recovery_policies.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            let policy = self.recovery_policies[&p];
+        for (p, policy) in self.recovery.watched() {
             let (hard, soft) = self.port_suspect_signals(p);
-            let state = *self.recovery.entry(p).or_default();
+            let state = *self.recovery.state.entry(p).or_default();
             let mut next = state;
             let mut dropped = 0;
             match state.state {
@@ -855,7 +870,7 @@ impl Hypervisor {
                     next.polls_in_state += 1;
                     if next.polls_in_state >= policy.reset_polls {
                         self.hc().reattach_port(p)?;
-                        self.monitor.insert(p, MonitorState::default());
+                        self.monitor.state.insert(p, MonitorState::default());
                         self.rearm_watchdog(p)?;
                         next.state = RecoveryState::Probation;
                         next.polls_in_state = 0;
@@ -888,15 +903,11 @@ impl Hypervisor {
                     to: next.state,
                     dropped_txns: dropped,
                 };
-                push_capped(
-                    &mut self.recovery_log,
-                    &mut self.recovery_log_dropped,
-                    transition,
-                );
+                self.recovery.log.push(transition);
                 transitions.push(transition);
                 next.polls_in_state = 0;
             }
-            self.recovery.insert(p, next);
+            self.recovery.state.insert(p, next);
         }
         Ok(transitions)
     }
@@ -986,32 +997,27 @@ mod persist_impls {
         errors_allowed
     });
 
+    sim::persist_fields!(impl<E> HealthLog<E> { events, dropped } check |log| {
+        if log.events.len() > HEALTH_LOG_CAPACITY {
+            return Err(sim::persist::PersistError::Corrupt("health log over capacity"));
+        }
+    });
+    sim::persist_fields!(impl<P, S, E> Watch<P, S, E> { policies, state, log });
+
     impl Hypervisor {
-        // The software state: the domain table, port ownership, the
-        // monitor/watchdog/recovery/integrity policies and their
-        // per-port state, and the bounded event logs with their
-        // dropped counters. Port-keyed maps serialize sorted by port.
-        // The HyperConnect persists its own register file.
+        // The software state: the domain table, port ownership, and
+        // for each monitoring kind its policies, per-port state, and
+        // bounded event log with its dropped counter. Port-keyed maps
+        // serialize sorted by port. The HyperConnect persists its own
+        // register file.
         sim::persist_state! {
             pub Hypervisor {
                 domains,
                 port_owner,
-                policies,
                 monitor,
-                decouple_log,
-                decouple_log_dropped,
-                watchdog_policies,
                 watchdog,
-                watchdog_log,
-                watchdog_log_dropped,
-                recovery_policies,
                 recovery,
-                recovery_log,
-                recovery_log_dropped,
-                integrity_policies,
                 integrity,
-                integrity_log,
-                integrity_log_dropped,
             }
             skip "the control bus stays wired to the live device" { bus, hc_base }
         }
@@ -1166,7 +1172,7 @@ mod tests {
         assert_eq!(events[0].err_total, 2);
         assert_eq!(events[0].errors_allowed, 1);
         assert_eq!(hv.integrity_log().len(), 1);
-        assert_eq!(hv.integrity_log_dropped(), 0);
+        assert_eq!(hv.integrity_log().dropped(), 0);
         // Latched: more errors do not re-fire until re-armed.
         run_errored_read(&mut hc, Resp::SlvErr);
         assert!(hv.poll_integrity().unwrap().is_empty());
@@ -1211,7 +1217,6 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes);
         hv2.restore_state(&mut r).unwrap();
         assert_eq!(hv2.integrity_log(), hv.integrity_log());
-        assert_eq!(hv2.integrity_log_dropped(), hv.integrity_log_dropped());
         // The latch survived the snapshot: no duplicate event.
         assert!(hv2.poll_integrity().unwrap().is_empty());
 
@@ -1465,8 +1470,39 @@ mod tests {
             hv.recouple(PortId(0)).unwrap();
         }
         assert_eq!(hv.watchdog_log().len(), HEALTH_LOG_CAPACITY);
-        assert_eq!(hv.watchdog_log_dropped(), 10);
-        assert_eq!(hv.decouple_log_dropped(), 0);
+        assert_eq!(hv.watchdog_log().dropped(), 10);
+        assert_eq!(hv.decouple_log().dropped(), 0);
+    }
+
+    #[test]
+    fn health_log_evicts_oldest_first_and_round_trips() {
+        use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
+
+        let mut log = HealthLog::default();
+        for i in 0..HEALTH_LOG_CAPACITY as u64 + 44 {
+            log.push(i);
+        }
+        assert_eq!((log.len(), log.dropped()), (HEALTH_LOG_CAPACITY, 44));
+        assert_eq!(log.get(0), Some(&44));
+        assert_eq!(log.iter().last(), Some(&(HEALTH_LOG_CAPACITY as u64 + 43)));
+
+        let mut w = SnapshotWriter::new();
+        log.save_value(&mut w);
+        let bytes = w.into_bytes();
+        let back = HealthLog::<u64>::load_value(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(back, log);
+
+        let mut over = SnapshotWriter::new();
+        (HEALTH_LOG_CAPACITY + 1).save_value(&mut over);
+        for e in log.iter().chain([&0]) {
+            e.save_value(&mut over);
+        }
+        0u64.save_value(&mut over);
+        let over = over.into_bytes();
+        assert_eq!(
+            HealthLog::<u64>::load_value(&mut SnapshotReader::new(&over)).err(),
+            Some(PersistError::Corrupt("health log over capacity"))
+        );
     }
 
     #[test]
@@ -1556,7 +1592,10 @@ mod tests {
         let t = hv.poll_recovery().unwrap();
         assert_eq!(t[0].from, RecoveryState::Healthy);
         assert_eq!(t[0].to, RecoveryState::Draining);
-        assert_eq!(hv.watchdog_log()[0].reason, WatchdogReason::Stalled);
+        assert_eq!(
+            hv.watchdog_log().get(0).map(|e| e.reason),
+            Some(WatchdogReason::Stalled)
+        );
         // The watchdog decoupled the port, so the granted-but-starved
         // write completes through firewall-beat synthesis (memory side
         // serviced below). The accelerator still owes the TS its W

@@ -36,7 +36,7 @@
 /// assert_eq!(r.pop_front(), Some(2));
 /// assert_eq!(r.pop_front(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Ring<T> {
     /// Slot storage; `slots.len()` is zero or a power of two.
     slots: Vec<Option<T>>,
@@ -184,6 +184,21 @@ impl<T> Ring<T> {
     }
 }
 
+/// Shows the queued elements front to back, like a `VecDeque`.
+impl<T: std::fmt::Debug> std::fmt::Debug for Ring<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Two rings are equal when they queue equal elements in the same
+/// order, whatever their head offsets and slot capacities.
+impl<T: PartialEq> PartialEq for Ring<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
 impl<T: crate::persist::PersistValue> crate::persist::PersistValue for Ring<T> {
     /// Serializes elements in *logical* order (front to back), never in
     /// slot-storage order: two rings holding the same queue at different
@@ -201,6 +216,13 @@ impl<T: crate::persist::PersistValue> crate::persist::PersistValue for Ring<T> {
         r: &mut crate::persist::SnapshotReader<'_>,
     ) -> Result<Self, crate::persist::PersistError> {
         let len = r.take_usize()?;
+        // Every element is at least one byte: reject absurd lengths
+        // from corrupt streams before sizing the slot array.
+        if len > r.remaining() {
+            return Err(crate::persist::PersistError::Corrupt(
+                "ring length exceeds stream",
+            ));
+        }
         let mut ring = Ring::with_capacity(len);
         for _ in 0..len {
             ring.push_back(T::load_value(r)?);
@@ -277,6 +299,17 @@ mod tests {
         *r.get_mut(2).unwrap() += 1;
         assert_eq!(r.pop_front(), Some(11));
         assert_eq!(r.back(), Some(&31));
+    }
+
+    #[test]
+    fn corrupt_length_is_rejected_before_allocating() {
+        use crate::persist::{PersistError, PersistValue, SnapshotReader};
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.push(1);
+        assert_eq!(
+            Ring::<u8>::load_value(&mut SnapshotReader::new(&bytes)).err(),
+            Some(PersistError::Corrupt("ring length exceeds stream"))
+        );
     }
 
     #[test]

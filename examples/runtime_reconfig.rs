@@ -99,7 +99,8 @@ fn decouple_a_bandwidth_thief() {
         "rogue HA responses grounded while decoupled: {}",
         sys.interconnect().dropped_responses(1)
     );
-    println!("decoupling log: {:?}", hv.decouple_log());
+    let events: Vec<_> = hv.decouple_log().iter().collect();
+    println!("decoupling log: {events:?}");
 
     let decoupled_at = decoupled_at.expect("the rogue HA must have been decoupled");
     assert!(hv.hc().is_decoupled(1).unwrap());

@@ -135,7 +135,7 @@ fn wlast_fault_is_reported_decoupled_and_victims_stay_bounded() {
         first.cycle,
         PERIOD
     );
-    let event = &hv.watchdog_log()[0];
+    let event = hv.watchdog_log().get(0).expect("a watchdog event");
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Violations);
     assert!(event.violations >= 1);
@@ -299,7 +299,10 @@ fn rogue_reader_gets_decerr_and_victims_are_unaffected() {
         .unwrap();
     assert!(rogue.error_responses() > 0, "rogue never saw its DECERRs");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    assert_eq!(hv.watchdog_log()[0].reason, WatchdogReason::Violations);
+    assert_eq!(
+        hv.watchdog_log().get(0).map(|e| e.reason),
+        Some(WatchdogReason::Violations)
+    );
 
     // The victim never saw an error and stays within its bound.
     assert_eq!(sys.interconnect_ref().total_violations(0), 0);
@@ -372,7 +375,7 @@ fn runaway_master_is_decoupled_on_outstanding_cap() {
     watch(&mut sys, &mut hv, 20_000, 50);
 
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = hv.watchdog_log().get(0).expect("a watchdog event");
     assert_eq!(event.reason, WatchdogReason::Outstanding);
     assert!(event.outstanding > 2);
     // Legal traffic, so the interconnect reported no protocol
@@ -423,7 +426,7 @@ fn stuck_valid_writer_trips_the_stall_detector() {
 
     let decoupled_at = watch(&mut sys, &mut hv, 10_000, 100).expect("stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = hv.watchdog_log().get(0).expect("a watchdog event");
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Stalled);
     assert!(
@@ -524,7 +527,7 @@ fn stuck_ready_reader_trips_the_stall_detector() {
 
     assert!(decoupled_at.is_some(), "stall detector never fired");
     assert!(hv.hc().is_decoupled(1).unwrap());
-    let event = &hv.watchdog_log()[0];
+    let event = hv.watchdog_log().get(0).expect("a watchdog event");
     assert_eq!(event.port, PortId(1));
     assert_eq!(event.reason, WatchdogReason::Stalled);
     // Legal traffic throughout: the checker saw nothing.

@@ -402,3 +402,128 @@ fn standalone_values_are_pinned() {
         .save_value(&mut w);
     assert_pinned("standalone values", &w.into_bytes(), (0x39E7_0B05, 180));
 }
+
+// ---------------------------------------------------------------------
+// The accelerator models with write engines, each frozen alone on a
+// one-port HyperConnect mid-stream: a copy DMA with W beats still
+// queued behind issued AWs, a CHaiDNN in every phase of its layer
+// machine, and a random master with a write burst in flight.
+// ---------------------------------------------------------------------
+
+/// Drives `acc` alone through a one-port HyperConnect into memory,
+/// calling `each(now, image)` with the model's saved state after every
+/// cycle until it returns `true` (or `max` cycles pass).
+fn freeze_when(acc: &mut dyn Accelerator, max: u64, mut each: impl FnMut(u64, &[u8]) -> bool) {
+    use axi::AxiInterconnect;
+    use sim::Component;
+    let mut hc = HyperConnect::new(HcConfig::new(1));
+    let mut ctrl = MemoryController::new(MemConfig::default());
+    for now in 0..max {
+        acc.tick(now, hc.port(0));
+        hc.tick(now);
+        ctrl.tick(now, hc.mem_port());
+        if each(now, &model_image(acc)) {
+            return;
+        }
+    }
+    panic!(
+        "{}: the wanted state never came within {max} cycles",
+        acc.name()
+    );
+}
+
+fn model_image(acc: &dyn Accelerator) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    acc.save_state(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn copy_dma_image_is_pinned() {
+    // 4 outstanding 16-beat AWs enqueue 64 W beats by cycle 4, and the
+    // W channel drains at most one a cycle: at cycle 40 the write
+    // stream has bursts issued and W beats still queued.
+    let mut dma = Dma::new(
+        "copy",
+        DmaConfig {
+            src_base: 0x10_0000,
+            dst_base: 0x20_0000,
+            read_bytes: 16 * 1024,
+            write_bytes: 64 * 1024,
+            burst_beats: 16,
+            size: BurstSize::B16,
+            max_outstanding: 4,
+            jobs: None,
+        },
+    );
+    let mut image = Vec::new();
+    freeze_when(&mut dma, 41, |now, bytes| {
+        image = bytes.to_vec();
+        now == 40
+    });
+    assert_pinned("copy dma", &image, (0x6994_FD5F, 474));
+}
+
+/// A three-layer schedule small enough to walk every phase quickly.
+fn tiny_layers() -> Vec<ha::chaidnn::Layer> {
+    let layer = |name, weight_bytes, compute_cycles| ha::chaidnn::Layer {
+        name,
+        weight_bytes,
+        input_bytes: 128,
+        output_bytes: 96,
+        compute_cycles,
+    };
+    vec![
+        layer("l0", 256, 40),
+        layer("l1", 512, 25),
+        layer("l2", 128, 60),
+    ]
+}
+
+#[test]
+fn chaidnn_phase_images_are_pinned() {
+    // Wire code of the layer machine's phase: the byte after the
+    // 8-byte layer index. 0 = between layers (taken after the first
+    // layer finished), 1 = weights, 2 = inputs, 3 = compute,
+    // 4 = outputs.
+    const PINS: [Pin; 5] = [
+        (0xAC75_DFA9, 60),
+        (0x21AA_18ED, 159),
+        (0x498C_6000, 151),
+        (0x0C52_5DD5, 68),
+        (0x0771_999A, 159),
+    ];
+    let mut dnn = Chaidnn::new("dnn", tiny_layers(), ChaidnnConfig::default());
+    let mut first: [Option<Vec<u8>>; 5] = Default::default();
+    freeze_when(&mut dnn, 20_000, |_, bytes| {
+        let code = usize::from(bytes[8]);
+        let layer_done = first[4].is_some();
+        if first[code].is_none() && (code != 0 || layer_done) {
+            first[code] = Some(bytes.to_vec());
+        }
+        first.iter().all(Option::is_some)
+    });
+    for (code, (image, pin)) in first.iter().zip(PINS).enumerate() {
+        let image = image.as_ref().expect("every phase seen");
+        assert_pinned(&format!("chaidnn phase {code}"), image, pin);
+    }
+}
+
+#[test]
+fn random_traffic_write_image_is_pinned() {
+    // After the 40-byte RNG come the read engine's and the write
+    // engine's presence flags; freeze four cycles into the first write.
+    let mut rnd = RandomTraffic::new("rnd", 0x7000_0000, 1 << 20, BurstSize::B8, 32, 30, 41);
+    let mut writing = 0;
+    let mut image = Vec::new();
+    freeze_when(&mut rnd, 20_000, |_, bytes| {
+        writing = if bytes[40..42] == [0, 1] {
+            writing + 1
+        } else {
+            0
+        };
+        image = bytes.to_vec();
+        writing == 4
+    });
+    assert_pinned("random traffic write", &image, (0xD74F_4A9F, 291));
+}

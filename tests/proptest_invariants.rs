@@ -13,6 +13,7 @@ use hyperconnect::{HcConfig, HyperConnect};
 use mem::{MemConfig, MemoryController};
 use proptest::prelude::*;
 use sim::{Component, Cycle};
+use smartconnect::{ScConfig, SmartConnect};
 
 /// One randomized operation.
 #[derive(Debug, Clone)]
@@ -193,13 +194,37 @@ fn run_script(ops: Vec<Op>, nominal: u32) -> (ScriptedMaster, ProtocolMonitor) {
 /// or attaching an accelerator. Byte strings are the proptest search
 /// space; the interpreter guarantees every produced graph is legal.
 ///
-/// With `faults` set, the memory gets a seeded transient-fault injector
-/// and accelerators are drawn from the whole model zoo — the retrying
-/// scoreboard oracle, random mixed traffic, and the protocol-fault
-/// masters (some behind a dormant arm cycle) — instead of only clean
-/// readers and DMAs.
-fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
-    topology_and_edges(bytes, faults).0
+/// `draw` picks the model zoo (see [`Draw`]).
+fn topology_from_bytes(bytes: &[u8], draw: Draw) -> SocTopology {
+    topology_and_edges(bytes, draw).0
+}
+
+/// The models a generated topology draws from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Draw {
+    /// Clean periodic readers and read-only DMAs.
+    Clean,
+    /// The whole accelerator zoo — the retrying scoreboard oracle,
+    /// random mixed traffic, and the protocol-fault masters (some
+    /// behind a dormant arm cycle) — plus a seeded transient-fault
+    /// injector on the memory.
+    Faults,
+    /// `Faults`, plus read+write DMAs, a small CHaiDNN, and
+    /// SmartConnect as well as HyperConnect cascade children.
+    Everything,
+}
+
+/// A two-layer CHaiDNN schedule small enough to cycle through every
+/// phase of its layer machine within a short run.
+fn tiny_dnn_layers() -> Vec<ha::chaidnn::Layer> {
+    let layer = |name, weight_bytes, compute_cycles| ha::chaidnn::Layer {
+        name,
+        weight_bytes,
+        input_bytes: 256,
+        output_bytes: 128,
+        compute_cycles,
+    };
+    vec![layer("l0", 512, 90), layer("l1", 256, 40)]
 }
 
 /// One parent → child edge of a generated topology: the bridge latency
@@ -207,11 +232,11 @@ fn topology_from_bytes(bytes: &[u8], faults: bool) -> SocTopology {
 type Edge = (NodeId, NodeId, Option<Cycle>);
 
 /// [`topology_from_bytes`] plus every edge it built.
-fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
+fn topology_and_edges(bytes: &[u8], draw: Draw) -> (SocTopology, Vec<Edge>) {
     let mut b = TopologyBuilder::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut memory = MemoryController::new(MemConfig::zcu102());
-    if faults {
+    if draw != Draw::Clean {
         let seed = bytes
             .iter()
             .fold(17u64, |h, &x| h.wrapping_mul(31) ^ u64::from(x));
@@ -240,7 +265,11 @@ fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
                       cmd: u8| {
         let name = format!("acc{accs}");
         let base = 0x1000_0000 + *accs as u64 * 0x0080_0000;
-        let kind = if faults { cmd % 8 } else { cmd % 2 };
+        let kind = match draw {
+            Draw::Clean => cmd % 2,
+            Draw::Faults => cmd % 8,
+            Draw::Everything => cmd % 10,
+        };
         let acc: Box<dyn ha::Accelerator> = match kind {
             0 => Box::new(ha::traffic::PeriodicReader::new(
                 name.clone(),
@@ -304,12 +333,31 @@ fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
                 4,
                 BurstSize::B4,
             )),
-            _ => Box::new(ha::fault::RunawayMaster::new(
+            7 => Box::new(ha::fault::RunawayMaster::new(
                 name.clone(),
                 base,
                 1 << 16,
                 8,
                 BurstSize::B16,
+            )),
+            8 => Box::new(ha::dma::Dma::new(
+                name.clone(),
+                ha::dma::DmaConfig {
+                    src_base: base,
+                    dst_base: base + 0x0040_0000,
+                    write_bytes: 2048,
+                    max_outstanding: 2,
+                    ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(3)
+                },
+            )),
+            _ => Box::new(ha::chaidnn::Chaidnn::new(
+                name.clone(),
+                tiny_dnn_layers(),
+                ha::chaidnn::ChaidnnConfig {
+                    weights_base: base,
+                    activations_base: base + 0x0020_0000,
+                    ..ha::chaidnn::ChaidnnConfig::default()
+                },
             )),
         };
         let a = b.add_accelerator(name, acc).unwrap();
@@ -327,9 +375,16 @@ fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
         match cmd % 3 {
             0 if depth < 3 && ics < 6 => {
                 let ports = 1 + (cmd as usize / 3) % 2;
-                let child = b
-                    .add_interconnect(format!("ic{ics}"), HyperConnect::new(HcConfig::new(ports)))
-                    .unwrap();
+                let label = format!("ic{ics}");
+                let child = if draw == Draw::Everything && (cmd / 6) % 2 == 1 {
+                    b.add_interconnect(
+                        label,
+                        SmartConnect::new(ScConfig::new(ports).seed(cmd.into())),
+                    )
+                } else {
+                    b.add_interconnect(label, HyperConnect::new(HcConfig::new(ports)))
+                }
+                .unwrap();
                 let latency = u64::from(cmd / 16) % 5;
                 b.cascade_with(child, ic, port, BridgeConfig::wire().latency(latency))
                     .unwrap();
@@ -358,6 +413,74 @@ fn topology_and_edges(bytes: &[u8], faults: bool) -> (SocTopology, Vec<Edge>) {
     (b.build().unwrap(), edges)
 }
 
+/// A retrying scoreboard reaching a fault-injecting memory through a
+/// seeded `FaultyBridge`, driven cycle by cycle.
+struct FaultyChain {
+    sb: ha::scoreboard::ScoreboardMaster,
+    bridge: axi::FaultyBridge,
+    ctrl: MemoryController,
+    up: AxiPort,
+    down: AxiPort,
+}
+
+impl FaultyChain {
+    fn new(seed: u64, flip_milli: u64, drop_milli: u64, stall_milli: u64) -> Self {
+        let milli = |m: u64| m as f64 / 1000.0;
+        let mut ctrl = MemoryController::new(MemConfig::ideal());
+        ctrl.attach_fault_injector(mem::MemFaultConfig::new(seed ^ 0x55).spurious_slverr(0.05));
+        Self {
+            sb: ha::scoreboard::ScoreboardMaster::new("sb", 0x1000, 4096, 4, BurstSize::B4, seed)
+                .policy(axi::retry::RetryPolicy {
+                    max_attempts: 8,
+                    backoff_base: 3,
+                    backoff_cap: 48,
+                }),
+            bridge: axi::FaultyBridge::new(
+                axi::FaultyBridgeConfig::new(seed)
+                    .flip_r(milli(flip_milli))
+                    .drop_r(milli(drop_milli))
+                    .stall(milli(stall_milli), 4),
+            ),
+            ctrl,
+            up: AxiPort::default(),
+            down: AxiPort::default(),
+        }
+    }
+
+    fn run(&mut self, from: Cycle, to: Cycle) {
+        use ha::Accelerator;
+        for now in from..to {
+            self.sb.tick(now, &mut self.up);
+            self.bridge.transfer(now, &mut self.up, &mut self.down);
+            self.ctrl.tick(now, &mut self.down);
+        }
+    }
+
+    fn image(&self) -> Vec<u8> {
+        use ha::Accelerator;
+        use sim::persist::PersistValue;
+        let mut w = sim::persist::SnapshotWriter::new();
+        self.sb.save_state(&mut w);
+        self.bridge.save_value(&mut w);
+        self.up.save_value(&mut w);
+        self.down.save_value(&mut w);
+        self.ctrl.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(&mut self, image: &[u8]) {
+        use ha::Accelerator;
+        use sim::persist::Persist;
+        let mut r = sim::persist::SnapshotReader::new(image);
+        self.sb.restore_state(&mut r).unwrap();
+        self.bridge.restore(&mut r).unwrap();
+        self.up.restore(&mut r).unwrap();
+        self.down.restore(&mut r).unwrap();
+        self.ctrl.restore_state(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0, "image not fully consumed");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -369,7 +492,7 @@ proptest! {
     fn regions_partition_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
     ) {
-        let (topo, edges) = topology_and_edges(&bytes, false);
+        let (topo, edges) = topology_and_edges(&bytes, Draw::Clean);
         let regions = topo.regions();
         let mut region_of = std::collections::HashMap::new();
         for (r, members) in regions.iter().enumerate() {
@@ -416,7 +539,8 @@ proptest! {
         use hyperconnect::regfile::{offsets, port_block_offset};
         const CYCLES: Cycle = 12_000;
         let run = |mode: SchedulerMode| {
-            let mut topo = topology_from_bytes(&bytes, faults);
+            let draw = if faults { Draw::Faults } else { Draw::Clean };
+            let mut topo = topology_from_bytes(&bytes, draw);
             topo.set_scheduler(mode);
             let ic = topo
                 .node_by_label(&format!("ic{target}"))
@@ -449,20 +573,21 @@ proptest! {
     }
 
     /// Save/restore symmetry across every persisted layer: any
-    /// generated topology (fault models, scoreboard and fault injector
-    /// included), frozen at any cycle, restores into a fresh identical
-    /// build that re-saves the same bytes and then runs in lockstep with
-    /// the original to the same final image.
+    /// generated topology (every model of [`Draw::Everything`]: fault
+    /// models, scoreboard, fault injector, write-back DMAs, CHaiDNN and
+    /// SmartConnect children), frozen at any cycle, restores into a
+    /// fresh identical build that re-saves the same bytes and then runs
+    /// in lockstep with the original to the same final image.
     #[test]
     fn snapshot_roundtrip_is_exact_on_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),
         warm in 1u64..3_000,
         tail in 1u64..2_000,
     ) {
-        let mut original = topology_from_bytes(&bytes, true);
+        let mut original = topology_from_bytes(&bytes, Draw::Everything);
         original.run_for(warm);
         let image = original.snapshot_bytes();
-        let mut restored = topology_from_bytes(&bytes, true);
+        let mut restored = topology_from_bytes(&bytes, Draw::Everything);
         if let Err(e) = restored.restore_snapshot_bytes(&image) {
             panic!("restore into an identical build failed: {e:?}");
         }
@@ -480,6 +605,37 @@ proptest! {
         prop_assert!(
             original.snapshot_bytes() == restored.snapshot_bytes(),
             "restored copy diverged within {} cycles of cycle {}", tail, warm
+        );
+    }
+
+    /// The same symmetry for `FaultyBridge` edges, which the topology
+    /// builder does not place: a retrying scoreboard → FaultyBridge →
+    /// faulty memory chain with any flip/drop/stall mix, frozen at any
+    /// cycle, restores into a fresh identical chain that re-saves the
+    /// same bytes and then runs in lockstep to the same final image.
+    #[test]
+    fn snapshot_roundtrip_is_exact_through_a_faulty_bridge(
+        seed in 1u64..1u64 << 32,
+        flip_milli in 0u64..300,
+        drop_milli in 0u64..100,
+        warm in 1u64..3_000,
+        tail in 1u64..2_000,
+    ) {
+        let stall_milli = seed % 200;
+        let mut original = FaultyChain::new(seed, flip_milli, drop_milli, stall_milli);
+        original.run(0, warm);
+        let image = original.image();
+        let mut restored = FaultyChain::new(seed, flip_milli, drop_milli, stall_milli);
+        restored.restore(&image);
+        prop_assert!(
+            restored.image() == image,
+            "re-saved image differs from the restored one at cycle {}", warm
+        );
+        original.run(warm, warm + tail);
+        restored.run(warm, warm + tail);
+        prop_assert!(
+            original.image() == restored.image(),
+            "restored chain diverged within {} cycles of cycle {}", tail, warm
         );
     }
 
