@@ -881,7 +881,9 @@ mod persist_impls {
             let mut inflight = BTreeMap::new();
             for _ in 0..n_inflight {
                 let rec = TxnRecord::load_value(r)?;
-                inflight.insert(rec.uid, rec);
+                if inflight.insert(rec.uid, rec).is_some() {
+                    return Err(PersistError::Corrupt("duplicate in-flight uid"));
+                }
             }
             let n_completed = r.take_usize()?;
             if n_completed > super::COMPLETED_RING {
@@ -906,7 +908,7 @@ mod persist_impls {
     #[cfg(test)]
     mod tests {
         use super::super::*;
-        use sim::persist::{PersistValue, SnapshotReader, SnapshotWriter};
+        use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
         #[test]
         fn registry_roundtrip_preserves_json_and_hop_histories() {
@@ -935,6 +937,40 @@ mod persist_impls {
             assert_eq!(restored.to_json(), reg.to_json());
             assert_eq!(restored.hops_of(7), reg.hops_of(7));
             assert_eq!(restored.instance(), "root");
+        }
+
+        #[test]
+        fn duplicated_inflight_uid_is_corrupt() {
+            let mut reg = MetricsRegistry::new(1);
+            reg.on_event(&ObsEvent {
+                uid: 7,
+                port: Some(0),
+                channel: ObsChannel::Ar,
+                hop: Hop::TsAccepted,
+                cycle: 1,
+                ref_cycle: 0,
+                bytes: 64,
+                sub_end: false,
+                txn_end: false,
+            });
+            // The registry's own layout, with its one in-flight record
+            // written twice.
+            let rec = reg.inflight.values().next().expect("one in flight");
+            let mut w = SnapshotWriter::new();
+            reg.ports.save_value(&mut w);
+            reg.master_efifo_occupancy.save_value(&mut w);
+            w.put_usize(2);
+            rec.save_value(&mut w);
+            rec.save_value(&mut w);
+            w.put_usize(0);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.put_str("");
+            let bytes = w.into_bytes();
+            assert!(matches!(
+                MetricsRegistry::load_value(&mut SnapshotReader::new(&bytes)),
+                Err(PersistError::Corrupt("duplicate in-flight uid"))
+            ));
         }
     }
 }

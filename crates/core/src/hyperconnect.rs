@@ -626,18 +626,22 @@ impl Component for HyperConnect {
         }
         // Every period boundary is an event: a recharge counts as
         // progress even when every port is unlimited and idle.
-        let mut horizon = Some(self.central.next_boundary());
-        let mut merge = |c: Option<Cycle>| {
+        let mut horizon = self.central.next_boundary();
+        let merge = |h: &mut Cycle, c: Option<Cycle>| {
             if let Some(c) = c {
-                horizon = Some(horizon.map_or(c, |h: Cycle| h.min(c)));
+                *h = (*h).min(c);
             }
         };
         for (i, (ts, efifo)) in self.supervisors.iter().zip(&self.efifos).enumerate() {
+            // Nothing can be due sooner than the next cycle: stop looking.
+            if horizon <= now + 1 {
+                return Some(now + 1);
+            }
             if self.quiet.contains(i) {
                 // Nothing staged, owed or credit-blocked: only beats in
                 // the eFIFO (requests coming in, R/B going out) are due.
                 if !efifo.port.is_idle() {
-                    merge(efifo.port.next_ready_at());
+                    merge(&mut horizon, efifo.port.next_ready_at());
                 }
                 continue;
             }
@@ -647,15 +651,15 @@ impl Component for HyperConnect {
             if ts.counts_every_cycle() {
                 return Some(now + 1);
             }
-            merge(ts.next_stage_ready());
+            merge(&mut horizon, ts.next_stage_ready());
             // A credit-blocked sub-request wakes at the next refill
             // window boundary.
-            merge(ts.regulator_next_refill(now));
-            merge(efifo.port.next_ready_at());
+            merge(&mut horizon, ts.regulator_next_refill(now));
+            merge(&mut horizon, efifo.port.next_ready_at());
         }
-        merge(self.exbar.next_stage_ready());
-        merge(self.mem_port.next_ready_at());
-        horizon
+        merge(&mut horizon, self.exbar.next_stage_ready());
+        merge(&mut horizon, self.mem_port.next_ready_at());
+        Some(horizon)
     }
 }
 

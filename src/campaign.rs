@@ -27,10 +27,12 @@
 //!    per-run `rng_position`, injection cycle and wall time) plus a
 //!    separate `campaign-metrics/v1` document.
 //! 5. **Auto-bisect failures** — any variant that violates a campaign
-//!    invariant is binary-searched against its own fault-free baseline
-//!    (same build, fault never armed) for the first cycle at which the
-//!    two snapshot byte streams diverge: the exact cycle the fault
-//!    first perturbed architectural state.
+//!    invariant is searched against its own fault-free baseline (same
+//!    build, fault never armed) for the first cycle at which the two
+//!    snapshot byte streams diverge: the exact cycle the fault first
+//!    perturbed architectural state. The pair runs in lockstep over
+//!    doubling checkpoints, so the search costs what the divergence
+//!    distance costs, not the cycle budget.
 //!
 //! Forking is *sound*, not merely fast: [`run_variant_cold`] replays any
 //! variant from cycle 0 and must produce a byte-identical
@@ -174,17 +176,17 @@ fn derive_variant(base: &RecoveryDraw, seed: u64, warm: Cycle) -> Variant {
     }
 }
 
-/// The one way a variant runs: builds the flat recovery world with the
-/// fault armed at `arm_at`, restores `warm_image` when forking (`None`
-/// replays cold from cycle 0), and drives it to cycle `until` with
-/// hypervisor polls gated to the warm cycle — so a fork and a cold
-/// replay observe the identical poll sequence.
+/// The one way a variant world starts: the flat recovery world with the
+/// fault armed at `arm_at`, restored from `warm_image` when forking
+/// (`None` replays cold from cycle 0). Callers drive it with
+/// `drive(cfg.warm_cycles, until)`, which gates hypervisor polls to the
+/// warm cycle — so a fork and a cold replay observe the identical poll
+/// sequence.
 fn variant_world(
     cfg: &CampaignConfig,
     draw: &RecoveryDraw,
     arm_at: Cycle,
     warm_image: Option<&[u8]>,
-    until: Cycle,
 ) -> World {
     let mut world = draw.build(Shape::Flat, cfg.scheduler, arm_at);
     if let Some(image) = warm_image {
@@ -193,7 +195,6 @@ fn variant_world(
             .restore_snapshot_bytes(image)
             .expect("warm snapshot restores into an identically built world");
     }
-    world.drive(cfg.warm_cycles, until);
     world
 }
 
@@ -206,13 +207,8 @@ fn run_variant(
 ) -> CampaignRun {
     let variant = derive_variant(base, seed, cfg.warm_cycles);
     let t0 = Instant::now();
-    let world = variant_world(
-        cfg,
-        &variant.draw,
-        variant.inject_at,
-        warm_image,
-        cfg.cycles,
-    );
+    let mut world = variant_world(cfg, &variant.draw, variant.inject_at, warm_image);
+    world.drive(cfg.warm_cycles, cfg.cycles);
     CampaignRun {
         outcome: world.judge(seed, "campaign-flat", variant.draw.rng_position),
         inject_at: variant.inject_at,
@@ -270,7 +266,7 @@ pub enum CampaignEvent {
         /// First cycle the faulty run's snapshot differed from the
         /// baseline's, or `None` if the fault never perturbed state.
         first_divergence: Option<Cycle>,
-        /// Wall-clock milliseconds the binary search spent.
+        /// Wall-clock milliseconds the search spent.
         wall_ms: f64,
     },
 }
@@ -396,9 +392,9 @@ fn state_at(
     warm_image: Option<&[u8]>,
     k: Cycle,
 ) -> Vec<u8> {
-    variant_world(cfg, &variant.draw, arm_at, warm_image, k)
-        .topo()
-        .snapshot_bytes()
+    let mut world = variant_world(cfg, &variant.draw, arm_at, warm_image);
+    world.drive(cfg.warm_cycles, k);
+    world.topo().snapshot_bytes()
 }
 
 /// The shared fault-free warm image: the world with the fault never
@@ -407,26 +403,69 @@ fn warm_image(cfg: &CampaignConfig, variant: &Variant) -> Vec<u8> {
     state_at(cfg, variant, NEVER, None, cfg.warm_cycles)
 }
 
-/// Binary-searches the first cycle at which the faulty variant's
-/// snapshot bytes differ from its fault-free baseline (identical build,
-/// fault never armed, same hypervisor cadence), both forked from the
-/// same warm image.
+/// The first cycle at which the faulty variant's snapshot bytes differ
+/// from its fault-free baseline (identical build, fault never armed,
+/// same hypervisor cadence), both forked from the same warm image.
 ///
 /// Divergence is monotone once the fault has perturbed state — the
 /// per-port transaction counters in the HyperConnect register file
-/// never reconverge — so bisection is sound. Returns `None` if even the
-/// final states match (the fault never had an observable effect).
+/// never reconverge — so the first differing cycle can be found by
+/// search. The two worlds are built once and driven in lockstep to
+/// checkpoints `inject_at + 1, + 2, + 4, …` ([`gallop`]); only the first
+/// window whose end differs is then bisected with [`state_at`] replays.
+/// The cost follows the divergence distance, not the cycle budget.
+/// Returns `None` if even the final states match (the fault never had
+/// an observable effect) — in particular when the fault arms at or
+/// after the budget's end.
 fn bisect_first_divergence(cfg: &CampaignConfig, variant: &Variant, warm: &[u8]) -> Option<Cycle> {
-    let differs = |k| {
-        state_at(cfg, variant, variant.inject_at, Some(warm), k)
-            != state_at(cfg, variant, NEVER, Some(warm), k)
-    };
-    if !differs(cfg.cycles) {
+    if variant.inject_at >= cfg.cycles {
         return None;
     }
-    // Invariant: states match at `lo`, differ at `hi`.
-    let mut lo = variant.inject_at;
-    let mut hi = cfg.cycles;
+    let window = {
+        let mut faulty = variant_world(cfg, &variant.draw, variant.inject_at, Some(warm));
+        let mut clean = variant_world(cfg, &variant.draw, NEVER, Some(warm));
+        gallop(variant.inject_at, cfg.cycles, |k| {
+            faulty.drive(cfg.warm_cycles, k);
+            clean.drive(cfg.warm_cycles, k);
+            faulty.topo().snapshot_bytes() != clean.topo().snapshot_bytes()
+        })
+        // The lockstep pair drops here: at most two worlds live at once.
+    };
+    let (lo, hi) = window?;
+    Some(bisect_window(lo, hi, |k| {
+        state_at(cfg, variant, variant.inject_at, Some(warm), k)
+            != state_at(cfg, variant, NEVER, Some(warm), k)
+    }))
+}
+
+/// Probes `differs_at` at the checkpoints `from + 1, from + 2, from + 4,
+/// …` (the last one capped at `end`), in increasing order, and returns
+/// the first window `(lo, hi]` whose end differs: `lo` is the previous
+/// checkpoint (or `from`), which matched. `None` when even `end`
+/// matches.
+fn gallop(
+    from: Cycle,
+    end: Cycle,
+    mut differs_at: impl FnMut(Cycle) -> bool,
+) -> Option<(Cycle, Cycle)> {
+    let mut lo = from;
+    let mut step = 1;
+    loop {
+        let k = from.saturating_add(step).min(end);
+        if differs_at(k) {
+            return Some((lo, k));
+        }
+        if k == end {
+            return None;
+        }
+        lo = k;
+        step = step.saturating_mul(2);
+    }
+}
+
+/// Binary-searches `(lo, hi]` for the first cycle that differs, given
+/// that `lo` matches and `hi` differs.
+fn bisect_window(mut lo: Cycle, mut hi: Cycle, differs: impl Fn(Cycle) -> bool) -> Cycle {
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if differs(mid) {
@@ -435,7 +474,7 @@ fn bisect_first_divergence(cfg: &CampaignConfig, variant: &Variant, warm: &[u8])
             lo = mid;
         }
     }
-    Some(hi)
+    hi
 }
 
 /// Warms the campaign's base scenario and bisects one variant against
@@ -548,5 +587,80 @@ pub fn run_campaign(
         warm_wall_ms,
         total_wall_ms: campaign_t0.elapsed().as_secs_f64() * 1e3,
         runs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The search this module used before galloping: a binary search
+    /// over the whole `(inject_at, cycles]` budget, every probe replayed
+    /// from the warm image. Kept as the oracle the galloping search must
+    /// agree with.
+    fn full_budget_bisection(
+        cfg: &CampaignConfig,
+        variant: &Variant,
+        warm: &[u8],
+    ) -> Option<Cycle> {
+        let differs = |k| {
+            state_at(cfg, variant, variant.inject_at, Some(warm), k)
+                != state_at(cfg, variant, NEVER, Some(warm), k)
+        };
+        if !differs(cfg.cycles) {
+            return None;
+        }
+        let mut lo = variant.inject_at;
+        let mut hi = cfg.cycles;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if differs(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    #[test]
+    fn galloping_search_matches_full_budget_bisection() {
+        for base_seed in 0..8 {
+            let cfg = CampaignConfig::new(base_seed).cycles(12_000);
+            let base = derive_scenario(base_seed, 3, 4);
+            for index in 0..2 {
+                let seed = variant_seed(base_seed, index);
+                let variant = derive_variant(&base, seed, cfg.warm_cycles);
+                let warm = warm_image(&cfg, &variant);
+                assert_eq!(
+                    bisect_first_divergence(&cfg, &variant, &warm),
+                    full_budget_bisection(&cfg, &variant, &warm),
+                    "base seed {base_seed}, variant {index}"
+                );
+            }
+        }
+    }
+
+    /// A monotone predicate that first holds at `d`, searched from every
+    /// start below it: the galloping window plus its inner bisection
+    /// find exactly `d`, and `None` when `d` lies past the end.
+    #[test]
+    fn gallop_then_bisect_finds_any_monotone_divergence() {
+        let end = 300;
+        for from in [0, 1, 7, 100] {
+            for d in from + 1..=end + 1 {
+                let mut probes = Vec::new();
+                let window = gallop(from, end, |k| {
+                    probes.push(k);
+                    k >= d
+                });
+                assert!(probes.windows(2).all(|w| w[0] < w[1]), "{probes:?}");
+                let found = window.map(|(lo, hi)| {
+                    assert!(lo < d && d <= hi, "window ({lo}, {hi}] misses {d}");
+                    bisect_window(lo, hi, |k| k >= d)
+                });
+                assert_eq!(found, (d <= end).then_some(d), "from {from}, d {d}");
+            }
+        }
     }
 }

@@ -1386,13 +1386,20 @@ impl SocTopology {
     }
 
     /// The earliest hint among region `r`'s nodes after a no-progress
-    /// tick at `now`.
+    /// tick at `now`. The calendar clamps every wake to at least
+    /// `now + 1`, so the first member due by then answers for the rest.
     fn region_horizon(&self, r: usize, now: Cycle) -> Option<Cycle> {
-        self.regions[r]
-            .members
-            .iter()
-            .filter_map(|&n| self.node_horizon(n, now))
-            .min()
+        let mut horizon = None;
+        for &n in &self.regions[r].members {
+            let Some(h) = self.node_horizon(n, now) else {
+                continue;
+            };
+            if h <= now + 1 {
+                return Some(now + 1);
+            }
+            horizon = Some(horizon.map_or(h, |m: Cycle| m.min(h)));
+        }
+        horizon
     }
 
     /// Runs for exactly `cycles` cycles.

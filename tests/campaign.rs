@@ -163,3 +163,41 @@ fn bisection_localizes_first_divergence_after_injection() {
     );
     assert!(k <= cfg.cycles);
 }
+
+/// Bisection results are pinned: the `first_divergence` list of a full
+/// campaign whose failures are auto-bisected. Base seed 4 has three
+/// violating variants; the others are never bisected.
+#[test]
+fn campaign_bisection_results_are_pinned() {
+    let cfg = CampaignConfig::new(4)
+        .variants(8)
+        .warm_cycles(2_000)
+        .cycles(60_000)
+        .workers(2)
+        .bisect(true);
+    let report = run_campaign(&cfg, |_| {});
+    let divergences: Vec<Option<u64>> = report.runs.iter().map(|r| r.first_divergence).collect();
+    let rendered = format!("{divergences:?}");
+    assert_eq!(
+        fnv64(&rendered),
+        0x4969_f43b_ae5b_f52f,
+        "first_divergence list moved: {rendered}"
+    );
+}
+
+/// A fault that arms at or after the end of the budget never ticks, so
+/// there is nothing to find; one more cycle of budget covers its arming
+/// tick, and the search finds the divergence right there.
+#[test]
+fn bisection_is_empty_when_the_fault_arms_past_the_budget() {
+    let seed = variant_seed(1, 0);
+    let inject_at = run_variant_cold(&small_cfg(1).cycles(2_001), seed).inject_at;
+    assert!(inject_at > 2_001, "variant must arm past the warm cycle");
+    for cycles in [2_001, inject_at - 1, inject_at] {
+        assert_eq!(bisect_variant(&small_cfg(1).cycles(cycles), seed), None);
+    }
+    assert_eq!(
+        bisect_variant(&small_cfg(1).cycles(inject_at + 1), seed),
+        Some(inject_at + 1)
+    );
+}
