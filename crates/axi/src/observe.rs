@@ -24,7 +24,7 @@
 //! and the fast-forward scheduler (events only occur on progress cycles,
 //! which the fast-forward scheduler never skips).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use sim::stats::{BandwidthMeter, Gauge, Histogram, LatencyStat};
 use sim::Cycle;
@@ -301,14 +301,133 @@ impl PortMetrics {
     }
 }
 
+/// Slave port encoded in an observability uid (see [`uid_of`]). W-data
+/// events carry uid 0, which decodes to port 0.
+pub fn port_of_uid(uid: u64) -> usize {
+    ((uid & UID_PORT_MASK) as usize).saturating_sub(1)
+}
+
+/// The uid of the `seq`-th transaction accepted on slave `port`:
+/// `(seq << 10) | (port + 1)`. Uids are unique across ports, and on each
+/// port they ascend with `seq`.
+pub fn uid_of(port: usize, seq: u64) -> u64 {
+    (seq << UID_PORT_BITS) | (port as u64 + 1)
+}
+
+const UID_PORT_BITS: u32 = 10;
+const UID_PORT_MASK: u64 = (1 << UID_PORT_BITS) - 1;
+
+/// One in-flight transaction: its record plus the latest memory-emit
+/// cycle in its hop list.
+#[derive(Debug, Clone, PartialEq)]
+struct Inflight {
+    rec: TxnRecord,
+    /// Highest `MemResponded` cycle in `rec.hops`, `None` before the
+    /// first response.
+    responded_max: Option<Cycle>,
+}
+
+impl Inflight {
+    fn new(rec: TxnRecord) -> Self {
+        let responded_max = rec
+            .hops
+            .iter()
+            .filter(|h| h.hop == Hop::MemResponded)
+            .map(|h| h.cycle)
+            .max();
+        Self { rec, responded_max }
+    }
+
+    /// Appends a delivered response beat, preceded by the memory-emit
+    /// hop reconstructed from its `hopped_at` stamp the first time a
+    /// beat emitted at that cycle shows up.
+    ///
+    /// Memory serves a port in order and the EXBAR routes its responses
+    /// in grant order, so a transaction's emit cycles never decrease:
+    /// a beat's cycle is either the latest one (a repeat) or newer. Only
+    /// an older cycle would need the scan, which is kept so the check
+    /// stays exact on any stream.
+    fn deliver(&mut self, ev: &ObsEvent) {
+        let responded = ev.ref_cycle;
+        let fresh = match self.responded_max {
+            None => true,
+            Some(max) if responded > max => true,
+            Some(max) if responded == max => false,
+            Some(_) => !self
+                .rec
+                .hops
+                .iter()
+                .any(|h| h.hop == Hop::MemResponded && h.cycle == responded),
+        };
+        if fresh {
+            self.rec.hops.push(HopStamp {
+                hop: Hop::MemResponded,
+                channel: ev.channel,
+                cycle: responded,
+            });
+            self.responded_max = self.responded_max.max(Some(responded));
+        }
+        self.rec.hops.push(stamp(ev));
+    }
+}
+
+/// The levels last written to one port's gauges. Kept in one small
+/// array beside the port table, so the per-tick refresh of a level that
+/// did not move reads this array and leaves the port's metrics alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortLevels {
+    efifo: u64,
+    /// `(throttle events, read credits, write credits)`; `None` while
+    /// the port has no regulator section.
+    regulator: Option<(u64, u64, u64)>,
+}
+
+impl PortLevels {
+    fn of(p: &PortMetrics) -> Self {
+        Self {
+            efifo: p.efifo_occupancy.current(),
+            regulator: p.regulator.as_ref().map(|r| {
+                (
+                    r.throttle_events,
+                    r.read_credits.current(),
+                    r.write_credits.current(),
+                )
+            }),
+        }
+    }
+}
+
+fn stamp(ev: &ObsEvent) -> HopStamp {
+    HopStamp {
+        hop: ev.hop,
+        channel: ev.channel,
+        cycle: ev.cycle,
+    }
+}
+
 /// Aggregates the [`ObsEvent`] stream of one interconnect into per-port
 /// metrics and per-transaction hop histories.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The in-flight table is one small slab per slave port, found from
+/// the uid's port bits, and hop lists are recycled from the records the
+/// completed ring evicts: a steady observed run allocates nothing per
+/// transaction.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     ports: Vec<PortMetrics>,
+    /// The current gauge levels of each port, mirrored (neither saved
+    /// nor compared).
+    levels: Vec<PortLevels>,
     master_efifo_occupancy: Gauge,
-    inflight: BTreeMap<u64, TxnRecord>,
+    /// In-flight transactions, one slab per slave port, each ascending
+    /// by uid. A port has a handful of transactions in flight, so a
+    /// linear scan of its slab is the cheapest lookup.
+    inflight: Vec<Vec<Inflight>>,
     completed: VecDeque<TxnRecord>,
+    /// Emptied hop lists of retired records, reused by the next
+    /// accepted transaction. Capacity, not state: neither saved nor
+    /// compared.
+    spare_hops: Vec<Vec<HopStamp>>,
     /// Sub-transactions force-flushed by blown drain deadlines.
     dropped_subs: u64,
     /// Transactions abandoned by a force-flush (tracked in flight when
@@ -320,11 +439,25 @@ pub struct MetricsRegistry {
     instance: String,
 }
 
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.ports == other.ports
+            && self.master_efifo_occupancy == other.master_efifo_occupancy
+            && self.inflight == other.inflight
+            && self.completed == other.completed
+            && self.dropped_subs == other.dropped_subs
+            && self.dropped_txns == other.dropped_txns
+            && self.instance == other.instance
+    }
+}
+
 impl MetricsRegistry {
     /// Creates an empty registry for `num_ports` slave ports.
     pub fn new(num_ports: usize) -> Self {
         Self {
             ports: (0..num_ports).map(|_| PortMetrics::default()).collect(),
+            levels: vec![PortLevels::default(); num_ports],
+            inflight: (0..num_ports).map(|_| Vec::new()).collect(),
             ..Self::default()
         }
     }
@@ -378,7 +511,11 @@ impl MetricsRegistry {
     /// Updates the slave eFIFO occupancy gauge of port `i` (idempotent,
     /// fast-forward-safe).
     pub fn set_efifo_occupancy(&mut self, i: usize, level: u64) {
-        self.ports[i].efifo_occupancy.set(level);
+        // Re-setting the current level changes neither it nor the peak.
+        if self.levels[i].efifo != level {
+            self.levels[i].efifo = level;
+            self.ports[i].efifo_occupancy.set(level);
+        }
     }
 
     /// Updates port `i`'s credit-regulator metrics: cumulative throttle
@@ -386,12 +523,23 @@ impl MetricsRegistry {
     /// fast-forward-safe). Instantiates the optional section on first
     /// call; unregulated ports never allocate it.
     pub fn set_regulator(&mut self, i: usize, events: u64, read: u64, write: u64) {
+        let levels = Some((events, read, write));
+        if self.levels[i].regulator == levels {
+            return;
+        }
+        self.levels[i].regulator = levels;
         let reg = self.ports[i]
             .regulator
             .get_or_insert_with(RegulatorMetrics::default);
         reg.throttle_events = events;
         reg.read_credits.set(read);
         reg.write_credits.set(write);
+    }
+
+    /// Port `i`'s throttle-event count as last set by
+    /// [`Self::set_regulator`], `None` before the first call.
+    pub fn regulator_events(&self, i: usize) -> Option<u64> {
+        self.levels[i].regulator.map(|(events, _, _)| events)
     }
 
     /// Updates the master eFIFO occupancy gauge.
@@ -406,7 +554,7 @@ impl MetricsRegistry {
 
     /// Transactions currently in flight (accepted, not yet completed).
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        self.inflight.iter().map(Vec::len).sum()
     }
 
     /// The most recently completed transactions (up to
@@ -418,8 +566,8 @@ impl MetricsRegistry {
     /// The hop history of transaction `uid`, in flight or recently
     /// completed; empty if unknown.
     pub fn hops_of(&self, uid: u64) -> Vec<HopStamp> {
-        if let Some(rec) = self.inflight.get(&uid) {
-            return rec.hops.clone();
+        if let Some((slab, i)) = self.slot(uid) {
+            return self.inflight[slab][i].rec.hops.clone();
         }
         self.completed
             .iter()
@@ -436,92 +584,87 @@ impl MetricsRegistry {
     /// one-cycle register), so the recorded latency is
     /// `(c + 1) - ref_cycle` — exactly the quantity the paper reports in
     /// Fig. 3(a).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `TsAccepted` uid encodes a port outside this
+    /// registry.
     pub fn on_event(&mut self, ev: &ObsEvent) {
         match ev.hop {
             Hop::TsAccepted => {
-                let port = ev.port.unwrap_or(0);
+                let mut hops = self.spare_hops.pop().unwrap_or_default();
+                hops.push(HopStamp {
+                    hop: Hop::Issued,
+                    channel: ev.channel,
+                    cycle: ev.ref_cycle,
+                });
+                hops.push(stamp(ev));
                 let rec = TxnRecord {
                     uid: ev.uid,
-                    port,
+                    port: port_of_uid(ev.uid),
                     is_write: ev.channel == ObsChannel::Aw,
                     issued_at: ev.ref_cycle,
                     completed_at: None,
                     bytes: ev.bytes,
-                    hops: vec![
-                        HopStamp {
-                            hop: Hop::Issued,
-                            channel: ev.channel,
-                            cycle: ev.ref_cycle,
-                        },
-                        HopStamp {
-                            hop: Hop::TsAccepted,
-                            channel: ev.channel,
-                            cycle: ev.cycle,
-                        },
-                    ],
+                    hops,
                 };
-                self.inflight.insert(ev.uid, rec);
+                if let Some(replaced) = self.insert(Inflight::new(rec)) {
+                    self.recycle(replaced.rec.hops);
+                }
             }
             Hop::TsStaged | Hop::ExbarGranted => {
-                self.append_hop(ev);
+                if let Some((slab, i)) = self.slot(ev.uid) {
+                    self.inflight[slab][i].rec.hops.push(stamp(ev));
+                }
             }
             Hop::MemVisible => {
                 let visible = ev.cycle + 1;
-                match ev.channel {
-                    ObsChannel::W => {
-                        // W beats carry no uid; the emitting stage knows
-                        // the port from its write route instead.
-                        if let Some(p) = ev.port {
-                            self.ports[p].channel_mut(ObsChannel::W).record(
-                                visible,
-                                visible.saturating_sub(ev.ref_cycle),
-                                ev.bytes,
-                            );
-                        }
-                    }
-                    ch => {
-                        self.append_hop(ev);
-                        if let Some(rec) = self.inflight.get(&ev.uid) {
-                            let port = rec.port;
-                            self.ports[port].channel_mut(ch).record(
-                                visible,
-                                visible.saturating_sub(ev.ref_cycle),
-                                ev.bytes,
-                            );
-                        }
-                    }
+                let port = match ev.channel {
+                    // W beats carry no uid; the emitting stage knows
+                    // the port from its write route instead.
+                    ObsChannel::W => ev.port,
+                    _ => self.slot(ev.uid).map(|(slab, i)| {
+                        let rec = &mut self.inflight[slab][i].rec;
+                        rec.hops.push(stamp(ev));
+                        rec.port
+                    }),
+                };
+                if let Some(p) = port {
+                    self.ports[p].channel_mut(ev.channel).record(
+                        visible,
+                        visible.saturating_sub(ev.ref_cycle),
+                        ev.bytes,
+                    );
                 }
             }
             Hop::Delivered => {
                 let visible = ev.cycle + 1;
-                // Reconstruct the memory-emit hop from the response
-                // beat's `hopped_at` stamp the first time this sub's
-                // response shows up.
-                self.append_mem_responded(ev);
-                self.append_hop(ev);
-                let port = ev
-                    .port
-                    .or_else(|| self.inflight.get(&ev.uid).map(|r| r.port));
-                if let Some(p) = port {
-                    // Merged (non-final) B responses never reach the
-                    // slave port; only delivered beats count as channel
-                    // traffic.
-                    let reaches_port = ev.channel != ObsChannel::B || ev.txn_end;
-                    if reaches_port {
-                        self.ports[p].channel_mut(ev.channel).record(
-                            visible,
-                            visible.saturating_sub(ev.ref_cycle),
-                            ev.bytes,
-                        );
-                    }
+                let slot = self.slot(ev.uid);
+                let mut port = ev.port;
+                if let Some((slab, i)) = slot {
+                    let entry = &mut self.inflight[slab][i];
+                    entry.deliver(ev);
+                    port = port.or(Some(entry.rec.port));
                 }
-                if ev.txn_end {
-                    self.complete(ev, visible);
+                // Merged (non-final) B responses never reach the slave
+                // port; only delivered beats count as channel traffic.
+                let reaches_port = ev.channel != ObsChannel::B || ev.txn_end;
+                if let Some(p) = port.filter(|_| reaches_port) {
+                    self.ports[p].channel_mut(ev.channel).record(
+                        visible,
+                        visible.saturating_sub(ev.ref_cycle),
+                        ev.bytes,
+                    );
+                }
+                if let Some((slab, i)) = slot.filter(|_| ev.txn_end) {
+                    self.complete(slab, i, visible);
                 }
             }
             Hop::Dropped => {
                 self.dropped_subs += 1;
-                if self.inflight.remove(&ev.uid).is_some() {
+                if let Some((slab, i)) = self.slot(ev.uid) {
+                    let entry = self.inflight[slab].remove(i);
+                    self.recycle(entry.rec.hops);
                     self.dropped_txns += 1;
                 }
             }
@@ -540,47 +683,59 @@ impl MetricsRegistry {
         self.dropped_txns
     }
 
-    fn append_hop(&mut self, ev: &ObsEvent) {
-        if let Some(rec) = self.inflight.get_mut(&ev.uid) {
-            rec.hops.push(HopStamp {
-                hop: ev.hop,
-                channel: ev.channel,
-                cycle: ev.cycle,
-            });
-        }
+    /// `(slab, index)` of in-flight transaction `uid`.
+    fn slot(&self, uid: u64) -> Option<(usize, usize)> {
+        let slab = port_of_uid(uid);
+        let i = self
+            .inflight
+            .get(slab)?
+            .iter()
+            .position(|e| e.rec.uid == uid)?;
+        Some((slab, i))
     }
 
-    fn append_mem_responded(&mut self, ev: &ObsEvent) {
-        if let Some(rec) = self.inflight.get_mut(&ev.uid) {
-            let already = rec
-                .hops
-                .iter()
-                .any(|h| h.hop == Hop::MemResponded && h.cycle == ev.ref_cycle);
-            if !already {
-                rec.hops.push(HopStamp {
-                    hop: Hop::MemResponded,
-                    channel: ev.channel,
-                    cycle: ev.ref_cycle,
-                });
+    /// Files `entry` in its port's slab, keeping the slab ascending by
+    /// uid. A uid already in flight is replaced, and the old entry is
+    /// returned.
+    fn insert(&mut self, entry: Inflight) -> Option<Inflight> {
+        let uid = entry.rec.uid;
+        let slab = &mut self.inflight[port_of_uid(uid)];
+        // The TS's sequence numbers ascend, so a new uid almost always
+        // goes last.
+        if slab.last().is_none_or(|last| last.rec.uid < uid) {
+            slab.push(entry);
+            return None;
+        }
+        match slab.binary_search_by_key(&uid, |e| e.rec.uid) {
+            Ok(i) => Some(std::mem::replace(&mut slab[i], entry)),
+            Err(i) => {
+                slab.insert(i, entry);
+                None
             }
         }
     }
 
-    fn complete(&mut self, ev: &ObsEvent, visible: Cycle) {
-        if let Some(mut rec) = self.inflight.remove(&ev.uid) {
-            rec.completed_at = Some(visible);
-            let latency = visible.saturating_sub(rec.issued_at);
-            let stat = if rec.is_write {
-                &mut self.ports[rec.port].write_txns
-            } else {
-                &mut self.ports[rec.port].read_txns
-            };
-            stat.record(latency);
-            if self.completed.len() == COMPLETED_RING {
-                self.completed.pop_front();
+    fn recycle(&mut self, mut hops: Vec<HopStamp>) {
+        hops.clear();
+        self.spare_hops.push(hops);
+    }
+
+    fn complete(&mut self, slab: usize, i: usize, visible: Cycle) {
+        let mut rec = self.inflight[slab].remove(i).rec;
+        rec.completed_at = Some(visible);
+        let latency = visible.saturating_sub(rec.issued_at);
+        let stat = if rec.is_write {
+            &mut self.ports[rec.port].write_txns
+        } else {
+            &mut self.ports[rec.port].read_txns
+        };
+        stat.record(latency);
+        if self.completed.len() == COMPLETED_RING {
+            if let Some(evicted) = self.completed.pop_front() {
+                self.recycle(evicted.hops);
             }
-            self.completed.push_back(rec);
         }
+        self.completed.push_back(rec);
     }
 
     /// Renders the per-port metrics as a deterministic JSON fragment
@@ -616,7 +771,7 @@ impl MetricsRegistry {
             "],\"master_efifo_occupancy\":{{\"current\":{},\"peak\":{}}},\"inflight\":{}}}",
             self.master_efifo_occupancy.current(),
             self.master_efifo_occupancy.peak(),
-            self.inflight.len(),
+            self.inflight_len(),
         ));
         out
     }
@@ -754,11 +909,12 @@ impl BoundReport {
 
 mod persist_impls {
     use super::{
-        BoundKind, BoundReport, BoundViolation, ChannelMetrics, Hop, HopStamp, MetricsRegistry,
-        ObsChannel, ObsEvent, PortMetrics, RegulatorMetrics, TxnRecord,
+        port_of_uid, BoundKind, BoundReport, BoundViolation, ChannelMetrics, Hop, HopStamp,
+        Inflight, MetricsRegistry, ObsChannel, ObsEvent, PortLevels, PortMetrics, RegulatorMetrics,
+        TxnRecord,
     };
     use sim::persist::{PersistError, PersistValue, SnapshotReader, SnapshotWriter};
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::VecDeque;
 
     // Variant lists are wire codes: append new variants only.
     sim::persist_enum!(ObsChannel, "obs channel discriminant", [Ar, Aw, W, R, B]);
@@ -856,14 +1012,18 @@ mod persist_impls {
     });
 
     impl PersistValue for MetricsRegistry {
-        /// The in-flight table is a `BTreeMap`, so iteration (and hence
-        /// the byte stream) is already sorted by uid — deterministic
-        /// across schedulers by construction.
+        /// In-flight records are written in ascending uid order (seq-major
+        /// across ports), the order of one uid-keyed table: the image
+        /// does not depend on how the slabs are laid out, and it is the
+        /// same under every scheduler.
         fn save_value(&self, w: &mut SnapshotWriter) {
             self.ports.save_value(w);
             self.master_efifo_occupancy.save_value(w);
-            w.put_usize(self.inflight.len());
-            for rec in self.inflight.values() {
+            let mut inflight: Vec<&TxnRecord> =
+                self.inflight.iter().flatten().map(|e| &e.rec).collect();
+            inflight.sort_unstable_by_key(|rec| rec.uid);
+            w.put_usize(inflight.len());
+            for rec in inflight {
                 rec.save_value(w);
             }
             w.put_usize(self.completed.len());
@@ -875,13 +1035,18 @@ mod persist_impls {
             w.put_str(&self.instance);
         }
         fn load_value(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-            let ports = Vec::load_value(r)?;
-            let master_efifo_occupancy = PersistValue::load_value(r)?;
+            let ports: Vec<PortMetrics> = Vec::load_value(r)?;
+            let mut reg = MetricsRegistry::new(ports.len());
+            reg.levels = ports.iter().map(PortLevels::of).collect();
+            reg.ports = ports;
+            reg.master_efifo_occupancy = PersistValue::load_value(r)?;
             let n_inflight = r.take_usize()?;
-            let mut inflight = BTreeMap::new();
             for _ in 0..n_inflight {
                 let rec = TxnRecord::load_value(r)?;
-                if inflight.insert(rec.uid, rec).is_some() {
+                if port_of_uid(rec.uid) >= reg.ports.len() {
+                    return Err(PersistError::Corrupt("in-flight uid names no port"));
+                }
+                if reg.insert(Inflight::new(rec)).is_some() {
                     return Err(PersistError::Corrupt("duplicate in-flight uid"));
                 }
             }
@@ -889,19 +1054,14 @@ mod persist_impls {
             if n_completed > super::COMPLETED_RING {
                 return Err(PersistError::Corrupt("completed ring over capacity"));
             }
-            let mut completed = VecDeque::with_capacity(super::COMPLETED_RING);
+            reg.completed = VecDeque::with_capacity(super::COMPLETED_RING);
             for _ in 0..n_completed {
-                completed.push_back(TxnRecord::load_value(r)?);
+                reg.completed.push_back(TxnRecord::load_value(r)?);
             }
-            Ok(Self {
-                ports,
-                master_efifo_occupancy,
-                inflight,
-                completed,
-                dropped_subs: r.take_u64()?,
-                dropped_txns: r.take_u64()?,
-                instance: r.take_str()?,
-            })
+            reg.dropped_subs = r.take_u64()?;
+            reg.dropped_txns = r.take_u64()?;
+            reg.instance = r.take_str()?;
+            Ok(reg)
         }
     }
 
@@ -914,8 +1074,9 @@ mod persist_impls {
         fn registry_roundtrip_preserves_json_and_hop_histories() {
             let mut reg = MetricsRegistry::new(2);
             reg.set_instance("root");
+            let uid = uid_of(1, 1);
             let accept = ObsEvent {
-                uid: 7,
+                uid,
                 port: Some(1),
                 channel: ObsChannel::Ar,
                 hop: Hop::TsAccepted,
@@ -935,7 +1096,7 @@ mod persist_impls {
                 MetricsRegistry::load_value(&mut SnapshotReader::new(&bytes)).expect("roundtrip");
             assert_eq!(restored, reg);
             assert_eq!(restored.to_json(), reg.to_json());
-            assert_eq!(restored.hops_of(7), reg.hops_of(7));
+            assert_eq!(restored.hops_of(uid), reg.hops_of(uid));
             assert_eq!(restored.instance(), "root");
         }
 
@@ -943,7 +1104,7 @@ mod persist_impls {
         fn duplicated_inflight_uid_is_corrupt() {
             let mut reg = MetricsRegistry::new(1);
             reg.on_event(&ObsEvent {
-                uid: 7,
+                uid: uid_of(0, 1),
                 port: Some(0),
                 channel: ObsChannel::Ar,
                 hop: Hop::TsAccepted,
@@ -955,7 +1116,7 @@ mod persist_impls {
             });
             // The registry's own layout, with its one in-flight record
             // written twice.
-            let rec = reg.inflight.values().next().expect("one in flight");
+            let rec = &reg.inflight[0].first().expect("one in flight").rec;
             let mut w = SnapshotWriter::new();
             reg.ports.save_value(&mut w);
             reg.master_efifo_occupancy.save_value(&mut w);
@@ -976,6 +1137,9 @@ mod persist_impls {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -994,20 +1158,28 @@ mod tests {
     }
 
     #[test]
+    fn uid_port_roundtrip() {
+        assert_eq!(port_of_uid(uid_of(0, 7)), 0);
+        assert_eq!(port_of_uid(uid_of(3, 1)), 3);
+        assert_eq!(port_of_uid(0), 0); // W-data uid degrades to port 0
+    }
+
+    #[test]
     fn registry_tracks_a_read_end_to_end() {
         let mut reg = MetricsRegistry::new(2);
+        let uid = uid_of(1, 1);
         let accept = ObsEvent {
             port: Some(1),
             bytes: 64,
-            ..ev(7, ObsChannel::Ar, Hop::TsAccepted, 1, 0)
+            ..ev(uid, ObsChannel::Ar, Hop::TsAccepted, 1, 0)
         };
         reg.on_event(&accept);
         assert_eq!(reg.inflight_len(), 1);
-        reg.on_event(&ev(7, ObsChannel::Ar, Hop::TsStaged, 1, 0));
-        reg.on_event(&ev(7, ObsChannel::Ar, Hop::ExbarGranted, 2, 0));
+        reg.on_event(&ev(uid, ObsChannel::Ar, Hop::TsStaged, 1, 0));
+        reg.on_event(&ev(uid, ObsChannel::Ar, Hop::ExbarGranted, 2, 0));
         let mem = ObsEvent {
             bytes: 64,
-            ..ev(7, ObsChannel::Ar, Hop::MemVisible, 3, 0)
+            ..ev(uid, ObsChannel::Ar, Hop::MemVisible, 3, 0)
         };
         reg.on_event(&mem);
         // AR channel latency = (3 + 1) - 0 = 4, the Fig. 3(a) golden.
@@ -1019,7 +1191,7 @@ mod tests {
             bytes: 64,
             sub_end: true,
             txn_end: true,
-            ..ev(7, ObsChannel::R, Hop::Delivered, 31, 30)
+            ..ev(uid, ObsChannel::R, Hop::Delivered, 31, 30)
         };
         reg.on_event(&deliver);
         assert_eq!(reg.port(1).r.latency.min(), Some(2));
@@ -1028,7 +1200,7 @@ mod tests {
         // issued at 0, last data visible at 32.
         assert_eq!(reg.port(1).read_txns.max(), Some(32));
         let rec = reg.completed().next().unwrap();
-        assert_eq!(rec.uid, 7);
+        assert_eq!(rec.uid, uid);
         assert_eq!(rec.completed_at, Some(32));
         let hops: Vec<Hop> = rec.hops.iter().map(|h| h.hop).collect();
         assert_eq!(
@@ -1051,14 +1223,14 @@ mod tests {
         let accept = ObsEvent {
             port: Some(0),
             bytes: 128,
-            ..ev(3, ObsChannel::Aw, Hop::TsAccepted, 0, 0)
+            ..ev(uid_of(0, 1), ObsChannel::Aw, Hop::TsAccepted, 0, 0)
         };
         reg.on_event(&accept);
         // First sub's B is merged (not final): no B channel sample.
         let merged = ObsEvent {
             port: Some(0),
             sub_end: true,
-            ..ev(3, ObsChannel::B, Hop::Delivered, 40, 38)
+            ..ev(uid_of(0, 1), ObsChannel::B, Hop::Delivered, 40, 38)
         };
         reg.on_event(&merged);
         assert_eq!(reg.port(0).b.latency.count(), 0);
@@ -1067,7 +1239,7 @@ mod tests {
             port: Some(0),
             sub_end: true,
             txn_end: true,
-            ..ev(3, ObsChannel::B, Hop::Delivered, 60, 58)
+            ..ev(uid_of(0, 1), ObsChannel::B, Hop::Delivered, 60, 58)
         };
         reg.on_event(&fin);
         assert_eq!(reg.port(0).b.latency.count(), 1);
@@ -1092,24 +1264,25 @@ mod tests {
     #[test]
     fn completed_ring_is_bounded() {
         let mut reg = MetricsRegistry::new(1);
-        for uid in 1..=(COMPLETED_RING as u64 + 5) {
+        for seq in 1..=(COMPLETED_RING as u64 + 5) {
+            let uid = uid_of(0, seq);
             let accept = ObsEvent {
                 port: Some(0),
-                ..ev(uid, ObsChannel::Ar, Hop::TsAccepted, uid, uid)
+                ..ev(uid, ObsChannel::Ar, Hop::TsAccepted, seq, seq)
             };
             reg.on_event(&accept);
             let done = ObsEvent {
                 port: Some(0),
                 sub_end: true,
                 txn_end: true,
-                ..ev(uid, ObsChannel::R, Hop::Delivered, uid + 10, uid + 9)
+                ..ev(uid, ObsChannel::R, Hop::Delivered, seq + 10, seq + 9)
             };
             reg.on_event(&done);
         }
         assert_eq!(reg.completed().count(), COMPLETED_RING);
         // Oldest entries were evicted; hop lookup still works for recent.
-        assert!(reg.hops_of(1).is_empty());
-        assert!(!reg.hops_of(COMPLETED_RING as u64 + 5).is_empty());
+        assert!(reg.hops_of(uid_of(0, 1)).is_empty());
+        assert!(!reg.hops_of(uid_of(0, COMPLETED_RING as u64 + 5)).is_empty());
     }
 
     #[test]

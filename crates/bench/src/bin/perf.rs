@@ -236,12 +236,18 @@ fn idle_heavy(mode: SchedulerMode, window: Cycle) -> (f64, u64, Cycle, u64) {
     )
 }
 
-/// The observability probe: the quickstart scenario (two 64 KiB-per-job
-/// DMAs behind a 2-port HyperConnect against `MemConfig::zcu102()`) run
-/// to completion with and without the metrics registry + runtime bound
-/// monitor armed — reporting the host-side cost of always-on
-/// observability and the bound monitor's verdict on real traffic.
-fn observed_probe(observe: bool) -> (f64, Cycle, Option<BoundReport>) {
+/// Bare/observed pairs the observability probe runs: the reported
+/// overhead is their median, with the spread beside it.
+const OBS_REPEATS: usize = 5;
+
+/// Cycles the observed allocation probe runs before it starts counting:
+/// long enough for every ring, slab and recycled hop list to reach its
+/// working size.
+const OBS_ALLOC_WARM: Cycle = 40_000;
+
+/// The quickstart scenario of the observability probe: two 64 KiB-per-job
+/// DMAs behind a 2-port HyperConnect against `MemConfig::zcu102()`.
+fn quickstart_system(observe: bool) -> SocSystem<HyperConnect> {
     let mut memory = MemoryController::new(MemConfig::zcu102());
     memory.memory_mut().fill_pattern(0x1000_0000, 64 * 1024);
     let mut sys = SocSystem::new(HyperConnect::new(HcConfig::new(2)), memory);
@@ -265,11 +271,70 @@ fn observed_probe(observe: bool) -> (f64, Cycle, Option<BoundReport>) {
         )))
         .unwrap();
     }
+    sys
+}
+
+/// The observability probe: the quickstart scenario run to completion
+/// with and without the metrics registry + runtime bound monitor armed —
+/// reporting the host-side cost of always-on observability and the
+/// bound monitor's verdict on real traffic.
+fn observed_probe(observe: bool) -> (f64, Cycle, Option<BoundReport>) {
+    let mut sys = quickstart_system(observe);
     let t0 = Instant::now();
     let outcome = sys.run_until_done(10_000_000);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(outcome.is_done(), "observability probe did not finish");
     (wall_ms, sys.now(), sys.interconnect_ref().bound_report())
+}
+
+/// Median of `v`, which it leaves sorted ascending.
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Transactions the observed quickstart system has completed so far.
+fn completed_txns(sys: &SocSystem<HyperConnect>) -> u64 {
+    let m = sys
+        .interconnect_ref()
+        .metrics()
+        .expect("observability armed");
+    (0..m.num_ports())
+        .map(|p| m.port(p).read_txns.count() + m.port(p).write_txns.count())
+        .sum()
+}
+
+/// Heap allocations the quickstart run makes once warm, counted from
+/// [`OBS_ALLOC_WARM`] to completion: `(observed, bare, txns)`, where
+/// `txns` is the transactions the observed run completed in that window
+/// (the bare run moves the same traffic). `None` without the counting
+/// allocator.
+fn observed_alloc_probe() -> Option<(u64, u64, u64)> {
+    let window = |observe: bool| -> Option<(u64, u64)> {
+        let mut sys = quickstart_system(observe);
+        sys.run_for(OBS_ALLOC_WARM);
+        let txns0 = if observe { completed_txns(&sys) } else { 0 };
+        let before = alloc_count()?;
+        assert!(
+            sys.run_until_done(10_000_000).is_done(),
+            "alloc probe did not finish"
+        );
+        let allocs = alloc_count()? - before;
+        let txns = if observe {
+            completed_txns(&sys) - txns0
+        } else {
+            0
+        };
+        Some((allocs, txns))
+    };
+    let (bare, _) = window(false)?;
+    let (observed, txns) = window(true)?;
+    Some((observed, bare, txns))
 }
 
 /// The QoS regulation probe: the mixed-criticality scenario from the
@@ -517,15 +582,31 @@ fn main() {
          vs fast-forward {ff_ms:.1} ms ({ff_cps:.2e} c/s) — {speedup:.1}x, {skipped} skipped"
     );
 
-    // 3. Observability probe: instrumented vs bare run of the same
-    // scenario, plus the runtime bound monitor's verdict.
-    let (base_ms, _, _) = observed_probe(false);
-    let (obs_ms, obs_cycles, report) = observed_probe(true);
+    // 3. Observability probe: instrumented vs bare runs of the same
+    // scenario, alternated so both see the same host conditions, plus
+    // the runtime bound monitor's verdict.
+    let mut base_runs = Vec::with_capacity(OBS_REPEATS);
+    let mut obs_runs = Vec::with_capacity(OBS_REPEATS);
+    let mut overheads = Vec::with_capacity(OBS_REPEATS);
+    let mut obs_cycles = 0;
+    let mut report = None;
+    for _ in 0..OBS_REPEATS {
+        let (base_ms, _, _) = observed_probe(false);
+        let (obs_ms, cycles, verdict) = observed_probe(true);
+        base_runs.push(base_ms);
+        obs_runs.push(obs_ms);
+        overheads.push(obs_ms / base_ms.max(1e-9));
+        obs_cycles = cycles;
+        report = verdict;
+    }
     let report = report.expect("observability armed");
-    let obs_overhead = obs_ms / base_ms.max(1e-9);
+    let (base_ms, obs_ms) = (median(&mut base_runs), median(&mut obs_runs));
+    let obs_overhead = median(&mut overheads);
+    let (obs_overhead_min, obs_overhead_max) = (overheads[0], overheads[OBS_REPEATS - 1]);
     println!(
-        "observability ({obs_cycles} cycles): bare {base_ms:.1} ms vs observed {obs_ms:.1} ms \
-         ({obs_overhead:.2}x), {} reads / {} writes checked, {} violations",
+        "observability ({obs_cycles} cycles, {OBS_REPEATS} pairs): bare {base_ms:.1} ms vs \
+         observed {obs_ms:.1} ms (median {obs_overhead:.2}x, {obs_overhead_min:.2}-\
+         {obs_overhead_max:.2}x), {} reads / {} writes checked, {} violations",
         report.checked_reads, report.checked_writes, report.violations
     );
 
@@ -546,10 +627,22 @@ fn main() {
                 "alloc probe (fig3b HyperConnect_{probe_bytes}B): {allocs} allocs over \
                  {probe_cycles} cycles = {per_cycle:.4} allocs/sim-cycle"
             );
+            let (obs_allocs, bare_allocs, obs_txns) =
+                observed_alloc_probe().expect("counter armed");
+            let per_txn = obs_allocs.saturating_sub(bare_allocs) as f64 / obs_txns.max(1) as f64;
+            println!(
+                "alloc probe (quickstart after {OBS_ALLOC_WARM} cycles): observed {obs_allocs} vs \
+                 bare {bare_allocs} allocs over {obs_txns} completed transactions = \
+                 {per_txn:.4} observability allocs/txn"
+            );
             format!(
                 "{{\"enabled\":true,\"scenario\":\"fig3b HyperConnect_{probe_bytes}B, serial\",\
                  \"allocs\":{allocs},\"sim_cycles\":{probe_cycles},\
-                 \"allocs_per_sim_cycle\":{per_cycle:.6}}}"
+                 \"allocs_per_sim_cycle\":{per_cycle:.6},\
+                 \"observed\":{{\"scenario\":\"quickstart observed, counted from cycle \
+                 {OBS_ALLOC_WARM} to completion\",\"allocs\":{obs_allocs},\
+                 \"bare_allocs\":{bare_allocs},\"completed_txns\":{obs_txns},\
+                 \"observability_allocs_per_txn\":{per_txn:.6}}}}}"
             )
         }
         None => "{\"enabled\":false}".to_string(),
@@ -751,7 +844,9 @@ fn main() {
          \"observability\":{{\"scenario\":\"quickstart 2x8 64 KiB DMA jobs vs zcu102, run to completion\",\
          \"sim_cycles\":{obs_cycles},\
          \"bare_wall_ms\":{base_ms:.3},\"observed_wall_ms\":{obs_ms:.3},\
-         \"overhead\":{obs_overhead:.3},\"bound_monitor\":{obs_report}}},\n\
+         \"overhead\":{obs_overhead:.3},\"overhead_min\":{obs_overhead_min:.3},\
+         \"overhead_max\":{obs_overhead_max:.3},\"repeats\":{OBS_REPEATS},\
+         \"bound_monitor\":{obs_report}}},\n\
          \"alloc_probe\":{alloc_probe_json},\n\
          \"qos\":{{\"scenario\":\"hard-RT victim + 3 greedy DMA readers on 4 ports, \
          {qos_window}-cycle window, swarm regulated to 2 credits / 256 cycles, 2 outstanding\",\

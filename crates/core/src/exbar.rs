@@ -107,15 +107,16 @@ impl Exbar {
     }
 
     /// Starts emitting [`ObsEvent`]s at grant and memory-visibility
-    /// sites. Events accumulate until drained with
-    /// [`Exbar::drain_obs_events`].
+    /// sites. Events accumulate until the owning interconnect folds
+    /// them through [`Exbar::obs_events_mut`].
     pub fn enable_observability(&mut self) {
         self.obs_enabled = true;
     }
 
-    /// Moves all buffered hop events into `into`, preserving order.
-    pub fn drain_obs_events(&mut self, into: &mut Vec<ObsEvent>) {
-        into.append(&mut self.obs_events);
+    /// The buffered hop events, in emission order. The owning
+    /// interconnect folds them and clears the buffer once per tick.
+    pub fn obs_events_mut(&mut self) -> &mut Vec<ObsEvent> {
+        &mut self.obs_events
     }
 
     /// Whether any hop events are waiting to be drained.

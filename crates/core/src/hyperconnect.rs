@@ -17,7 +17,7 @@
 
 use axi::checker::{Violation, ViolationKind};
 use axi::lite::LiteHandle;
-use axi::{AxiInterconnect, AxiPort, PortConfig};
+use axi::{AxiInterconnect, AxiPort, ObsEvent, PortConfig};
 use sim::stats::CounterBank;
 use sim::trace::Tracer;
 use sim::{Component, Cycle};
@@ -63,8 +63,6 @@ pub struct HyperConnect {
     metrics: Option<axi::MetricsRegistry>,
     /// Runtime worst-case-bound monitor, when armed.
     monitor: Option<crate::observe::BoundMonitor>,
-    /// Scratch buffer reused to drain hop events each tick.
-    obs_scratch: Vec<axi::ObsEvent>,
     /// Per-port absolute deadline of the active quiescent drain
     /// (`None` = no quiesce requested on that port).
     quiesce_deadline: Vec<Option<Cycle>>,
@@ -141,7 +139,6 @@ impl HyperConnect {
                 .collect(),
             metrics: None,
             monitor: None,
-            obs_scratch: Vec::new(),
             quiesce_deadline: vec![None; n],
             seen_cfg_gen: u64::MAX,
             viol_totals: vec![0; n],
@@ -152,6 +149,50 @@ impl HyperConnect {
             ar_staged: PortSet::new(n),
             aw_staged: PortSet::new(n),
         }
+    }
+
+    /// Phase 4 of [`Component::tick`]: folds this tick's hop events
+    /// straight from the TS and EXBAR buffers into the registry (and
+    /// monitor), in emission order, and refreshes the gauges. Events
+    /// only fire on progress cycles, so this is identical under the
+    /// fast-forward scheduler. Only visited ports can have emitted
+    /// events or moved their regulator: an unvisited TS is idle, and
+    /// `enable_metrics` makes the first observed tick visit every port.
+    /// `slow` says phase 0 took its slow path this tick.
+    #[inline(never)]
+    fn observe_tick(&mut self, slow: bool) {
+        let Some(metrics) = self.metrics.as_mut() else {
+            return;
+        };
+        let supervisors = &mut self.supervisors;
+        let monitor = &mut self.monitor;
+        for i in self.visited.iter() {
+            let ts = &mut supervisors[i];
+            let staged = fold_events(ts.obs_events_mut(), metrics, monitor);
+            // Regulator telemetry (throttle-event counter and stored-
+            // credit gauges), only for ports whose regulator is armed so
+            // the flat schema is byte-unchanged when regulation is off.
+            // It moves only when the regulator grants a credit (the sub
+            // it admits is staged this tick), counts a throttle onset,
+            // or adopts a control-plane change (a slow tick). Stored
+            // credits only move on commonly-ticked cycles, so the gauge
+            // peaks are scheduler-invariant.
+            if ts.regulator_active()
+                && (slow || staged || metrics.regulator_events(i) != Some(ts.throttle_events()))
+            {
+                let (rc, wc) = ts.stored_credits();
+                metrics.set_regulator(i, ts.throttle_events(), u64::from(rc), u64::from(wc));
+            }
+        }
+        fold_events(self.exbar.obs_events_mut(), metrics, monitor);
+        debug_assert!(
+            supervisors.iter().all(|ts| !ts.has_obs_events()),
+            "hop event emitted on an unvisited port"
+        );
+        for (i, efifo) in self.efifos.iter().enumerate() {
+            metrics.set_efifo_occupancy(i, efifo.port.occupancy() as u64);
+        }
+        metrics.set_master_occupancy(self.mem_port.occupancy() as u64);
     }
 
     /// Mirrors a TS's counters into its port's register block, so the
@@ -221,6 +262,9 @@ impl HyperConnect {
         self.exbar.enable_observability();
         if self.metrics.is_none() {
             self.metrics = Some(axi::MetricsRegistry::new(n));
+            // Phase 4 refreshes regulator gauges on visited ports only;
+            // visiting every port next tick gives each its first sample.
+            self.quiet.clear();
         }
     }
 
@@ -316,6 +360,26 @@ impl HyperConnect {
     pub fn periods_elapsed(&self) -> u64 {
         self.central.periods_elapsed()
     }
+}
+
+/// Folds one producer's buffered hop events into the registry and the
+/// monitor, in emission order, and empties the buffer (keeping its
+/// capacity). Returns whether a `TsStaged` event was among them.
+fn fold_events(
+    events: &mut Vec<ObsEvent>,
+    metrics: &mut axi::MetricsRegistry,
+    monitor: &mut Option<crate::observe::BoundMonitor>,
+) -> bool {
+    let mut staged = false;
+    for ev in events.iter() {
+        staged |= ev.hop == axi::observe::Hop::TsStaged;
+        metrics.on_event(ev);
+        if let Some(mon) = monitor.as_mut() {
+            mon.on_event(ev, metrics);
+        }
+    }
+    events.clear();
+    staged
 }
 
 impl Component for HyperConnect {
@@ -556,37 +620,10 @@ impl Component for HyperConnect {
             "violation recorded on an unvisited port"
         );
 
-        // Phase 4: observability — drain the hop events emitted this
-        // tick, fold them into the registry (and monitor), and refresh
-        // the occupancy gauges. Events only fire on progress cycles, so
-        // this is identical under the fast-forward scheduler.
-        if let Some(metrics) = self.metrics.as_mut() {
-            self.obs_scratch.clear();
-            for ts in supervisors.iter_mut() {
-                ts.drain_obs_events(&mut self.obs_scratch);
-            }
-            self.exbar.drain_obs_events(&mut self.obs_scratch);
-            for ev in &self.obs_scratch {
-                metrics.on_event(ev);
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.on_event(ev, metrics);
-                }
-            }
-            for (i, efifo) in self.efifos.iter().enumerate() {
-                metrics.set_efifo_occupancy(i, efifo.port.occupancy() as u64);
-            }
-            metrics.set_master_occupancy(self.mem_port.occupancy() as u64);
-            // Regulator telemetry: throttle-event counters and stored-
-            // credit gauges, only for ports whose regulator is armed so
-            // the flat schema is byte-unchanged when regulation is off.
-            // Stored credits only move on commonly-ticked cycles, so
-            // the gauge peaks are scheduler-invariant.
-            for (i, ts) in supervisors.iter().enumerate() {
-                if ts.regulator_active() {
-                    let (rc, wc) = ts.stored_credits();
-                    metrics.set_regulator(i, ts.throttle_events(), u64::from(rc), u64::from(wc));
-                }
-            }
+        // Phase 4: observability, kept out of line so the unobserved
+        // tick pays only this branch.
+        if self.metrics.is_some() {
+            self.observe_tick(slow);
         }
         progress
     }
@@ -768,7 +805,7 @@ impl HyperConnect {
         }
         skip "construction-time configuration" { config }
         skip "saved ahead of the rest, through the shared handle" { regs }
-        skip "per-tick scratch, rebuilt before every use" { obs_scratch, ar_staged, aw_staged }
+        skip "per-tick scratch, rebuilt before every use" { ar_staged, aw_staged }
         skip "derived, reset by restore_state" { quiesce_active, quiet, visited }
         check |this| {
             let n = this.config.num_ports;
@@ -1177,6 +1214,41 @@ mod tests {
         let rep = AxiInterconnect::bound_report(&hc).unwrap();
         assert_eq!(rep.violations, 0);
         assert_eq!(rep.read_bound, 300);
+    }
+
+    #[test]
+    fn regulator_telemetry_matches_the_supervisor_after_every_tick() {
+        // A long read on a rate-limited port: its regulator spends and
+        // banks credits and turns throttled and back as the subs stage,
+        // until the outstanding limit stops issue (no memory answers).
+        let mut hc = HyperConnect::new(HcConfig::new(2));
+        hc.regs().with(|rf| {
+            rf.set_reg_window(8);
+            rf.set_rate(0, 1);
+            rf.set_reg_burst(0, 2);
+        });
+        hc.enable_metrics();
+        hc.port(0)
+            .ar
+            .push(0, ArBeat::new(0, 256, BurstSize::B4))
+            .unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for now in 0..200 {
+            hc.tick(now);
+            let ts = &hc.supervisors[0];
+            let (rc, wc) = ts.stored_credits();
+            let want = (ts.throttle_events(), u64::from(rc), u64::from(wc));
+            let m = AxiInterconnect::metrics(&hc).unwrap();
+            let reg = m.port(0).regulator.as_ref().expect("armed regulator");
+            let got = (
+                reg.throttle_events,
+                reg.read_credits.current(),
+                reg.write_credits.current(),
+            );
+            assert_eq!(got, want, "cycle {now}");
+            seen.insert(want);
+        }
+        assert!(seen.len() > 3, "regulator state barely moved: {seen:?}");
     }
 
     #[test]

@@ -27,16 +27,11 @@
 use std::collections::VecDeque;
 
 use axi::observe::{
-    BoundKind, BoundReport, BoundViolation, Hop, MetricsRegistry, ObsChannel, ObsEvent,
+    port_of_uid, BoundKind, BoundReport, BoundViolation, Hop, MetricsRegistry, ObsChannel, ObsEvent,
 };
 use sim::Cycle;
 
 use crate::analysis::{propagation, RegulationCap, ServiceModel};
-
-/// Slave port encoded in an observability uid (`(seq << 10) | (port+1)`).
-fn port_of_uid(uid: u64) -> usize {
-    ((uid & 0x3ff) as usize).saturating_sub(1)
-}
 
 /// Checks observed per-transaction latencies against the closed-form
 /// worst-case bounds, recording a [`BoundViolation`] (with the full hop
@@ -413,10 +408,7 @@ sim::persist_fields!(BoundMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn uid_for(port: usize, seq: u64) -> u64 {
-        (seq << 10) | (port as u64 + 1)
-    }
+    use axi::observe::uid_of;
 
     fn ev(
         uid: u64,
@@ -447,16 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn uid_port_roundtrip() {
-        assert_eq!(port_of_uid(uid_for(0, 7)), 0);
-        assert_eq!(port_of_uid(uid_for(3, 1)), 3);
-        assert_eq!(port_of_uid(0), 0); // W-data uid degrades to port 0
-    }
-
-    #[test]
     fn in_bound_read_is_clean() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(0, 1);
+        let uid = uid_of(0, 1);
         m.on_event(
             &ev(uid, Some(0), ObsChannel::Ar, Hop::TsStaged, 10, 8),
             &reg,
@@ -475,7 +460,7 @@ mod tests {
     #[test]
     fn service_overrun_is_filed_with_bound() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(1, 1);
+        let uid = uid_of(1, 1);
         m.on_event(
             &ev(uid, Some(1), ObsChannel::Ar, Hop::TsStaged, 10, 8),
             &reg,
@@ -513,7 +498,7 @@ mod tests {
         assert_eq!(m.port_read_bound(1), 300);
         // A latency legal under the global bound but over the tightened
         // one is now a violation, filed against the tightened bound.
-        let uid = uid_for(0, 1);
+        let uid = uid_of(0, 1);
         m.on_event(
             &ev(uid, Some(0), ObsChannel::Ar, Hop::TsStaged, 10, 8),
             &reg,
@@ -528,7 +513,7 @@ mod tests {
         // Lifting the regulation relaxes back to the global bound.
         m.arm_regulation(&[None, None]);
         assert_eq!(m.port_read_bound(0), m.read_bound());
-        let uid2 = uid_for(0, 2);
+        let uid2 = uid_of(0, 2);
         m.on_event(
             &ev(uid2, Some(0), ObsChannel::Ar, Hop::TsStaged, 500, 498),
             &reg,
@@ -543,7 +528,7 @@ mod tests {
     #[test]
     fn write_path_checks_b_completion() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(0, 2);
+        let uid = uid_of(0, 2);
         m.on_event(&ev(uid, Some(0), ObsChannel::Aw, Hop::TsStaged, 5, 3), &reg);
         // Write bound = 300 + 8*16 (recycled-read window) + 16 + 4 + 2
         // = 450; complete just over it.
@@ -560,7 +545,7 @@ mod tests {
     #[test]
     fn write_clock_starts_at_w_data_ready() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(0, 6);
+        let uid = uid_of(0, 6);
         m.on_event(&ev(uid, Some(0), ObsChannel::Aw, Hop::TsStaged, 5, 3), &reg);
         // The master dribbles its data: the sub's last W beat reaches
         // the TS 400 cycles after the AW was staged.
@@ -581,7 +566,7 @@ mod tests {
     #[test]
     fn too_fast_propagation_is_a_model_bug() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(0, 3);
+        let uid = uid_of(0, 3);
         // AR visible at memory only 2 cycles after issue: under D_AR=4.
         m.on_event(
             &ev(uid, None, ObsChannel::Ar, Hop::MemVisible, 11, 10),
@@ -606,14 +591,7 @@ mod tests {
         // A Delivered with nothing staged (monitor armed mid-run) must
         // not panic or count.
         m.on_event(
-            &ev(
-                uid_for(0, 4),
-                Some(0),
-                ObsChannel::R,
-                Hop::Delivered,
-                50,
-                48,
-            ),
+            &ev(uid_of(0, 4), Some(0), ObsChannel::R, Hop::Delivered, 50, 48),
             &reg,
         );
         assert_eq!(m.report().checked_reads, 0);
@@ -623,7 +601,7 @@ mod tests {
     #[test]
     fn merged_b_skips_propagation_check() {
         let (mut m, reg) = monitor();
-        let uid = uid_for(0, 5);
+        let uid = uid_of(0, 5);
         m.on_event(&ev(uid, Some(0), ObsChannel::Aw, Hop::TsStaged, 5, 3), &reg);
         // Non-final B absorbed at the TS: delivered "fast" is fine.
         let mut b = ev(uid, Some(0), ObsChannel::B, Hop::Delivered, 20, 20);

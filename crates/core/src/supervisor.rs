@@ -187,7 +187,7 @@ impl TransactionSupervisor {
     /// slave port `port`. From the next accepted transaction on, address
     /// beats get a unique `uid` (salted with the port index so uids are
     /// globally unique) and the TS buffers [`ObsEvent`]s for the owning
-    /// interconnect to drain with [`Self::drain_obs_events`].
+    /// interconnect to fold through [`Self::obs_events_mut`].
     ///
     /// # Panics
     ///
@@ -197,10 +197,10 @@ impl TransactionSupervisor {
         self.obs_port = Some(port);
     }
 
-    /// Appends buffered hop events into `into` (preserving order) and
-    /// clears the internal buffer.
-    pub fn drain_obs_events(&mut self, into: &mut Vec<ObsEvent>) {
-        into.append(&mut self.obs_events);
+    /// The buffered hop events, in emission order. The owning
+    /// interconnect folds them and clears the buffer once per tick.
+    pub fn obs_events_mut(&mut self) -> &mut Vec<ObsEvent> {
+        &mut self.obs_events
     }
 
     /// Whether hop events are waiting to be drained.
@@ -211,7 +211,7 @@ impl TransactionSupervisor {
     /// Allocates the next uid for a transaction accepted on this port.
     fn next_uid(&mut self, port: usize) -> u64 {
         self.uid_seq += 1;
-        (self.uid_seq << 10) | (port as u64 + 1)
+        axi::observe::uid_of(port, self.uid_seq)
     }
 
     fn record(&mut self, cycle: Cycle, kind: ViolationKind, detail: String) {

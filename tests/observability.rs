@@ -1,7 +1,7 @@
 //! Transaction-level observability suite: the metrics registry and the
 //! runtime bound monitor watching *real* end-to-end traffic.
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
 //! 1. **Propagation floors.** No observed per-channel latency may ever
 //!    undercut the HyperConnect's pipeline propagation constants
@@ -16,15 +16,21 @@
 //! 3. **Zero bound violations on clean scenarios.** Randomized traffic
 //!    against the real ZCU102-model memory controller must stay inside
 //!    the closed-form worst-case bounds at every port count.
+//! 4. **Value pins.** The full metrics snapshot and the saved image of
+//!    two observed systems hash to fixed values mid-flight and at the
+//!    end, under both schedulers: the recorder's layout may change, the
+//!    bytes it produces may not.
 
+use axi::lite::LiteBus;
 use axi::observe::ObsChannel;
 use axi::types::BurstSize;
 use axi::AxiInterconnect;
-use axi_hyperconnect::SocSystem;
+use axi_hyperconnect::{SchedulerMode, SocSystem};
 use ha::dma::{Dma, DmaConfig};
 use ha::traffic::{PeriodicReader, RandomTraffic};
 use hyperconnect::analysis::propagation;
 use hyperconnect::{HcConfig, HyperConnect};
+use hypervisor::HcDriver;
 use mem::{MemConfig, MemoryController};
 
 /// Builds an observed system: HyperConnect with metrics + bound monitor
@@ -190,4 +196,136 @@ fn bound_monitor_clean_across_port_counts() {
         );
         assert_propagation_floors(&sys);
     }
+}
+
+/// FNV-1a 64 over a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The quickstart example's system: two DMAs moving 64 KiB in and out
+/// per job, four jobs each, on a 2-port HyperConnect.
+fn quickstart_system(mode: SchedulerMode) -> SocSystem<HyperConnect> {
+    let mut sys = observed_system(2);
+    sys.set_scheduler(mode);
+    for (name, src, dst) in [
+        ("dma0", 0x1000_0000u64, 0x2000_0000u64),
+        ("dma1", 0x3000_0000, 0x3800_0000),
+    ] {
+        sys.add_accelerator(Box::new(Dma::new(
+            name,
+            DmaConfig {
+                src_base: src,
+                dst_base: dst,
+                read_bytes: 64 * 1024,
+                write_bytes: 64 * 1024,
+                jobs: Some(4),
+                ..DmaConfig::case_study()
+            },
+        )))
+        .unwrap();
+    }
+    sys
+}
+
+/// The regulated QoS shape: a hard-RT periodic victim plus three greedy
+/// DMA readers on a 4-port HyperConnect, the swarm's regulators
+/// programmed over AXI-Lite before observability is armed.
+fn observed_qos_system(mode: SchedulerMode) -> SocSystem<HyperConnect> {
+    let hc = HyperConnect::new(HcConfig::new(4));
+    let mut bus = LiteBus::new();
+    bus.map(0xA000_0000, 0x1000, hc.regs().clone());
+    let drv = HcDriver::probe(&bus, 0xA000_0000).expect("HyperConnect regfile");
+    drv.set_regulation_window(256).expect("window register");
+    for port in 1..4 {
+        drv.set_rate(port, 2).expect("rate register");
+        drv.set_reg_burst(port, 2).expect("burst register");
+        drv.set_out_cap(port, 2).expect("out-cap register");
+    }
+    let mut sys = SocSystem::new(hc, MemoryController::new(MemConfig::zcu102()));
+    sys.set_scheduler(mode);
+    sys.enable_observability();
+    sys.add_accelerator(Box::new(PeriodicReader::new(
+        "victim",
+        0x1000_0000,
+        1 << 20,
+        16,
+        BurstSize::B16,
+        200,
+    )))
+    .unwrap();
+    for i in 0..3u64 {
+        sys.add_accelerator(Box::new(Dma::new(
+            format!("swarm{i}"),
+            DmaConfig {
+                src_base: 0x3000_0000 + i * 0x0100_0000,
+                jobs: None,
+                ..DmaConfig::reader(256 * 1024, 16, BurstSize::B16)
+            },
+        )))
+        .unwrap();
+    }
+    sys
+}
+
+/// `(fnv64 of metrics_snapshot_json, fnv64 of snapshot_bytes)`.
+fn value_pin(sys: &SocSystem<HyperConnect>) -> (u64, u64) {
+    let json = sys.metrics_snapshot_json().expect("observability armed");
+    (fnv64(json.as_bytes()), fnv64(&sys.snapshot_bytes()))
+}
+
+/// Runs `build` to `mid` (asserting transactions are in flight there)
+/// and then on to its end, checking both points' pins under both
+/// schedulers.
+fn assert_value_pins(
+    label: &str,
+    build: fn(SchedulerMode) -> SocSystem<HyperConnect>,
+    mid: u64,
+    finish: impl Fn(&mut SocSystem<HyperConnect>),
+    expected: [(u64, u64); 2],
+) {
+    for mode in [SchedulerMode::Naive, SchedulerMode::FastForward] {
+        let mut sys = build(mode);
+        sys.run_for(mid);
+        let inflight = sys.interconnect_ref().metrics().unwrap().inflight_len();
+        assert!(inflight > 0, "{label} {mode:?}: nothing in flight at {mid}");
+        let got_mid = value_pin(&sys);
+        finish(&mut sys);
+        let got_end = value_pin(&sys);
+        assert_eq!(
+            [got_mid, got_end],
+            expected,
+            "{label} {mode:?}: observability values moved (mid {got_mid:#x?}, end {got_end:#x?})"
+        );
+    }
+}
+
+#[test]
+fn quickstart_values_are_pinned() {
+    assert_value_pins(
+        "quickstart",
+        quickstart_system,
+        20_011,
+        |sys| assert!(sys.run_until_done(10_000_000).is_done()),
+        [
+            (0xd636_c1d6_a589_268d, 0xc3ae_ddd0_7dfd_19b1),
+            (0xa353_433b_af82_1f79, 0xb3af_d2c3_0dd0_055b),
+        ],
+    );
+}
+
+#[test]
+fn observed_qos_values_are_pinned() {
+    assert_value_pins(
+        "observed_qos",
+        observed_qos_system,
+        23_917,
+        |sys| sys.run_for(76_083),
+        [
+            (0x763f_dc26_68b2_25d7, 0x27d1_bca7_9e24_416c),
+            (0xffc4_d1a1_2814_174f, 0x05fd_0bec_3ea0_9f01),
+        ],
+    );
 }
