@@ -28,7 +28,7 @@
 //! figures plus the configured bridge latencies. Timestamps are
 //! metrics-only metadata: restamping never changes cycle-level timing.
 
-use sim::Cycle;
+use sim::{Cycle, TimedFifo};
 
 use crate::port::{AxiPort, PortConfig};
 
@@ -155,143 +155,70 @@ impl AxiBridge {
     /// moved. Call exactly once per cycle, after the upstream component
     /// ticked and before the downstream one does (the topology engine's
     /// schedule).
+    ///
+    /// Beats move in place: the stage is borrowed, never moved out and
+    /// back, so a bridge with nothing ready on either side costs one
+    /// readiness test per queue.
     pub fn transfer(
         &mut self,
         now: Cycle,
         upstream: &mut AxiPort,
         downstream: &mut AxiPort,
     ) -> bool {
-        match self.stage.take() {
-            None => self.transfer_wire(now, upstream, downstream),
-            Some(mut stage) => {
-                let progress = self.transfer_staged(now, &mut stage, upstream, downstream);
-                self.stage = Some(stage);
-                progress
+        let (up, down, stats) = (upstream, downstream, &mut self.stats);
+        let moved = |n: u64, dir: &mut u64| {
+            *dir += n;
+            n > 0
+        };
+        match &mut self.stage {
+            // Wire mode: beats cross directly within the cycle.
+            None => {
+                let down_beats = cross(now, &mut up.ar, &mut down.ar, |b| b.issued_at = now)
+                    + cross(now, &mut up.aw, &mut down.aw, |b| b.issued_at = now)
+                    + cross(now, &mut up.w, &mut down.w, |b| b.issued_at = now);
+                let up_beats = cross(now, &mut down.r, &mut up.r, |b| b.hopped_at = now)
+                    + cross(now, &mut down.b, &mut up.b, |b| b.hopped_at = now);
+                moved(down_beats, &mut stats.beats_down) | moved(up_beats, &mut stats.beats_up)
+            }
+            // Registered mode: drain the stage toward its destination
+            // first, then accept newly ready beats into the stage — so a
+            // beat spends exactly `latency` cycles inside the bridge when
+            // the far side has space.
+            Some(stage) => {
+                let down_beats = cross(now, &mut stage.ar, &mut down.ar, |b| b.issued_at = now)
+                    + cross(now, &mut stage.aw, &mut down.aw, |b| b.issued_at = now)
+                    + cross(now, &mut stage.w, &mut down.w, |b| b.issued_at = now);
+                let up_beats = cross(now, &mut stage.r, &mut up.r, |b| b.hopped_at = now)
+                    + cross(now, &mut stage.b, &mut up.b, |b| b.hopped_at = now);
+                let staged = cross(now, &mut up.ar, &mut stage.ar, |_| {})
+                    + cross(now, &mut up.aw, &mut stage.aw, |_| {})
+                    + cross(now, &mut up.w, &mut stage.w, |_| {})
+                    + cross(now, &mut down.r, &mut stage.r, |_| {})
+                    + cross(now, &mut down.b, &mut stage.b, |_| {});
+                let crossed =
+                    moved(down_beats, &mut stats.beats_down) | moved(up_beats, &mut stats.beats_up);
+                crossed || staged > 0
             }
         }
     }
+}
 
-    /// Wire mode: beats cross directly, exactly like the hand-rolled
-    /// adapter the hierarchy test used to carry.
-    fn transfer_wire(&mut self, now: Cycle, up: &mut AxiPort, down: &mut AxiPort) -> bool {
-        let mut progress = false;
-        // Requests flow down.
-        while up.ar.has_ready(now) && !down.ar.is_full() {
-            let mut b = up.ar.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.ar.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        while up.aw.has_ready(now) && !down.aw.is_full() {
-            let mut b = up.aw.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.aw.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        while up.w.has_ready(now) && !down.w.is_full() {
-            let mut b = up.w.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.w.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        // Responses flow up.
-        while down.r.has_ready(now) && !up.r.is_full() {
-            let mut b = down.r.pop_ready(now).expect("ready");
-            b.hopped_at = now;
-            up.r.push(now, b).expect("space");
-            self.stats.beats_up += 1;
-            progress = true;
-        }
-        while down.b.has_ready(now) && !up.b.is_full() {
-            let mut b = down.b.pop_ready(now).expect("ready");
-            b.hopped_at = now;
-            up.b.push(now, b).expect("space");
-            self.stats.beats_up += 1;
-            progress = true;
-        }
-        progress
+/// Moves every beat visible at `now` from `from` into `to` while `to`
+/// has space, applying `restamp` to each; returns the beats moved.
+fn cross<T>(
+    now: Cycle,
+    from: &mut TimedFifo<T>,
+    to: &mut TimedFifo<T>,
+    mut restamp: impl FnMut(&mut T),
+) -> u64 {
+    let mut n = 0;
+    while from.has_ready(now) && !to.is_full() {
+        let mut beat = from.pop_ready(now).expect("ready");
+        restamp(&mut beat);
+        to.push(now, beat).ok().expect("checked space");
+        n += 1;
     }
-
-    /// Registered mode: drain the stage toward its destination first,
-    /// then accept newly ready beats into the stage — so a beat spends
-    /// exactly `latency` cycles inside the bridge when the far side has
-    /// space.
-    fn transfer_staged(
-        &mut self,
-        now: Cycle,
-        stage: &mut AxiPort,
-        up: &mut AxiPort,
-        down: &mut AxiPort,
-    ) -> bool {
-        let mut progress = false;
-        // Stage → downstream (requests leave the bridge).
-        while stage.ar.has_ready(now) && !down.ar.is_full() {
-            let mut b = stage.ar.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.ar.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        while stage.aw.has_ready(now) && !down.aw.is_full() {
-            let mut b = stage.aw.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.aw.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        while stage.w.has_ready(now) && !down.w.is_full() {
-            let mut b = stage.w.pop_ready(now).expect("ready");
-            b.issued_at = now;
-            down.w.push(now, b).expect("space");
-            self.stats.beats_down += 1;
-            progress = true;
-        }
-        // Stage → upstream (responses leave the bridge).
-        while stage.r.has_ready(now) && !up.r.is_full() {
-            let mut b = stage.r.pop_ready(now).expect("ready");
-            b.hopped_at = now;
-            up.r.push(now, b).expect("space");
-            self.stats.beats_up += 1;
-            progress = true;
-        }
-        while stage.b.has_ready(now) && !up.b.is_full() {
-            let mut b = stage.b.pop_ready(now).expect("ready");
-            b.hopped_at = now;
-            up.b.push(now, b).expect("space");
-            self.stats.beats_up += 1;
-            progress = true;
-        }
-        // Boundary → stage (beats enter the bridge pipes).
-        while up.ar.has_ready(now) && !stage.ar.is_full() {
-            let b = up.ar.pop_ready(now).expect("ready");
-            stage.ar.push(now, b).expect("space");
-            progress = true;
-        }
-        while up.aw.has_ready(now) && !stage.aw.is_full() {
-            let b = up.aw.pop_ready(now).expect("ready");
-            stage.aw.push(now, b).expect("space");
-            progress = true;
-        }
-        while up.w.has_ready(now) && !stage.w.is_full() {
-            let b = up.w.pop_ready(now).expect("ready");
-            stage.w.push(now, b).expect("space");
-            progress = true;
-        }
-        while down.r.has_ready(now) && !stage.r.is_full() {
-            let b = down.r.pop_ready(now).expect("ready");
-            stage.r.push(now, b).expect("space");
-            progress = true;
-        }
-        while down.b.has_ready(now) && !stage.b.is_full() {
-            let b = down.b.pop_ready(now).expect("ready");
-            stage.b.push(now, b).expect("space");
-            progress = true;
-        }
-        progress
-    }
+    n
 }
 
 impl Default for AxiBridge {

@@ -109,7 +109,8 @@ pub struct SubBurst {
 /// burst lengths.
 ///
 /// The final fragment carries the remainder when `len` is not a multiple
-/// of `nominal`.
+/// of `nominal`. The fragments are produced lazily, so splitting
+/// allocates nothing.
 ///
 /// # Panics
 ///
@@ -121,29 +122,35 @@ pub struct SubBurst {
 /// use axi::burst::{split_incr, SubBurst};
 /// use axi::types::BurstSize;
 ///
-/// let subs = split_incr(0x1000, 40, BurstSize::B4, 16);
+/// let subs: Vec<_> = split_incr(0x1000, 40, BurstSize::B4, 16).collect();
 /// assert_eq!(subs, vec![
 ///     SubBurst { addr: 0x1000, len: 16 },
 ///     SubBurst { addr: 0x1040, len: 16 },
 ///     SubBurst { addr: 0x1080, len: 8 },
 /// ]);
 /// ```
-pub fn split_incr(addr: u64, len: u32, size: BurstSize, nominal: u32) -> Vec<SubBurst> {
+pub fn split_incr(
+    addr: u64,
+    len: u32,
+    size: BurstSize,
+    nominal: u32,
+) -> impl Iterator<Item = SubBurst> {
     assert!(nominal > 0, "nominal burst length must be non-zero");
     assert!(len > 0, "burst length must be non-zero");
-    let mut out = Vec::with_capacity(len.div_ceil(nominal) as usize);
     let mut remaining = len;
     let mut cursor = addr;
-    while remaining > 0 {
+    std::iter::from_fn(move || {
         let chunk = remaining.min(nominal);
-        out.push(SubBurst {
-            addr: cursor,
-            len: chunk,
-        });
-        cursor += chunk as u64 * size.bytes();
-        remaining -= chunk;
-    }
-    out
+        (chunk > 0).then(|| {
+            let sub = SubBurst {
+                addr: cursor,
+                len: chunk,
+            };
+            cursor += chunk as u64 * size.bytes();
+            remaining -= chunk;
+            sub
+        })
+    })
 }
 
 /// Number of sub-bursts produced by [`split_incr`] without materializing
@@ -249,7 +256,7 @@ mod tests {
 
     #[test]
     fn split_exact_multiple() {
-        let subs = split_incr(0, 32, BurstSize::B4, 16);
+        let subs: Vec<_> = split_incr(0, 32, BurstSize::B4, 16).collect();
         assert_eq!(subs.len(), 2);
         assert!(subs.iter().all(|s| s.len == 16));
         assert_eq!(subs[1].addr, 64);
@@ -257,7 +264,7 @@ mod tests {
 
     #[test]
     fn split_with_remainder() {
-        let subs = split_incr(0, 17, BurstSize::B4, 16);
+        let subs: Vec<_> = split_incr(0, 17, BurstSize::B4, 16).collect();
         assert_eq!(subs.len(), 2);
         assert_eq!(subs[0].len, 16);
         assert_eq!(subs[1].len, 1);
@@ -266,7 +273,7 @@ mod tests {
 
     #[test]
     fn split_shorter_than_nominal_is_identity() {
-        let subs = split_incr(0x40, 5, BurstSize::B8, 16);
+        let subs: Vec<_> = split_incr(0x40, 5, BurstSize::B8, 16).collect();
         assert_eq!(subs, vec![SubBurst { addr: 0x40, len: 5 }]);
     }
 
@@ -275,7 +282,7 @@ mod tests {
         for (len, nominal) in [(1u32, 1u32), (16, 16), (17, 16), (255, 16), (256, 8)] {
             assert_eq!(
                 split_count(len, nominal) as usize,
-                split_incr(0, len, BurstSize::B4, nominal).len()
+                split_incr(0, len, BurstSize::B4, nominal).count()
             );
         }
     }
@@ -319,7 +326,7 @@ mod tests {
         ) {
             let size = BurstSize::B4;
             let addr = addr * size.bytes(); // aligned
-            let subs = split_incr(addr, len, size, nominal);
+            let subs: Vec<_> = split_incr(addr, len, size, nominal).collect();
             // Beat conservation.
             let total: u32 = subs.iter().map(|s| s.len).sum();
             prop_assert_eq!(total, len);

@@ -124,6 +124,20 @@ impl AxiPort {
         .min()
     }
 
+    /// A stamp of the port's traffic (the sum of its queues'
+    /// [`TimedFifo::activity`]): two equal stamps mean no queue of the
+    /// port was pushed to, popped from or flushed in between. The
+    /// topology engine uses it to let an accelerator whose port nobody
+    /// touched sleep.
+    pub fn activity(&self) -> u64 {
+        self.ar
+            .activity()
+            .wrapping_add(self.aw.activity())
+            .wrapping_add(self.w.activity())
+            .wrapping_add(self.r.activity())
+            .wrapping_add(self.b.activity())
+    }
+
     /// Flushes every channel queue (synchronous reset).
     pub fn clear(&mut self) {
         self.ar.clear();
@@ -160,6 +174,15 @@ pub trait AxiInterconnect: Component {
 
     /// The single master port boundary (toward the FPGA-PS interface).
     fn mem_port(&mut self) -> &mut AxiPort;
+
+    /// Writes each slave port's [`AxiPort::activity`] stamp into
+    /// `stamps`, in port order: one call tells which ports anything
+    /// touched since the last one.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `stamps` is shorter than `num_ports()`.
+    fn port_activity(&self, stamps: &mut [u64]);
 
     /// Short human-readable model name for reports (e.g. `"HyperConnect"`).
     fn name(&self) -> &'static str;
@@ -232,6 +255,9 @@ impl<T: AxiInterconnect + ?Sized> AxiInterconnect for Box<T> {
     }
     fn mem_port(&mut self) -> &mut AxiPort {
         (**self).mem_port()
+    }
+    fn port_activity(&self, stamps: &mut [u64]) {
+        (**self).port_activity(stamps)
     }
     fn name(&self) -> &'static str {
         (**self).name()

@@ -799,11 +799,16 @@ fn main() {
     let tree_identical = tree_ff.fingerprint == tree_naive.fingerprint;
     println!(
         "tree100 ({} nodes, {tree_cycles} cycles): naive {:.1} ms ({naive_tree_cps:.2e} c/s), \
-         region fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped){}",
+         region fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped; leaf ticks {} run, \
+         {} passed over; bridge transfers {} run, {} passed over){}",
         tree100::node_count(),
         tree_naive.wall_ms,
         tree_ff.wall_ms,
         tree_ff.skipped,
+        tree_ff.work.leaf_ticks,
+        tree_ff.work.leaf_skips,
+        tree_ff.work.bridge_transfers,
+        tree_ff.work.bridge_skips,
         if tree_identical { "" } else { " — DIVERGED" }
     );
     // 6. Emit BENCH_simulator.json.
@@ -873,6 +878,8 @@ fn main() {
          \"region_fast_forward_wall_ms\":{:.3},\
          \"region_fast_forward_cycles_per_sec\":{ff_tree_cps:.0},\
          \"region_fast_forward_skipped\":{},\
+         \"region_fast_forward_leaf_ticks\":{},\"region_fast_forward_leaf_skips\":{},\
+         \"region_fast_forward_bridge_transfers\":{},\"region_fast_forward_bridge_skips\":{},\
          \"region_fast_forward_byte_identical\":{tree_identical}}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
@@ -883,6 +890,10 @@ fn main() {
         tree_naive.wall_ms,
         tree_ff.wall_ms,
         tree_ff.skipped,
+        tree_ff.work.leaf_ticks,
+        tree_ff.work.leaf_skips,
+        tree_ff.work.bridge_transfers,
+        tree_ff.work.bridge_skips,
         peak_rss_kb()
     );
     std::fs::write(&out_path, json).expect("write BENCH_simulator.json");

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use axi::types::BurstSize;
 use axi::BridgeConfig;
-use axi_hyperconnect::{SchedulerMode, SocTopology, TopologyBuilder};
+use axi_hyperconnect::{EngineWork, SchedulerMode, SocTopology, TopologyBuilder};
 use ha::traffic::{PeriodicReader, RandomTraffic};
 use ha::Accelerator;
 use hyperconnect::{HcConfig, HyperConnect};
@@ -153,6 +153,8 @@ pub struct TreeRun {
     pub fingerprint: String,
     /// Cycles the scheduler fast-forwarded.
     pub skipped: Cycle,
+    /// Accelerator ticks run and passed over, and bridge transfers run.
+    pub work: EngineWork,
 }
 
 /// Builds and runs the tree for `cycles` under `mode`, returning the
@@ -166,6 +168,7 @@ pub fn run(mode: SchedulerMode, cycles: Cycle) -> TreeRun {
         wall_ms,
         fingerprint: fingerprint(&mut topo),
         skipped: topo.skipped_cycles(),
+        work: topo.engine_work(),
     }
 }
 

@@ -713,6 +713,12 @@ impl AxiInterconnect for HyperConnect {
         &mut self.mem_port
     }
 
+    fn port_activity(&self, stamps: &mut [u64]) {
+        for (stamp, efifo) in stamps[..self.efifos.len()].iter_mut().zip(&self.efifos) {
+            *stamp = efifo.port.activity();
+        }
+    }
+
     fn name(&self) -> &'static str {
         "HyperConnect"
     }

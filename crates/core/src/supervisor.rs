@@ -439,27 +439,21 @@ impl TransactionSupervisor {
             });
             return;
         }
-        let subs = split_incr(ar.addr, ar.len, ar.size, nominal);
-        let mut subs = subs.into_iter();
-        let final_geom = subs.next_back().expect("split yields at least one sub");
-        for s in subs {
-            let mut beat = ar.clone();
+        // The final sub-request takes ownership of the original beat —
+        // no clone on the last fragment.
+        let mut subs = split_incr(ar.addr, ar.len, ar.size, nominal).peekable();
+        let mut original = Some(ar);
+        while let Some(s) = subs.next() {
+            let final_sub = subs.peek().is_none();
+            let mut beat = if final_sub {
+                original.take().expect("the final sub comes once")
+            } else {
+                original.clone().expect("the original outlives the split")
+            };
             beat.addr = s.addr;
             beat.len = s.len;
-            self.ar_split.push_back(SubAr {
-                beat,
-                final_sub: false,
-            });
+            self.ar_split.push_back(SubAr { beat, final_sub });
         }
-        // The final sub-request takes ownership of the original beat —
-        // no clone on the last (or only-split) fragment.
-        let mut beat = ar;
-        beat.addr = final_geom.addr;
-        beat.len = final_geom.len;
-        self.ar_split.push_back(SubAr {
-            beat,
-            final_sub: true,
-        });
     }
 
     fn split_aw(&mut self, aw: AwBeat, nominal: u32) {
@@ -471,28 +465,21 @@ impl TransactionSupervisor {
             });
             return;
         }
-        let subs = split_incr(aw.addr, aw.len, aw.size, nominal);
-        let mut subs = subs.into_iter();
-        let final_geom = subs.next_back().expect("split yields at least one sub");
-        for s in subs {
-            let mut beat = aw.clone();
+        // As in `split_ar`: the final sub moves the original beat.
+        let mut subs = split_incr(aw.addr, aw.len, aw.size, nominal).peekable();
+        let mut original = Some(aw);
+        while let Some(s) = subs.next() {
+            let final_sub = subs.peek().is_none();
+            let mut beat = if final_sub {
+                original.take().expect("the final sub comes once")
+            } else {
+                original.clone().expect("the original outlives the split")
+            };
             beat.addr = s.addr;
             beat.len = s.len;
             self.w_sublens.push_back(s.len);
-            self.aw_split.push_back(SubAw {
-                beat,
-                final_sub: false,
-            });
+            self.aw_split.push_back(SubAw { beat, final_sub });
         }
-        // As in `split_ar`: the final sub moves the original beat.
-        let mut beat = aw;
-        beat.addr = final_geom.addr;
-        beat.len = final_geom.len;
-        self.w_sublens.push_back(final_geom.len);
-        self.aw_split.push_back(SubAw {
-            beat,
-            final_sub: true,
-        });
     }
 
     /// Consumes new requests and data from the port's eFIFO: splits

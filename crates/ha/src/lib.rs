@@ -43,6 +43,22 @@ use sim::Cycle;
 pub trait Accelerator: std::any::Any + Send {
     /// Advances the accelerator one cycle against its port. Returns
     /// `true` if any state changed.
+    ///
+    /// # Wake contract
+    ///
+    /// The topology engine lets an accelerator sleep inside a busy
+    /// region, so every model keeps two promises:
+    ///
+    /// * after a tick at `t` returns `false`, ticking it on every cycle
+    ///   before its horizon — the earlier of [`Self::next_event`]`(t)`
+    ///   and the cycle the next R or B beat on its port becomes visible
+    ///   — against a port nobody else pushes to, pops from or flushes
+    ///   returns `false` every time and leaves the
+    ///   [`Self::save_state`] bytes unchanged;
+    /// * a tick that changes [`Self::jobs_completed`] or
+    ///   [`Self::is_done`] returns `true`.
+    ///
+    /// `crates/ha/tests/wake_contract.rs` checks both for every model.
     fn tick(&mut self, now: Cycle, port: &mut AxiPort) -> bool;
 
     /// Short human-readable name for reports.
@@ -61,10 +77,12 @@ pub trait Accelerator: std::any::Any + Send {
 
     /// Event-horizon hint (see [`sim::Component::next_event`]): the
     /// earliest future cycle this accelerator could make progress at,
-    /// assuming nothing arrives on its port before then. `None` means
+    /// assuming nothing touches its port before then. `None` means
     /// purely reactive (only port traffic can wake it). Implementations
-    /// may under-promise but must never over-promise. The default of
-    /// `Some(now + 1)` is always safe.
+    /// may under-promise but must never over-promise: asked after a
+    /// no-progress tick, the answer bounds the sleep the wake contract
+    /// of [`Self::tick`] allows. The default of `Some(now + 1)` is
+    /// always safe.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

@@ -191,6 +191,16 @@ impl<T> TimedFifo<T> {
         self.popped
     }
 
+    /// A stamp of the queue's traffic: `2 * pushed - len`, which grows
+    /// by one on every push and every pop and by the element count on a
+    /// flush of a non-empty queue. Two equal stamps mean nothing was
+    /// pushed, popped or flushed in between.
+    pub fn activity(&self) -> u64 {
+        self.pushed
+            .wrapping_mul(2)
+            .wrapping_sub(self.entries.len() as u64)
+    }
+
     /// Highest occupancy ever observed (for buffer sizing studies).
     pub fn max_occupancy(&self) -> usize {
         self.max_occupancy

@@ -536,6 +536,13 @@ impl AxiInterconnect for SmartConnect {
         &mut self.mem_port
     }
 
+    fn port_activity(&self, stamps: &mut [u64]) {
+        let ports = &self.slave_ports;
+        for (stamp, port) in stamps[..ports.len()].iter_mut().zip(ports) {
+            *stamp = port.activity();
+        }
+    }
+
     fn name(&self) -> &'static str {
         "SmartConnect"
     }

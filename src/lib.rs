@@ -62,8 +62,8 @@ mod topology;
 
 pub use system::SocSystem;
 pub use topology::{
-    NodeId, SchedulerMode, SocTopology, TopologyBuilder, TopologyError, SECTION_CONTROL,
-    SECTION_NODES, SECTION_SHAPE,
+    EngineWork, NodeId, SchedulerMode, SocTopology, TopologyBuilder, TopologyError,
+    SECTION_CONTROL, SECTION_NODES, SECTION_SHAPE,
 };
 
 // Re-export the workspace crates under one roof for downstream users.

@@ -309,6 +309,12 @@ struct Node {
     kind: NodeKind,
 }
 
+/// Request beats ever pushed into `port`: only its owner pushes them,
+/// so an unchanged count means no new request since it was taken.
+fn requests_pushed(port: &axi::AxiPort) -> u64 {
+    port.ar.total_pushed() + port.aw.total_pushed() + port.w.total_pushed()
+}
+
 /// Disjoint mutable access to two distinct nodes.
 fn two_nodes(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &mut Node) {
     debug_assert_ne!(a, b);
@@ -403,6 +409,76 @@ struct Region {
     /// Whether a node of the region, or a cut bridge into it, moved
     /// anything during the cycle being ticked.
     progress: bool,
+}
+
+/// One bound slave port in an interconnect's child table: everything
+/// the engine's per-child step reads before it decides whether the
+/// child moves, so a child that does not move costs a table lookup.
+/// `partition_regions` builds the table in slave-port order; the wake
+/// fields are scheduler state, reset at every run entry and never
+/// persisted.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// An accelerator ticking directly against slave port `port`.
+    Leaf {
+        port: usize,
+        node: usize,
+        /// First cycle the accelerator must tick at again if nobody
+        /// touches its port before then.
+        wake: Cycle,
+        /// No tick since the last run entry: the first one runs the IRQ
+        /// and done bookkeeping whatever its outcome.
+        fresh: bool,
+    },
+    /// A cascaded interconnect behind the bridge on slave port `port`.
+    Cascade {
+        port: usize,
+        node: usize,
+        /// Whether the bridge is a cut (its child starts a region).
+        cut: bool,
+        /// Cycle the bridge's first staged beat is ready to leave (its
+        /// `next_event` after its last transfer).
+        stage_ready: Cycle,
+        /// Earliest cycle anything the bridge could move is ready: a
+        /// staged beat, a request in the child's master port or a
+        /// response in the parent's slave port.
+        ready: Cycle,
+        /// Requests the child interconnect had pushed into its master
+        /// port by the bridge's last transfer.
+        pushed: u64,
+    },
+}
+
+/// One interconnect's run of the child tables, and the earliest wake
+/// among its leaves (scheduler state, like the slots' own).
+#[derive(Debug, Clone, Copy, Default)]
+struct Table {
+    first: usize,
+    end: usize,
+    /// Where the interconnect's slave ports start in `seen` and
+    /// `slot_at`.
+    ports: usize,
+    /// Leaf slots in the run.
+    leaves: usize,
+    /// No leaf of the run ticks before this cycle unless its port is
+    /// touched (which `watch_ports` notes, lowering this too).
+    leaf_wake: Cycle,
+}
+
+/// How much per-child work the engine did (see
+/// [`SocTopology::engine_work`]). Execution counters, never persisted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineWork {
+    /// Accelerator ticks run.
+    pub leaf_ticks: u64,
+    /// Accelerator ticks passed over inside an awake region: the
+    /// accelerator slept and nobody touched its port.
+    pub leaf_skips: u64,
+    /// Bridge transfers run.
+    pub bridge_transfers: u64,
+    /// Bridge transfers passed over: nothing the bridge could move was
+    /// ready and its child pushed no new request.
+    pub bridge_skips: u64,
 }
 
 /// Declarative, validating assembly of a [`SocTopology`].
@@ -829,6 +905,12 @@ impl TopologyBuilder {
             stamps,
             regions: Vec::new(),
             region_of: Vec::new(),
+            slots: Vec::new(),
+            tables: Vec::new(),
+            seen: Vec::new(),
+            slot_at: Vec::new(),
+            activity: Vec::new(),
+            work: EngineWork::default(),
             clock: ClockConfig::default(),
             now: 0,
             irq_events: Vec::new(),
@@ -862,6 +944,20 @@ pub struct SocTopology {
     regions: Vec<Region>,
     /// Region index per node.
     region_of: Vec<usize>,
+    /// Every interconnect's child table, back to back.
+    slots: Vec<Slot>,
+    /// The run of `slots` each node owns (empty for non-interconnects).
+    tables: Vec<Table>,
+    /// Per slave port of every interconnect, its [`axi::AxiPort::activity`]
+    /// stamp when the engine last looked: after its child's last tick or
+    /// transfer, or after an interconnect tick that changed it.
+    seen: Vec<u64>,
+    /// Per slave port of every interconnect, the slot of its child
+    /// (`usize::MAX` when unbound).
+    slot_at: Vec<usize>,
+    /// Scratch for one interconnect's port activity stamps.
+    activity: Vec<u64>,
+    work: EngineWork,
     clock: ClockConfig,
     now: Cycle,
     /// Completion interrupts as accelerator ordinals, drained by
@@ -889,6 +985,13 @@ impl SocTopology {
     /// cycle on which only some regions ticked is not skipped.
     pub fn skipped_cycles(&self) -> Cycle {
         self.skipped_cycles
+    }
+
+    /// How much per-child work the engine has done so far: accelerator
+    /// ticks and bridge transfers, run and passed over. Under
+    /// [`SchedulerMode::Naive`] nothing is passed over.
+    pub fn engine_work(&self) -> EngineWork {
+        self.work
     }
 
     /// The fast-forward calendar's regions, each listing its nodes in
@@ -1157,8 +1260,8 @@ impl SocTopology {
                 })
     }
 
-    /// Rebuilds the region calendar from the graph (at build time and
-    /// whenever a post-build accelerator joins it).
+    /// Rebuilds the region calendar and the child tables from the graph
+    /// (at build time and whenever a post-build accelerator joins it).
     fn partition_regions(&mut self) {
         let p = partition(&self.nodes, &self.roots);
         self.regions = p
@@ -1173,6 +1276,78 @@ impl SocTopology {
             })
             .collect();
         self.region_of = p.part_of;
+        self.slots.clear();
+        self.seen.clear();
+        self.slot_at.clear();
+        self.tables = vec![Table::default(); self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate() {
+            let NodeKind::Interconnect(icn) = &node.kind else {
+                continue;
+            };
+            let first = self.slots.len();
+            let ports = self.seen.len();
+            self.seen.resize(ports + icn.children.len(), 0);
+            self.slot_at.resize(ports + icn.children.len(), usize::MAX);
+            for (port, c) in icn.children.iter().enumerate() {
+                let Some(c) = c else { continue };
+                self.slot_at[ports + port] = self.slots.len();
+                self.slots.push(match c.bridge {
+                    None => Slot::Leaf {
+                        port,
+                        node: c.node,
+                        wake: self.now,
+                        fresh: true,
+                    },
+                    Some(_) => Slot::Cascade {
+                        port,
+                        node: c.node,
+                        cut: self.region_of[c.node] != self.region_of[id],
+                        stage_ready: 0,
+                        ready: 0,
+                        pushed: 0,
+                    },
+                });
+            }
+            self.tables[id] = Table {
+                first,
+                end: self.slots.len(),
+                ports,
+                leaves: icn
+                    .children
+                    .iter()
+                    .flatten()
+                    .filter(|c| c.bridge.is_none())
+                    .count(),
+                leaf_wake: self.now,
+            };
+            self.activity
+                .resize(self.activity.len().max(icn.children.len()), 0);
+        }
+    }
+
+    /// Wakes every region, accelerator and bridge at `now`: a run entry,
+    /// after which whatever changed between calls is seen.
+    fn wake_all(&mut self, now: Cycle) {
+        for region in &mut self.regions {
+            region.wake = now;
+        }
+        for table in &mut self.tables {
+            table.leaf_wake = now;
+        }
+        for slot in &mut self.slots {
+            match slot {
+                Slot::Leaf { wake, fresh, .. } => {
+                    *wake = now;
+                    *fresh = true;
+                }
+                Slot::Cascade {
+                    stage_ready, ready, ..
+                } => {
+                    *stage_ready = 0;
+                    *ready = 0;
+                }
+            }
+        }
     }
 
     /// One node's event-horizon hint after a no-progress tick at `now`;
@@ -1206,8 +1381,10 @@ impl SocTopology {
     }
 
     /// Ticks the awake regions of the forest for cycle `now` in the
-    /// deterministic order: each root's subtree, then its memory.
-    fn tick_forest(&mut self, now: Cycle) -> bool {
+    /// deterministic order: each root's subtree, then its memory. With
+    /// `skip` off (naive stepping, a waveform, `Component::tick`) every
+    /// accelerator and bridge of an awake region moves.
+    fn tick_forest(&mut self, now: Cycle, skip: bool) -> bool {
         let mut progress = false;
         for i in 0..self.roots.len() {
             let root = self.roots[i];
@@ -1215,7 +1392,7 @@ impl SocTopology {
             if self.regions[r].leaf && !self.awake(r, now) {
                 continue;
             }
-            progress |= self.tick_subtree(root, now);
+            progress |= self.tick_subtree(root, now, skip);
             if !self.awake(r, now) {
                 continue;
             }
@@ -1244,81 +1421,73 @@ impl SocTopology {
     /// directly, cascaded interconnects recursively followed by their
     /// bridge), then the interconnect itself.
     ///
-    /// A cut bridge (one between two regions) transfers whenever either
-    /// side is awake or it holds a ready beat; when it moves anything,
-    /// both sides wake — a sleeping parent for the rest of this cycle
-    /// (its tick comes later in this order), the child from the next.
-    fn tick_subtree(&mut self, id: usize, now: Cycle) -> bool {
+    /// Inside an awake region an accelerator ticks only when its wake
+    /// cycle has come or its port was touched since its last tick (see
+    /// [`SocTopology::watch_ports`]). A cut bridge (one between two
+    /// regions) transfers whenever either side is awake or it holds a
+    /// ready beat, unless nothing it could move is ready and its child
+    /// pushed no request since its last transfer; when it moves
+    /// anything, both sides wake — a sleeping parent
+    /// for the rest of this cycle (its tick comes later in this order),
+    /// the child from the next.
+    fn tick_subtree(&mut self, id: usize, now: Cycle, skip: bool) -> bool {
         let mut progress = false;
         let region = self.region_of[id];
-        let num_ports = match &self.nodes[id].kind {
-            NodeKind::Interconnect(icn) => icn.children.len(),
-            _ => unreachable!("tick roots and cascade children are interconnects"),
-        };
-        for port in 0..num_ports {
-            let child = match &self.nodes[id].kind {
-                NodeKind::Interconnect(icn) => icn.children[port]
-                    .as_ref()
-                    .map(|c| (c.node, c.bridge.is_some())),
-                _ => None,
-            };
-            let Some((cid, cascaded)) = child else {
-                continue;
-            };
-            if cascaded {
-                let child_region = self.region_of[cid];
-                let cut = child_region != region;
-                if !(cut && self.regions[child_region].leaf && !self.awake(child_region, now)) {
-                    progress |= self.tick_subtree(cid, now);
-                }
-                let transfer = self.awake(region, now)
-                    || cut && (self.awake(child_region, now) || self.bridge_ready(id, port, now));
-                if !transfer {
-                    continue;
-                }
-                let (parent, child_node) = two_nodes(&mut self.nodes, id, cid);
-                let NodeKind::Interconnect(picn) = &mut parent.kind else {
-                    unreachable!("parent is an interconnect");
-                };
-                let NodeKind::Interconnect(cicn) = &mut child_node.kind else {
-                    unreachable!("cascaded child is an interconnect");
-                };
-                let bridge = picn.children[port]
-                    .as_mut()
-                    .and_then(|c| c.bridge.as_mut())
-                    .expect("cascaded child has a bridge");
-                if bridge.transfer(now, cicn.ic.mem_port(), picn.ic.port(port)) {
-                    self.stamps[cid] = Some(now);
-                    for r in [region, child_region] {
-                        let r = &mut self.regions[r];
-                        r.wake = r.wake.min(now);
-                        r.progress = true;
-                    }
-                    progress = true;
-                }
-            } else {
-                if !self.awake(region, now) {
-                    continue;
-                }
-                let (parent, child_node) = two_nodes(&mut self.nodes, id, cid);
-                let NodeKind::Interconnect(picn) = &mut parent.kind else {
-                    unreachable!("parent is an interconnect");
-                };
-                let NodeKind::Accelerator(a) = &mut child_node.kind else {
-                    unreachable!("non-cascaded child is an accelerator");
-                };
-                let p = a.acc.tick(now, picn.ic.port(port));
-                let jobs = a.acc.jobs_completed();
-                for _ in a.last_jobs..jobs {
-                    self.irq_events.push(a.ordinal);
-                }
-                if !a.was_done && a.acc.is_done() {
-                    a.was_done = true;
-                    self.done_count += 1;
-                }
-                a.last_jobs = jobs;
-                progress |= self.note_progress(cid, now, p);
+        let table = self.tables[id];
+        let mut steps = table.first..table.end;
+        if table.leaves == steps.len() && table.leaf_wake > now {
+            // Only leaves, none due: nothing in the table moves.
+            if self.awake(region, now) {
+                self.work.leaf_skips += table.leaves as u64;
             }
+            steps = 0..0;
+        }
+        let mut leaf_wake = Cycle::MAX;
+        for k in steps.clone() {
+            match self.slots[k] {
+                Slot::Leaf { wake, .. } => {
+                    if wake > now || !self.awake(region, now) {
+                        self.work.leaf_skips += self.awake(region, now) as u64;
+                        leaf_wake = leaf_wake.min(wake);
+                        continue;
+                    }
+                    progress |= self.tick_leaf(id, k, now, skip);
+                    if let Slot::Leaf { wake, .. } = self.slots[k] {
+                        leaf_wake = leaf_wake.min(wake);
+                    }
+                }
+                Slot::Cascade {
+                    node,
+                    cut,
+                    stage_ready,
+                    ready,
+                    pushed,
+                    ..
+                } => {
+                    let child_region = self.region_of[node];
+                    if !(cut && self.regions[child_region].leaf && !self.awake(child_region, now)) {
+                        progress |= self.tick_subtree(node, now, skip);
+                    }
+                    let child_awake = self.awake(child_region, now);
+                    let transfer =
+                        self.awake(region, now) || cut && (child_awake || stage_ready <= now);
+                    // Unless the child pushed a request since the last
+                    // transfer (it cannot have while it slept), the
+                    // bridge can move only what was already ready.
+                    let idle = skip
+                        && cut
+                        && ready > now
+                        && (!child_awake || self.requests_pushed_by(node) == pushed);
+                    if transfer && idle {
+                        self.work.bridge_skips += 1;
+                    } else if transfer {
+                        progress |= self.transfer(id, k, now);
+                    }
+                }
+            }
+        }
+        if !steps.is_empty() {
+            self.tables[id].leaf_wake = leaf_wake;
         }
         if self.awake(region, now) {
             let NodeKind::Interconnect(icn) = &mut self.nodes[id].kind else {
@@ -1326,20 +1495,170 @@ impl SocTopology {
             };
             let p = icn.ic.tick(now);
             progress |= self.note_progress(id, now, p);
+            // Without `skip` every leaf and bridge moves every cycle
+            // anyway.
+            if skip {
+                self.watch_ports(id, now);
+            }
         }
         progress
     }
 
-    /// Whether the bridge on slave port `port` of interconnect `ic`
-    /// holds a beat ready to leave at `now`.
-    fn bridge_ready(&self, ic: usize, port: usize, now: Cycle) -> bool {
-        let NodeKind::Interconnect(icn) = &self.nodes[ic].kind else {
-            unreachable!("bridges hang off interconnects");
+    /// Ticks the accelerator of leaf slot `k` against its port on
+    /// interconnect `id`, then sets its wake: the next cycle after
+    /// progress (or always, without `skip`), else the earliest of its own
+    /// `next_event` and the next R or B beat due on its port. The IRQ and
+    /// done bookkeeping runs after progress and on the first tick after a
+    /// run entry, the only ticks that can change what it reads.
+    fn tick_leaf(&mut self, id: usize, k: usize, now: Cycle, skip: bool) -> bool {
+        let Slot::Leaf {
+            port, node, fresh, ..
+        } = self.slots[k]
+        else {
+            unreachable!("tick_leaf takes a leaf slot");
         };
-        icn.children[port]
-            .as_ref()
-            .and_then(|c| c.bridge.as_ref()?.next_event())
-            .is_some_and(|e| e <= now)
+        let (parent, child) = two_nodes(&mut self.nodes, id, node);
+        let NodeKind::Interconnect(picn) = &mut parent.kind else {
+            unreachable!("parent is an interconnect");
+        };
+        let NodeKind::Accelerator(a) = &mut child.kind else {
+            unreachable!("leaf slots hold accelerators");
+        };
+        let port_ref = picn.ic.port(port);
+        let p = a.acc.tick(now, port_ref);
+        if p || fresh {
+            let jobs = a.acc.jobs_completed();
+            for _ in a.last_jobs..jobs {
+                self.irq_events.push(a.ordinal);
+            }
+            if !a.was_done && a.acc.is_done() {
+                a.was_done = true;
+                self.done_count += 1;
+            }
+            a.last_jobs = jobs;
+        }
+        let wake = if p || !skip {
+            now + 1
+        } else {
+            [
+                a.acc.next_event(now),
+                port_ref.r.next_ready_at(),
+                port_ref.b.next_ready_at(),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Cycle::MAX, |w| w.max(now + 1))
+        };
+        self.seen[self.tables[id].ports + port] = port_ref.activity();
+        self.slots[k] = Slot::Leaf {
+            port,
+            node,
+            wake,
+            fresh: false,
+        };
+        self.work.leaf_ticks += 1;
+        self.note_progress(node, now, p)
+    }
+
+    /// Runs the bridge of cascade slot `k` under interconnect `id` and
+    /// records what it left ready.
+    fn transfer(&mut self, id: usize, k: usize, now: Cycle) -> bool {
+        let Slot::Cascade {
+            port, node, cut, ..
+        } = self.slots[k]
+        else {
+            unreachable!("transfer takes a cascade slot");
+        };
+        let (parent, child) = two_nodes(&mut self.nodes, id, node);
+        let NodeKind::Interconnect(picn) = &mut parent.kind else {
+            unreachable!("parent is an interconnect");
+        };
+        let NodeKind::Interconnect(cicn) = &mut child.kind else {
+            unreachable!("cascaded child is an interconnect");
+        };
+        let bridge = picn.children[port]
+            .as_mut()
+            .and_then(|c| c.bridge.as_mut())
+            .expect("cascaded child has a bridge");
+        let (up, down) = (cicn.ic.mem_port(), picn.ic.port(port));
+        let moved = bridge.transfer(now, up, down);
+        let stage_ready = bridge.next_event().unwrap_or(Cycle::MAX);
+        let ready = [
+            up.ar.next_ready_at(),
+            up.aw.next_ready_at(),
+            up.w.next_ready_at(),
+            down.r.next_ready_at(),
+            down.b.next_ready_at(),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(stage_ready, Cycle::min);
+        self.slots[k] = Slot::Cascade {
+            port,
+            node,
+            cut,
+            stage_ready,
+            ready,
+            pushed: requests_pushed(up),
+        };
+        self.seen[self.tables[id].ports + port] = down.activity();
+        self.work.bridge_transfers += 1;
+        if moved {
+            self.stamps[node] = Some(now);
+            for r in [self.region_of[id], self.region_of[node]] {
+                let r = &mut self.regions[r];
+                r.wake = r.wake.min(now);
+                r.progress = true;
+            }
+        }
+        moved
+    }
+
+    /// Requests interconnect `node` has pushed into its master port so
+    /// far.
+    fn requests_pushed_by(&mut self, node: usize) -> u64 {
+        let NodeKind::Interconnect(icn) = &mut self.nodes[node].kind else {
+            unreachable!("cascaded children are interconnects");
+        };
+        requests_pushed(icn.ic.mem_port())
+    }
+
+    /// After interconnect `id` ticked at `now`: wakes, for the next
+    /// cycle, every sleeping accelerator whose port it touched and every
+    /// cut bridge whose parent port it touched. Nothing else touches
+    /// those ports before the next cycle, so the wake state stays exact.
+    fn watch_ports(&mut self, id: usize, now: Cycle) {
+        let NodeKind::Interconnect(icn) = &self.nodes[id].kind else {
+            unreachable!("only interconnects have child tables");
+        };
+        let table = &mut self.tables[id];
+        if table.first == table.end {
+            return;
+        }
+        let ports = table.ports..table.ports + icn.children.len();
+        icn.ic.port_activity(&mut self.activity);
+        let stamps = self.activity.iter().zip(&mut self.seen[ports.clone()]);
+        for ((&stamp, seen), &k) in stamps.zip(&self.slot_at[ports]) {
+            if stamp == *seen {
+                continue;
+            }
+            *seen = stamp;
+            // An unbound port has no slot (`usize::MAX`).
+            let Some(slot) = self.slots.get_mut(k) else {
+                continue;
+            };
+            match slot {
+                Slot::Leaf { wake, .. } => {
+                    *wake = (*wake).min(now + 1);
+                    table.leaf_wake = table.leaf_wake.min(now + 1);
+                }
+                Slot::Cascade {
+                    cut: true, ready, ..
+                } => *ready = (*ready).min(now + 1),
+                Slot::Cascade { .. } => {}
+            }
+        }
     }
 
     /// The fast-forward calendar behind [`SocTopology::run_for`] and
@@ -1354,15 +1673,13 @@ impl SocTopology {
     /// cycles.
     fn run_calendar(&mut self, bound: Cycle, until_done: bool) {
         let skip = self.fast_forward_active();
-        for region in &mut self.regions {
-            region.wake = self.now;
-        }
+        self.wake_all(self.now);
         while self.now < bound && !(until_done && self.done_count == self.acc_nodes.len()) {
             let t = self.now;
             for region in &mut self.regions {
                 region.progress = false;
             }
-            self.tick_forest(t);
+            self.tick_forest(t, skip);
             let mut next = bound;
             for r in 0..self.regions.len() {
                 let region = &self.regions[r];
@@ -1840,10 +2157,8 @@ impl Component for SocTopology {
     /// Ticks every node (every region wakes), in the engine's order.
     fn tick(&mut self, now: Cycle) -> bool {
         debug_assert_eq!(now, self.now, "SocTopology must be ticked monotonically");
-        for region in &mut self.regions {
-            region.wake = now;
-        }
-        let progress = self.tick_forest(now);
+        self.wake_all(now);
+        let progress = self.tick_forest(now, false);
         self.now = now + 1;
         progress
     }

@@ -987,3 +987,263 @@ fn sleeping_cluster_recharges_on_every_period_boundary() {
     assert_eq!(hc.periods_elapsed(), 3, "the sleeper counted the boundary");
     assert!(fast.skipped_cycles() > 0, "fast-forward never engaged");
 }
+
+// ---------------------------------------------------------------------
+// Accelerators that sleep inside an awake region.
+// ---------------------------------------------------------------------
+
+/// A `blocked` cluster behind a latency-2 bridge: a runaway master that
+/// keeps its AR queue full, a copy DMA whose writes back up behind a
+/// two-beat reservation budget, and a busy random master beside them;
+/// a periodic reader and a random master sit on the root.
+fn build_blocked_tree(mode: SchedulerMode) -> SocTopology {
+    let cluster_hc = num_hc(3);
+    let mut bus = LiteBus::new();
+    bus.map(0xA000_0000, 0x1000, cluster_hc.regs().clone());
+    let drv = HcDriver::probe(&bus, 0xA000_0000).expect("HyperConnect regfile");
+    drv.set_period(2_000).expect("period register");
+    drv.set_budget(1, 2).expect("budget register");
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", num_hc(3)).unwrap();
+    let blocked = b.add_interconnect("blocked", cluster_hc).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade_with(blocked, root, 0, BridgeConfig::wire().latency(2))
+        .unwrap();
+    let placements: [(&str, Box<dyn Accelerator>, _, usize); 5] = [
+        (
+            "runaway",
+            Box::new(ha::fault::RunawayMaster::new(
+                "runaway",
+                0x1000_0000,
+                1 << 16,
+                16,
+                BurstSize::B16,
+            )),
+            blocked,
+            0,
+        ),
+        (
+            "writer",
+            Box::new(Dma::new(
+                "writer",
+                DmaConfig {
+                    src_base: 0x2000_0000,
+                    dst_base: 0x2800_0000,
+                    read_bytes: 4 * 1024,
+                    write_bytes: 16 * 1024,
+                    burst_beats: 64,
+                    size: BurstSize::B16,
+                    max_outstanding: 4,
+                    jobs: None,
+                },
+            )),
+            blocked,
+            1,
+        ),
+        (
+            "busy",
+            Box::new(RandomTraffic::new(
+                "busy",
+                0x3000_0000,
+                1 << 18,
+                BurstSize::B16,
+                16,
+                20,
+                11,
+            )),
+            blocked,
+            2,
+        ),
+        (
+            "per",
+            Box::new(PeriodicReader::new(
+                "per",
+                0x4000_0000,
+                1 << 18,
+                16,
+                BurstSize::B16,
+                900,
+            )),
+            root,
+            1,
+        ),
+        (
+            "rnd",
+            Box::new(RandomTraffic::new(
+                "rnd",
+                0x5000_0000,
+                1 << 18,
+                BurstSize::B16,
+                8,
+                400,
+                5,
+            )),
+            root,
+            2,
+        ),
+    ];
+    for (name, acc, node, port) in placements {
+        let a = b.add_accelerator(name, acc).unwrap();
+        b.attach(a, node, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// Accelerators blocked on a full AR queue (the runaway master) and a
+/// full W queue (the budget-starved writer) sleep until the interconnect
+/// pops, while a busy sibling keeps their region awake. Both blocks must
+/// actually occur, and the skip count is pinned.
+#[test]
+fn leaves_blocked_on_full_queues_match_naive() {
+    let fast = assert_tree_equivalent("blocked", build_blocked_tree, &["blocked"], |topo| {
+        let id = topo.node_by_label("blocked").unwrap();
+        let (mut ar_full, mut w_full) = (0, 0);
+        for _ in 0..40 {
+            topo.run_for(1_000);
+            let hc = topo.interconnect_dyn_mut(id).unwrap();
+            ar_full += hc.port(0).ar.is_full() as u32;
+            w_full += hc.port(1).w.is_full() as u32;
+        }
+        assert!(ar_full > 0 && w_full > 0, "ar {ar_full} w {w_full}");
+        format!("ar_full={ar_full} w_full={w_full}")
+    });
+    assert_eq!(fast.skipped_cycles(), BLOCKED_SKIPPED);
+    let work = fast.engine_work();
+    assert!(work.leaf_skips > 0, "no accelerator ever slept: {work:?}");
+}
+
+/// A scoreboard master pacing its jobs 3 000 cycles apart and a sparse
+/// periodic reader in a `gapped` cluster behind a latency-4 bridge, and
+/// another sparse reader on the root: every accelerator sleeps most of
+/// the time, and often every region does.
+fn build_gapped_tree(mode: SchedulerMode) -> SocTopology {
+    let mut b = TopologyBuilder::new();
+    let root = b.add_interconnect("root", num_hc(2)).unwrap();
+    let gapped = b.add_interconnect("gapped", num_hc(2)).unwrap();
+    let mem = b
+        .add_memory("ddr", MemoryController::new(MemConfig::zcu102()))
+        .unwrap();
+    b.connect_memory(root, mem).unwrap();
+    b.cascade_with(gapped, root, 0, BridgeConfig::wire().latency(4))
+        .unwrap();
+    let placements: [(&str, Box<dyn Accelerator>, _, usize); 3] = [
+        (
+            "sb",
+            Box::new(
+                ha::scoreboard::ScoreboardMaster::new("sb", 0x4000_0000, 4096, 8, BurstSize::B8, 9)
+                    .gap(3_000),
+            ),
+            gapped,
+            0,
+        ),
+        (
+            "per_a",
+            Box::new(PeriodicReader::new(
+                "per_a",
+                0x5000_0000,
+                1 << 18,
+                16,
+                BurstSize::B16,
+                7_000,
+            )),
+            gapped,
+            1,
+        ),
+        (
+            "per_b",
+            Box::new(PeriodicReader::new(
+                "per_b",
+                0x6000_0000,
+                1 << 18,
+                16,
+                BurstSize::B16,
+                5_000,
+            )),
+            root,
+            1,
+        ),
+    ];
+    for (name, acc, node, port) in placements {
+        let a = b.add_accelerator(name, acc).unwrap();
+        b.attach(a, node, port).unwrap();
+    }
+    let mut topo = b.build().unwrap();
+    topo.set_scheduler(mode);
+    topo
+}
+
+/// A `run_polled` hook resets the sleeping scoreboard master and
+/// reprograms a sleeping periodic reader (restoring the other reader's
+/// state into it). Every poll is a run entry, so each change is seen on
+/// the next cycle exactly as naive stepping sees it.
+#[test]
+fn hook_resetting_and_reprogramming_sleeping_leaves_matches_naive() {
+    let fast = assert_tree_equivalent("gapped-hook", build_gapped_tree, &["gapped"], |topo| {
+        let mut log = Vec::new();
+        topo.run_polled(40_000, 2_500, |t, topo| {
+            match t {
+                10_000 | 25_000 => topo.accelerator_mut(0).unwrap().reset(),
+                15_000 => {
+                    let mut w = sim::persist::SnapshotWriter::new();
+                    topo.accelerator(2).unwrap().save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    topo.accelerator_mut(1)
+                        .unwrap()
+                        .restore_state(&mut sim::persist::SnapshotReader::new(&bytes))
+                        .expect("same model");
+                }
+                _ => {}
+            }
+            log.push((t, topo.take_irq_events()));
+        });
+        format!("polls={log:?}")
+    });
+    assert_eq!(fast.skipped_cycles(), HOOK_SKIPPED);
+}
+
+/// A sleeping accelerator's port is flushed between two calls: the
+/// runaway master's full AR queue (it resumes issuing), and on the
+/// gapped tree the ports of the scoreboard master and of a periodic
+/// reader, whatever they hold (a reader flushed mid-burst then waits
+/// forever).
+#[test]
+fn clearing_a_sleeping_leaf_port_between_calls_matches_naive() {
+    assert_tree_equivalent("blocked-clear", build_blocked_tree, &["blocked"], |topo| {
+        let blocked = topo.node_by_label("blocked").unwrap();
+        let mut flushed = Vec::new();
+        for _ in 0..30 {
+            topo.run_for(977);
+            let port = topo.interconnect_dyn_mut(blocked).unwrap().port(0);
+            flushed.push(port.ar.len());
+            port.clear();
+        }
+        topo.run_for(5_000);
+        format!("flushed={flushed:?}")
+    });
+    let fast = assert_tree_equivalent("gapped-clear", build_gapped_tree, &["gapped"], |topo| {
+        let mut flushed = Vec::new();
+        for (label, port) in [("gapped", 0), ("root", 1)].into_iter().cycle().take(24) {
+            topo.run_for(1_733);
+            let id = topo.node_by_label(label).unwrap();
+            let port = topo.interconnect_dyn_mut(id).unwrap().port(port);
+            flushed.push(port.occupancy());
+            port.clear();
+        }
+        topo.run_for(10_000);
+        format!("flushed={flushed:?}")
+    });
+    assert_eq!(fast.skipped_cycles(), CLEAR_SKIPPED);
+}
+
+/// Cycles the region calendar skips in the three scenarios above. An
+/// engine that ticks every accelerator and bridge of an awake region
+/// skips exactly these: a sleeping accelerator or bridge must not move
+/// the calendar.
+const BLOCKED_SKIPPED: Cycle = 0;
+const HOOK_SKIPPED: Cycle = 24_240;
+const CLEAR_SKIPPED: Cycle = 49_902;
