@@ -42,7 +42,7 @@ pub fn crosses_4k(addr: u64, len: u32, size: BurstSize) -> bool {
 }
 
 /// The address of beat `beat_index` of an INCR burst.
-pub fn incr_beat_addr(addr: u64, size: BurstSize, beat_index: u32) -> u64 {
+fn incr_beat_addr(addr: u64, size: BurstSize, beat_index: u32) -> u64 {
     addr + beat_index as u64 * size.bytes()
 }
 
@@ -151,13 +151,6 @@ pub fn split_incr(
             sub
         })
     })
-}
-
-/// Number of sub-bursts produced by [`split_incr`] without materializing
-/// them.
-pub fn split_count(len: u32, nominal: u32) -> u32 {
-    assert!(nominal > 0, "nominal burst length must be non-zero");
-    len.div_ceil(nominal)
 }
 
 /// Validates that an address is aligned to the beat size.
@@ -281,7 +274,7 @@ mod tests {
     fn split_count_matches_split() {
         for (len, nominal) in [(1u32, 1u32), (16, 16), (17, 16), (255, 16), (256, 8)] {
             assert_eq!(
-                split_count(len, nominal) as usize,
+                len.div_ceil(nominal) as usize,
                 split_incr(0, len, BurstSize::B4, nominal).count()
             );
         }

@@ -226,27 +226,12 @@ impl ProtocolMonitor {
         Self::default()
     }
 
-    /// Creates a monitor whose reports are attributed to slave port
-    /// `port`.
-    pub fn with_port(port: usize) -> Self {
-        Self {
-            port: Some(port),
-            ..Self::default()
-        }
-    }
-
-    /// Records a structured violation observed by an external detector
-    /// (e.g. the interconnect's transaction supervisor), counting it in
-    /// the per-kind bank. Protocol-rule categories also surface through
+    /// Records a structured violation, counting it in the per-kind
+    /// bank. Protocol-rule categories also surface through
     /// [`errors`](Self::errors)/[`is_clean`](Self::is_clean);
     /// [`ViolationKind::ErrorResponse`] does not, because error
     /// responses are protocol-legal.
-    pub fn record_violation(
-        &mut self,
-        cycle: Cycle,
-        kind: ViolationKind,
-        detail: impl Into<String>,
-    ) {
+    fn error(&mut self, cycle: Cycle, kind: ViolationKind, detail: impl Into<String>) {
         let detail = detail.into();
         self.counters.incr(kind.index());
         if kind != ViolationKind::ErrorResponse {
@@ -258,10 +243,6 @@ impl ProtocolMonitor {
         let mut v = Violation::new(cycle, kind, detail);
         v.port = self.port;
         self.violations.push(v);
-    }
-
-    fn error(&mut self, cycle: Cycle, kind: ViolationKind, message: impl Into<String>) {
-        self.record_violation(cycle, kind, message);
     }
 
     /// Observes a read request crossing the boundary.
@@ -648,7 +629,10 @@ mod tests {
 
     #[test]
     fn violations_are_classified_and_counted() {
-        let mut mon = ProtocolMonitor::with_port(3);
+        let mut mon = ProtocolMonitor {
+            port: Some(3),
+            ..ProtocolMonitor::default()
+        };
         mon.observe_aw(0, &AwBeat::new(0, 4, BurstSize::B4));
         mon.observe_w(1, &wbeat(4, true)); // WLAST on beat 1 of 4
         mon.observe_r(2, &RBeat::new(AxiId(0), vec![0; 4], true)); // orphan
@@ -683,9 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn external_detectors_record_through_the_monitor() {
-        let mut mon = ProtocolMonitor::with_port(1);
-        mon.record_violation(9, ViolationKind::Boundary4K, "burst crosses 4 KiB");
+    fn recorded_violations_carry_port_and_kind() {
+        let mut mon = ProtocolMonitor {
+            port: Some(1),
+            ..ProtocolMonitor::default()
+        };
+        mon.error(9, ViolationKind::Boundary4K, "burst crosses 4 KiB");
         assert!(!mon.is_clean());
         assert_eq!(mon.violation_count(ViolationKind::Boundary4K), 1);
         let v = &mon.violations()[0];

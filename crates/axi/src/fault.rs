@@ -125,7 +125,7 @@ impl FaultyBridge {
     }
 
     /// Whether the edge is inside a stall window at `now`.
-    pub fn is_stalled(&self, now: Cycle) -> bool {
+    fn is_stalled(&self, now: Cycle) -> bool {
         now < self.stalled_until
     }
 

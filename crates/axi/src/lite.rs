@@ -171,11 +171,6 @@ impl LiteBus {
         });
     }
 
-    /// Number of mapped regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     fn decode(&self, addr: u64) -> Result<(&Region, u64), DecodeError> {
         self.regions
             .iter()
@@ -245,7 +240,7 @@ mod tests {
         let mut bus = LiteBus::new();
         bus.map(0x1000, 0x100, d0.clone());
         bus.map(0x2000, 0x100, d1.clone());
-        assert_eq!(bus.num_regions(), 2);
+        assert_eq!(bus.regions.len(), 2);
         bus.write32(0x1004, 11).unwrap();
         bus.write32(0x2004, 22).unwrap();
         assert_eq!(d0.read32(4), 11);

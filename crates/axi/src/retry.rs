@@ -66,7 +66,7 @@ impl RetryPolicy {
 
     /// Total backoff cycles inserted across `faults` consecutive
     /// failures (saturating).
-    pub fn total_backoff(&self, faults: u32) -> u64 {
+    fn total_backoff(&self, faults: u32) -> u64 {
         (0..faults).fold(0u64, |acc, f| acc.saturating_add(self.backoff(f)))
     }
 

@@ -86,7 +86,7 @@ pub fn run() -> Vec<Row> {
 
 /// Runs the sweep with a configurable repeat count (the big transfers
 /// are deterministic; repeats mostly matter for the small ones).
-pub fn run_with_repeats(repeats: u64) -> Vec<Row> {
+fn run_with_repeats(repeats: u64) -> Vec<Row> {
     SIZES
         .iter()
         .map(|&bytes| {

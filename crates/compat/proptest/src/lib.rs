@@ -10,7 +10,8 @@
 //!
 //! - generation is **deterministic**: case `i` of every test draws from
 //!   a fixed per-case seed, so failures reproduce without a persistence
-//!   file (`proptest-regressions` files are kept but unused);
+//!   file (no `proptest-regressions` file is read; a case worth keeping
+//!   becomes a plain `#[test]`);
 //! - shrinking is **minimal**: a failing case is shrunk greedily on the
 //!   generated value itself — integers halve toward their range's low
 //!   bound, vectors truncate, tuples and vector elements shrink one

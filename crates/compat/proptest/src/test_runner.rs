@@ -90,7 +90,7 @@ fn run_one<V>(test: &impl Fn(V), value: V) -> Result<(), String> {
 /// first of `strategy`'s shrink candidates that still fails, until no
 /// candidate fails (or the budget runs out). Returns the smallest
 /// failing value found with its failure message.
-pub fn minimize<S: Strategy>(
+fn minimize<S: Strategy>(
     strategy: &S,
     value: S::Value,
     message: String,
@@ -118,9 +118,10 @@ where
 }
 
 /// Runs case number `case` of a property: draws the case's value from
-/// its fixed seed and runs `test` on it. A failure is shrunk with
-/// [`minimize`] and re-raised as a panic naming the case seed, the
-/// minimal failing input and its failure message.
+/// its fixed seed and runs `test` on it. A failure is shrunk greedily
+/// through the strategy's shrink candidates and re-raised as a panic
+/// naming the case seed, the minimal failing input and its failure
+/// message.
 ///
 /// # Panics
 ///

@@ -8,21 +8,6 @@
 
 use axi::types::AxiVersion;
 
-/// Address-arbitration policy of the EXBAR.
-///
-/// The paper's EXBAR uses round robin with fixed granularity one; the
-/// fixed-priority variant is provided as an extension for systems where
-/// one port must always win (at the cost of starving the others — the
-/// ablation tests demonstrate exactly that hazard).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ArbitrationPolicy {
-    /// Fair round robin, one transaction per grant (the paper).
-    #[default]
-    RoundRobin,
-    /// Lowest port index always wins when contending.
-    FixedPriority,
-}
-
 /// Synthesis-time parameters of a [`crate::HyperConnect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HcConfig {
@@ -39,8 +24,6 @@ pub struct HcConfig {
     /// Capacity of the EXBAR routing-information buffers, in
     /// outstanding transactions (the paper's circular buffer).
     pub routing_depth: usize,
-    /// EXBAR address-arbitration policy.
-    pub arbitration: ArbitrationPolicy,
 }
 
 impl HcConfig {
@@ -59,7 +42,6 @@ impl HcConfig {
             efifo_data_depth: 32,
             efifo_resp_depth: 4,
             routing_depth: 32,
-            arbitration: ArbitrationPolicy::RoundRobin,
         }
     }
 
@@ -80,12 +62,6 @@ impl HcConfig {
         self.routing_depth = depth;
         self
     }
-
-    /// Sets the EXBAR arbitration policy.
-    pub fn arbitration(mut self, policy: ArbitrationPolicy) -> Self {
-        self.arbitration = policy;
-        self
-    }
 }
 
 impl Default for HcConfig {
@@ -94,12 +70,6 @@ impl Default for HcConfig {
         Self::new(2)
     }
 }
-
-sim::persist_enum!(
-    ArbitrationPolicy,
-    "arbitration policy discriminant",
-    [RoundRobin, FixedPriority]
-);
 
 #[cfg(test)]
 mod tests {

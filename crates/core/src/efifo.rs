@@ -95,15 +95,6 @@ impl EFifo {
         }
     }
 
-    /// Peeks the visible head W beat unless decoupled.
-    pub fn peek_w(&self, now: Cycle) -> Option<&WBeat> {
-        if self.decoupled {
-            None
-        } else {
-            self.port.w.peek_ready(now)
-        }
-    }
-
     /// Pops a visible W beat unless decoupled.
     pub fn pop_w(&mut self, now: Cycle) -> Option<WBeat> {
         if self.decoupled {
@@ -223,8 +214,8 @@ mod tests {
     fn w_peek_and_pop() {
         let mut f = efifo();
         f.port.w.push(0, WBeat::new(vec![1; 4], true)).unwrap();
-        assert!(f.peek_w(0).is_none()); // not yet visible
-        assert!(f.peek_w(1).is_some());
+        assert!(f.pop_w(0).is_none()); // not yet visible
+        assert!(f.port.w.peek_ready(1).is_some());
         assert!(f.pop_w(1).is_some());
         assert!(f.pop_w(1).is_none());
     }

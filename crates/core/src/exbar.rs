@@ -18,7 +18,6 @@ use axi::{AxiPort, Payload};
 use sim::ring::Ring;
 use sim::{Cycle, TimedFifo};
 
-use crate::config::ArbitrationPolicy;
 use crate::efifo::EFifo;
 use crate::portset::PortSet;
 use crate::supervisor::TransactionSupervisor;
@@ -51,10 +50,20 @@ pub struct ExbarStats {
     pub aw_grants: Vec<u64>,
 }
 
+/// The arbitration policy's slot in the saved image. The EXBAR
+/// arbitrates by granularity-1 round robin only, so the slot always
+/// holds `0`; any other byte is an image this model cannot reproduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WirePolicy {
+    RoundRobin,
+}
+
+sim::persist_enum!(WirePolicy, "arbitration policy discriminant", [RoundRobin]);
+
 /// The crossbar connecting N Transaction Supervisors to the master port.
 #[derive(Debug)]
 pub struct Exbar {
-    policy: ArbitrationPolicy,
+    policy: WirePolicy,
     ar_rr: usize,
     aw_rr: usize,
     /// The crossbar's one-cycle output register for read requests.
@@ -82,13 +91,8 @@ impl Exbar {
     /// Creates an EXBAR for `num_ports` inputs with routing buffers of
     /// `routing_depth` outstanding transactions.
     pub fn new(num_ports: usize, routing_depth: usize) -> Self {
-        Self::with_policy(num_ports, routing_depth, ArbitrationPolicy::RoundRobin)
-    }
-
-    /// Creates an EXBAR with an explicit arbitration policy.
-    pub fn with_policy(num_ports: usize, routing_depth: usize, policy: ArbitrationPolicy) -> Self {
         Self {
-            policy,
+            policy: WirePolicy::RoundRobin,
             ar_rr: 0,
             aw_rr: 0,
             ar_stage: TimedFifo::new(2, 1),
@@ -154,22 +158,18 @@ impl Exbar {
             && self.w_routes.is_empty()
     }
 
-    /// Picks the next port to grant among the `staged` ports according
-    /// to the configured policy: the lowest ready port for fixed
-    /// priority; for round-robin, the first ready port scanning up from
-    /// the one *after* the last granted port (`start`) and wrapping —
-    /// granularity is fixed at one transaction per grant.
+    /// Picks the next port to grant among the `staged` ports by round
+    /// robin: the first ready port scanning up from the one *after* the
+    /// last granted port (`start`) and wrapping — granularity is fixed
+    /// at one transaction per grant.
     fn pick<F>(&self, start: usize, staged: &PortSet, mut ready: F) -> Option<usize>
     where
         F: FnMut(usize) -> bool,
     {
-        match self.policy {
-            ArbitrationPolicy::RoundRobin => staged
-                .iter_from(start + 1)
-                .chain(staged.iter().take_while(|&p| p <= start))
-                .find(|&p| ready(p)),
-            ArbitrationPolicy::FixedPriority => staged.iter().find(|&p| ready(p)),
-        }
+        staged
+            .iter_from(start + 1)
+            .chain(staged.iter().take_while(|&p| p <= start))
+            .find(|&p| ready(p))
     }
 
     /// Arbitrates one read request among the TS stages. `staged` must
@@ -475,6 +475,7 @@ mod tests {
     use crate::supervisor::TsRuntime;
     use axi::types::BurstSize;
     use axi::{ArBeat, PortConfig};
+    use sim::persist::{Persist, PersistError, PersistValue, SnapshotReader, SnapshotWriter};
 
     fn rt() -> TsRuntime {
         TsRuntime {
@@ -731,59 +732,17 @@ mod tests {
         assert!(exbar.is_idle());
     }
 
-    #[test]
-    fn fixed_priority_always_grants_port_zero() {
-        let mut exbar = Exbar::with_policy(2, 32, ArbitrationPolicy::FixedPriority);
-        let mut ts: Vec<TransactionSupervisor> =
-            (0..2).map(|_| TransactionSupervisor::new(32)).collect();
-        let mut efifos: Vec<EFifo> = (0..2).map(|_| EFifo::new(4, 32, 4)).collect();
-        let unlimited = TsRuntime {
-            nominal: 16,
-            max_outstanding: 64,
-            ..rt()
-        };
-        let mut grants = Vec::new();
-        for now in 1..30u64 {
-            for p in 0..2 {
-                let _ = efifos[p].port.ar.push(
-                    now.saturating_sub(1),
-                    ArBeat::new((p as u64) * 0x1000, 1, BurstSize::B4),
-                );
-                ts[p].ingest(now, &mut efifos[p], unlimited);
-                ts[p].issue(now, unlimited);
-            }
-            if arb_ar(&mut exbar, now + 1, &mut ts) {
-                grants.push(exbar.read_routes.head().map(|r| r.port));
-                // Drain so arbitration continues.
-                exbar.ar_stage.pop_ready(now + 2);
-                exbar.read_routes.pop();
-            }
-        }
-        assert!(grants.len() >= 5);
-        // Port 0 is always chosen while it has work: starvation hazard.
-        assert!(grants.iter().all(|&g| g == Some(0)), "{grants:?}");
-    }
-
     /// The pick as the arbiter made it before it scanned a port set:
     /// every port in turn, reduced `% n` per candidate.
-    fn full_scan_pick(
-        policy: ArbitrationPolicy,
-        start: usize,
-        n: usize,
-        ready: &[bool],
-    ) -> Option<usize> {
-        match policy {
-            ArbitrationPolicy::RoundRobin => (1..=n).map(|k| (start + k) % n).find(|&p| ready[p]),
-            ArbitrationPolicy::FixedPriority => (0..n).find(|&p| ready[p]),
-        }
+    fn full_scan_pick(start: usize, n: usize, ready: &[bool]) -> Option<usize> {
+        (1..=n).map(|k| (start + k) % n).find(|&p| ready[p])
     }
 
     proptest::proptest! {
         /// For any port count (across several bitset words), start
         /// pointer and staged/ready split, the masked pick equals the
-        /// full scan under both policies. A port is staged when its
-        /// draw falls below `density`, and ready when it is staged and
-        /// its draw is even.
+        /// full scan. A port is staged when its draw falls below
+        /// `density`, and ready when it is staged and its draw is even.
         #[test]
         fn masked_pick_matches_full_scan(
             n in 1usize..=130,
@@ -800,22 +759,43 @@ mod tests {
                     ready[p] = draw % 2 == 0;
                 }
             }
-            for policy in [ArbitrationPolicy::RoundRobin, ArbitrationPolicy::FixedPriority] {
-                let exbar = Exbar::with_policy(n, 4, policy);
-                let masked = exbar.pick(start, &staged, |p| ready[p]);
-                proptest::prop_assert_eq!(masked, full_scan_pick(policy, start, n, &ready));
-            }
+            let exbar = Exbar::new(n, 4);
+            let masked = exbar.pick(start, &staged, |p| ready[p]);
+            proptest::prop_assert_eq!(masked, full_scan_pick(start, n, &ready));
         }
     }
 
+    /// The bytes `exbar` saves.
+    fn image(exbar: &Exbar) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        exbar.save_value(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
-    fn priority_falls_through_when_winner_is_idle() {
-        let mut exbar = Exbar::with_policy(2, 32, ArbitrationPolicy::FixedPriority);
-        let mut ts: Vec<TransactionSupervisor> =
-            (0..2).map(|_| TransactionSupervisor::new(32)).collect();
-        let mut efifos: Vec<EFifo> = (0..2).map(|_| EFifo::new(4, 32, 4)).collect();
+    fn image_starts_with_the_round_robin_policy_byte() {
+        let (exbar, _, _, _) = setup(2);
+        assert_eq!(image(&exbar)[0], 0);
+    }
+
+    #[test]
+    fn unknown_policy_byte_is_corrupt_and_restores_nothing() {
+        let (mut busy, mut ts, mut efifos, _) = setup(2);
         stage_ar(&mut ts[1], &mut efifos[1], 1, 0x2000);
-        assert!(arb_ar(&mut exbar, 2, &mut ts));
-        assert_eq!(exbar.read_routes.head().unwrap().port, 1);
+        assert!(arb_ar(&mut busy, 2, &mut ts));
+        let mut bytes = image(&busy);
+        bytes[0] = 1;
+
+        let (mut target, _, _, _) = setup(2);
+        let before = image(&target);
+        assert_eq!(
+            target.restore(&mut SnapshotReader::new(&bytes)),
+            Err(PersistError::Corrupt("arbitration policy discriminant"))
+        );
+        assert_eq!(image(&target), before, "a rejected restore changes nothing");
+
+        bytes[0] = 0;
+        target.restore(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(image(&target), image(&busy));
     }
 }

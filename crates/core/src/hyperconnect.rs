@@ -124,7 +124,7 @@ impl HyperConnect {
             regs: LiteHandle::new(RegFile::new(n)),
             efifos,
             supervisors,
-            exbar: Exbar::with_policy(n, config.routing_depth, config.arbitration),
+            exbar: Exbar::new(n, config.routing_depth),
             central: CentralUnit::new(),
             mem_port: AxiPort::new(
                 PortConfig::registered()

@@ -57,11 +57,10 @@ pub mod observe;
 pub mod portset;
 pub mod regfile;
 pub mod regulate;
-pub mod reorder;
 pub mod supervisor;
 
 pub use analysis::RegulationCap;
-pub use config::{ArbitrationPolicy, HcConfig};
+pub use config::HcConfig;
 pub use hyperconnect::HyperConnect;
 pub use observe::BoundMonitor;
 pub use regfile::{RegFile, BUDGET_UNLIMITED};

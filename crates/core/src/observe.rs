@@ -111,7 +111,7 @@ impl BoundMonitor {
 
     /// The write bound currently enforced for `port` (see
     /// [`Self::port_read_bound`]).
-    pub fn port_write_bound(&self, port: usize) -> u64 {
+    fn port_write_bound(&self, port: usize) -> u64 {
         self.port_write_bounds
             .get(port)
             .copied()

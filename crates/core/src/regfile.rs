@@ -228,11 +228,6 @@ impl RegFile {
         self.nominal_burst
     }
 
-    /// Regulator credit-refill window in cycles (global, >= 1).
-    pub fn reg_window(&self) -> u32 {
-        self.reg_window
-    }
-
     /// The regulator configuration of port `i`, assembled from the
     /// per-port rate/burst/cap registers and the global window.
     ///
@@ -683,7 +678,7 @@ mod tests {
         assert!(!rf.regulator_config(0).is_active());
         // Clamps: window and burst floor at 1.
         rf.write32(REG_WINDOW, 0);
-        assert_eq!(rf.reg_window(), 1);
+        assert_eq!(rf.regulator_config(1).window, 1);
         rf.write32(p1 + PORT_REG_BURST, 0);
         assert_eq!(rf.port(1).reg_burst, 1);
     }

@@ -38,13 +38,6 @@ pub struct Layer {
     pub compute_cycles: u64,
 }
 
-impl Layer {
-    /// Total bus bytes moved by the layer.
-    pub fn traffic_bytes(&self) -> u64 {
-        self.weight_bytes + self.input_bytes + self.output_bytes
-    }
-}
-
 /// Configuration of a [`Chaidnn`] instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaidnnConfig {
@@ -246,16 +239,6 @@ impl Chaidnn {
     /// The layer schedule.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
-    }
-
-    /// Frame-completion-time distribution, in cycles.
-    pub fn frame_latency(&self) -> &LatencyStat {
-        &self.frame_latency
-    }
-
-    /// Total bus bytes moved since reset.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Bus bytes one frame moves (after beat rounding).
@@ -469,9 +452,9 @@ mod tests {
         let dnn = run_frames(Chaidnn::new("t", tiny_schedule(), cfg), 50_000);
         assert_eq!(dnn.jobs_completed(), 1);
         assert!(dnn.is_done());
-        assert_eq!(dnn.frame_latency().count(), 1);
+        assert_eq!(dnn.frame_latency.count(), 1);
         // The frame takes at least the pure compute time.
-        assert!(dnn.frame_latency().min().unwrap() >= 80);
+        assert!(dnn.frame_latency.min().unwrap() >= 80);
     }
 
     #[test]

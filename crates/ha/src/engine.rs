@@ -92,11 +92,6 @@ impl ReadEngine {
         self.received_beats >= self.total_beats
     }
 
-    /// Cycle the first request was issued, if any.
-    pub fn started_at(&self) -> Option<Cycle> {
-        self.started_at
-    }
-
     /// Cycle the final beat arrived, if done.
     pub fn finished_at(&self) -> Option<Cycle> {
         self.finished_at
@@ -111,11 +106,6 @@ impl ReadEngine {
     /// Beats received so far.
     pub fn received_beats(&self) -> u64 {
         self.received_beats
-    }
-
-    /// The last data beat's payload (for integrity checks).
-    pub fn last_data(&self) -> &[u8] {
-        &self.last_data
     }
 
     /// Restarts the engine for another pass over the same region.
@@ -240,11 +230,6 @@ impl WriteEngine {
         self.issued_beats >= self.total_beats
             && self.w_backlog.is_empty()
             && self.acked_bursts >= self.issued_bursts
-    }
-
-    /// Cycle the first request was issued, if any.
-    pub fn started_at(&self) -> Option<Cycle> {
-        self.started_at
     }
 
     /// Cycle the final acknowledgment arrived, if done.
@@ -428,7 +413,7 @@ mod tests {
         eng.tick(0, &mut port);
         eng.restart();
         assert_eq!(eng.received_beats(), 0);
-        assert!(eng.started_at().is_none());
+        assert!(eng.started_at.is_none());
     }
 
     #[test]

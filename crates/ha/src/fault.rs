@@ -639,11 +639,6 @@ impl DelayedFault {
     pub fn new(inner: Box<dyn Accelerator>, arm_at: Cycle) -> Self {
         Self { inner, arm_at }
     }
-
-    /// The cycle the wrapped fault first ticks at.
-    pub fn arm_cycle(&self) -> Cycle {
-        self.arm_at
-    }
 }
 
 impl std::fmt::Debug for DelayedFault {
@@ -743,7 +738,7 @@ mod tests {
         );
         late.restore_state(&mut SnapshotReader::new(&bytes))
             .unwrap();
-        assert_eq!(late.arm_cycle(), 5_000);
+        assert_eq!(late.arm_at, 5_000);
         let mut w2 = SnapshotWriter::new();
         late.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "state stream is arm-independent");

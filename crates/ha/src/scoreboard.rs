@@ -198,11 +198,6 @@ impl ScoreboardMaster {
         self.stats
     }
 
-    /// The armed retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Tells the oracle the hypervisor remapped `[lo, hi)` onto a
     /// zeroed spare region: the shadowed window is re-zeroed (the old
     /// contents are gone by design — degraded mode sheds them) and the
@@ -531,9 +526,7 @@ mod tests {
         assert!(s.retries > 0, "fault rate 0.3 must trigger retries");
         // Direct path: per-attempt is bounded by the burst round trip;
         // use a generous per-attempt figure and the observed fault max.
-        let bound = sb
-            .retry_policy()
-            .completion_bound(200, s.worst_faults_per_op);
+        let bound = sb.policy.completion_bound(200, s.worst_faults_per_op);
         assert!(
             s.worst_completion <= bound,
             "worst {} exceeds bound {bound}",

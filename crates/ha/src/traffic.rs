@@ -158,11 +158,6 @@ impl BandwidthStealer {
         }
     }
 
-    /// Total data beats received.
-    pub fn beats_received(&self) -> u64 {
-        self.beats_received
-    }
-
     /// Bytes received.
     pub fn bytes_received(&self) -> u64 {
         self.beats_received * self.size.bytes()
@@ -388,11 +383,11 @@ mod tests {
         // The memory path streams ~1 beat/cycle once warm; the stealer
         // should capture most of it.
         assert!(
-            st.beats_received() > 15_000,
+            st.beats_received > 15_000,
             "only {} beats",
-            st.beats_received()
+            st.beats_received
         );
-        assert_eq!(st.bytes_received(), st.beats_received() * 16);
+        assert_eq!(st.bytes_received(), st.beats_received * 16);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use axi::lite::{DecodeError, LiteBus};
 use hyperconnect::analysis::{budgets_from_shares, period_capacity_txns};
 use hyperconnect::regfile::{
-    offsets, port_block_offset, BUDGET_UNLIMITED, IP_VERSION, QUIESCE_DRAINED, QUIESCE_FLUSHED,
-    QUIESCE_REQUESTED,
+    offsets, port_block_offset, IP_VERSION, QUIESCE_DRAINED, QUIESCE_FLUSHED, QUIESCE_REQUESTED,
 };
 
 /// Typed accessor for one HyperConnect instance mapped on a [`LiteBus`].
@@ -121,7 +120,8 @@ impl<'b> HcDriver<'b> {
     }
 
     /// Programs a port's budget (sub-transactions per period);
-    /// [`BUDGET_UNLIMITED`] disables reservation for the port.
+    /// [`BUDGET_UNLIMITED`](hyperconnect::BUDGET_UNLIMITED) disables
+    /// reservation for the port.
     pub fn set_budget(&self, port: usize, budget: u32) -> Result<(), DriverError> {
         self.check_port(port)?;
         let off = self.base + port_block_offset(port) + offsets::PORT_BUDGET;
@@ -133,14 +133,6 @@ impl<'b> HcDriver<'b> {
         self.check_port(port)?;
         let off = self.base + port_block_offset(port) + offsets::PORT_BUDGET;
         Ok(self.bus.read32(off)?)
-    }
-
-    /// Removes reservation from every port.
-    pub fn clear_budgets(&self) -> Result<(), DriverError> {
-        for p in 0..self.num_ports()? {
-            self.set_budget(p, BUDGET_UNLIMITED)?;
-        }
-        Ok(())
     }
 
     /// Partitions the bus bandwidth by percentage shares (the paper's
@@ -176,7 +168,7 @@ impl<'b> HcDriver<'b> {
     }
 
     /// Reads the global credit-refill window.
-    pub fn regulation_window(&self) -> Result<u32, DriverError> {
+    fn regulation_window(&self) -> Result<u32, DriverError> {
         Ok(self.bus.read32(self.base + offsets::REG_WINDOW)?)
     }
 
@@ -281,13 +273,6 @@ impl<'b> HcDriver<'b> {
         self.check_port(port)?;
         let off = self.base + port_block_offset(port) + offsets::PORT_QUIESCE;
         Ok(self.bus.write32(off, QUIESCE_REQUESTED)?)
-    }
-
-    /// Releases a quiesce request so the port admits traffic again.
-    pub fn release_quiesce(&self, port: usize) -> Result<(), DriverError> {
-        self.check_port(port)?;
-        let off = self.base + port_block_offset(port) + offsets::PORT_QUIESCE;
-        Ok(self.bus.write32(off, 0)?)
     }
 
     /// Decodes the port's quiescent-drain status word.
@@ -465,7 +450,7 @@ pub struct HcSnapshot {
 mod tests {
     use super::*;
     use axi::lite::LiteHandle;
-    use hyperconnect::{HcConfig, HyperConnect};
+    use hyperconnect::{HcConfig, HyperConnect, BUDGET_UNLIMITED};
 
     const BASE: u64 = 0xA000_0000;
 
@@ -531,7 +516,9 @@ mod tests {
         assert!(drv.is_decoupled(1).unwrap());
         drv.set_decoupled(1, false).unwrap();
         assert!(!drv.is_decoupled(1).unwrap());
-        drv.clear_budgets().unwrap();
+        for p in 0..2 {
+            drv.set_budget(p, BUDGET_UNLIMITED).unwrap();
+        }
         assert_eq!(drv.budget(1).unwrap(), BUDGET_UNLIMITED);
     }
 
@@ -606,7 +593,9 @@ mod tests {
         // Scramble everything (as a DPR bitstream swap would reset it).
         drv.set_period(1).unwrap();
         drv.set_nominal_burst(1).unwrap();
-        drv.clear_budgets().unwrap();
+        for p in 0..2 {
+            drv.set_budget(p, BUDGET_UNLIMITED).unwrap();
+        }
         drv.set_decoupled(1, false).unwrap();
         drv.set_max_outstanding(1, 1).unwrap();
         drv.set_regulation_window(1).unwrap();
@@ -685,7 +674,8 @@ mod tests {
         // An idle port drains on the next cycle.
         hc.tick(0);
         assert!(drv.quiesce_status(0).unwrap().drained);
-        drv.release_quiesce(0).unwrap();
+        bus.write32(BASE + port_block_offset(0) + offsets::PORT_QUIESCE, 0)
+            .unwrap();
         let s = drv.quiesce_status(0).unwrap();
         assert!(!s.requested && !s.drained);
     }

@@ -121,7 +121,7 @@ impl ComponentDesc {
     }
 
     /// Interfaces with the given role.
-    pub fn interfaces_with_role(&self, role: IfaceRole) -> impl Iterator<Item = &BusInterface> {
+    fn interfaces_with_role(&self, role: IfaceRole) -> impl Iterator<Item = &BusInterface> {
         self.interfaces.iter().filter(move |i| i.role == role)
     }
 

@@ -492,7 +492,7 @@ impl Hypervisor {
     }
 
     /// The domain owning `port`, if any.
-    pub fn owner_of(&self, port: PortId) -> Option<DomainId> {
+    fn owner_of(&self, port: PortId) -> Option<DomainId> {
         self.port_owner.get(&port.0).copied()
     }
 
@@ -764,14 +764,6 @@ impl Hypervisor {
         self.recovery.state.get(&port.0).map(|s| s.state)
     }
 
-    /// Failed recovery attempts recorded for a port so far.
-    pub fn failed_recoveries(&self, port: PortId) -> u32 {
-        self.recovery
-            .state
-            .get(&port.0)
-            .map_or(0, |s| s.failed_recoveries)
-    }
-
     /// The recovery state machine's transitions.
     pub fn recovery_log(&self) -> &HealthLog<RecoveryTransition> {
         &self.recovery.log
@@ -1030,6 +1022,14 @@ mod tests {
     use hyperconnect::{HcConfig, HyperConnect};
 
     const BASE: u64 = 0xA000_0000;
+
+    /// Failed recovery attempts recorded for `port` so far.
+    fn failed_recoveries(hv: &Hypervisor, port: PortId) -> u32 {
+        hv.recovery
+            .state
+            .get(&port.0)
+            .map_or(0, |s| s.failed_recoveries)
+    }
 
     fn hypervisor(n: usize) -> (Hypervisor, HyperConnect) {
         let hc = HyperConnect::new(HcConfig::new(n));
@@ -1633,7 +1633,7 @@ mod tests {
         let t = hv.poll_recovery().unwrap();
         assert_eq!(t[0].to, RecoveryState::Healthy);
         assert_eq!(hv.recovery_state(PortId(0)), Some(RecoveryState::Healthy));
-        assert_eq!(hv.failed_recoveries(PortId(0)), 0);
+        assert_eq!(failed_recoveries(&hv, PortId(0)), 0);
         assert_eq!(hv.recovery_log().len(), 5);
     }
 
@@ -1691,7 +1691,7 @@ mod tests {
         assert_eq!(t[0].from, RecoveryState::Probation);
         assert_eq!(t[0].to, RecoveryState::Quarantined);
         assert!(hv.hc().is_decoupled(0).unwrap());
-        assert_eq!(hv.failed_recoveries(PortId(0)), 1);
+        assert_eq!(failed_recoveries(&hv, PortId(0)), 1);
         // Terminal state: nothing moves the port again.
         assert!(hv.poll_recovery().unwrap().is_empty());
         assert_eq!(

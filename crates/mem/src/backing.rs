@@ -41,11 +41,6 @@ impl SparseMemory {
         Self::default()
     }
 
-    /// Number of 4 KiB pages currently allocated.
-    pub fn allocated_pages(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Looks up a page's frame without touching the cache (shared-ref
     /// paths).
     #[inline]
@@ -212,7 +207,7 @@ mod tests {
     fn unwritten_reads_zero() {
         let m = SparseMemory::new();
         assert_eq!(m.read(0xDEAD_BEEF, 8), vec![0; 8]);
-        assert_eq!(m.allocated_pages(), 0);
+        assert_eq!(m.frames.len(), 0);
     }
 
     #[test]
@@ -229,7 +224,7 @@ mod tests {
         let addr = 0x1000 - 2; // straddles the first page boundary
         m.write(addr, &[1, 2, 3, 4]);
         assert_eq!(m.read(addr, 4), vec![1, 2, 3, 4]);
-        assert_eq!(m.allocated_pages(), 2);
+        assert_eq!(m.frames.len(), 2);
     }
 
     #[test]

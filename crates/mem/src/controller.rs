@@ -219,7 +219,7 @@ impl MemoryController {
     }
 
     /// Creates a controller around an existing memory image.
-    pub fn with_memory(config: MemConfig, memory: SparseMemory) -> Self {
+    fn with_memory(config: MemConfig, memory: SparseMemory) -> Self {
         Self {
             config,
             memory,
@@ -279,11 +279,6 @@ impl MemoryController {
         self.ar_trace.as_deref()
     }
 
-    /// Accepted write requests, if tracing is on.
-    pub fn aw_trace(&self) -> Option<&[(Cycle, u64)]> {
-        self.aw_trace.as_deref()
-    }
-
     /// Enables the PS-side read port: a second requester (the
     /// processing system's CPUs) whose requests are accepted with
     /// priority but share the in-order service path — the reason the
@@ -329,11 +324,6 @@ impl MemoryController {
     /// its RNG stream.
     pub fn attach_fault_injector(&mut self, config: MemFaultConfig) {
         self.fault = Some(FaultInjector::new(config));
-    }
-
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref()
     }
 
     /// Injection counters, when a fault injector is armed.
@@ -1503,7 +1493,7 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes);
         restored.restore_state(&mut r).unwrap();
         let mut restored_port = AxiPort::load_value(&mut r).unwrap();
-        assert!(restored.fault_injector().is_some());
+        assert!(restored.fault.is_some());
         assert_eq!(restored.remaps().len(), 1);
 
         let drive = |ctrl: &mut MemoryController, port: &mut AxiPort| {

@@ -9,8 +9,9 @@
 //!   buffer*, which accepts data every cycle and exposes it one cycle
 //!   later); a `TimedFifo` with latency 0 models a combinational wire with
 //!   storage.
-//! * [`Runner`] — drives a [`Component`] cycle by cycle until a predicate
-//!   holds, with deadlock detection based on progress reporting.
+//! * [`Component`] — the tick/progress/event-horizon contract of a
+//!   simulated unit; progress and horizons feed the topology's region
+//!   calendar. [`RunOutcome`] says why a bounded run stopped.
 //! * Statistics ([`stats::Counter`], [`stats::LatencyStat`],
 //!   [`stats::Histogram`], [`stats::BandwidthMeter`]) used to produce the
 //!   numbers reported in the paper's figures.
@@ -33,18 +34,18 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod component;
 pub mod fifo;
 pub mod persist;
 pub mod ring;
 pub mod rng;
-pub mod runner;
 pub mod stats;
 pub mod trace;
 pub mod vcd;
 
 pub use clock::{ClockConfig, Cycle};
+pub use component::{Component, RunOutcome};
 pub use fifo::{FifoFull, TimedFifo};
 pub use persist::{Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter};
 pub use ring::Ring;
 pub use rng::SimRng;
-pub use runner::{Component, RunOutcome, Runner, StallDiagnostics};

@@ -832,14 +832,6 @@ impl Snapshot {
             .ok_or_else(|| PersistError::MissingSection(name.to_owned()))
     }
 
-    /// Raw payload length of the named section, if present.
-    pub fn section_len(&self, name: &str) -> Option<usize> {
-        self.sections
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.payload.len())
-    }
-
     /// Serializes the container:
     ///
     /// ```text
@@ -896,11 +888,6 @@ impl Snapshot {
             sections.push(Section { name, payload });
         }
         Ok(Self { sections })
-    }
-
-    /// Total serialized size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
     }
 }
 

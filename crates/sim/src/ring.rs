@@ -82,12 +82,6 @@ impl<T> Ring<T> {
         self.len == 0
     }
 
-    /// Current slot-array size (elements the ring can hold without
-    /// growing). Zero until the first push or capacity hint.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     #[inline]
     fn mask(&self) -> usize {
         debug_assert!(self.slots.len().is_power_of_two());
@@ -240,7 +234,7 @@ mod tests {
         let r: Ring<u8> = Ring::new();
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-        assert_eq!(r.slot_capacity(), 0);
+        assert_eq!(r.slots.len(), 0);
         assert_eq!(r.front(), None);
         assert_eq!(r.back(), None);
     }
@@ -251,7 +245,7 @@ mod tests {
         for i in 0..100u32 {
             r.push_back(i);
         }
-        assert!(r.slot_capacity().is_power_of_two());
+        assert!(r.slots.len().is_power_of_two());
         for i in 0..100u32 {
             assert_eq!(r.pop_front(), Some(i));
         }
@@ -261,14 +255,14 @@ mod tests {
     #[test]
     fn wraps_without_growing_in_steady_state() {
         let mut r = Ring::with_capacity(4);
-        let cap = r.slot_capacity();
+        let cap = r.slots.len();
         for round in 0..1000u32 {
             r.push_back(round);
             r.push_back(round + 1);
             assert_eq!(r.pop_front(), Some(round));
             assert_eq!(r.pop_front(), Some(round + 1));
         }
-        assert_eq!(r.slot_capacity(), cap, "steady state must not grow");
+        assert_eq!(r.slots.len(), cap, "steady state must not grow");
     }
 
     #[test]
@@ -315,13 +309,13 @@ mod tests {
     #[test]
     fn clear_drops_everything_but_keeps_storage() {
         let mut r = Ring::with_capacity(8);
-        let cap = r.slot_capacity();
+        let cap = r.slots.len();
         for i in 0..5u32 {
             r.push_back(i);
         }
         r.clear();
         assert!(r.is_empty());
-        assert_eq!(r.slot_capacity(), cap);
+        assert_eq!(r.slots.len(), cap);
         r.push_back(99);
         assert_eq!(r.pop_front(), Some(99));
     }

@@ -227,8 +227,8 @@ impl LatencyStat {
 /// h.record(5);
 /// h.record(15);
 /// h.record(100); // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 1);
+/// assert_eq!(h.quantile(0.0), Some(10)); // 5 falls in 0..10
+/// assert_eq!(h.quantile(0.5), Some(20)); // 15 falls in 10..20
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
@@ -269,15 +269,6 @@ impl Histogram {
         } else {
             self.overflow += 1;
         }
-    }
-
-    /// Count in bucket `idx` (covering `[idx*w, (idx+1)*w)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
     }
 
     /// Number of samples beyond the covered range.
@@ -362,16 +353,6 @@ impl BandwidthMeter {
     /// Total bytes recorded.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Cycle of first recorded transfer.
-    pub fn first_cycle(&self) -> Option<Cycle> {
-        self.first
-    }
-
-    /// Cycle of last recorded transfer.
-    pub fn last_cycle(&self) -> Option<Cycle> {
-        self.last
     }
 
     /// Average bytes per cycle over an explicit window.
@@ -623,8 +604,8 @@ mod tests {
         h.record(3);
         h.record(4);
         h.record(8);
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
+        assert_eq!(h.buckets[0], 2);
+        assert_eq!(h.buckets[1], 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 4);
     }
@@ -707,7 +688,7 @@ mod tests {
         bw.record(0, u64::MAX - 10);
         bw.record(1, 100); // would overflow with bare `+=`
         assert_eq!(bw.bytes(), u64::MAX);
-        assert_eq!(bw.last_cycle(), Some(1));
+        assert_eq!(bw.last, Some(1));
     }
 
     #[test]
@@ -733,8 +714,8 @@ mod tests {
         let mut bw = BandwidthMeter::new();
         bw.record(10, 64);
         bw.record(20, 64);
-        assert_eq!(bw.first_cycle(), Some(10));
-        assert_eq!(bw.last_cycle(), Some(20));
+        assert_eq!(bw.first, Some(10));
+        assert_eq!(bw.last, Some(20));
         assert!((bw.bytes_per_cycle(0, 128) - 1.0).abs() < 1e-12);
         assert_eq!(bw.bytes_per_cycle(10, 10), 0.0);
         bw.reset();

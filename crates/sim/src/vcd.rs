@@ -124,11 +124,6 @@ impl VcdWriter {
         });
     }
 
-    /// Number of recorded (deduplicated) changes.
-    pub fn num_changes(&self) -> usize {
-        self.changes.len()
-    }
-
     /// Renders the complete VCD file.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -260,7 +255,7 @@ mod tests {
         v.change_wire(0, w, true);
         v.change_wire(1, w, true); // duplicate: dropped
         v.change_wire(2, w, false);
-        assert_eq!(v.num_changes(), 2);
+        assert_eq!(v.changes.len(), 2);
         let dump = v.render();
         let body = dump.split("$enddefinitions $end\n").nth(1).unwrap();
         assert_eq!(body, "#0\n1!\n#2\n0!\n");

@@ -106,12 +106,6 @@ impl<I: AxiInterconnect + 'static> SocSystem<I> {
         self.topo.waveform_vcd(self.mem)
     }
 
-    /// Overrides the fabric clock used for time-based reporting.
-    pub fn with_clock(mut self, clock: ClockConfig) -> Self {
-        self.topo.set_clock(clock);
-        self
-    }
-
     /// Connects an accelerator to the next free slave port, returning
     /// the port it occupies.
     ///
@@ -386,10 +380,6 @@ impl<I: AxiInterconnect + 'static> Component for SocSystem<I> {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.topo.next_event(now)
     }
-
-    fn last_active(&self) -> Vec<String> {
-        self.topo.last_active()
-    }
 }
 
 #[cfg(test)]
@@ -478,8 +468,8 @@ mod tests {
         let mut sys = SocSystem::new(
             HyperConnect::new(HcConfig::new(1)),
             MemoryController::new(MemConfig::ideal()),
-        )
-        .with_clock(ClockConfig::new(100));
+        );
+        sys.topo.set_clock(ClockConfig::new(100));
         sys.add_accelerator(Box::new(Dma::new(
             "d",
             DmaConfig::reader(64, 16, BurstSize::B16).jobs(1),

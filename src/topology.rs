@@ -1010,6 +1010,22 @@ impl SocTopology {
         self.now
     }
 
+    /// Labels of the nodes that made progress on the most recent cycle
+    /// on which any node did: who moved last, for triaging a run that
+    /// went quiet. Empty before anything has moved.
+    pub fn last_active(&self) -> Vec<String> {
+        let latest = self.stamps.iter().flatten().max().copied();
+        let Some(latest) = latest else {
+            return Vec::new();
+        };
+        self.stamps
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| **s == Some(latest))
+            .map(|(i, _)| self.nodes[i].label.clone())
+            .collect()
+    }
+
     /// The fabric clock configuration.
     pub fn clock(&self) -> ClockConfig {
         self.clock
@@ -2171,19 +2187,6 @@ impl Component for SocTopology {
         (0..self.nodes.len())
             .filter_map(|n| self.node_horizon(n, now))
             .min()
-    }
-
-    fn last_active(&self) -> Vec<String> {
-        let latest = self.stamps.iter().flatten().max().copied();
-        let Some(latest) = latest else {
-            return Vec::new();
-        };
-        self.stamps
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == Some(latest))
-            .map(|(i, _)| self.nodes[i].label.clone())
-            .collect()
     }
 }
 
