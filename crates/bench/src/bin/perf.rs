@@ -21,9 +21,9 @@
 //!    systems under the default `SchedulerMode::FastForward`; the Fig. 5
 //!    record is labelled so.
 //! 5. **100-node tree** — the [`bench::tree100`] scenario run under
-//!    naive stepping (the oracle) and the region fast-forward calendar,
-//!    which must be byte-identical to it: idle regions fast-forward on
-//!    their own while the busy one ticks.
+//!    naive stepping (the oracle) and the fast-forward wake calendar,
+//!    which must be byte-identical to it: idle clusters sleep on their
+//!    own while the busy one ticks.
 //!
 //! Usage: `perf [--quick | --full] [--out PATH] [--workers N]
 //! [--min-cycles-per-sec N]`
@@ -789,26 +789,32 @@ fn main() {
         );
     }
 
-    // 5. The 100-node tree: the naive oracle and the region
-    // fast-forward calendar, byte-identity enforced.
+    // 5. The 100-node tree: the naive oracle and the fast-forward wake
+    // calendar, byte-identity enforced.
     let tree_naive = tree100::run(SchedulerMode::Naive, tree_cycles);
     let tree_cps = |run: &tree100::TreeRun| tree_cycles as f64 / (run.wall_ms / 1e3).max(1e-9);
     let naive_tree_cps = tree_cps(&tree_naive);
     let tree_ff = tree100::run(SchedulerMode::FastForward, tree_cycles);
     let ff_tree_cps = tree_cps(&tree_ff);
     let tree_identical = tree_ff.fingerprint == tree_naive.fingerprint;
+    let work = tree_ff.work;
     println!(
         "tree100 ({} nodes, {tree_cycles} cycles): naive {:.1} ms ({naive_tree_cps:.2e} c/s), \
-         region fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped; leaf ticks {} run, \
-         {} passed over; bridge transfers {} run, {} passed over){}",
+         fast-forward {:.1} ms ({ff_tree_cps:.2e} c/s, {} skipped; run / passed over: \
+         leaf ticks {} / {}, bridge transfers {} / {}, interconnect ticks {} / {}, \
+         memory ticks {} / {}){}",
         tree100::node_count(),
         tree_naive.wall_ms,
         tree_ff.wall_ms,
         tree_ff.skipped,
-        tree_ff.work.leaf_ticks,
-        tree_ff.work.leaf_skips,
-        tree_ff.work.bridge_transfers,
-        tree_ff.work.bridge_skips,
+        work.leaf_ticks,
+        work.leaf_skips,
+        work.bridge_transfers,
+        work.bridge_skips,
+        work.ic_ticks,
+        work.ic_skips,
+        work.mem_ticks,
+        work.mem_skips,
         if tree_identical { "" } else { " — DIVERGED" }
     );
     // 6. Emit BENCH_simulator.json.
@@ -835,6 +841,8 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
     let obs_report = report.to_json();
+    // The tree100 keys keep their `region_fast_forward_` prefix so the
+    // delta gate still pairs them with the committed figures.
     let json = format!(
         "{{\n\
          \"schema\":\"axi-hyperconnect/bench-simulator/v1\",\n\
@@ -880,6 +888,8 @@ fn main() {
          \"region_fast_forward_skipped\":{},\
          \"region_fast_forward_leaf_ticks\":{},\"region_fast_forward_leaf_skips\":{},\
          \"region_fast_forward_bridge_transfers\":{},\"region_fast_forward_bridge_skips\":{},\
+         \"region_fast_forward_ic_ticks\":{},\"region_fast_forward_ic_skips\":{},\
+         \"region_fast_forward_mem_ticks\":{},\"region_fast_forward_mem_skips\":{},\
          \"region_fast_forward_byte_identical\":{tree_identical}}},\n\
          \"peak_rss_kb\":{}\n\
          }}\n",
@@ -890,10 +900,14 @@ fn main() {
         tree_naive.wall_ms,
         tree_ff.wall_ms,
         tree_ff.skipped,
-        tree_ff.work.leaf_ticks,
-        tree_ff.work.leaf_skips,
-        tree_ff.work.bridge_transfers,
-        tree_ff.work.bridge_skips,
+        work.leaf_ticks,
+        work.leaf_skips,
+        work.bridge_transfers,
+        work.bridge_skips,
+        work.ic_ticks,
+        work.ic_skips,
+        work.mem_ticks,
+        work.mem_skips,
         peak_rss_kb()
     );
     std::fs::write(&out_path, json).expect("write BENCH_simulator.json");

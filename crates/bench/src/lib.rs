@@ -18,7 +18,7 @@
 //! | [`fig5`] | Fig. 5 — contention + `HC-X-Y` reservation sweep |
 //! | [`table1`] | Table I — resource consumption |
 //! | [`ablation`] | design-choice ablations (granularity, fairness, reservation, scaling, worst-case bounds) |
-//! | [`tree100`] | 100-node cascaded tree — the region fast-forward calendar's showcase scenario |
+//! | [`tree100`] | 100-node cascaded tree — the per-node fast-forward calendar's showcase scenario |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

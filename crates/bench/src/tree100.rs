@@ -11,11 +11,11 @@
 //! other six clusters carry periodic readers with long, staggered idle
 //! gaps.
 //!
-//! Each bridge-delimited cluster is its own fast-forward region: the
-//! engine ticks the busy cluster and the root every cycle and lets each
-//! idle cluster sleep until its own next event. The `perf` bin times
-//! naive stepping and the region calendar on this scenario and checks
-//! the two runs byte-identical.
+//! Every node wakes on its own: the engine ticks the busy cluster's
+//! nodes when they are due and passes each idle cluster over whole
+//! until its own next event. The `perf` bin times naive stepping and
+//! the wake calendar on this scenario and checks the two runs
+//! byte-identical.
 
 use std::time::Instant;
 
@@ -153,7 +153,7 @@ pub struct TreeRun {
     pub fingerprint: String,
     /// Cycles the scheduler fast-forwarded.
     pub skipped: Cycle,
-    /// Accelerator ticks run and passed over, and bridge transfers run.
+    /// Node ticks and bridge transfers, run and passed over.
     pub work: EngineWork,
 }
 
@@ -177,10 +177,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_has_one_hundred_nodes_and_a_region_per_cluster() {
+    fn tree_has_one_hundred_nodes() {
         let topo = build(SchedulerMode::FastForward);
         assert_eq!(topo.num_nodes(), node_count());
         assert_eq!(node_count(), 100);
-        assert_eq!(topo.regions().len(), CLUSTERS + 1);
+    }
+
+    /// On every cycle the engine ticks, each node and bridge either
+    /// ticks or is passed over, and the six idle clusters' interconnects
+    /// sleep: at least nine in ten of their ticks are passed over.
+    #[test]
+    fn idle_cluster_interconnects_are_passed_over() {
+        let run = run(SchedulerMode::FastForward, DEFAULT_CYCLES);
+        let (w, ticked) = (run.work, DEFAULT_CYCLES - run.skipped);
+        let count = |n: usize| n as u64 * ticked;
+        assert_eq!(w.ic_ticks + w.ic_skips, count(CLUSTERS + 1), "{w:?}");
+        assert_eq!(w.mem_ticks + w.mem_skips, count(1), "{w:?}");
+        assert_eq!(
+            w.leaf_ticks + w.leaf_skips,
+            count(CLUSTERS * ACCS_PER_CLUSTER)
+        );
+        assert_eq!(w.bridge_transfers + w.bridge_skips, count(CLUSTERS));
+        let idle = count(CLUSTERS - 1);
+        assert!(
+            w.ic_skips >= idle - idle / 10,
+            "{w:?}, {ticked} cycles ticked"
+        );
     }
 }

@@ -190,10 +190,10 @@ impl CreditRegulator {
     ///
     /// Called at the top of every issue attempt; configuration writes
     /// bump the regfile generation, so the adopting cycle is ticked by
-    /// every scheduler.
-    pub fn sync(&mut self, now: Cycle, cfg: RegulatorConfig) {
+    /// every scheduler. Returns whether the configuration changed.
+    pub fn sync(&mut self, now: Cycle, cfg: RegulatorConfig) -> bool {
         if cfg == self.cfg {
-            return;
+            return false;
         }
         self.cfg = cfg;
         let full = cfg.burst_clamped();
@@ -201,6 +201,7 @@ impl CreditRegulator {
         self.write_credits = full;
         self.anchor_window = self.window_index(now);
         self.throttled = false;
+        true
     }
 
     /// Can the read lane issue one sub-transaction at `now`?
@@ -257,15 +258,17 @@ impl CreditRegulator {
     }
 
     /// Record the throttle state observed this issue attempt; a rising
-    /// edge (not-throttled -> throttled) counts one event. Transitions
-    /// only happen on cycles every scheduler ticks (work arrival,
-    /// credit consume, completion), so the count is
+    /// edge (not-throttled -> throttled) counts one event, and returns
+    /// `true`. Transitions only happen on cycles every scheduler ticks
+    /// (work arrival, credit consume, completion), so the count is
     /// scheduler-invariant.
-    pub fn note_throttled(&mut self, throttled: bool) {
-        if throttled && !self.throttled {
+    pub fn note_throttled(&mut self, throttled: bool) -> bool {
+        let onset = throttled && !self.throttled;
+        if onset {
             self.throttle_events = self.throttle_events.saturating_add(1);
         }
         self.throttled = throttled;
+        onset
     }
 
     /// Whether the last issue attempt was throttled. The next attempt

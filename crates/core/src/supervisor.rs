@@ -636,7 +636,10 @@ impl TransactionSupervisor {
 
     /// Moves split sub-requests into the arbitration stages, enforcing
     /// (in order) the traffic regulator, the reservation budget and the
-    /// outstanding limits. Returns `true` on any progress.
+    /// outstanding limits. Returns `true` on any progress, including a
+    /// regulator reconfiguration and a throttle onset: they move the
+    /// credits and the count the next tick writes back to the
+    /// `REG_CREDITS` and `REG_THROTTLE` registers.
     ///
     /// The regulator is checked *ahead of* the budget: a throttled port
     /// neither consumes budget nor counts budget-stall cycles, so
@@ -647,8 +650,7 @@ impl TransactionSupervisor {
         if !rt.enabled {
             return false;
         }
-        self.regulator.sync(now, rt.regulator);
-        let mut progress = false;
+        let mut progress = self.regulator.sync(now, rt.regulator);
         let mut stalled_by_budget = false;
         let mut throttled = false;
         if !self.ar_split.is_empty()
@@ -727,8 +729,7 @@ impl TransactionSupervisor {
                 );
             }
         }
-        self.regulator.note_throttled(throttled);
-        progress
+        self.regulator.note_throttled(throttled) || progress
     }
 
     /// Delivers a read-data beat coming back from the EXBAR, rewriting

@@ -46,8 +46,8 @@ pub trait Accelerator: std::any::Any + Send {
     ///
     /// # Wake contract
     ///
-    /// The topology engine lets an accelerator sleep inside a busy
-    /// region, so every model keeps two promises:
+    /// The topology engine lets an accelerator sleep while the rest of
+    /// the system runs, so every model keeps two promises:
     ///
     /// * after a tick at `t` returns `false`, ticking it on every cycle
     ///   before its horizon — the earlier of [`Self::next_event`]`(t)`
@@ -83,6 +83,12 @@ pub trait Accelerator: std::any::Any + Send {
     /// no-progress tick, the answer bounds the sleep the wake contract
     /// of [`Self::tick`] allows. The default of `Some(now + 1)` is
     /// always safe.
+    ///
+    /// The answer is stable: with the model untouched and its port
+    /// untouched, every call at a cycle before the returned horizon
+    /// returns the same horizon. So the engine asks once, after the
+    /// no-progress tick, and keeps the answer as the model's wake.
+    /// `crates/ha/tests/wake_contract.rs` checks this for every model.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

@@ -6,9 +6,9 @@ use crate::clock::Cycle;
 ///
 /// Implementors report *progress* from [`tick`](Self::tick) and an
 /// event horizon from [`next_event`](Self::next_event); together they
-/// feed the topology's region calendar, which keeps a region awake
-/// while it progresses and lets it sleep to its horizon when it does
-/// not.
+/// feed the topology's wake calendar, which ticks a node again on the
+/// next cycle while it progresses and lets it sleep to its horizon
+/// when it does not.
 ///
 /// `Send` is a supertrait: models are plain owned data (no `Rc`, no
 /// thread-local handles), so an assembled system can be moved to
@@ -16,7 +16,7 @@ use crate::clock::Cycle;
 pub trait Component: Send {
     /// Advances the component by one cycle. Returns `true` if any state
     /// changed (a beat moved, a counter advanced toward an observable
-    /// event) — a progressing region is woken again next cycle.
+    /// event) — a progressing node is ticked again next cycle.
     fn tick(&mut self, now: Cycle) -> bool;
 
     /// Event-horizon hint: the earliest future cycle at which this
@@ -31,6 +31,13 @@ pub trait Component: Send {
     /// reactive": nothing will happen until some other component feeds
     /// this one. The default of `Some(now + 1)` reproduces plain
     /// cycle-by-cycle stepping and is always safe.
+    ///
+    /// The horizon is also *stable*: with no input touched (no port
+    /// pushed to, popped from or flushed by anyone else, no register
+    /// written), every call at a cycle before the returned horizon
+    /// returns the same horizon. A caller may therefore ask once, after
+    /// a tick that made no progress, and keep the answer until an input
+    /// changes, instead of asking again on every cycle.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

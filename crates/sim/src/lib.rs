@@ -10,7 +10,7 @@
 //!   later); a `TimedFifo` with latency 0 models a combinational wire with
 //!   storage.
 //! * [`Component`] — the tick/progress/event-horizon contract of a
-//!   simulated unit; progress and horizons feed the topology's region
+//!   simulated unit; progress and horizons feed the topology's wake
 //!   calendar. [`RunOutcome`] says why a bounded run stopped.
 //! * Statistics ([`stats::Counter`], [`stats::LatencyStat`],
 //!   [`stats::Histogram`], [`stats::BandwidthMeter`]) used to produce the

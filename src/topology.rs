@@ -15,9 +15,9 @@
 //! * [`SocTopology`] — the built system: a deterministic tick engine
 //!   over the tree (post-order: leaves before parents, bridges between
 //!   them), the event-horizon fast-forward scheduler with one wake
-//!   cycle per bridge-delimited region, per-instance
-//!   metrics namespacing, and the fault-injection/hypervisor hooks of
-//!   the flat `SocSystem`, which is now a thin facade over this graph.
+//!   cycle per node and bridge, per-instance metrics namespacing, and
+//!   the fault-injection/hypervisor hooks of the flat `SocSystem`,
+//!   which is now a thin facade over this graph.
 //!
 //! Cascaded interconnects are joined by an [`axi::AxiBridge`] — a
 //! latency-configurable adapter whose timing contract is: latency 0
@@ -38,12 +38,11 @@ use sim::{ClockConfig, Component, Cycle};
 /// simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Event-horizon scheduling, per bridge-delimited region: a region
-    /// whose tick makes no progress sleeps until the earliest cycle its
-    /// components promise activity at (their [`Component::next_event`]
-    /// hints) or until a beat crosses into it, and when every region
-    /// sleeps `now` jumps to the earliest wake, skipping the provably
-    /// idle span. Cycle-exact with respect to [`SchedulerMode::Naive`]:
+    /// Event-horizon scheduling, per node: a node whose tick makes no
+    /// progress sleeps until the cycle it promises activity at (its
+    /// [`Component::next_event`] hint) or until a neighbour touches one
+    /// of its ports, and when every node sleeps `now` jumps to the
+    /// earliest wake, skipping the provably idle span. Cycle-exact with respect to [`SchedulerMode::Naive`]:
     /// components may under-promise but never over-promise, and no
     /// observable state advances on skipped ticks.
     #[default]
@@ -309,12 +308,6 @@ struct Node {
     kind: NodeKind,
 }
 
-/// Request beats ever pushed into `port`: only its owner pushes them,
-/// so an unchanged count means no new request since it was taken.
-fn requests_pushed(port: &axi::AxiPort) -> u64 {
-    port.ar.total_pushed() + port.aw.total_pushed() + port.w.total_pushed()
-}
-
 /// Disjoint mutable access to two distinct nodes.
 fn two_nodes(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &mut Node) {
     debug_assert_ne!(a, b);
@@ -327,94 +320,10 @@ fn two_nodes(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &mut Node) {
     }
 }
 
-/// The bridge-delimited partition of the forest the region calendar
-/// runs on.
-///
-/// Every cascade edge carrying an [`AxiBridge`] with latency ≥ 1 is a
-/// *cut*: the child subtree becomes its own part. Wire (latency-0)
-/// bridges keep the child in its parent's part. Accelerators stay with
-/// the interconnect that owns their slave port; each memory controller
-/// stays with its root. Parts are numbered in DFS order, so every
-/// node's part index is at least its parent's.
-struct Partition {
-    /// Global node ids per part, in DFS visit order.
-    members: Vec<Vec<usize>>,
-    /// Part index per global node id.
-    part_of: Vec<usize>,
-    /// Whether no cut hangs below each part.
-    leaf: Vec<bool>,
-}
-
-fn partition(nodes: &[Node], roots: &[usize]) -> Partition {
-    let mut p = Partition {
-        members: Vec::new(),
-        part_of: vec![usize::MAX; nodes.len()],
-        leaf: Vec::new(),
-    };
-    for &root in roots {
-        let part = p.new_part();
-        assign_subtree(nodes, root, part, &mut p);
-        let NodeKind::Interconnect(icn) = &nodes[root].kind else {
-            unreachable!("roots are interconnects");
-        };
-        p.assign(icn.memory.expect("roots have memory"), part);
-    }
-    p
-}
-
-impl Partition {
-    fn new_part(&mut self) -> usize {
-        self.members.push(Vec::new());
-        self.leaf.push(true);
-        self.members.len() - 1
-    }
-
-    fn assign(&mut self, node: usize, part: usize) {
-        self.part_of[node] = part;
-        self.members[part].push(node);
-    }
-}
-
-fn assign_subtree(nodes: &[Node], ic: usize, part: usize, p: &mut Partition) {
-    p.assign(ic, part);
-    let NodeKind::Interconnect(icn) = &nodes[ic].kind else {
-        unreachable!("subtree roots are interconnects");
-    };
-    for c in icn.children.iter().flatten() {
-        match c.bridge.as_ref().map(|b| b.config().latency) {
-            // Accelerator child: stays with its port's owner.
-            None => p.assign(c.node, part),
-            Some(latency) if latency >= 1 => {
-                p.leaf[part] = false;
-                let child_part = p.new_part();
-                assign_subtree(nodes, c.node, child_part, p);
-            }
-            // Wire bridge: same part.
-            Some(_) => assign_subtree(nodes, c.node, part, p),
-        }
-    }
-}
-
-/// One bridge-delimited region of the fast-forward calendar (a part of
-/// the [`Partition`]) and its scheduling state. Never persisted.
-#[derive(Debug, Clone)]
-struct Region {
-    /// The region's nodes, in DFS order.
-    members: Vec<usize>,
-    /// Whether no cut edge hangs below the region, so a sleeping
-    /// region's whole subtree can be passed over.
-    leaf: bool,
-    /// First cycle the region must tick at again.
-    wake: Cycle,
-    /// Whether a node of the region, or a cut bridge into it, moved
-    /// anything during the cycle being ticked.
-    progress: bool,
-}
-
 /// One bound slave port in an interconnect's child table: everything
 /// the engine's per-child step reads before it decides whether the
 /// child moves, so a child that does not move costs a table lookup.
-/// `partition_regions` builds the table in slave-port order; the wake
+/// `build_tables` builds the table in slave-port order; the wake
 /// fields are scheduler state, reset at every run entry and never
 /// persisted.
 #[derive(Debug, Clone, Copy)]
@@ -434,23 +343,25 @@ enum Slot {
     Cascade {
         port: usize,
         node: usize,
-        /// Whether the bridge is a cut (its child starts a region).
-        cut: bool,
-        /// Cycle the bridge's first staged beat is ready to leave (its
-        /// `next_event` after its last transfer).
-        stage_ready: Cycle,
-        /// Earliest cycle anything the bridge could move is ready: a
-        /// staged beat, a request in the child's master port or a
-        /// response in the parent's slave port.
-        ready: Cycle,
-        /// Requests the child interconnect had pushed into its master
-        /// port by the bridge's last transfer.
-        pushed: u64,
+        /// First cycle the bridge must transfer at again if neither
+        /// side touches its ports: the earliest of its stage's next
+        /// beat, the requests in the child's master port and the
+        /// responses in the parent's slave port.
+        wake: Cycle,
     },
 }
 
-/// One interconnect's run of the child tables, and the earliest wake
-/// among its leaves (scheduler state, like the slots' own).
+/// Nodes and bridges in one interconnect's subtree, itself included:
+/// what passing the subtree over saves (see [`EngineWork`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    ics: u64,
+    leaves: u64,
+    bridges: u64,
+}
+
+/// One node's wake state and, for an interconnect, its run of the
+/// child tables. Scheduler state, like the slots'.
 #[derive(Debug, Clone, Copy, Default)]
 struct Table {
     first: usize,
@@ -458,27 +369,67 @@ struct Table {
     /// Where the interconnect's slave ports start in `seen` and
     /// `slot_at`.
     ports: usize,
-    /// Leaf slots in the run.
-    leaves: usize,
-    /// No leaf of the run ticks before this cycle unless its port is
-    /// touched (which `watch_ports` notes, lowering this too).
-    leaf_wake: Cycle,
+    /// First cycle the node (an interconnect or a memory) must tick at
+    /// again if nobody touches its ports before then.
+    wake: Cycle,
+    /// An interconnect's earliest wake over its subtree: its own, its
+    /// slots' and its cascaded children's subtrees'. Nothing in the
+    /// subtree ticks before this cycle.
+    subtree_wake: Cycle,
+    /// An interconnect's master-port [`axi::AxiPort::activity`] stamp
+    /// when the engine last looked.
+    master_seen: u64,
+    /// An interconnect's subtree counts, for [`EngineWork`].
+    span: Span,
 }
 
-/// How much per-child work the engine did (see
+/// How much per-node work the engine did (see
 /// [`SocTopology::engine_work`]). Execution counters, never persisted.
+///
+/// On every cycle the engine ticks, each node and bridge either ticks
+/// or is passed over: its wake had not come and nobody touched its
+/// ports. So for each kind, run plus passed over is the node count
+/// times the cycles ticked, and the cycles skipped count in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineWork {
     /// Accelerator ticks run.
     pub leaf_ticks: u64,
-    /// Accelerator ticks passed over inside an awake region: the
-    /// accelerator slept and nobody touched its port.
+    /// Accelerator ticks passed over.
     pub leaf_skips: u64,
     /// Bridge transfers run.
     pub bridge_transfers: u64,
-    /// Bridge transfers passed over: nothing the bridge could move was
-    /// ready and its child pushed no new request.
+    /// Bridge transfers passed over.
     pub bridge_skips: u64,
+    /// Interconnect ticks run.
+    pub ic_ticks: u64,
+    /// Interconnect ticks passed over.
+    pub ic_skips: u64,
+    /// Memory-controller ticks run.
+    pub mem_ticks: u64,
+    /// Memory-controller ticks passed over.
+    pub mem_skips: u64,
+}
+
+/// The span of the subtree under interconnect `id`.
+fn span(nodes: &[Node], id: usize) -> Span {
+    let NodeKind::Interconnect(icn) = &nodes[id].kind else {
+        unreachable!("subtree roots are interconnects");
+    };
+    let mut s = Span {
+        ics: 1,
+        ..Span::default()
+    };
+    for c in icn.children.iter().flatten() {
+        if c.bridge.is_none() {
+            s.leaves += 1;
+            continue;
+        }
+        let child = span(nodes, c.node);
+        s.ics += child.ics;
+        s.leaves += child.leaves;
+        s.bridges += child.bridges + 1;
+    }
+    s
 }
 
 /// Declarative, validating assembly of a [`SocTopology`].
@@ -844,8 +795,8 @@ impl TopologyBuilder {
                 }
                 NodeKind::Interconnect(icn) => {
                     ic_nodes.push(idx);
-                    if icn.memory.is_some() {
-                        roots.push(idx);
+                    if let Some(mem) = icn.memory {
+                        roots.push((idx, mem));
                     }
                     // Every interconnect must reach a memory through its
                     // master-port chain; the chain is acyclic by the
@@ -903,8 +854,6 @@ impl TopologyBuilder {
             ic_nodes,
             mem_nodes,
             stamps,
-            regions: Vec::new(),
-            region_of: Vec::new(),
             slots: Vec::new(),
             tables: Vec::new(),
             seen: Vec::new(),
@@ -918,7 +867,7 @@ impl TopologyBuilder {
             scheduler: SchedulerMode::default(),
             skipped_cycles: 0,
         };
-        topo.partition_regions();
+        topo.build_tables();
         Ok(topo)
     }
 }
@@ -932,25 +881,22 @@ impl TopologyBuilder {
 pub struct SocTopology {
     nodes: Vec<Node>,
     /// Interconnects with a memory bound, in insertion order — the
-    /// forest's tick roots.
-    roots: Vec<usize>,
+    /// forest's tick roots — each with its memory.
+    roots: Vec<(usize, usize)>,
     /// Accelerator nodes in insertion (ordinal) order.
     acc_nodes: Vec<usize>,
     ic_nodes: Vec<usize>,
     mem_nodes: Vec<usize>,
     /// Per-node cycle of most recent progress (stall attribution).
     stamps: Vec<Option<Cycle>>,
-    /// The fast-forward calendar: one entry per bridge-delimited region.
-    regions: Vec<Region>,
-    /// Region index per node.
-    region_of: Vec<usize>,
     /// Every interconnect's child table, back to back.
     slots: Vec<Slot>,
-    /// The run of `slots` each node owns (empty for non-interconnects).
+    /// Per node, its wake state and the run of `slots` it owns (empty
+    /// for non-interconnects). Accelerators wake in their slots.
     tables: Vec<Table>,
     /// Per slave port of every interconnect, its [`axi::AxiPort::activity`]
     /// stamp when the engine last looked: after its child's last tick or
-    /// transfer, or after an interconnect tick that changed it.
+    /// transfer, or after its interconnect's last tick.
     seen: Vec<u64>,
     /// Per slave port of every interconnect, the slot of its child
     /// (`usize::MAX` when unbound).
@@ -982,27 +928,17 @@ impl SocTopology {
 
     /// Cycles the fast-forward scheduler skipped so far: cycles on which
     /// no component ticked (zero under [`SchedulerMode::Naive`]). A
-    /// cycle on which only some regions ticked is not skipped.
+    /// cycle on which only some nodes ticked is not skipped.
     pub fn skipped_cycles(&self) -> Cycle {
         self.skipped_cycles
     }
 
-    /// How much per-child work the engine has done so far: accelerator
-    /// ticks and bridge transfers, run and passed over. Under
-    /// [`SchedulerMode::Naive`] nothing is passed over.
+    /// How much per-node work the engine has done so far: accelerator,
+    /// interconnect and memory ticks and bridge transfers, run and
+    /// passed over. Under [`SchedulerMode::Naive`] nothing is passed
+    /// over.
     pub fn engine_work(&self) -> EngineWork {
         self.work
-    }
-
-    /// The fast-forward calendar's regions, each listing its nodes in
-    /// DFS order. A region starts at a root interconnect or at the
-    /// child below a registered (latency ≥ 1) bridge; wire-cascaded
-    /// children, accelerators and memories join their parent's region.
-    pub fn regions(&self) -> Vec<Vec<NodeId>> {
-        self.regions
-            .iter()
-            .map(|r| r.members.iter().map(|&n| NodeId(n)).collect())
-            .collect()
     }
 
     /// The current cycle.
@@ -1230,7 +1166,7 @@ impl SocTopology {
             unreachable!("checked above");
         };
         icn.children[port] = Some(Child { node, bridge: None });
-        self.partition_regions();
+        self.build_tables();
         Ok(port)
     }
 
@@ -1276,22 +1212,9 @@ impl SocTopology {
                 })
     }
 
-    /// Rebuilds the region calendar and the child tables from the graph
-    /// (at build time and whenever a post-build accelerator joins it).
-    fn partition_regions(&mut self) {
-        let p = partition(&self.nodes, &self.roots);
-        self.regions = p
-            .members
-            .into_iter()
-            .zip(p.leaf)
-            .map(|(members, leaf)| Region {
-                members,
-                leaf,
-                wake: self.now,
-                progress: false,
-            })
-            .collect();
-        self.region_of = p.part_of;
+    /// Rebuilds the child tables from the graph (at build time and
+    /// whenever a post-build accelerator joins it).
+    fn build_tables(&mut self) {
         self.slots.clear();
         self.seen.clear();
         self.slot_at.clear();
@@ -1317,10 +1240,7 @@ impl SocTopology {
                     Some(_) => Slot::Cascade {
                         port,
                         node: c.node,
-                        cut: self.region_of[c.node] != self.region_of[id],
-                        stage_ready: 0,
-                        ready: 0,
-                        pushed: 0,
+                        wake: self.now,
                     },
                 });
             }
@@ -1328,27 +1248,20 @@ impl SocTopology {
                 first,
                 end: self.slots.len(),
                 ports,
-                leaves: icn
-                    .children
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.bridge.is_none())
-                    .count(),
-                leaf_wake: self.now,
+                span: span(&self.nodes, id),
+                ..Table::default()
             };
             self.activity
                 .resize(self.activity.len().max(icn.children.len()), 0);
         }
     }
 
-    /// Wakes every region, accelerator and bridge at `now`: a run entry,
-    /// after which whatever changed between calls is seen.
+    /// Wakes every node and bridge at `now`: a run entry, after which
+    /// whatever changed between calls is seen.
     fn wake_all(&mut self, now: Cycle) {
-        for region in &mut self.regions {
-            region.wake = now;
-        }
         for table in &mut self.tables {
-            table.leaf_wake = now;
+            table.wake = now;
+            table.subtree_wake = now;
         }
         for slot in &mut self.slots {
             match slot {
@@ -1356,18 +1269,13 @@ impl SocTopology {
                     *wake = now;
                     *fresh = true;
                 }
-                Slot::Cascade {
-                    stage_ready, ready, ..
-                } => {
-                    *stage_ready = 0;
-                    *ready = 0;
-                }
+                Slot::Cascade { wake, .. } => *wake = now,
             }
         }
     }
 
-    /// One node's event-horizon hint after a no-progress tick at `now`;
-    /// an interconnect's includes the bridges it drives.
+    /// One node's event-horizon hint; an interconnect's includes the
+    /// bridges it drives.
     fn node_horizon(&self, node: usize, now: Cycle) -> Option<Cycle> {
         match &self.nodes[node].kind {
             NodeKind::Accelerator(a) => a.acc.next_event(now),
@@ -1382,149 +1290,174 @@ impl SocTopology {
         }
     }
 
-    /// Whether region `r`'s wake cycle has come at `now`.
-    fn awake(&self, r: usize, now: Cycle) -> bool {
-        self.regions[r].wake <= now
-    }
-
     /// Records a node's tick outcome.
     fn note_progress(&mut self, node: usize, now: Cycle, progress: bool) -> bool {
         if progress {
             self.stamps[node] = Some(now);
-            self.regions[self.region_of[node]].progress = true;
         }
         progress
     }
 
-    /// Ticks the awake regions of the forest for cycle `now` in the
-    /// deterministic order: each root's subtree, then its memory. With
-    /// `skip` off (naive stepping, a waveform, `Component::tick`) every
-    /// accelerator and bridge of an awake region moves.
+    /// Counts the subtree under interconnect `id` as passed over.
+    fn pass_over(&mut self, id: usize) {
+        let span = self.tables[id].span;
+        self.work.ic_skips += span.ics;
+        self.work.leaf_skips += span.leaves;
+        self.work.bridge_skips += span.bridges;
+    }
+
+    /// Ticks the forest for cycle `now` in the deterministic order: each
+    /// root's subtree, then its memory. A node ticks only when its wake
+    /// has come; with `skip` off (naive stepping, a waveform,
+    /// `Component::tick`) every wake is the next cycle, so every node
+    /// ticks and every bridge transfers.
     fn tick_forest(&mut self, now: Cycle, skip: bool) -> bool {
         let mut progress = false;
         for i in 0..self.roots.len() {
-            let root = self.roots[i];
-            let r = self.region_of[root];
-            if self.regions[r].leaf && !self.awake(r, now) {
-                continue;
+            let (root, mem) = self.roots[i];
+            if self.tables[root].subtree_wake <= now {
+                progress |= self.tick_subtree(root, now, skip);
+            } else {
+                self.pass_over(root);
             }
-            progress |= self.tick_subtree(root, now, skip);
-            if !self.awake(r, now) {
-                continue;
+            if self.tables[mem].wake <= now {
+                progress |= self.tick_memory(root, mem, now, skip);
+            } else {
+                self.work.mem_skips += 1;
             }
-            let mem_id = match &self.nodes[root].kind {
-                NodeKind::Interconnect(icn) => icn.memory.expect("roots have memory"),
-                _ => unreachable!("roots are interconnects"),
-            };
-            let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem_id);
-            let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
-                unreachable!("roots are interconnects");
-            };
-            let NodeKind::Memory(m) = &mut mem_node.kind else {
-                unreachable!("memory edge points at a memory node");
-            };
-            if let Some(wave) = m.wave.as_mut() {
-                wave.sample(now, icn.ic.mem_port());
-            }
-            let p = m.mem.tick(now, icn.ic.mem_port());
-            progress |= self.note_progress(mem_id, now, p);
         }
         progress
     }
 
-    /// Ticks the awake regions of one interconnect subtree in the
+    /// The earliest wake in the forest: the next cycle anything ticks.
+    fn next_wake(&self) -> Cycle {
+        self.roots
+            .iter()
+            .map(|&(root, mem)| self.tables[root].subtree_wake.min(self.tables[mem].wake))
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Ticks the due nodes of one interconnect subtree in the
     /// deterministic order: children in slave-port order (accelerators
     /// directly, cascaded interconnects recursively followed by their
-    /// bridge), then the interconnect itself.
-    ///
-    /// Inside an awake region an accelerator ticks only when its wake
-    /// cycle has come or its port was touched since its last tick (see
-    /// [`SocTopology::watch_ports`]). A cut bridge (one between two
-    /// regions) transfers whenever either side is awake or it holds a
-    /// ready beat, unless nothing it could move is ready and its child
-    /// pushed no request since its last transfer; when it moves
-    /// anything, both sides wake — a sleeping parent
-    /// for the rest of this cycle (its tick comes later in this order),
-    /// the child from the next.
+    /// bridge), then the interconnect itself. A cascaded subtree with
+    /// nothing due is passed over whole.
     fn tick_subtree(&mut self, id: usize, now: Cycle, skip: bool) -> bool {
         let mut progress = false;
-        let region = self.region_of[id];
-        let table = self.tables[id];
-        let mut steps = table.first..table.end;
-        if table.leaves == steps.len() && table.leaf_wake > now {
-            // Only leaves, none due: nothing in the table moves.
-            if self.awake(region, now) {
-                self.work.leaf_skips += table.leaves as u64;
-            }
-            steps = 0..0;
-        }
-        let mut leaf_wake = Cycle::MAX;
-        for k in steps.clone() {
+        let mut wake = Cycle::MAX;
+        for k in self.tables[id].first..self.tables[id].end {
             match self.slots[k] {
-                Slot::Leaf { wake, .. } => {
-                    if wake > now || !self.awake(region, now) {
-                        self.work.leaf_skips += self.awake(region, now) as u64;
-                        leaf_wake = leaf_wake.min(wake);
-                        continue;
-                    }
-                    progress |= self.tick_leaf(id, k, now, skip);
-                    if let Slot::Leaf { wake, .. } = self.slots[k] {
-                        leaf_wake = leaf_wake.min(wake);
+                Slot::Leaf { wake: due, .. } => {
+                    if due <= now {
+                        progress |= self.tick_leaf(id, k, now, skip);
+                    } else {
+                        self.work.leaf_skips += 1;
                     }
                 }
-                Slot::Cascade {
-                    node,
-                    cut,
-                    stage_ready,
-                    ready,
-                    pushed,
-                    ..
-                } => {
-                    let child_region = self.region_of[node];
-                    if !(cut && self.regions[child_region].leaf && !self.awake(child_region, now)) {
+                Slot::Cascade { node, .. } => {
+                    if self.tables[node].subtree_wake <= now {
                         progress |= self.tick_subtree(node, now, skip);
+                    } else {
+                        self.pass_over(node);
                     }
-                    let child_awake = self.awake(child_region, now);
-                    let transfer =
-                        self.awake(region, now) || cut && (child_awake || stage_ready <= now);
-                    // Unless the child pushed a request since the last
-                    // transfer (it cannot have while it slept), the
-                    // bridge can move only what was already ready.
-                    let idle = skip
-                        && cut
-                        && ready > now
-                        && (!child_awake || self.requests_pushed_by(node) == pushed);
-                    if transfer && idle {
+                    // Re-read: the child's tick may have pulled the bridge.
+                    let Slot::Cascade { wake: due, .. } = self.slots[k] else {
+                        unreachable!("slots keep their kind");
+                    };
+                    if due <= now {
+                        progress |= self.transfer(id, k, now, skip);
+                    } else {
                         self.work.bridge_skips += 1;
-                    } else if transfer {
-                        progress |= self.transfer(id, k, now);
                     }
+                    wake = wake.min(self.tables[node].subtree_wake);
                 }
             }
+            let (Slot::Leaf { wake: w, .. } | Slot::Cascade { wake: w, .. }) = self.slots[k];
+            wake = wake.min(w);
         }
-        if !steps.is_empty() {
-            self.tables[id].leaf_wake = leaf_wake;
+        self.tables[id].subtree_wake = wake;
+        if self.tables[id].wake <= now {
+            progress |= self.tick_interconnect(id, now, skip);
+        } else {
+            self.work.ic_skips += 1;
         }
-        if self.awake(region, now) {
-            let NodeKind::Interconnect(icn) = &mut self.nodes[id].kind else {
-                unreachable!("subtree roots are interconnects");
-            };
-            let p = icn.ic.tick(now);
-            progress |= self.note_progress(id, now, p);
-            // Without `skip` every leaf and bridge moves every cycle
-            // anyway.
-            if skip {
-                self.watch_ports(id, now);
-            }
-        }
+        let table = &mut self.tables[id];
+        table.subtree_wake = table.subtree_wake.min(table.wake);
         progress
+    }
+
+    /// Ticks interconnect `id`, then sets its wake: the next cycle after
+    /// progress (or always, without `skip`), else its own `next_event`.
+    fn tick_interconnect(&mut self, id: usize, now: Cycle, skip: bool) -> bool {
+        let NodeKind::Interconnect(icn) = &mut self.nodes[id].kind else {
+            unreachable!("subtree roots are interconnects");
+        };
+        let p = icn.ic.tick(now);
+        self.tables[id].wake = if p || !skip {
+            now + 1
+        } else {
+            icn.ic
+                .next_event(now)
+                .map_or(Cycle::MAX, |h| h.max(now + 1))
+        };
+        self.work.ic_ticks += 1;
+        // Without `skip` every node wakes next cycle anyway.
+        if skip {
+            self.watch_ports(id, now);
+        }
+        self.note_progress(id, now, p)
+    }
+
+    /// Ticks the memory controller on root `root`'s master port, then
+    /// sets its wake: the next cycle after progress (or always, without
+    /// `skip`), else the earliest of its own `next_event` and the next
+    /// request due on the port. A port it touched wakes the root next
+    /// cycle.
+    fn tick_memory(&mut self, root: usize, mem: usize, now: Cycle, skip: bool) -> bool {
+        let (ic_node, mem_node) = two_nodes(&mut self.nodes, root, mem);
+        let NodeKind::Interconnect(icn) = &mut ic_node.kind else {
+            unreachable!("roots are interconnects");
+        };
+        let NodeKind::Memory(m) = &mut mem_node.kind else {
+            unreachable!("memory edge points at a memory node");
+        };
+        let port = icn.ic.mem_port();
+        if let Some(wave) = m.wave.as_mut() {
+            wave.sample(now, port);
+        }
+        let p = m.mem.tick(now, port);
+        self.tables[mem].wake = if p || !skip {
+            now + 1
+        } else {
+            [
+                m.mem.next_event(now),
+                port.ar.next_ready_at(),
+                port.aw.next_ready_at(),
+                port.w.next_ready_at(),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Cycle::MAX, |w| w.max(now + 1))
+        };
+        let stamp = port.activity();
+        let table = &mut self.tables[root];
+        if stamp != table.master_seen {
+            table.master_seen = stamp;
+            table.wake = table.wake.min(now + 1);
+            table.subtree_wake = table.subtree_wake.min(now + 1);
+        }
+        self.work.mem_ticks += 1;
+        self.note_progress(mem, now, p)
     }
 
     /// Ticks the accelerator of leaf slot `k` against its port on
     /// interconnect `id`, then sets its wake: the next cycle after
     /// progress (or always, without `skip`), else the earliest of its own
-    /// `next_event` and the next R or B beat due on its port. The IRQ and
-    /// done bookkeeping runs after progress and on the first tick after a
+    /// `next_event` and the next R or B beat due on its port. A port it
+    /// touched wakes the interconnect this cycle. The IRQ and done
+    /// bookkeeping runs after progress and on the first tick after a
     /// run entry, the only ticks that can change what it reads.
     fn tick_leaf(&mut self, id: usize, k: usize, now: Cycle, skip: bool) -> bool {
         let Slot::Leaf {
@@ -1566,7 +1499,8 @@ impl SocTopology {
             .min()
             .map_or(Cycle::MAX, |w| w.max(now + 1))
         };
-        self.seen[self.tables[id].ports + port] = port_ref.activity();
+        let stamp = port_ref.activity();
+        self.look(id, port, stamp, now);
         self.slots[k] = Slot::Leaf {
             port,
             node,
@@ -1577,13 +1511,13 @@ impl SocTopology {
         self.note_progress(node, now, p)
     }
 
-    /// Runs the bridge of cascade slot `k` under interconnect `id` and
-    /// records what it left ready.
-    fn transfer(&mut self, id: usize, k: usize, now: Cycle) -> bool {
-        let Slot::Cascade {
-            port, node, cut, ..
-        } = self.slots[k]
-        else {
+    /// Runs the bridge of cascade slot `k` under interconnect `id`, then
+    /// sets its wake: the next cycle after it moved a beat (or always,
+    /// without `skip`), else the earliest beat it could move. A port it
+    /// touched wakes its owner: the parent this cycle, the child (whose
+    /// subtree already ticked) the next.
+    fn transfer(&mut self, id: usize, k: usize, now: Cycle, skip: bool) -> bool {
+        let Slot::Cascade { port, node, .. } = self.slots[k] else {
             unreachable!("transfer takes a cascade slot");
         };
         let (parent, child) = two_nodes(&mut self.nodes, id, node);
@@ -1599,55 +1533,74 @@ impl SocTopology {
             .expect("cascaded child has a bridge");
         let (up, down) = (cicn.ic.mem_port(), picn.ic.port(port));
         let moved = bridge.transfer(now, up, down);
-        let stage_ready = bridge.next_event().unwrap_or(Cycle::MAX);
-        let ready = [
-            up.ar.next_ready_at(),
-            up.aw.next_ready_at(),
-            up.w.next_ready_at(),
-            down.r.next_ready_at(),
-            down.b.next_ready_at(),
-        ]
-        .into_iter()
-        .flatten()
-        .fold(stage_ready, Cycle::min);
-        self.slots[k] = Slot::Cascade {
-            port,
-            node,
-            cut,
-            stage_ready,
-            ready,
-            pushed: requests_pushed(up),
+        let wake = if moved || !skip {
+            now + 1
+        } else {
+            [
+                bridge.next_event(),
+                up.ar.next_ready_at(),
+                up.aw.next_ready_at(),
+                up.w.next_ready_at(),
+                down.r.next_ready_at(),
+                down.b.next_ready_at(),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Cycle::MAX, |w| w.max(now + 1))
         };
-        self.seen[self.tables[id].ports + port] = down.activity();
+        let (down_stamp, up_stamp) = (down.activity(), up.activity());
+        self.slots[k] = Slot::Cascade { port, node, wake };
+        self.look(id, port, down_stamp, now);
+        let table = &mut self.tables[node];
+        if up_stamp != table.master_seen {
+            table.master_seen = up_stamp;
+            table.wake = table.wake.min(now + 1);
+            table.subtree_wake = table.subtree_wake.min(now + 1);
+        }
         self.work.bridge_transfers += 1;
         if moved {
             self.stamps[node] = Some(now);
-            for r in [self.region_of[id], self.region_of[node]] {
-                let r = &mut self.regions[r];
-                r.wake = r.wake.min(now);
-                r.progress = true;
-            }
         }
         moved
     }
 
-    /// Requests interconnect `node` has pushed into its master port so
-    /// far.
-    fn requests_pushed_by(&mut self, node: usize) -> u64 {
-        let NodeKind::Interconnect(icn) = &mut self.nodes[node].kind else {
-            unreachable!("cascaded children are interconnects");
-        };
-        requests_pushed(icn.ic.mem_port())
+    /// After the child on slave port `port` of interconnect `id` acted at
+    /// `now`, leaving the port's activity stamp at `stamp`: when it
+    /// touched the port, the interconnect wakes this cycle (it ticks
+    /// after its children).
+    fn look(&mut self, id: usize, port: usize, stamp: u64, now: Cycle) {
+        let table = &mut self.tables[id];
+        let seen = &mut self.seen[table.ports + port];
+        if stamp != *seen {
+            *seen = stamp;
+            table.wake = table.wake.min(now);
+        }
     }
 
     /// After interconnect `id` ticked at `now`: wakes, for the next
-    /// cycle, every sleeping accelerator whose port it touched and every
-    /// cut bridge whose parent port it touched. Nothing else touches
-    /// those ports before the next cycle, so the wake state stays exact.
+    /// cycle, every child whose slave port it touched, and for this
+    /// cycle the memory or bridge on its master port if it touched that
+    /// (both act after it). Nothing else touches those ports before
+    /// then, so the wake state stays exact.
     fn watch_ports(&mut self, id: usize, now: Cycle) {
-        let NodeKind::Interconnect(icn) = &self.nodes[id].kind else {
+        let NodeKind::Interconnect(icn) = &mut self.nodes[id].kind else {
             unreachable!("only interconnects have child tables");
         };
+        let stamp = icn.ic.mem_port().activity();
+        if stamp != self.tables[id].master_seen {
+            self.tables[id].master_seen = stamp;
+            let wake = match icn.parent {
+                Some((parent, port)) => {
+                    match &mut self.slots[self.slot_at[self.tables[parent].ports + port]] {
+                        Slot::Cascade { wake, .. } => wake,
+                        Slot::Leaf { .. } => unreachable!("a parent port holds a bridge"),
+                    }
+                }
+                None => &mut self.tables[icn.memory.expect("roots have memory")].wake,
+            };
+            *wake = (*wake).min(now);
+        }
         let table = &mut self.tables[id];
         if table.first == table.end {
             return;
@@ -1661,19 +1614,12 @@ impl SocTopology {
             }
             *seen = stamp;
             // An unbound port has no slot (`usize::MAX`).
-            let Some(slot) = self.slots.get_mut(k) else {
+            let Some(Slot::Leaf { wake, .. } | Slot::Cascade { wake, .. }) = self.slots.get_mut(k)
+            else {
                 continue;
             };
-            match slot {
-                Slot::Leaf { wake, .. } => {
-                    *wake = (*wake).min(now + 1);
-                    table.leaf_wake = table.leaf_wake.min(now + 1);
-                }
-                Slot::Cascade {
-                    cut: true, ready, ..
-                } => *ready = (*ready).min(now + 1),
-                Slot::Cascade { .. } => {}
-            }
+            *wake = (*wake).min(now + 1);
+            table.subtree_wake = table.subtree_wake.min(now + 1);
         }
     }
 
@@ -1681,35 +1627,18 @@ impl SocTopology {
     /// [`SocTopology::run_until_done`]: ticks until `bound`, or until
     /// every accelerator is done when `until_done` is set.
     ///
-    /// Every region wakes at entry (covering mutations made between
-    /// calls). After each cycle a region that made progress wakes at the
-    /// next one; one that ticked without progress sleeps until its own
-    /// horizon; one that slept keeps its wake cycle. When every region
-    /// sleeps, `now` jumps to the earliest wake — those are the skipped
+    /// Every node wakes at entry (covering mutations made between
+    /// calls). Each cycle ticks the nodes whose wake has come, and each
+    /// sets its next wake as it ticks. When no node is due at the next
+    /// cycle, `now` jumps to the earliest wake — those are the skipped
     /// cycles.
     fn run_calendar(&mut self, bound: Cycle, until_done: bool) {
         let skip = self.fast_forward_active();
         self.wake_all(self.now);
         while self.now < bound && !(until_done && self.done_count == self.acc_nodes.len()) {
             let t = self.now;
-            for region in &mut self.regions {
-                region.progress = false;
-            }
             self.tick_forest(t, skip);
-            let mut next = bound;
-            for r in 0..self.regions.len() {
-                let region = &self.regions[r];
-                let wake = if region.progress || !skip {
-                    t + 1
-                } else if region.wake <= t {
-                    self.region_horizon(r, t)
-                        .map_or(Cycle::MAX, |h| h.max(t + 1))
-                } else {
-                    region.wake
-                };
-                self.regions[r].wake = wake;
-                next = next.min(wake);
-            }
+            let next = self.next_wake().min(bound);
             self.now = t + 1;
             if next > self.now {
                 self.skipped_cycles += next - self.now;
@@ -1717,24 +1646,6 @@ impl SocTopology {
             }
         }
     }
-
-    /// The earliest hint among region `r`'s nodes after a no-progress
-    /// tick at `now`. The calendar clamps every wake to at least
-    /// `now + 1`, so the first member due by then answers for the rest.
-    fn region_horizon(&self, r: usize, now: Cycle) -> Option<Cycle> {
-        let mut horizon = None;
-        for &n in &self.regions[r].members {
-            let Some(h) = self.node_horizon(n, now) else {
-                continue;
-            };
-            if h <= now + 1 {
-                return Some(now + 1);
-            }
-            horizon = Some(horizon.map_or(h, |m: Cycle| m.min(h)));
-        }
-        horizon
-    }
-
     /// Runs for exactly `cycles` cycles.
     pub fn run_for(&mut self, cycles: Cycle) {
         self.run_calendar(self.now + cycles, false);
@@ -1747,10 +1658,10 @@ impl SocTopology {
     /// This is how a hypervisor rides along: it polls health registers,
     /// decouples ports and rewrites budgets at its own software rate.
     /// The cadence is absolute, so a run resumed mid-way sees the polls
-    /// a run from cycle 0 would. Between polls the region calendar runs
+    /// a run from cycle 0 would. Between polls the wake calendar runs
     /// unchanged; each poll ends one [`SocTopology::run_for`] and the
-    /// next begins with every region awake, so whatever the hook changed
-    /// is seen on the following cycle.
+    /// next wakes every node at entry, so whatever the hook changed is
+    /// seen on the following cycle.
     ///
     /// # Panics
     ///
@@ -2170,7 +2081,7 @@ impl std::fmt::Debug for SocTopology {
 }
 
 impl Component for SocTopology {
-    /// Ticks every node (every region wakes), in the engine's order.
+    /// Ticks every node and bridge, in the engine's order.
     fn tick(&mut self, now: Cycle) -> bool {
         debug_assert_eq!(now, self.now, "SocTopology must be ticked monotonically");
         self.wake_all(now);

@@ -187,18 +187,6 @@ fn run_script(ops: Vec<Op>, nominal: u32) -> (ScriptedMaster, ProtocolMonitor) {
     (master, monitor)
 }
 
-/// Deterministically interprets a byte string as a cascaded topology: a
-/// worklist of open slave ports is consumed one command byte at a time,
-/// each byte either cascading a child interconnect behind a bridge of
-/// pseudo-random latency (0 = wire, up to 4), leaving the port empty,
-/// or attaching an accelerator. Byte strings are the proptest search
-/// space; the interpreter guarantees every produced graph is legal.
-///
-/// `draw` picks the model zoo (see [`Draw`]).
-fn topology_from_bytes(bytes: &[u8], draw: Draw) -> SocTopology {
-    topology_and_edges(bytes, draw).0
-}
-
 /// The models a generated topology draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Draw {
@@ -227,14 +215,16 @@ fn tiny_dnn_layers() -> Vec<ha::chaidnn::Layer> {
     vec![layer("l0", 512, 90), layer("l1", 256, 40)]
 }
 
-/// One parent → child edge of a generated topology: the bridge latency
-/// of a cascade, `None` for an attached accelerator or memory.
-type Edge = (NodeId, NodeId, Option<Cycle>);
-
-/// [`topology_from_bytes`] plus every edge it built.
-fn topology_and_edges(bytes: &[u8], draw: Draw) -> (SocTopology, Vec<Edge>) {
+/// Deterministically interprets a byte string as a cascaded topology: a
+/// worklist of open slave ports is consumed one command byte at a time,
+/// each byte either cascading a child interconnect behind a bridge of
+/// pseudo-random latency (0 = wire, up to 4), leaving the port empty,
+/// or attaching an accelerator. Byte strings are the proptest search
+/// space; the interpreter guarantees every produced graph is legal.
+///
+/// `draw` picks the model zoo (see [`Draw`]).
+fn topology_from_bytes(bytes: &[u8], draw: Draw) -> SocTopology {
     let mut b = TopologyBuilder::new();
-    let mut edges: Vec<Edge> = Vec::new();
     let mut memory = MemoryController::new(MemConfig::zcu102());
     if draw != Draw::Clean {
         let seed = bytes
@@ -252,119 +242,113 @@ fn topology_and_edges(bytes: &[u8], draw: Draw) -> (SocTopology, Vec<Edge>) {
         .add_interconnect("ic0", HyperConnect::new(HcConfig::new(2)))
         .unwrap();
     b.connect_memory(root, mem).unwrap();
-    edges.push((root, mem, None));
     let mut ics = 1usize;
     let mut accs = 0usize;
     // Open (interconnect, slave port, depth) slots, consumed LIFO.
     let mut slots = vec![(root, 0usize, 0usize), (root, 1, 0)];
-    let attach_acc = |b: &mut TopologyBuilder,
-                      edges: &mut Vec<Edge>,
-                      accs: &mut usize,
-                      ic: NodeId,
-                      port: usize,
-                      cmd: u8| {
-        let name = format!("acc{accs}");
-        let base = 0x1000_0000 + *accs as u64 * 0x0080_0000;
-        let kind = match draw {
-            Draw::Clean => cmd % 2,
-            Draw::Faults => cmd % 8,
-            Draw::Everything => cmd % 10,
-        };
-        let acc: Box<dyn ha::Accelerator> = match kind {
-            0 => Box::new(ha::traffic::PeriodicReader::new(
-                name.clone(),
-                base,
-                1 << 19,
-                16,
-                BurstSize::B16,
-                20 + u64::from(cmd) * 3,
-            )),
-            1 => Box::new(ha::dma::Dma::new(
-                name.clone(),
-                ha::dma::DmaConfig {
-                    src_base: base,
-                    dst_base: base + 0x0040_0000,
-                    ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(2)
-                },
-            )),
-            2 => Box::new(
-                ha::scoreboard::ScoreboardMaster::new(
+    let attach_acc =
+        |b: &mut TopologyBuilder, accs: &mut usize, ic: NodeId, port: usize, cmd: u8| {
+            let name = format!("acc{accs}");
+            let base = 0x1000_0000 + *accs as u64 * 0x0080_0000;
+            let kind = match draw {
+                Draw::Clean => cmd % 2,
+                Draw::Faults => cmd % 8,
+                Draw::Everything => cmd % 10,
+            };
+            let acc: Box<dyn ha::Accelerator> = match kind {
+                0 => Box::new(ha::traffic::PeriodicReader::new(
                     name.clone(),
                     base,
-                    16 * 256,
+                    1 << 19,
                     16,
                     BurstSize::B16,
+                    20 + u64::from(cmd) * 3,
+                )),
+                1 => Box::new(ha::dma::Dma::new(
+                    name.clone(),
+                    ha::dma::DmaConfig {
+                        src_base: base,
+                        dst_base: base + 0x0040_0000,
+                        ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(2)
+                    },
+                )),
+                2 => Box::new(
+                    ha::scoreboard::ScoreboardMaster::new(
+                        name.clone(),
+                        base,
+                        16 * 256,
+                        16,
+                        BurstSize::B16,
+                        u64::from(cmd),
+                    )
+                    .policy(axi::retry::RetryPolicy {
+                        max_attempts: 6,
+                        backoff_base: 2,
+                        backoff_cap: 32,
+                    })
+                    .gap(30),
+                ),
+                3 => Box::new(ha::traffic::RandomTraffic::new(
+                    name.clone(),
+                    base,
+                    1 << 19,
+                    BurstSize::B8,
+                    32,
+                    25,
                     u64::from(cmd),
-                )
-                .policy(axi::retry::RetryPolicy {
-                    max_attempts: 6,
-                    backoff_base: 2,
-                    backoff_cap: 32,
-                })
-                .gap(30),
-            ),
-            3 => Box::new(ha::traffic::RandomTraffic::new(
-                name.clone(),
-                base,
-                1 << 19,
-                BurstSize::B8,
-                32,
-                25,
-                u64::from(cmd),
-            )),
-            4 => Box::new(ha::fault::WlastViolator::new(
-                name.clone(),
-                base,
-                8,
-                BurstSize::B16,
-            )),
-            5 => Box::new(ha::fault::DelayedFault::new(
-                Box::new(ha::fault::StalledWriter::new(
+                )),
+                4 => Box::new(ha::fault::WlastViolator::new(
                     name.clone(),
                     base,
                     8,
                     BurstSize::B16,
                 )),
-                200 + u64::from(cmd) * 7,
-            )),
-            6 => Box::new(ha::fault::RogueReader::new(
-                name.clone(),
-                0xF000_0000,
-                4,
-                BurstSize::B4,
-            )),
-            7 => Box::new(ha::fault::RunawayMaster::new(
-                name.clone(),
-                base,
-                1 << 16,
-                8,
-                BurstSize::B16,
-            )),
-            8 => Box::new(ha::dma::Dma::new(
-                name.clone(),
-                ha::dma::DmaConfig {
-                    src_base: base,
-                    dst_base: base + 0x0040_0000,
-                    write_bytes: 2048,
-                    max_outstanding: 2,
-                    ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(3)
-                },
-            )),
-            _ => Box::new(ha::chaidnn::Chaidnn::new(
-                name.clone(),
-                tiny_dnn_layers(),
-                ha::chaidnn::ChaidnnConfig {
-                    weights_base: base,
-                    activations_base: base + 0x0020_0000,
-                    ..ha::chaidnn::ChaidnnConfig::default()
-                },
-            )),
+                5 => Box::new(ha::fault::DelayedFault::new(
+                    Box::new(ha::fault::StalledWriter::new(
+                        name.clone(),
+                        base,
+                        8,
+                        BurstSize::B16,
+                    )),
+                    200 + u64::from(cmd) * 7,
+                )),
+                6 => Box::new(ha::fault::RogueReader::new(
+                    name.clone(),
+                    0xF000_0000,
+                    4,
+                    BurstSize::B4,
+                )),
+                7 => Box::new(ha::fault::RunawayMaster::new(
+                    name.clone(),
+                    base,
+                    1 << 16,
+                    8,
+                    BurstSize::B16,
+                )),
+                8 => Box::new(ha::dma::Dma::new(
+                    name.clone(),
+                    ha::dma::DmaConfig {
+                        src_base: base,
+                        dst_base: base + 0x0040_0000,
+                        write_bytes: 2048,
+                        max_outstanding: 2,
+                        ..ha::dma::DmaConfig::reader(4096, 16, BurstSize::B16).jobs(3)
+                    },
+                )),
+                _ => Box::new(ha::chaidnn::Chaidnn::new(
+                    name.clone(),
+                    tiny_dnn_layers(),
+                    ha::chaidnn::ChaidnnConfig {
+                        weights_base: base,
+                        activations_base: base + 0x0020_0000,
+                        ..ha::chaidnn::ChaidnnConfig::default()
+                    },
+                )),
+            };
+            let a = b.add_accelerator(name, acc).unwrap();
+            b.attach(a, ic, port).unwrap();
+            *accs += 1;
         };
-        let a = b.add_accelerator(name, acc).unwrap();
-        b.attach(a, ic, port).unwrap();
-        edges.push((ic, a, None));
-        *accs += 1;
-    };
     let mut cmds = bytes.iter().copied();
     let mut freed: Option<(NodeId, usize)> = None;
     while let Some((ic, port, depth)) = slots.pop() {
@@ -388,14 +372,13 @@ fn topology_and_edges(bytes: &[u8], draw: Draw) -> (SocTopology, Vec<Edge>) {
                 let latency = u64::from(cmd / 16) % 5;
                 b.cascade_with(child, ic, port, BridgeConfig::wire().latency(latency))
                     .unwrap();
-                edges.push((ic, child, Some(latency)));
                 for p in (0..ports).rev() {
                     slots.push((child, p, depth + 1));
                 }
                 ics += 1;
             }
             1 => freed = Some((ic, port)), // port left unconnected
-            _ => attach_acc(&mut b, &mut edges, &mut accs, ic, port, cmd),
+            _ => attach_acc(&mut b, &mut accs, ic, port, cmd),
         }
     }
     // Keep the workload non-trivial: at least one traffic source. The
@@ -408,9 +391,9 @@ fn topology_and_edges(bytes: &[u8], draw: Draw) -> (SocTopology, Vec<Edge>) {
             .map(|(ic, p, _)| (ic, p))
             .or(freed)
             .expect("no open or dropped port despite zero accelerators");
-        attach_acc(&mut b, &mut edges, &mut accs, ic, port, 5);
+        attach_acc(&mut b, &mut accs, ic, port, 5);
     }
-    (b.build().unwrap(), edges)
+    b.build().unwrap()
 }
 
 /// A retrying scoreboard reaching a fault-injecting memory through a
@@ -615,42 +598,7 @@ fn bounds_hold_at_nominal_16_single_outstanding() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Partition totality: for any randomly generated topology, the
-    /// fast-forward calendar places every node in exactly one region,
-    /// and a child starts a new region exactly when a registered
-    /// (latency ≥ 1) bridge joins it to its parent.
-    #[test]
-    fn regions_partition_any_topology(
-        bytes in proptest::collection::vec(any::<u8>(), 4..48),
-    ) {
-        let (topo, edges) = topology_and_edges(&bytes, Draw::Clean);
-        let regions = topo.regions();
-        let mut region_of = std::collections::HashMap::new();
-        for (r, members) in regions.iter().enumerate() {
-            prop_assert!(!members.is_empty(), "region {} is empty", r);
-            for &id in members {
-                prop_assert!(
-                    region_of.insert(id, r).is_none(),
-                    "node {:?} landed in two regions", id
-                );
-            }
-        }
-        prop_assert_eq!(region_of.len(), topo.num_nodes(), "a node was left unassigned");
-        let mut registered = 0;
-        for (parent, child, latency) in edges {
-            if latency.is_some_and(|l| l >= 1) {
-                registered += 1;
-                let r = region_of[&child];
-                prop_assert!(r != region_of[&parent], "registered edge to {:?} not cut", child);
-                prop_assert_eq!(regions[r][0], child, "the cut child heads its region");
-            } else {
-                prop_assert_eq!(region_of[&child], region_of[&parent], "{:?} left its parent's region", child);
-            }
-        }
-        prop_assert_eq!(regions.len(), registered + 1, "one root, so regions = cuts + 1");
-    }
-
-    /// The region calendar on arbitrary graphs: any generated topology
+    /// The wake calendar on arbitrary graphs: any generated topology
     /// (bridge latencies 0–4, so wire and registered edges mix; the
     /// fault zoo optional), run through `run_polled` at a random cadence,
     /// is byte-identical under fast-forward and naive stepping — clock,
@@ -658,7 +606,7 @@ proptest! {
     /// persisted image. The hook drains IRQs on every poll and, at the
     /// first poll at or after `poke`, rewrites port 0's budget and the
     /// period of HyperConnect `ic{target}` (`ic0` when there is none),
-    /// which may sit in a sleeping region.
+    /// which may be asleep.
     #[test]
     fn naive_runs_match_fast_forward_on_any_topology(
         bytes in proptest::collection::vec(any::<u8>(), 4..48),

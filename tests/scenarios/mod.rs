@@ -331,7 +331,7 @@ fn observed_hc(ports: usize) -> HyperConnect {
 /// and seven 13-accelerator clusters behind latency-32 bridges.
 /// Cluster 0's random masters keep it busy nearly every cycle; the other
 /// six clusters' periodic readers idle 8 000–11 000 cycles between
-/// bursts, so their regions sleep most of the time.
+/// bursts, so those clusters sleep most of the time.
 pub fn build_tree100(mode: SchedulerMode) -> SocTopology {
     const CLUSTERS: usize = 7;
     const ACCS_PER_CLUSTER: usize = 13;

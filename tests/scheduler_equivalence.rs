@@ -12,8 +12,9 @@
 //! at the source, and asserts that fast-forward actually skips cycles
 //! on idle-heavy workloads (the optimization is live, not vacuous).
 //!
-//! The tree family pins the region calendar: topologies whose
-//! bridge-delimited regions sleep while others stay busy, compared
+//! The tree family pins the wake calendar, where every node and bridge
+//! sleeps until its own wake or a neighbour's touch on its ports:
+//! topologies whose clusters sleep while others stay busy, compared
 //! against naive stepping on clock, IRQ order, stall attribution, bridge
 //! counters, the per-instance metrics snapshot and the full persisted
 //! image.
@@ -542,7 +543,7 @@ fn run_until_done_and_waveform_disable_skipping() {
         "waveform capture must force naive stepping"
     );
 
-    // On a tree the probe keeps every region awake: the VCD bytes match
+    // On a tree the probe keeps every node awake: the VCD bytes match
     // naive stepping's.
     assert_tree_equivalent("waveform-tree", scenarios::build_fault_tree, &[], |topo| {
         let mem = topo.node_by_label("ddr").unwrap();
@@ -705,7 +706,7 @@ fn tight_budget_reservation_identical_under_fast_forward() {
 }
 
 // ---------------------------------------------------------------------
-// Trees: the region calendar against naive stepping.
+// Trees: the wake calendar against naive stepping.
 // ---------------------------------------------------------------------
 
 /// Everything a tree run exposes: clock, IRQ order, stall attribution,
@@ -763,7 +764,7 @@ const TREE100_CLUSTERS: [&str; 7] = [
 /// ones. The skip counter keeps its meaning — cycles on which no
 /// component ticked — so the busy cluster still holds it low.
 #[test]
-fn tree100_region_calendar_matches_naive() {
+fn tree100_wake_calendar_matches_naive() {
     let fast = assert_tree_equivalent(
         "tree100",
         scenarios::build_tree100,
@@ -825,7 +826,7 @@ fn build_copy_cascade(mode: SchedulerMode) -> SocTopology {
 /// (root ─1─ mid ─2─ leaf), and copy DMAs whose data must land intact
 /// (root ─1─ mid ─3─ leaf).
 #[test]
-fn tree3_region_calendar_matches_naive() {
+fn tree3_wake_calendar_matches_naive() {
     assert_tree_equivalent("tree3", scenarios::build_tree3, &["mid", "leaf"], |topo| {
         for chunk in [1, 999, 20_000, 19_000] {
             topo.run_for(chunk);
@@ -919,7 +920,7 @@ fn tree_run_until_done_matches_naive() {
 
 /// The hypervisor reprograms a sleeping cluster between two `run_for`
 /// calls — decouples one port and programs a reservation budget on
-/// another over AXI-Lite. Every region wakes at the next call, so the
+/// another over AXI-Lite. Every node wakes at the next call, so the
 /// cluster applies the writes on the same cycle naive stepping does
 /// (the cluster's event trace stamps it).
 #[test]
@@ -989,7 +990,7 @@ fn sleeping_cluster_recharges_on_every_period_boundary() {
 }
 
 // ---------------------------------------------------------------------
-// Accelerators that sleep inside an awake region.
+// Accelerators that sleep beside busy neighbours.
 // ---------------------------------------------------------------------
 
 /// A `blocked` cluster behind a latency-2 bridge: a runaway master that
@@ -1096,8 +1097,8 @@ fn build_blocked_tree(mode: SchedulerMode) -> SocTopology {
 
 /// Accelerators blocked on a full AR queue (the runaway master) and a
 /// full W queue (the budget-starved writer) sleep until the interconnect
-/// pops, while a busy sibling keeps their region awake. Both blocks must
-/// actually occur, and the skip count is pinned.
+/// pops, while a busy sibling keeps their interconnect awake. Both
+/// blocks must actually occur, and the skip count is pinned.
 #[test]
 fn leaves_blocked_on_full_queues_match_naive() {
     let fast = assert_tree_equivalent("blocked", build_blocked_tree, &["blocked"], |topo| {
@@ -1120,7 +1121,7 @@ fn leaves_blocked_on_full_queues_match_naive() {
 /// A scoreboard master pacing its jobs 3 000 cycles apart and a sparse
 /// periodic reader in a `gapped` cluster behind a latency-4 bridge, and
 /// another sparse reader on the root: every accelerator sleeps most of
-/// the time, and often every region does.
+/// the time, and often every node does.
 fn build_gapped_tree(mode: SchedulerMode) -> SocTopology {
     let mut b = TopologyBuilder::new();
     let root = b.add_interconnect("root", num_hc(2)).unwrap();
@@ -1240,10 +1241,10 @@ fn clearing_a_sleeping_leaf_port_between_calls_matches_naive() {
     assert_eq!(fast.skipped_cycles(), CLEAR_SKIPPED);
 }
 
-/// Cycles the region calendar skips in the three scenarios above. An
-/// engine that ticks every accelerator and bridge of an awake region
-/// skips exactly these: a sleeping accelerator or bridge must not move
-/// the calendar.
+/// Cycles the wake calendar skips in the three scenarios above. An
+/// engine that ticks every node of a bridge-delimited cluster whenever
+/// any of them is due skips exactly these: a sleeping node or bridge
+/// must not move the calendar.
 const BLOCKED_SKIPPED: Cycle = 0;
 const HOOK_SKIPPED: Cycle = 24_240;
 const CLEAR_SKIPPED: Cycle = 49_902;

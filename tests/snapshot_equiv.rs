@@ -138,7 +138,7 @@ fn chaos_seed_snapshot_split_is_exact() {
 
 // ---------------------------------------------------------------------
 // Scenario 5: a three-level cascade (leaf → mid → root → DDR) with
-// registered bridges at both cuts, so fast-forward runs three regions.
+// registered bridges at both cuts, so each level sleeps on its own.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -161,8 +161,8 @@ fn fabric_fault_snapshot_split_is_exact() {
 
 // ---------------------------------------------------------------------
 // Scenario 7: the tree100 shape, split while its six periodic clusters
-// sleep. Region wake cycles are scheduler state and never persisted:
-// a restore wakes every region, so the image frozen mid-sleep resumes
+// sleep. Wake cycles are scheduler state and never persisted: a
+// restore wakes every node, so the image frozen mid-sleep resumes
 // exactly under naive stepping, under fast-forward and across the two.
 // ---------------------------------------------------------------------
 
