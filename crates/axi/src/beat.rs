@@ -173,7 +173,7 @@ impl AwBeat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WBeat {
     /// Payload bytes (exactly the beat size of the owning burst).
-    /// Stored inline in the beat for ≤64-byte beats (see [`Payload`]).
+    /// Stored inline in the beat for ≤16-byte beats (see [`Payload`]).
     pub data: Payload,
     /// Write strobes (`WSTRB`): bit *i* set means byte *i* of the beat
     /// is written. Beats default to all-bytes-valid; only the low
@@ -257,7 +257,7 @@ impl WBeat {
 pub struct RBeat {
     /// Transaction ID (`RID`).
     pub id: AxiId,
-    /// Payload bytes (inline for ≤64-byte beats, see [`Payload`]).
+    /// Payload bytes (inline for ≤16-byte beats, see [`Payload`]).
     pub data: Payload,
     /// Response code (`RRESP`).
     pub resp: Resp,

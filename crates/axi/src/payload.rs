@@ -1,14 +1,11 @@
-//! Inline small-buffer beat payload storage.
+//! Beat payload storage sized to the modelled bus.
 //!
-//! AXI data beats are at most 128 bytes, and every workload in this
-//! repository (and the paper's evaluation) moves 4–64-byte beats. Storing
-//! each beat's bytes in an owned `Vec<u8>` therefore pays a heap
-//! allocation, a pointer chase and a deallocation per beat — the dominant
-//! per-cycle cost under contention. [`Payload`] keeps up to
-//! [`PAYLOAD_INLINE`] bytes inline in the beat itself (flat storage that
-//! moves with the beat through the ring-buffer FIFOs) and spills to a
-//! boxed slice only for larger beats, which none of the modelled traffic
-//! generates in steady state.
+//! The modelled HP port is 128 bits wide (DESIGN §4), so every beat the
+//! workloads move carries at most 16 bytes. [`Payload`] keeps up to
+//! [`PAYLOAD_INLINE`] bytes inline in the beat itself, so a beat moves
+//! through the queues as one small flat value with no heap allocation,
+//! and spills to a boxed slice for wider beats (`BurstSize::B32` and
+//! up, which AXI allows but no modelled traffic generates).
 //!
 //! Handle/lifetime rules are trivial by construction: the bytes are owned
 //! by the beat, live exactly as long as it, and move with it between
@@ -17,8 +14,9 @@
 //! [`Payload::from_fn`], `From<&[u8]>`) on the hot paths; `From<Vec<u8>>`
 //! exists for tests and cold call sites.
 
-/// Maximum payload length stored inline (no heap) in a beat.
-pub const PAYLOAD_INLINE: usize = 64;
+/// Maximum payload length stored inline (no heap) in a beat: one
+/// 128-bit bus beat.
+pub const PAYLOAD_INLINE: usize = 16;
 
 /// Owned beat payload bytes with inline small-buffer storage.
 ///
@@ -35,40 +33,35 @@ pub const PAYLOAD_INLINE: usize = 64;
 /// assert_eq!(p, vec![0, 2, 4, 6]); // compares against Vec<u8> too
 /// ```
 #[derive(Clone)]
-pub struct Payload {
-    /// Inline storage, valid for `len` bytes when `spill` is `None`.
-    inline: [u8; PAYLOAD_INLINE],
-    /// Inline length; unused (0) when spilled.
-    len: u16,
-    /// Heap storage for payloads longer than [`PAYLOAD_INLINE`] bytes.
-    spill: Option<Box<[u8]>>,
+pub struct Payload(Repr);
+
+/// Storage of a [`Payload`]: `Spill` only for more than
+/// [`PAYLOAD_INLINE`] bytes.
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes of `bytes`.
+    Inline {
+        len: u8,
+        bytes: [u8; PAYLOAD_INLINE],
+    },
+    Spill(Box<[u8]>),
 }
 
 impl Payload {
     /// The empty payload.
     pub fn new() -> Self {
-        Self {
-            inline: [0; PAYLOAD_INLINE],
-            len: 0,
-            spill: None,
-        }
+        Self::zeroed(0)
     }
 
     /// A zero-filled payload of `len` bytes. Allocation-free for
     /// `len <= PAYLOAD_INLINE`.
     pub fn zeroed(len: usize) -> Self {
-        if len <= PAYLOAD_INLINE {
-            Self {
-                inline: [0; PAYLOAD_INLINE],
-                len: len as u16,
-                spill: None,
-            }
-        } else {
-            Self {
-                inline: [0; PAYLOAD_INLINE],
-                len: 0,
-                spill: Some(vec![0u8; len].into_boxed_slice()),
-            }
+        match u8::try_from(len) {
+            Ok(len) if usize::from(len) <= PAYLOAD_INLINE => Self(Repr::Inline {
+                len,
+                bytes: [0; PAYLOAD_INLINE],
+            }),
+            _ => Self(Repr::Spill(vec![0u8; len].into_boxed_slice())),
         }
     }
 
@@ -85,18 +78,18 @@ impl Payload {
     /// The payload bytes as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        match &self.spill {
-            Some(heap) => heap,
-            None => &self.inline[..self.len as usize],
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Spill(heap) => heap,
         }
     }
 
     /// The payload bytes as a mutable slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        match &mut self.spill {
-            Some(heap) => heap,
-            None => &mut self.inline[..self.len as usize],
+        match &mut self.0 {
+            Repr::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
+            Repr::Spill(heap) => heap,
         }
     }
 
@@ -190,11 +183,7 @@ impl From<Vec<u8>> for Payload {
         if bytes.len() <= PAYLOAD_INLINE {
             Self::from(bytes.as_slice())
         } else {
-            Self {
-                inline: [0; PAYLOAD_INLINE],
-                len: 0,
-                spill: Some(bytes.into_boxed_slice()),
-            }
+            Self(Repr::Spill(bytes.into_boxed_slice()))
         }
     }
 }
@@ -208,24 +197,20 @@ impl<const N: usize> From<[u8; N]> for Payload {
 impl FromIterator<u8> for Payload {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
-        let mut inline = [0u8; PAYLOAD_INLINE];
+        let mut bytes = [0u8; PAYLOAD_INLINE];
         let mut len = 0usize;
         for b in iter.by_ref() {
             if len == PAYLOAD_INLINE {
                 // Overflow: continue into a Vec and spill.
-                let mut v = inline.to_vec();
+                let mut v = bytes.to_vec();
                 v.push(b);
                 v.extend(iter);
                 return Self::from(v);
             }
-            inline[len] = b;
+            bytes[len] = b;
             len += 1;
         }
-        Self {
-            inline,
-            len: len as u16,
-            spill: None,
-        }
+        Self::from(&bytes[..len])
     }
 }
 
@@ -301,5 +286,19 @@ mod tests {
         // Overflow past the inline capacity spills but keeps the bytes.
         let big: Payload = (0..100u32).map(|b| b as u8).collect();
         assert_eq!(big, (0..100u32).map(|b| b as u8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn lengths_past_a_byte_spill() {
+        assert_eq!(Payload::zeroed(300), vec![0u8; 300]);
+    }
+
+    #[test]
+    fn beats_stay_small() {
+        // One 128-bit beat inline keeps every queue entry flat; a
+        // larger inline buffer is paid for by every queued beat.
+        assert!(std::mem::size_of::<Payload>() <= 24);
+        assert!(std::mem::size_of::<crate::WBeat>() <= 64);
+        assert!(std::mem::size_of::<crate::RBeat>() <= 64);
     }
 }

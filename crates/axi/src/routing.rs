@@ -7,10 +7,10 @@
 //! subsystem serves transactions in order (paper §II and §V-B). The
 //! grant order is recorded in a [`RouteQueue`] — the paper's *routing
 //! information* stored in "a temporary internal memory of the EXBAR
-//! implemented as a circular buffer". Since the flat-arena refactor the
-//! backing store literally *is* a circular buffer ([`sim::ring::Ring`]).
+//! implemented as a circular buffer"; the backing store is a ring buffer
+//! too ([`VecDeque`]).
 
-use sim::ring::Ring;
+use std::collections::VecDeque;
 
 /// One grant record: which slave port the transaction came from, plus
 /// merge metadata for split (equalized) transactions.
@@ -46,7 +46,7 @@ pub struct RouteEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteQueue {
-    entries: Ring<RouteEntry>,
+    entries: VecDeque<RouteEntry>,
     capacity: usize,
 }
 
@@ -71,7 +71,7 @@ impl RouteQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "route queue capacity must be non-zero");
         Self {
-            entries: Ring::with_capacity(capacity.min(1024)),
+            entries: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
         }
     }

@@ -142,7 +142,11 @@ mod tests {
     fn recharge_clears_regfile_period_counters() {
         let mut cu = CentralUnit::new();
         let mut rf = RegFile::new(1);
-        rf.port_mut(0).txn_this_period = 7;
+        let status = crate::regfile::PortStatus {
+            txn_this_period: 7,
+            ..Default::default()
+        };
+        rf.status_block().store(0, &status);
         let mut ts = vec![TransactionSupervisor::new(8)];
         cu.tick(0, &mut rf, &mut ts);
         assert_eq!(rf.port(0).txn_this_period, 0);

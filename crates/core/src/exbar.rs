@@ -15,8 +15,8 @@ use axi::beat::{ArBeat, AwBeat, WBeat};
 use axi::observe::{Hop, ObsChannel, ObsEvent};
 use axi::routing::{RouteEntry, RouteQueue};
 use axi::{AxiPort, Payload};
-use sim::ring::Ring;
 use sim::{Cycle, TimedFifo};
+use std::collections::VecDeque;
 
 use crate::efifo::EFifo;
 use crate::portset::PortSet;
@@ -75,9 +75,9 @@ pub struct Exbar {
     /// Grant order of writes — routes B responses back to ports.
     b_routes: RouteQueue,
     /// Grant order of writes — which port supplies the next W beats.
-    /// Ring-buffer slots updated in place (per-beat progress bumps the
-    /// head slot's `moved` counter rather than re-queueing the entry).
-    w_routes: Ring<WRoute>,
+    /// The head entry is updated in place (per-beat progress bumps its
+    /// `moved` counter rather than re-queueing the entry).
+    w_routes: VecDeque<WRoute>,
     /// Strobe-disabled filler beats synthesized for decoupled ports.
     firewall_beats: u64,
     stats: ExbarStats,
@@ -99,7 +99,7 @@ impl Exbar {
             aw_stage: TimedFifo::new(2, 1),
             read_routes: RouteQueue::new(routing_depth),
             b_routes: RouteQueue::new(routing_depth),
-            w_routes: Ring::new(),
+            w_routes: VecDeque::new(),
             firewall_beats: 0,
             stats: ExbarStats {
                 ar_grants: vec![0; num_ports],

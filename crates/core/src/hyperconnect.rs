@@ -27,7 +27,7 @@ use crate::config::HcConfig;
 use crate::efifo::EFifo;
 use crate::exbar::Exbar;
 use crate::portset::PortSet;
-use crate::regfile::{PortRegs, RegFile};
+use crate::regfile::{PortStatus, RegFile, StatusBlock};
 use crate::supervisor::{TransactionSupervisor, TsRuntime, TsStats};
 
 /// The AXI HyperConnect: a predictable, hypervisor-controlled N-to-1
@@ -48,6 +48,9 @@ use crate::supervisor::{TransactionSupervisor, TsRuntime, TsStats};
 pub struct HyperConnect {
     config: HcConfig,
     regs: LiteHandle<RegFile>,
+    /// The generation and status registers of `regs`, shared with it so
+    /// the phase-0 fast path needs no register lock.
+    status: std::sync::Arc<StatusBlock>,
     efifos: Vec<EFifo>,
     supervisors: Vec<TransactionSupervisor>,
     exbar: Exbar,
@@ -67,11 +70,12 @@ pub struct HyperConnect {
     /// (`None` = no quiesce requested on that port).
     quiesce_deadline: Vec<Option<Cycle>>,
     /// Register-file generation observed by the most recent phase-0
-    /// slow path. While it still matches `rf.generation()` and no
-    /// quiescent drain is active, the quiesce-protocol scan, the
-    /// `runtime_scratch` rebuild and the decouple sync are skipped:
-    /// every input they read (enable flags, nominal burst, outstanding
-    /// caps, quiesce requests) changes only through generation-bumping
+    /// slow path. While it still matches the shared generation, no
+    /// quiescent drain is active and no period boundary is due, phase 0
+    /// skips the register lock, the quiesce-protocol scan, the
+    /// `runtime_scratch` rebuild and the decouple sync: every input
+    /// they read (enable flags, nominal burst, outstanding caps,
+    /// quiesce requests) changes only through generation-bumping
     /// control-plane writes or inside the scan itself. `u64::MAX`
     /// forces the first tick onto the slow path.
     seen_cfg_gen: u64,
@@ -119,9 +123,12 @@ impl HyperConnect {
         let supervisors = (0..n)
             .map(|_| TransactionSupervisor::new(config.efifo_data_depth))
             .collect();
+        let regs = RegFile::new(n);
+        let status = std::sync::Arc::clone(regs.status_block());
         Self {
             config,
-            regs: LiteHandle::new(RegFile::new(n)),
+            regs: LiteHandle::new(regs),
+            status,
             efifos,
             supervisors,
             exbar: Exbar::new(n, config.routing_depth),
@@ -195,19 +202,175 @@ impl HyperConnect {
         metrics.set_master_occupancy(self.mem_port.occupancy() as u64);
     }
 
-    /// Mirrors a TS's counters into its port's register block, so the
+    /// Mirrors port `i`'s TS counters into its status registers, so the
     /// hypervisor can observe activity and health. Counters wider than
     /// their 32-bit register saturate.
-    fn write_back(port: &mut PortRegs, ts: &TransactionSupervisor, violations: u64) {
-        port.txn_this_period = ts.txn_this_period();
-        port.txn_total = ts.txn_total();
-        port.violations = u32::try_from(violations).unwrap_or(u32::MAX);
-        port.outstanding = ts.read_outstanding() + ts.write_outstanding();
-        port.throttle_events = ts.throttle_events();
-        port.err_total = ts.err_total();
-        let (rc, wc) = ts.stored_credits();
-        port.read_credits = rc;
-        port.write_credits = wc;
+    fn write_back(status: &StatusBlock, i: usize, ts: &TransactionSupervisor, violations: u64) {
+        let (read_credits, write_credits) = ts.stored_credits();
+        status.store(
+            i,
+            &PortStatus {
+                txn_this_period: ts.txn_this_period(),
+                txn_total: ts.txn_total(),
+                violations: u32::try_from(violations).unwrap_or(u32::MAX),
+                outstanding: ts.read_outstanding() + ts.write_outstanding(),
+                throttle_events: ts.throttle_events(),
+                read_credits,
+                write_credits,
+                err_total: ts.err_total(),
+            },
+        );
+    }
+
+    /// Whether nothing was reconfigured since the last phase-0 slow path
+    /// and no quiescent drain is in flight, read without the register
+    /// lock. The slow path records the generation only while globally
+    /// enabled, and every write of the enable bit bumps it, so a settled
+    /// interconnect is enabled.
+    fn settled(&self) -> bool {
+        self.status.generation() == self.seen_cfg_gen && !self.quiesce_active
+    }
+
+    /// Phase 0 under the register lock: the period recharge, the
+    /// quiesce protocol, the `runtime_scratch` rebuild, the decouple sync
+    /// and a write-back of every port. Returns whether it made progress,
+    /// or `None` while the interconnect is globally disabled.
+    fn phase0_locked(&mut self, now: Cycle) -> Option<bool> {
+        let central = &mut self.central;
+        let supervisors = &mut self.supervisors;
+        let efifos = &mut self.efifos;
+        let scratch = &mut self.runtime_scratch;
+        let tracer = &mut self.tracer;
+        let viol_totals = &self.viol_totals;
+        let quiesce = &mut self.quiesce_deadline;
+        let quiesce_active = &mut self.quiesce_active;
+        let seen_gen = &mut self.seen_cfg_gen;
+        let status = &self.status;
+        let drain_model = self.drain_model;
+        let num_ports = self.config.num_ports;
+        let monitor = &mut self.monitor;
+        self.regs.with(|rf| {
+            if !rf.is_enabled() {
+                return None;
+            }
+            let recharged = central.tick(now, rf, supervisors);
+            if recharged {
+                tracer.emit(
+                    now,
+                    "central",
+                    format!("budget recharge, period {}", central.periods_elapsed()),
+                );
+            }
+            let mut quiesce_progress = false;
+            *seen_gen = rf.generation();
+            scratch.clear();
+            for (i, efifo) in efifos.iter_mut().enumerate() {
+                // Quiescent-drain protocol: track the request edge, the
+                // drain-complete write-back and the force-flush deadline
+                // *before* the decouple sync, so a flush-induced
+                // decouple takes effect this very tick.
+                let requested = rf.port(i).quiesce_requested;
+                match (requested, quiesce[i]) {
+                    (true, None) => {
+                        let deadline = drain_model
+                            .unwrap_or_else(|| Self::fallback_drain_model(rf, num_ports))
+                            .drain_deadline();
+                        quiesce[i] = Some(now + deadline);
+                        tracer.emit(
+                            now,
+                            "quiesce",
+                            format!("port {i} drain started, deadline +{deadline} cycles"),
+                        );
+                    }
+                    (false, Some(_)) => {
+                        quiesce[i] = None;
+                        tracer.emit(now, "quiesce", format!("port {i} quiesce released"));
+                    }
+                    _ => {}
+                }
+                if let Some(deadline_at) = quiesce[i] {
+                    if supervisors[i].is_idle() {
+                        if !rf.port(i).drained {
+                            rf.port_mut(i).drained = true;
+                            quiesce_progress = true;
+                            tracer.emit(now, "quiesce", format!("port {i} drained"));
+                        }
+                    } else if now >= deadline_at {
+                        // Stuck pipeline: drop everything not yet granted
+                        // and decouple, so granted writes complete via
+                        // firewall-beat synthesis and responses ground.
+                        let dropped = supervisors[i].force_flush(now);
+                        let port = rf.port_mut(i);
+                        port.force_flushed = true;
+                        port.dropped_txns = port.dropped_txns.saturating_add(dropped);
+                        port.enabled = false;
+                        quiesce_progress = true;
+                        tracer.emit(
+                            now,
+                            "quiesce",
+                            format!(
+                                "port {i} drain deadline blown: force-flushed {dropped} \
+                                 sub-transactions, port decoupled"
+                            ),
+                        );
+                    }
+                }
+                // Propagate a pending W1C throttle clear to the TS-side
+                // counter. The triggering write bumped the generation,
+                // so this (slow-path) tick is never skipped.
+                if rf.port(i).throttle_clear {
+                    supervisors[i].clear_throttle_events();
+                    rf.port_mut(i).throttle_clear = false;
+                }
+                let regulator = rf.regulator_config(i);
+                let port = rf.port(i);
+                scratch.push(TsRuntime {
+                    nominal: rf.nominal_burst(),
+                    max_outstanding: port.max_outstanding,
+                    enabled: port.enabled,
+                    quiesced: port.quiesce_requested,
+                    regulator,
+                });
+                if efifo.is_decoupled() == port.enabled {
+                    tracer.emit(
+                        now,
+                        "efifo",
+                        format!(
+                            "port {i} {}",
+                            if port.enabled {
+                                "recoupled"
+                            } else {
+                                "DECOUPLED"
+                            }
+                        ),
+                    );
+                }
+                efifo.set_decoupled(!port.enabled);
+            }
+            *quiesce_active = quiesce.iter().any(Option::is_some);
+            for (i, ts) in supervisors.iter().enumerate() {
+                Self::write_back(status, i, ts, viol_totals[i]);
+            }
+            // Re-arm the bound monitor's per-port regulated bounds from
+            // the (possibly reprogrammed) regulator registers. Runs only
+            // on slow-path ticks, which every scheduler executes, so the
+            // armed bounds are scheduler-invariant.
+            if let Some(mon) = monitor.as_mut() {
+                let caps: Vec<Option<crate::analysis::RegulationCap>> = (0..num_ports)
+                    .map(|i| {
+                        let cfg = rf.regulator_config(i);
+                        cfg.is_active().then(|| crate::analysis::RegulationCap {
+                            rate: cfg.rate_limited().then_some(cfg.rate),
+                            burst: cfg.burst,
+                            out_cap: (cfg.out_cap != crate::regulate::OUT_CAP_UNLIMITED)
+                                .then_some(cfg.out_cap),
+                        })
+                    })
+                    .collect();
+                mon.arm_regulation(&caps);
+            }
+            Some(recharged | quiesce_progress)
+        })
     }
 
     /// Memory first-word latency assumed by the fallback drain model
@@ -384,165 +547,24 @@ fn fold_events(
 
 impl Component for HyperConnect {
     fn tick(&mut self, now: Cycle) -> bool {
-        // Phase 0: consult the register file once — runtime config,
-        // decouple flags, period recharge, counter write-back.
-        let central = &mut self.central;
-        let supervisors = &mut self.supervisors;
-        let efifos = &mut self.efifos;
-        let scratch = &mut self.runtime_scratch;
-        let tracer = &mut self.tracer;
-        let viol_totals = &self.viol_totals;
-        let quiesce = &mut self.quiesce_deadline;
-        let quiesce_active = &mut self.quiesce_active;
-        let visited = &self.visited;
-        let seen_gen = &mut self.seen_cfg_gen;
-        let drain_model = self.drain_model;
-        let num_ports = self.config.num_ports;
-        let monitor = &mut self.monitor;
-        let mut enabled = true;
-        let mut slow = false;
-        let mut progress = self.regs.with(|rf| {
-            if !rf.is_enabled() {
-                enabled = false;
-                return false;
+        // Phase 0: the control plane. Settled and short of the next
+        // period boundary, the slow path below would recompute exactly
+        // what it produced last time, so only the status write-back is
+        // left. It runs without the register lock, and only for the
+        // ports visited last tick: no other TS counter can have moved.
+        let slow = !self.settled() || now >= self.central.next_boundary();
+        let mut progress = false;
+        if slow {
+            match self.phase0_locked(now) {
+                Some(p) => progress = p,
+                None => return false,
             }
-            let recharged = central.tick(now, rf, supervisors);
-            if recharged {
-                tracer.emit(
-                    now,
-                    "central",
-                    format!("budget recharge, period {}", central.periods_elapsed()),
-                );
+        } else {
+            for i in self.visited.iter() {
+                Self::write_back(&self.status, i, &self.supervisors[i], self.viol_totals[i]);
             }
-            let mut quiesce_progress = false;
-            // Fast path: with the config generation unchanged since the
-            // last scan and no drain in flight, the scan below would
-            // recompute exactly what it produced last tick (its inputs
-            // only move via generation-bumping writes, a recharge, or
-            // the scan itself), so `runtime_scratch` and the decouple
-            // flags are already correct and it is skipped wholesale.
-            // Only the ports visited last tick can have moved their
-            // counters, so only they are written back.
-            let gen = rf.generation();
-            if gen == *seen_gen && !recharged && !*quiesce_active {
-                for i in visited.iter() {
-                    Self::write_back(rf.port_mut(i), &supervisors[i], viol_totals[i]);
-                }
-                return false;
-            }
-            slow = true;
-            *seen_gen = gen;
-            scratch.clear();
-            for (i, efifo) in efifos.iter_mut().enumerate() {
-                // Quiescent-drain protocol: track the request edge, the
-                // drain-complete write-back and the force-flush deadline
-                // *before* the decouple sync, so a flush-induced
-                // decouple takes effect this very tick.
-                let requested = rf.port(i).quiesce_requested;
-                match (requested, quiesce[i]) {
-                    (true, None) => {
-                        let deadline = drain_model
-                            .unwrap_or_else(|| Self::fallback_drain_model(rf, num_ports))
-                            .drain_deadline();
-                        quiesce[i] = Some(now + deadline);
-                        tracer.emit(
-                            now,
-                            "quiesce",
-                            format!("port {i} drain started, deadline +{deadline} cycles"),
-                        );
-                    }
-                    (false, Some(_)) => {
-                        quiesce[i] = None;
-                        tracer.emit(now, "quiesce", format!("port {i} quiesce released"));
-                    }
-                    _ => {}
-                }
-                if let Some(deadline_at) = quiesce[i] {
-                    if supervisors[i].is_idle() {
-                        if !rf.port(i).drained {
-                            rf.port_mut(i).drained = true;
-                            quiesce_progress = true;
-                            tracer.emit(now, "quiesce", format!("port {i} drained"));
-                        }
-                    } else if now >= deadline_at {
-                        // Stuck pipeline: drop everything not yet granted
-                        // and decouple, so granted writes complete via
-                        // firewall-beat synthesis and responses ground.
-                        let dropped = supervisors[i].force_flush(now);
-                        let port = rf.port_mut(i);
-                        port.force_flushed = true;
-                        port.dropped_txns = port.dropped_txns.saturating_add(dropped);
-                        port.enabled = false;
-                        quiesce_progress = true;
-                        tracer.emit(
-                            now,
-                            "quiesce",
-                            format!(
-                                "port {i} drain deadline blown: force-flushed {dropped} \
-                                 sub-transactions, port decoupled"
-                            ),
-                        );
-                    }
-                }
-                // Propagate a pending W1C throttle clear to the TS-side
-                // counter. The triggering write bumped the generation,
-                // so this (slow-path) tick is never skipped.
-                if rf.port(i).throttle_clear {
-                    supervisors[i].clear_throttle_events();
-                    rf.port_mut(i).throttle_clear = false;
-                }
-                let regulator = rf.regulator_config(i);
-                let port = rf.port(i);
-                scratch.push(TsRuntime {
-                    nominal: rf.nominal_burst(),
-                    max_outstanding: port.max_outstanding,
-                    enabled: port.enabled,
-                    quiesced: port.quiesce_requested,
-                    regulator,
-                });
-                if efifo.is_decoupled() == port.enabled {
-                    tracer.emit(
-                        now,
-                        "efifo",
-                        format!(
-                            "port {i} {}",
-                            if port.enabled {
-                                "recoupled"
-                            } else {
-                                "DECOUPLED"
-                            }
-                        ),
-                    );
-                }
-                efifo.set_decoupled(!port.enabled);
-            }
-            *quiesce_active = quiesce.iter().any(Option::is_some);
-            for (i, ts) in supervisors.iter().enumerate() {
-                Self::write_back(rf.port_mut(i), ts, viol_totals[i]);
-            }
-            // Re-arm the bound monitor's per-port regulated bounds from
-            // the (possibly reprogrammed) regulator registers. Runs only
-            // on slow-path ticks, which every scheduler executes, so the
-            // armed bounds are scheduler-invariant.
-            if let Some(mon) = monitor.as_mut() {
-                let caps: Vec<Option<crate::analysis::RegulationCap>> = (0..num_ports)
-                    .map(|i| {
-                        let cfg = rf.regulator_config(i);
-                        cfg.is_active().then(|| crate::analysis::RegulationCap {
-                            rate: cfg.rate_limited().then_some(cfg.rate),
-                            burst: cfg.burst,
-                            out_cap: (cfg.out_cap != crate::regulate::OUT_CAP_UNLIMITED)
-                                .then_some(cfg.out_cap),
-                        })
-                    })
-                    .collect();
-                mon.arm_regulation(&caps);
-            }
-            recharged | quiesce_progress
-        });
-        if !enabled {
-            return false;
         }
+        let supervisors = &mut self.supervisors;
 
         // Phase 1: per-port ingest (split/equalize) and issue
         // (reservation + outstanding limits). A quiet port with no AR/AW
@@ -629,33 +651,35 @@ impl Component for HyperConnect {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // One register-file lock answers both gating questions: globally
-        // disabled (pipeline frozen, only a control-plane write can wake
-        // it → None) and an active quiescent drain (its deadline clock
-        // and drained write-back advance every cycle → no skipping).
+        // Two gating questions: globally disabled (pipeline frozen, only
+        // a control-plane write can wake it → None) and an active
+        // quiescent drain (its deadline clock and drained write-back
+        // advance every cycle → no skipping). A settled interconnect is
+        // enabled and draining nothing, so only an unsettled one takes
+        // the register lock to answer them.
         enum Gate {
             Frozen,
             Draining,
             Open,
         }
-        let gate = self.regs.with(|rf| {
-            if !rf.is_enabled() {
-                return Gate::Frozen;
-            }
-            // Until the next control-plane write, the last slow path left
-            // a deadline on every requested port, so with none set no
-            // port can be draining.
-            let settled = rf.generation() == self.seen_cfg_gen && !self.quiesce_active;
-            let draining = !settled
-                && self.quiesce_deadline.iter().enumerate().any(|(i, q)| {
-                    (q.is_some() || rf.port(i).quiesce_requested) && !rf.port(i).drained
+        let gate = if self.settled() {
+            Gate::Open
+        } else {
+            self.regs.with(|rf| {
+                if !rf.is_enabled() {
+                    return Gate::Frozen;
+                }
+                let draining = self.quiesce_deadline.iter().enumerate().any(|(i, q)| {
+                    let port = rf.port(i);
+                    (q.is_some() || port.quiesce_requested) && !port.drained
                 });
-            if draining {
-                Gate::Draining
-            } else {
-                Gate::Open
-            }
-        });
+                if draining {
+                    Gate::Draining
+                } else {
+                    Gate::Open
+                }
+            })
+        };
         match gate {
             Gate::Frozen => return None,
             Gate::Draining => return Some(now + 1),
@@ -776,11 +800,12 @@ impl AxiInterconnect for HyperConnect {
         }
         // All-or-nothing: `restore_rest` assigns only once the rest of
         // the stream decoded and checked, and the register file is
-        // installed after it. It goes *through the shared handle*, so
-        // hypervisor-side clones of the handle observe the restored
+        // installed after it. It goes *through the shared handle* and
+        // into the shared status block, so hypervisor-side clones of the
+        // handle and the phase-0 fast path observe the restored
         // registers without any re-wiring.
         self.restore_rest(r)?;
-        self.regs.with(|rf| *rf = regs);
+        self.regs.with(|rf| rf.install(regs));
         // The port sets are derived, never persisted: nothing is known
         // quiet and every port's registers are rewritten next tick.
         self.quiesce_active = self.quiesce_deadline.iter().any(Option::is_some);
@@ -810,7 +835,7 @@ impl HyperConnect {
             drain_model,
         }
         skip "construction-time configuration" { config }
-        skip "saved ahead of the rest, through the shared handle" { regs }
+        skip "saved ahead of the rest, through the shared handle" { regs, status }
         skip "per-tick scratch, rebuilt before every use" { ar_staged, aw_staged }
         skip "derived, reset by restore_state" { quiesce_active, quiet, visited }
         check |this| {
@@ -1403,6 +1428,190 @@ mod tests {
         let steady = &arrivals[4..];
         for pair in steady.windows(2) {
             assert_eq!(pair[1], pair[0] + 1, "bubble in AR pipeline");
+        }
+    }
+
+    /// One cycle of `hc` against `memory`, interconnect first as in a
+    /// system run, with every response beat drained at its port.
+    fn step_with_memory(
+        hc: &mut HyperConnect,
+        memory: &mut mem::MemoryController,
+        now: Cycle,
+    ) -> (bool, Vec<axi::RBeat>) {
+        let progress = hc.tick(now);
+        memory.tick(now, hc.mem_port());
+        let mut reads = Vec::new();
+        for i in 0..hc.num_ports() {
+            while let Some(r) = hc.port(i).r.pop_ready(now) {
+                reads.push(r);
+            }
+            while hc.port(i).b.pop_ready(now).is_some() {}
+        }
+        (progress, reads)
+    }
+
+    #[test]
+    fn control_writes_through_a_cloned_handle_end_the_lock_free_fast_path() {
+        use crate::regfile::{offsets, port_block_offset, QUIESCE_REQUESTED};
+        // `dut` runs the lock-free phase-0 fast path between writes, and
+        // each scenario write reaches it through a clone of its handle,
+        // as a driver's would. `reference` gets a no-op write (the
+        // read-only VERSION register still bumps the generation) before
+        // every call, so it runs the locked slow path on every one; the
+        // two must agree cycle by cycle. The checks after each write pin
+        // what the write must do on the very next tick.
+        let mut dut = HyperConnect::new(HcConfig::new(2));
+        let mut reference = HyperConnect::new(HcConfig::new(2));
+        let mut dut_mem = mem::MemoryController::new(mem::MemConfig::zcu102());
+        let mut ref_mem = mem::MemoryController::new(mem::MemConfig::zcu102());
+        let driver = dut.regs().clone();
+        let p0 = port_block_offset(0);
+        let p1 = port_block_offset(1);
+        let setup = [
+            (offsets::PERIOD, 100),
+            (p1 + offsets::PORT_BUDGET, 3),
+            (offsets::REG_WINDOW, 8),
+            (p0 + offsets::PORT_REG_RATE, 1),
+            (p0 + offsets::PORT_REG_BURST, 2),
+        ];
+        for (off, value) in setup {
+            driver.write32(off, value);
+            reference.regs().write32(off, value);
+        }
+        const THROTTLE_CLEAR: Cycle = 60;
+        const PERIOD_CHANGE: Cycle = 120;
+        const DISABLE: Cycle = 180;
+        const ENABLE: Cycle = 200;
+        const QUIESCE: Cycle = 260;
+        let writes = [
+            (THROTTLE_CLEAR, p0 + offsets::PORT_REG_THROTTLE, 1),
+            (PERIOD_CHANGE, offsets::PERIOD, 37),
+            (DISABLE, offsets::CTRL, 0),
+            (ENABLE, offsets::CTRL, 1),
+            (QUIESCE, p1 + offsets::PORT_QUIESCE, QUIESCE_REQUESTED),
+        ];
+        let registers: Vec<u64> = (0..6)
+            .map(|r| r * 4)
+            .chain((0..2).flat_map(|i| (0..14).map(move |r| port_block_offset(i) + r * 4)))
+            .collect();
+        let mut fast_ticks = 0;
+        let mut throttled = 0;
+        for now in 0..400 {
+            for &(at, off, value) in &writes {
+                if at == now {
+                    if now != ENABLE {
+                        assert!(dut.settled(), "write at {now} lands after fast-path ticks");
+                    }
+                    if now == THROTTLE_CLEAR {
+                        throttled = driver.read32(off);
+                    }
+                    driver.write32(off, value);
+                    reference.regs().write32(off, value);
+                }
+            }
+            for (i, addr) in [(0, 0x1000_0000u64), (1, 0x2000_0000)] {
+                for hc in [&mut dut, &mut reference] {
+                    let _ = hc
+                        .port(i)
+                        .ar
+                        .push(now, ArBeat::new(addr + now * 64, 16, BurstSize::B4));
+                }
+            }
+            if dut.settled() && now < dut.central.next_boundary() {
+                fast_ticks += 1;
+            }
+            reference.regs().write32(offsets::VERSION, 0);
+            let got = step_with_memory(&mut dut, &mut dut_mem, now);
+            let want = step_with_memory(&mut reference, &mut ref_mem, now);
+            assert_eq!(got, want, "tick at {now}");
+            reference.regs().write32(offsets::VERSION, 0);
+            let horizon = dut.next_event(now);
+            assert_eq!(horizon, reference.next_event(now), "next_event at {now}");
+            for &off in &registers {
+                assert_eq!(
+                    driver.read32(off),
+                    reference.regs().read32(off),
+                    "register {off:#x} after cycle {now}"
+                );
+            }
+            match now {
+                THROTTLE_CLEAR => {
+                    let left = driver.read32(p0 + offsets::PORT_REG_THROTTLE);
+                    assert!(throttled > 0, "regulator never throttled");
+                    assert!(left < throttled, "W1C missed: {left} of {throttled} left");
+                    assert_eq!(u64::from(left), dut.supervisors[0].throttle_events());
+                }
+                DISABLE => {
+                    assert!(!got.0, "a disabled interconnect moved");
+                    assert_eq!(horizon, None, "a disabled interconnect woke");
+                }
+                ENABLE => assert_eq!(
+                    dut.central.next_boundary(),
+                    ENABLE + 37,
+                    "the boundary at {ENABLE} starts a period of the new length"
+                ),
+                QUIESCE => assert!(
+                    dut.quiesce_deadline[1].is_some(),
+                    "the quiesce request did not start a drain"
+                ),
+                _ => {}
+            }
+        }
+        assert!(fast_ticks > 200, "only {fast_ticks} fast-path ticks");
+    }
+
+    #[test]
+    fn wide_beats_cross_the_interconnect_and_memory_intact() {
+        // Beats wider than the inline payload buffer spill to the heap;
+        // their bytes must survive the full write and read paths.
+        let mut hc = HyperConnect::new(HcConfig::new(1));
+        let mut memory = mem::MemoryController::new(mem::MemConfig::zcu102());
+        for (base, size) in [
+            (0x1000_0000u64, BurstSize::B64),
+            (0x2000_0000, BurstSize::B128),
+        ] {
+            let bytes = size.bytes();
+            assert!(bytes as usize > axi::PAYLOAD_INLINE);
+            let len = 4u32;
+            let fill =
+                |beat: u32, b: u64| (u64::from(beat) * 131 + b * 7 + base / 0x1000_0000) as u8;
+            let start = 1_000 * (base / 0x1000_0000);
+            hc.port(0)
+                .aw
+                .push(start, AwBeat::new(base, len, size))
+                .unwrap();
+            let mut w = WBeat::stream(len, size, 0, fill).into_iter().peekable();
+            let mut now = start;
+            let mut reads = Vec::new();
+            let mut read_sent = false;
+            while reads.len() < len as usize {
+                assert!(now < start + 900, "{size:?} transfer stalled");
+                if let Some(beat) = w.peek() {
+                    if hc.port(0).w.push(now, beat.clone()).is_ok() {
+                        w.next();
+                    }
+                }
+                let (_, r) = step_with_memory(&mut hc, &mut memory, now);
+                reads.extend(r);
+                if !read_sent && memory.is_idle() && w.peek().is_none() && now > start + 200 {
+                    hc.port(0)
+                        .ar
+                        .push(now, ArBeat::new(base, len, size))
+                        .unwrap();
+                    read_sent = true;
+                }
+                now += 1;
+            }
+            let expect: Vec<u8> = (0..len)
+                .flat_map(|beat| (0..bytes).map(move |b| fill(beat, b)))
+                .collect();
+            assert_eq!(
+                memory.memory().read(base, expect.len()),
+                expect,
+                "{size:?} write"
+            );
+            let got: Vec<u8> = reads.iter().flat_map(|r| r.data.to_vec()).collect();
+            assert_eq!(got, expect, "{size:?} read");
         }
     }
 }

@@ -37,6 +37,9 @@
 //! | `+0x30` | `REG_CREDITS` | RO | stored credits: bits 15:0 read lane, bits 31:16 write lane (each saturated at `0xFFFF`) |
 //! | `+0x34` | `ERR_TOTAL` | RO | transactions completed with a non-OKAY merged response since reset (saturating) |
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
 use crate::regulate::{RegulatorConfig, DEFAULT_WINDOW, OUT_CAP_UNLIMITED, RATE_UNLIMITED};
 use axi::lite::LiteDevice;
 
@@ -77,7 +80,8 @@ pub const QUIESCE_DRAINED: u32 = 1 << 1;
 /// was force-flushed. Write 1 to this bit to clear (W1C).
 pub const QUIESCE_FLUSHED: u32 = 1 << 2;
 
-/// Runtime-visible state of one slave port.
+/// Runtime-visible state of one slave port: a copy of its control
+/// registers and its status registers, read together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortRegs {
     /// Sub-transactions allowed per reservation period.
@@ -156,19 +160,223 @@ impl Default for PortRegs {
     }
 }
 
+/// The registers of one port that change only under the register lock:
+/// what the driver programs, and the drain status the interconnect
+/// writes back on its slow path. Fields as in [`PortRegs`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortControl {
+    pub budget: u32,
+    pub enabled: bool,
+    pub max_outstanding: u32,
+    pub quiesce_requested: bool,
+    pub drained: bool,
+    pub force_flushed: bool,
+    pub dropped_txns: u32,
+    pub rate: u32,
+    pub reg_burst: u32,
+    pub out_cap: u32,
+    pub throttle_clear: bool,
+}
+
+/// The status registers of one port: the TS counters the interconnect
+/// writes back on every tick that visits the port. Fields as in
+/// [`PortRegs`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PortStatus {
+    pub txn_this_period: u32,
+    pub txn_total: u64,
+    pub violations: u32,
+    pub outstanding: u32,
+    pub throttle_events: u64,
+    pub read_credits: u32,
+    pub write_credits: u32,
+    pub err_total: u64,
+}
+
+impl PortRegs {
+    fn new(c: PortControl, s: PortStatus) -> Self {
+        Self {
+            budget: c.budget,
+            enabled: c.enabled,
+            max_outstanding: c.max_outstanding,
+            txn_this_period: s.txn_this_period,
+            txn_total: s.txn_total,
+            violations: s.violations,
+            outstanding: s.outstanding,
+            quiesce_requested: c.quiesce_requested,
+            drained: c.drained,
+            force_flushed: c.force_flushed,
+            dropped_txns: c.dropped_txns,
+            rate: c.rate,
+            reg_burst: c.reg_burst,
+            out_cap: c.out_cap,
+            throttle_events: s.throttle_events,
+            throttle_clear: c.throttle_clear,
+            read_credits: s.read_credits,
+            write_credits: s.write_credits,
+            err_total: s.err_total,
+        }
+    }
+
+    fn control(&self) -> PortControl {
+        PortControl {
+            budget: self.budget,
+            enabled: self.enabled,
+            max_outstanding: self.max_outstanding,
+            quiesce_requested: self.quiesce_requested,
+            drained: self.drained,
+            force_flushed: self.force_flushed,
+            dropped_txns: self.dropped_txns,
+            rate: self.rate,
+            reg_burst: self.reg_burst,
+            out_cap: self.out_cap,
+            throttle_clear: self.throttle_clear,
+        }
+    }
+
+    fn status(&self) -> PortStatus {
+        PortStatus {
+            txn_this_period: self.txn_this_period,
+            txn_total: self.txn_total,
+            violations: self.violations,
+            outstanding: self.outstanding,
+            throttle_events: self.throttle_events,
+            read_credits: self.read_credits,
+            write_credits: self.write_credits,
+            err_total: self.err_total,
+        }
+    }
+}
+
+/// [`PortStatus`] as relaxed atomics.
+#[derive(Debug, Default)]
+struct AtomicPortStatus {
+    txn_this_period: AtomicU32,
+    txn_total: AtomicU64,
+    violations: AtomicU32,
+    outstanding: AtomicU32,
+    throttle_events: AtomicU64,
+    read_credits: AtomicU32,
+    write_credits: AtomicU32,
+    err_total: AtomicU64,
+}
+
+impl AtomicPortStatus {
+    fn load(&self) -> PortStatus {
+        PortStatus {
+            txn_this_period: self.txn_this_period.load(Relaxed),
+            txn_total: self.txn_total.load(Relaxed),
+            violations: self.violations.load(Relaxed),
+            outstanding: self.outstanding.load(Relaxed),
+            throttle_events: self.throttle_events.load(Relaxed),
+            read_credits: self.read_credits.load(Relaxed),
+            write_credits: self.write_credits.load(Relaxed),
+            err_total: self.err_total.load(Relaxed),
+        }
+    }
+
+    fn store(&self, s: &PortStatus) {
+        self.txn_this_period.store(s.txn_this_period, Relaxed);
+        self.txn_total.store(s.txn_total, Relaxed);
+        self.violations.store(s.violations, Relaxed);
+        self.outstanding.store(s.outstanding, Relaxed);
+        self.throttle_events.store(s.throttle_events, Relaxed);
+        self.read_credits.store(s.read_credits, Relaxed);
+        self.write_credits.store(s.write_credits, Relaxed);
+        self.err_total.store(s.err_total, Relaxed);
+    }
+}
+
+/// The part of the register file the interconnect touches every tick:
+/// the configuration generation and every port's status registers.
+///
+/// A [`RegFile`] and its interconnect share one block through an `Arc`,
+/// so the interconnect's phase-0 fast path reads the generation and
+/// writes status back without taking the register lock. Every value
+/// here is a statistic or a change marker and publishes no other data,
+/// so all accesses are `Relaxed`: when the interconnect sees a new
+/// generation it takes the register lock, and the lock orders the
+/// control registers it then reads.
+#[derive(Debug)]
+pub(crate) struct StatusBlock {
+    generation: AtomicU64,
+    ports: Box<[AtomicPortStatus]>,
+}
+
+impl StatusBlock {
+    fn new(num_ports: usize) -> Self {
+        Self {
+            generation: AtomicU64::new(0),
+            ports: (0..num_ports)
+                .map(|_| AtomicPortStatus::default())
+                .collect(),
+        }
+    }
+
+    /// The configuration generation (see [`RegFile::generation`]).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Relaxed)
+    }
+
+    /// Port `i`'s status registers.
+    pub(crate) fn load(&self, i: usize) -> PortStatus {
+        self.ports[i].load()
+    }
+
+    /// Overwrites port `i`'s status registers.
+    pub(crate) fn store(&self, i: usize, s: &PortStatus) {
+        self.ports[i].store(s);
+    }
+
+    /// Copies `other`'s generation and status registers into this block.
+    fn copy_from(&self, other: &StatusBlock) {
+        self.generation.store(other.generation(), Relaxed);
+        for (dst, src) in self.ports.iter().zip(other.ports.iter()) {
+            dst.store(&src.load());
+        }
+    }
+
+    /// Bumps the generation. Only a holder of `&mut RegFile` (the
+    /// register lock) writes it, so the increment needs no atomic
+    /// read-modify-write.
+    fn bump(&self) {
+        self.generation.store(self.generation() + 1, Relaxed);
+    }
+}
+
 /// The HyperConnect register file.
 ///
 /// Owned jointly (through [`axi::lite::LiteHandle`]) by the simulated
 /// interconnect, which consults it every cycle, and by the hypervisor
-/// driver, which reads/writes it over the modeled control bus.
-#[derive(Debug, Clone)]
+/// driver, which reads/writes it over the modeled control bus. The
+/// generation and the status registers live in a status block the
+/// interconnect also holds directly; everything else is read and
+/// written under the handle's lock.
+#[derive(Debug)]
 pub struct RegFile {
     enabled: bool,
     period: u32,
     nominal_burst: u32,
     reg_window: u32,
-    ports: Vec<PortRegs>,
-    generation: u64,
+    ports: Vec<PortControl>,
+    status: Arc<StatusBlock>,
+}
+
+/// A clone gets a status block of its own: it copies the registers, it
+/// does not share them with the original's interconnect.
+impl Clone for RegFile {
+    fn clone(&self) -> Self {
+        let status = StatusBlock::new(self.ports.len());
+        status.copy_from(&self.status);
+        Self {
+            enabled: self.enabled,
+            period: self.period,
+            nominal_burst: self.nominal_burst,
+            reg_window: self.reg_window,
+            ports: self.ports.clone(),
+            status: Arc::new(status),
+        }
+    }
 }
 
 impl RegFile {
@@ -194,18 +402,44 @@ impl RegFile {
             period: Self::DEFAULT_PERIOD,
             nominal_burst: Self::DEFAULT_NOMINAL,
             reg_window: DEFAULT_WINDOW,
-            ports: vec![PortRegs::default(); num_ports],
-            generation: 0,
+            ports: vec![PortRegs::default().control(); num_ports],
+            status: Arc::new(StatusBlock::new(num_ports)),
         }
+    }
+
+    /// The block of generation and status registers this register
+    /// file shares with its interconnect.
+    pub(crate) fn status_block(&self) -> &Arc<StatusBlock> {
+        &self.status
+    }
+
+    /// Replaces every register with `other`'s, in place: the shared
+    /// status block stays the one the interconnect holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port counts differ.
+    pub(crate) fn install(&mut self, other: RegFile) {
+        assert_eq!(
+            self.ports.len(),
+            other.ports.len(),
+            "register file port count"
+        );
+        self.status.copy_from(&other.status);
+        self.enabled = other.enabled;
+        self.period = other.period;
+        self.nominal_burst = other.nominal_burst;
+        self.reg_window = other.reg_window;
+        self.ports = other.ports;
     }
 
     /// Monotonic configuration generation: bumped on every control-plane
     /// write (AXI-Lite `write32` or a typed setter), but *not* by the
-    /// interconnect's own counter write-backs (`port_mut`) or period
-    /// recharges. The interconnect's phase-0 fast path compares it with
-    /// the generation it last saw to detect reconfiguration.
+    /// interconnect's own write-backs or period recharges. The
+    /// interconnect's phase-0 fast path compares it with the generation
+    /// it last saw to detect reconfiguration.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.status.generation()
     }
 
     /// Number of per-port register blocks.
@@ -244,79 +478,80 @@ impl RegFile {
         }
     }
 
-    /// The register block of port `i`.
+    /// A copy of port `i`'s registers.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn port(&self, i: usize) -> &PortRegs {
-        &self.ports[i]
+    pub fn port(&self, i: usize) -> PortRegs {
+        PortRegs::new(self.ports[i], self.status.load(i))
     }
 
-    /// Mutable register block of port `i` (used by the TS to update
-    /// transaction counters).
+    /// Mutable control registers of port `i`, for the interconnect's
+    /// drain-status write-back; not a control-plane write, so the
+    /// generation stays.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn port_mut(&mut self, i: usize) -> &mut PortRegs {
+    pub(crate) fn port_mut(&mut self, i: usize) -> &mut PortControl {
         &mut self.ports[i]
     }
 
     /// Typed write helpers used by tests and the driver model.
     pub fn set_budget(&mut self, port: usize, budget: u32) {
         self.ports[port].budget = budget;
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Enables/decouples port `i`.
     pub fn set_enabled(&mut self, port: usize, enabled: bool) {
         self.ports[port].enabled = enabled;
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets the reservation period (clamped to at least 1).
     pub fn set_period(&mut self, period: u32) {
         self.period = period.max(1);
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets the nominal burst length (clamped to 1–256).
     pub fn set_nominal_burst(&mut self, beats: u32) {
         self.nominal_burst = beats.clamp(1, 256);
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets the global regulator refill window (clamped to at least 1).
     pub fn set_reg_window(&mut self, cycles: u32) {
         self.reg_window = cycles.max(1);
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets port `i`'s regulator rate ([`RATE_UNLIMITED`] disables).
     pub fn set_rate(&mut self, port: usize, rate: u32) {
         self.ports[port].rate = rate;
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets port `i`'s regulator burst depth (clamped to at least 1).
     pub fn set_reg_burst(&mut self, port: usize, burst: u32) {
         self.ports[port].reg_burst = burst.max(1);
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Sets port `i`'s outstanding-transaction cap
     /// ([`OUT_CAP_UNLIMITED`] disables).
     pub fn set_out_cap(&mut self, port: usize, cap: u32) {
         self.ports[port].out_cap = cap;
-        self.generation += 1;
+        self.status.bump();
     }
 
     /// Clears all per-period transaction counters (called by the central
     /// unit at each period boundary).
     pub fn recharge(&mut self) {
-        for p in &mut self.ports {
-            p.txn_this_period = 0;
+        for p in self.status.ports.iter() {
+            p.txn_this_period.store(0, Relaxed);
         }
     }
 
@@ -343,28 +578,28 @@ impl LiteDevice for RegFile {
                 Some((i, PORT_BUDGET)) => self.ports[i].budget,
                 Some((i, PORT_CTRL)) => self.ports[i].enabled as u32,
                 Some((i, PORT_MAX_OUT)) => self.ports[i].max_outstanding,
-                Some((i, PORT_TXN_PERIOD)) => self.ports[i].txn_this_period,
+                Some((i, PORT_TXN_PERIOD)) => self.status.load(i).txn_this_period,
                 // Hardware-register semantics: a 64-bit counter read
                 // through a 32-bit window saturates instead of wrapping,
                 // so long campaigns read as "pinned at max", never as a
                 // silently small value.
                 Some((i, PORT_TXN_TOTAL)) => {
-                    u32::try_from(self.ports[i].txn_total).unwrap_or(u32::MAX)
+                    u32::try_from(self.status.load(i).txn_total).unwrap_or(u32::MAX)
                 }
-                Some((i, PORT_VIOLATIONS)) => self.ports[i].violations,
-                Some((i, PORT_OUTSTANDING)) => self.ports[i].outstanding,
+                Some((i, PORT_VIOLATIONS)) => self.status.load(i).violations,
+                Some((i, PORT_OUTSTANDING)) => self.status.load(i).outstanding,
                 Some((i, PORT_REG_RATE)) => self.ports[i].rate,
                 Some((i, PORT_REG_BURST)) => self.ports[i].reg_burst,
                 Some((i, PORT_REG_OUT_CAP)) => self.ports[i].out_cap,
                 Some((i, PORT_REG_THROTTLE)) => {
-                    u32::try_from(self.ports[i].throttle_events).unwrap_or(u32::MAX)
+                    u32::try_from(self.status.load(i).throttle_events).unwrap_or(u32::MAX)
                 }
                 Some((i, PORT_REG_CREDITS)) => {
-                    let p = &self.ports[i];
+                    let p = self.status.load(i);
                     p.read_credits.min(0xFFFF) | (p.write_credits.min(0xFFFF) << 16)
                 }
                 Some((i, PORT_ERR_TOTAL)) => {
-                    u32::try_from(self.ports[i].err_total).unwrap_or(u32::MAX)
+                    u32::try_from(self.status.load(i).err_total).unwrap_or(u32::MAX)
                 }
                 Some((i, PORT_QUIESCE)) => {
                     let p = &self.ports[i];
@@ -379,7 +614,7 @@ impl LiteDevice for RegFile {
     }
 
     fn write32(&mut self, offset: u64, value: u32) {
-        self.generation += 1;
+        self.status.bump();
         match offset {
             REG_CTRL => self.enabled = value & 1 != 0,
             REG_PERIOD => self.set_period(value),
@@ -395,13 +630,12 @@ impl LiteDevice for RegFile {
                 Some((i, PORT_REG_BURST)) => self.ports[i].reg_burst = value.max(1),
                 Some((i, PORT_REG_OUT_CAP)) => self.ports[i].out_cap = value,
                 Some((i, PORT_REG_THROTTLE)) if value & 1 != 0 => {
-                    let p = &mut self.ports[i];
                     // Visible immediately; the TS-side counter is
                     // cleared by the interconnect when it consumes
                     // `throttle_clear` on the next (never-skipped)
                     // slow-path tick.
-                    p.throttle_events = 0;
-                    p.throttle_clear = true;
+                    self.status.ports[i].throttle_events.store(0, Relaxed);
+                    self.ports[i].throttle_clear = true;
                 }
                 Some((i, PORT_QUIESCE)) => {
                     let p = &mut self.ports[i];
@@ -494,21 +728,50 @@ sim::persist_fields!(PortRegs {
     write_credits,
     err_total,
 });
-// Persisting the generation counter verbatim keeps the interconnect's
-// fast-path cache (`seen_cfg_gen`) coherent across a snapshot/restore
-// boundary.
-sim::persist_fields!(RegFile {
-    enabled,
-    period,
-    nominal_burst,
-    reg_window,
-    ports,
-    generation,
-} check |rf| {
-    if rf.ports.is_empty() {
-        return Err(sim::persist::PersistError::Corrupt("regfile with no ports"));
+/// The image is the register map as a list of [`PortRegs`] between the
+/// global registers and the generation. Persisting the generation
+/// verbatim keeps the interconnect's fast-path cache (`seen_cfg_gen`)
+/// coherent across a snapshot/restore boundary.
+impl sim::persist::PersistValue for RegFile {
+    fn save_value(&self, w: &mut sim::persist::SnapshotWriter) {
+        self.enabled.save_value(w);
+        self.period.save_value(w);
+        self.nominal_burst.save_value(w);
+        self.reg_window.save_value(w);
+        w.put_usize(self.ports.len());
+        for i in 0..self.ports.len() {
+            self.port(i).save_value(w);
+        }
+        self.generation().save_value(w);
     }
-});
+
+    fn load_value(
+        r: &mut sim::persist::SnapshotReader<'_>,
+    ) -> Result<Self, sim::persist::PersistError> {
+        let enabled = bool::load_value(r)?;
+        let period = u32::load_value(r)?;
+        let nominal_burst = u32::load_value(r)?;
+        let reg_window = u32::load_value(r)?;
+        let ports = Vec::<PortRegs>::load_value(r)?;
+        let generation = u64::load_value(r)?;
+        if ports.is_empty() {
+            return Err(sim::persist::PersistError::Corrupt("regfile with no ports"));
+        }
+        let status = StatusBlock::new(ports.len());
+        status.generation.store(generation, Relaxed);
+        for (i, p) in ports.iter().enumerate() {
+            status.store(i, &p.status());
+        }
+        Ok(Self {
+            enabled,
+            period,
+            nominal_burst,
+            reg_window,
+            ports: ports.iter().map(PortRegs::control).collect(),
+            status: Arc::new(status),
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -584,8 +847,12 @@ mod tests {
     #[test]
     fn health_registers_reflect_written_back_state() {
         let mut rf = RegFile::new(2);
-        rf.port_mut(1).violations = 3;
-        rf.port_mut(1).outstanding = 5;
+        let status = PortStatus {
+            violations: 3,
+            outstanding: 5,
+            ..PortStatus::default()
+        };
+        rf.status_block().store(1, &status);
         let p1 = port_block_offset(1);
         assert_eq!(rf.read32(p1 + PORT_VIOLATIONS), 3);
         assert_eq!(rf.read32(p1 + PORT_OUTSTANDING), 5);
@@ -597,8 +864,12 @@ mod tests {
     #[test]
     fn counters_and_recharge() {
         let mut rf = RegFile::new(2);
-        rf.port_mut(0).txn_this_period = 9;
-        rf.port_mut(0).txn_total = 100;
+        let status = PortStatus {
+            txn_this_period: 9,
+            txn_total: 100,
+            ..PortStatus::default()
+        };
+        rf.status_block().store(0, &status);
         rf.recharge();
         assert_eq!(rf.port(0).txn_this_period, 0);
         assert_eq!(rf.port(0).txn_total, 100);
@@ -641,15 +912,19 @@ mod tests {
         let mut rf = RegFile::new(2);
         // Direct state injection: a long campaign has pushed the 64-bit
         // counter past what a 32-bit register window can express.
-        rf.port_mut(0).txn_total = (1u64 << 32) + 5;
-        rf.port_mut(1).txn_total = u64::from(u32::MAX);
+        let txn_total = |txn_total| PortStatus {
+            txn_total,
+            ..PortStatus::default()
+        };
+        rf.status_block().store(0, &txn_total((1u64 << 32) + 5));
+        rf.status_block().store(1, &txn_total(u64::from(u32::MAX)));
         let p0 = port_block_offset(0);
         let p1 = port_block_offset(1);
         // Saturate, never wrap: the old `as u32` cast read back 5 here.
         assert_eq!(rf.read32(p0 + PORT_TXN_TOTAL), u32::MAX);
         // Exactly-representable values still read exactly.
         assert_eq!(rf.read32(p1 + PORT_TXN_TOTAL), u32::MAX);
-        rf.port_mut(1).txn_total = 77;
+        rf.status_block().store(1, &txn_total(77));
         assert_eq!(rf.read32(p1 + PORT_TXN_TOTAL), 77);
     }
 
@@ -687,7 +962,11 @@ mod tests {
     fn throttle_register_is_w1c_and_saturating() {
         let mut rf = RegFile::new(1);
         let p0 = port_block_offset(0);
-        rf.port_mut(0).throttle_events = (1u64 << 32) + 9;
+        let status = PortStatus {
+            throttle_events: (1u64 << 32) + 9,
+            ..PortStatus::default()
+        };
+        rf.status_block().store(0, &status);
         assert_eq!(rf.read32(p0 + PORT_REG_THROTTLE), u32::MAX);
         // Writes without bit 0 are ignored.
         rf.write32(p0 + PORT_REG_THROTTLE, 0);
@@ -704,8 +983,12 @@ mod tests {
     fn credits_register_packs_both_lanes_saturated() {
         let mut rf = RegFile::new(1);
         let p0 = port_block_offset(0);
-        rf.port_mut(0).read_credits = 3;
-        rf.port_mut(0).write_credits = 0x2_0000;
+        let status = PortStatus {
+            read_credits: 3,
+            write_credits: 0x2_0000,
+            ..PortStatus::default()
+        };
+        rf.status_block().store(0, &status);
         assert_eq!(rf.read32(p0 + PORT_REG_CREDITS), 3 | (0xFFFF << 16));
         // Read-only: writes ignored.
         rf.write32(p0 + PORT_REG_CREDITS, 0xDEAD);

@@ -18,7 +18,7 @@
 //! * adds exactly **one cycle** of latency on each address request and
 //!   none on the R/W/B channels, which are handled proactively.
 
-use sim::ring::Ring;
+use std::collections::VecDeque;
 
 use axi::beat::{ArBeat, AwBeat, BBeat, RBeat, WBeat};
 use axi::burst::{crosses_4k, split_incr};
@@ -96,20 +96,20 @@ pub struct TsStats {
 #[derive(Debug)]
 pub struct TransactionSupervisor {
     // --- read management subsystem ---
-    ar_split: Ring<SubAr>,
+    ar_split: VecDeque<SubAr>,
     /// Staged sub-reads toward the EXBAR (the TS's one-cycle register).
     pub ar_stage: TimedFifo<SubAr>,
     read_outstanding: u32,
     // --- write management subsystem ---
-    aw_split: Ring<SubAw>,
+    aw_split: VecDeque<SubAw>,
     /// Staged sub-writes toward the EXBAR.
     pub aw_stage: TimedFifo<SubAw>,
     /// Upcoming sub-burst lengths for W-stream re-chunking.
-    w_sublens: Ring<u32>,
+    w_sublens: VecDeque<u32>,
     w_current_left: u32,
     /// Original (pre-split) burst lengths, for WLAST-position checking
     /// against what the accelerator actually drives.
-    w_orig_lens: Ring<u32>,
+    w_orig_lens: VecDeque<u32>,
     w_orig_left: u32,
     /// Cycles the W channel has starved a pending write burst.
     w_starved: u32,
@@ -147,14 +147,14 @@ impl TransactionSupervisor {
     /// Creates a TS with the given W staging depth (beats).
     pub fn new(w_depth: usize) -> Self {
         Self {
-            ar_split: Ring::new(),
+            ar_split: VecDeque::new(),
             ar_stage: TimedFifo::new(2, 1),
             read_outstanding: 0,
-            aw_split: Ring::new(),
+            aw_split: VecDeque::new(),
             aw_stage: TimedFifo::new(2, 1),
-            w_sublens: Ring::new(),
+            w_sublens: VecDeque::new(),
             w_current_left: 0,
-            w_orig_lens: Ring::new(),
+            w_orig_lens: VecDeque::new(),
             w_orig_left: 0,
             w_starved: 0,
             w_stage: TimedFifo::new(w_depth.max(2), 0),

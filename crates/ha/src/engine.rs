@@ -171,7 +171,7 @@ pub struct WriteEngine {
     max_outstanding: u32,
     issued_beats: u64,
     /// W beats still to stream for already-issued AWs: (addr, last).
-    w_backlog: sim::ring::Ring<(u64, bool)>,
+    w_backlog: std::collections::VecDeque<(u64, bool)>,
     acked_bursts: u64,
     issued_bursts: u64,
     outstanding: u32,
@@ -202,7 +202,7 @@ impl WriteEngine {
             size,
             max_outstanding: 4,
             issued_beats: 0,
-            w_backlog: sim::ring::Ring::new(),
+            w_backlog: std::collections::VecDeque::new(),
             acked_bursts: 0,
             issued_bursts: 0,
             outstanding: 0,

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use axi::lite::LiteBus;
 use axi::types::PortId;
-use sim::ring::Ring;
+use std::collections::VecDeque;
 
 use crate::domain::{Criticality, Domain, DomainId};
 use crate::driver::{DriverError, HcDriver};
@@ -335,7 +335,7 @@ pub const HEALTH_LOG_CAPACITY: usize = 256;
 /// room.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthLog<E> {
-    events: Ring<E>,
+    events: VecDeque<E>,
     dropped: u64,
 }
 
@@ -377,7 +377,7 @@ impl<E> HealthLog<E> {
 impl<E> Default for HealthLog<E> {
     fn default() -> Self {
         Self {
-            events: Ring::new(),
+            events: VecDeque::new(),
             dropped: 0,
         }
     }

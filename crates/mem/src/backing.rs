@@ -1,9 +1,35 @@
 //! A sparse, byte-addressable backing store for the modeled DRAM.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Hashes a page number with one multiply by 2^64 / phi (Fibonacci
+/// hashing). Page numbers are dense integers the simulator computes
+/// from its own address arithmetic, so they need spreading, not
+/// SipHash's protection against crafted keys; an odd multiplier keeps
+/// consecutive pages in distinct buckets and mixes them into the high
+/// bits the table's control bytes use.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A sparse memory image: pages are allocated on first write; unwritten
 /// bytes read as zero (as freshly initialized DRAM is modeled here).
@@ -30,7 +56,7 @@ pub struct SparseMemory {
     /// Flat frame storage; never shrinks.
     frames: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Page number → frame index.
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
     /// Last (page number, frame index) touched by a cached-path access.
     last: Option<(u64, u32)>,
 }

@@ -6,9 +6,9 @@ use axi::checker::ProtocolMonitor;
 use axi::types::{BurstKind, BurstSize, Resp};
 use axi::{AxiPort, Payload, PortConfig};
 use sim::fifo::DelayQueue;
-use sim::ring::Ring;
 use sim::stats::Gauge;
 use sim::{Cycle, TimedFifo};
+use std::collections::VecDeque;
 
 use crate::backing::SparseMemory;
 use crate::config::MemConfig;
@@ -173,7 +173,7 @@ pub struct MemoryController {
     ps_port: Option<AxiPort>,
     active: Option<Active>,
     /// AWs accepted, oldest first; data is assembled for the head.
-    aw_pending: Ring<AwBeat>,
+    aw_pending: VecDeque<AwBeat>,
     assembly: Vec<WBeat>,
     /// Cleared assembly buffers recycled by [`finalize_write`]
     /// (zero-alloc steady state: one buffer per concurrent write job,
@@ -227,7 +227,7 @@ impl MemoryController {
             open_rows: vec![None; config.row_policy.map_or(0, |p| p.banks as usize)],
             ps_port: None,
             active: None,
-            aw_pending: Ring::new(),
+            aw_pending: VecDeque::new(),
             assembly: Vec::new(),
             spare_assemblies: Vec::new(),
             b_pipe: TimedFifo::new(16, config.write_resp_latency),

@@ -1,13 +1,12 @@
 //! Timed FIFO queues — the basic storage/pipelining element of all models.
 //!
-//! Both queue types here are thin timing-policy layers over the flat
-//! power-of-two [`Ring`]: contiguous slots, mask
-//! arithmetic for wrap, and zero heap allocation once a queue has
-//! reached its working occupancy. There is deliberately no `VecDeque`
-//! anywhere on the per-cycle path.
+//! Both queue types here are thin timing-policy layers over a
+//! [`VecDeque`] of `(visible_at, item)` pairs: contiguous slots, and no
+//! heap allocation once a queue has reached its working occupancy
+//! (a `VecDeque` grows by doubling and never shrinks on its own).
 
 use crate::clock::Cycle;
-use crate::ring::Ring;
+use std::collections::VecDeque;
 
 /// Error returned by [`TimedFifo::push`] when the queue is at capacity.
 ///
@@ -40,9 +39,9 @@ impl<T: std::fmt::Debug> std::error::Error for FifoFull<T> {}
 /// pushed at cycle `t` can never be observed before `t + latency`,
 /// regardless of the order in which components are ticked.
 ///
-/// Storage is a contiguous power-of-two ring ([`Ring`]): slots grow by
-/// doubling up to the configured capacity and are then reused forever,
-/// so steady-state push/pop performs no heap allocation.
+/// Storage is a [`VecDeque`]: slots grow by doubling up to the
+/// configured capacity and are then reused forever, so steady-state
+/// push/pop performs no heap allocation.
 ///
 /// # Example
 ///
@@ -62,7 +61,7 @@ impl<T: std::fmt::Debug> std::error::Error for FifoFull<T> {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimedFifo<T> {
-    entries: Ring<(Cycle, T)>,
+    entries: VecDeque<(Cycle, T)>,
     capacity: usize,
     latency: Cycle,
     /// Total number of elements ever pushed (for occupancy statistics).
@@ -87,7 +86,7 @@ impl<T> TimedFifo<T> {
         // of beats in flight) keep their slot array inside a few cache
         // lines instead of round-robining the full configured depth.
         Self {
-            entries: Ring::new(),
+            entries: VecDeque::new(),
             capacity,
             latency,
             pushed: 0,
@@ -244,7 +243,7 @@ impl<T> TimedFifo<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DelayQueue<T> {
-    entries: Ring<(Cycle, T)>,
+    entries: VecDeque<(Cycle, T)>,
     capacity: usize,
 }
 
@@ -257,7 +256,7 @@ impl<T> DelayQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         Self {
-            entries: Ring::new(),
+            entries: VecDeque::new(),
             capacity,
         }
     }

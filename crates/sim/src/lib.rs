@@ -37,7 +37,6 @@ pub mod clock;
 pub mod component;
 pub mod fifo;
 pub mod persist;
-pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod trace;
@@ -47,5 +46,4 @@ pub use clock::{ClockConfig, Cycle};
 pub use component::{Component, RunOutcome};
 pub use fifo::{FifoFull, TimedFifo};
 pub use persist::{Persist, PersistError, PersistValue, Snapshot, SnapshotReader, SnapshotWriter};
-pub use ring::Ring;
 pub use rng::SimRng;

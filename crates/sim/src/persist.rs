@@ -945,6 +945,16 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_length_is_rejected_before_allocating() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.push(1);
+        assert_eq!(
+            std::collections::VecDeque::<u8>::load_value(&mut SnapshotReader::new(&bytes)).err(),
+            Some(PersistError::Corrupt("deque length exceeds stream"))
+        );
+    }
+
+    #[test]
     fn array_roundtrip() {
         let state: [u64; 4] = [1, 2, 3, u64::MAX];
         let mut w = SnapshotWriter::new();

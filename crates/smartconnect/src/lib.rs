@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sim::ring::Ring;
+use std::collections::VecDeque;
 
 use axi::beat::{ArBeat, AwBeat, RBeat};
 use axi::observe::ObsChannel;
@@ -163,7 +163,7 @@ pub struct SmartConnect {
     b_pipe: TimedFifo<axi::BBeat>,
     read_routes: RouteQueue,
     b_routes: RouteQueue,
-    w_routes: Ring<usize>,
+    w_routes: VecDeque<usize>,
     mem_port: AxiPort,
     // Arbitration state.
     ar_rr: usize,
@@ -182,9 +182,9 @@ pub struct SmartConnect {
     metrics: Option<MetricsRegistry>,
     /// Grant-order ports of ARs parked in `grant_ar` (for attribution
     /// at the master boundary; `grant_ar` is FIFO so orders match).
-    ar_grant_ports: Ring<usize>,
+    ar_grant_ports: VecDeque<usize>,
     /// Grant-order ports of AWs parked in `grant_aw`.
-    aw_grant_ports: Ring<usize>,
+    aw_grant_ports: VecDeque<usize>,
 }
 
 impl SmartConnect {
@@ -215,7 +215,7 @@ impl SmartConnect {
             b_pipe: TimedFifo::new(config.addr_depth, config.b_pipe_latency),
             read_routes: RouteQueue::new(config.routing_depth),
             b_routes: RouteQueue::new(config.routing_depth),
-            w_routes: Ring::new(),
+            w_routes: VecDeque::new(),
             mem_port: AxiPort::new(boundary),
             ar_rr: 0,
             ar_grants_left: 0,
@@ -231,8 +231,8 @@ impl SmartConnect {
                 bytes_written: vec![0; n],
             },
             metrics: None,
-            ar_grant_ports: Ring::new(),
-            aw_grant_ports: Ring::new(),
+            ar_grant_ports: VecDeque::new(),
+            aw_grant_ports: VecDeque::new(),
         }
     }
 
